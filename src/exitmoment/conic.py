@@ -57,16 +57,6 @@ class SolveResult:
     message: str = ""
 
 
-def project_psd(mat: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the PSD cone via eigendecomposition."""
-    sym = 0.5 * (mat + mat.T)
-    w, v = np.linalg.eigh(sym)
-    if w[0] >= 0:
-        return sym
-    w = np.maximum(w, 0.0)
-    return (v * w) @ v.T
-
-
 class _SvecBlocks:
     """Bookkeeping for stacking PSD blocks into scaled svec space."""
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 MultiIndex = tuple  # tuple[int, ...], one exponent per variable
 
 # ---------------------------------------------------------------------------
@@ -61,6 +63,28 @@ def graded_lex_rank(alpha: MultiIndex) -> int:
             rank += count_degree(tail, rem - lead)
         rem -= a
     return rank
+
+
+def graded_lex_ranks(alphas: np.ndarray) -> np.ndarray:
+    """``graded_lex_rank`` of every row of an (N, n) integer array.
+
+    The inner sum of ``graded_lex_rank`` telescopes (hockey stick) to
+    count_upto(tail, rem - a - 1), and rem - a at position pos is the
+    suffix sum S_{pos+1} of the exponents, so with S_0 the degree
+
+        rank(alpha) = sum_{k=0}^{n-1} count_upto(n - k, S_k - 1),
+
+    where count_upto(., -1) = 0.  The terms come from a table over
+    (n - k, S_k), so the result is exact in int64.
+    """
+    alphas = np.asarray(alphas, dtype=np.int64)
+    n = alphas.shape[1]
+    suffix = np.cumsum(alphas[:, ::-1], axis=1)[:, ::-1]
+    max_deg = int(suffix[:, 0].max(initial=0))
+    table = np.array(
+        [[count_upto(t, s - 1) if s > 0 else 0 for s in range(max_deg + 1)]
+         for t in range(n + 1)], dtype=np.int64)
+    return table[np.arange(n, 0, -1), suffix].sum(axis=1)
 
 
 def enumerate_multi_indices(nvars: int, max_degree: int) -> list:

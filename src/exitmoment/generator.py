@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .augment import AugmentedModel
-from .expr import (
-    MultiIndex,
-    Polynomial,
-    count_upto,
-    enumerate_multi_indices,
-    graded_lex_rank,
-)
+from .expr import MultiIndex, Polynomial, enumerate_multi_indices
 
 
 @dataclass

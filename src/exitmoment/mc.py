@@ -210,6 +210,18 @@ def _is_time_box(q: Polynomial, slots: int) -> bool:
     )
 
 
+def _bridge_probability(q_prev, q_new, v, dt):
+    """Brownian-bridge probability exp(-2 q_prev q_new / (v dt)) that each
+    safe polynomial dipped below zero within a step; zero where it has no
+    diffusion (v = 0), so 0 / 0 is never evaluated."""
+    qp = np.maximum(q_prev, 0.0)
+    qn = np.maximum(q_new, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        expo = np.divide(-2.0 * qp * qn, v * dt,
+                         out=np.full(qp.shape, -np.inf), where=v > 0)
+    return np.exp(expo)
+
+
 # ---------------------------------------------------------------------------
 # stepping core
 # ---------------------------------------------------------------------------
@@ -297,12 +309,8 @@ class _Stepper:
             if self.cfg.bridge:
                 inside = ~crossed & finite
                 if inside.any():
-                    v = self.variances(x, t, cols)
-                    qp = np.maximum(q_prev, 0.0)
-                    qn = np.maximum(q_new, 0.0)
-                    with np.errstate(divide="ignore", over="ignore"):
-                        expo = -2.0 * qp * qn / (v * dt)
-                    p = np.where(v > 0, np.exp(expo), 0.0)
+                    p = _bridge_probability(
+                        q_prev, q_new, self.variances(x, t, cols), dt)
                     no_cross = np.clip(1.0 - p, 1e-300, 1.0)
                     survive = np.exp(np.log(no_cross).sum(axis=1))
                     u = self.rng.random(x.shape[0])
@@ -621,12 +629,8 @@ def measure_moments(model: SdeModel, augmented: AugmentedModel,
             which[rows] = w
         if cfg.bridge:
             inside = ~crossed
-            v = stepper.variances(x, t, cols)
-            qp = np.maximum(q_prev, 0.0)
-            qn = np.maximum(q_new, 0.0)
-            with np.errstate(divide="ignore", over="ignore"):
-                expo = -2.0 * qp * qn / (v * dt)
-            p = np.where(v > 0, np.exp(expo), 0.0)
+            p = _bridge_probability(q_prev, q_new,
+                                    stepper.variances(x, t, cols), dt)
             survive = np.exp(np.log(np.clip(1.0 - p, 1e-300, 1.0)).sum(axis=1))
             u = rng.random(x.shape[0])
             bridged = inside & (u > survive)

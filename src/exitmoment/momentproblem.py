@@ -6,6 +6,18 @@ by one per exit moment.  PSD blocks all share the moment-matrix basis of
 degree floor(K/2), so the block-diagonal cone has total side
 (2 + 3 N_q) d_K with original boundary constraints and (2 + N_q) d_K with
 the reduced scalar equalities.
+
+Variables are numbered by graded lex rank: occupation moment alpha is
+variable rank(alpha) and exit moment alpha is num_m + rank(alpha), where
+rank is the closed form of ``expr.graded_lex_ranks``.  The array
+assembly relies on two orders, which ``LocalizingMap.entries`` and the
+tests' pair loops reproduce one entry at a time:
+
+* PSD block triplets run row-major over the upper triangle
+  (``np.triu_indices(d)``: i <= j, svec position p), and within one entry
+  over the polynomial's terms in graded lex order (``Polynomial.items``).
+* Reduced boundary rows come one per distinct beta = basis[i] + basis[j],
+  in order of first appearance in that same upper-triangle traversal.
 """
 
 from __future__ import annotations
@@ -20,11 +32,11 @@ from .augment import AugmentedModel
 from .expr import (
     MultiIndex,
     Polynomial,
-    count_upto,
     enumerate_multi_indices,
     graded_lex_rank,
+    graded_lex_ranks,
 )
-from .generator import MartingaleRow, emit_all_rows
+from .generator import emit_all_rows
 
 
 @dataclass
@@ -73,13 +85,6 @@ class LocalizingMap:
             out.append((coef, graded_lex_rank(target)))
         return out
 
-    def entry_indices(self, i: int, j: int) -> list:
-        beta = self.base.entry_index(i, j)
-        return [
-            (coef, tuple(a + b for a, b in zip(beta, alpha)))
-            for alpha, coef in self.poly.items()
-        ]
-
     def max_referenced_degree(self) -> int:
         return 2 * max(sum(b) for b in self.base.basis) + self.poly.degree()
 
@@ -122,9 +127,12 @@ def reduced_boundary_equalities(qprime: Polynomial, nvars: int, K: int,
                                 basis_degree: int | None = None) -> list:
     """Scalar equalities 'sum_alpha q'_alpha b_{beta(i,j)+alpha} = 0'.
 
-    One row per upper-triangle entry of the q'-localizing structure on the
-    moment-matrix basis, deduplicated by sparse pattern; rows come back as
-    dicts mapping exit-moment multi-indices to rational coefficients.
+    One row per distinct beta = basis[i] + basis[j] (i <= j), in order of
+    first appearance in the row-major upper-triangle traversal of the
+    moment-matrix basis.  Distinct betas shift the support of q' to
+    distinct sets, so no two rows are proportional.  Rows come back as
+    dicts mapping exit-moment multi-indices to rational coefficients,
+    keyed in the graded lex order of the terms of q'.
     """
     degq = qprime.degree()
     if degq < 0:
@@ -135,30 +143,17 @@ def reduced_boundary_equalities(qprime: Polynomial, nvars: int, K: int,
             "for the reduced boundary formulation")
     if basis_degree is None:
         basis_degree = K // 2
-    basis = enumerate_multi_indices(nvars, basis_degree)
-    seen = set()
-    rows = []
-    items = qprime.items()
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            beta = tuple(a + b for a, b in zip(basis[i], basis[j]))
-            row: dict = {}
-            for alpha, coef in items:
-                target = tuple(a + b for a, b in zip(beta, alpha))
-                row[target] = row.get(target, Fraction(0)) + coef
-            row = {k: v for k, v in row.items() if v}
-            if not row:
-                continue
-            lead = min(row, key=graded_lex_rank)
-            scale = row[lead]
-            pattern = tuple(sorted(
-                ((k, v / scale) for k, v in row.items()),
-                key=lambda kv: graded_lex_rank(kv[0])))
-            if pattern in seen:
-                continue
-            seen.add(pattern)
-            rows.append(row)
-    return rows
+    basis = np.array(enumerate_multi_indices(nvars, basis_degree),
+                     dtype=np.int64)
+    iu, ju = np.triu_indices(len(basis))
+    betas = basis[iu] + basis[ju]
+    _, first = np.unique(betas, axis=0, return_index=True)
+    betas = betas[np.sort(first)]
+    terms = qprime.items()
+    alphas = np.array([alpha for alpha, _ in terms], dtype=np.int64)
+    coefs = [coef for _, coef in terms]
+    targets = (betas[:, None, :] + alphas[None, :, :]).tolist()
+    return [dict(zip(map(tuple, row), coefs)) for row in targets]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +164,7 @@ def reduced_boundary_equalities(qprime: Polynomial, nvars: int, K: int,
 @dataclass
 class PsdBlock:
     """dim x dim PSD constraint; ``mat @ z`` fills the upper triangle row
-    by row (i <= j)."""
+    by row, in the order of ``np.triu_indices(dim)``."""
 
     label: str
     dim: int
@@ -180,22 +175,11 @@ class PsdBlock:
 
     def materialize(self, z: np.ndarray) -> np.ndarray:
         vals = self.mat @ z
+        iu, ju = np.triu_indices(self.dim)
         out = np.zeros((self.dim, self.dim))
-        pos = 0
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                out[i, j] = out[j, i] = vals[pos]
-                pos += 1
+        out[iu, ju] = vals
+        out[ju, iu] = vals
         return out
-
-
-def svec_diag_mask(dim: int) -> np.ndarray:
-    mask = np.zeros(dim * (dim + 1) // 2, dtype=bool)
-    pos = 0
-    for i in range(dim):
-        mask[pos] = True
-        pos += dim - i
-    return mask
 
 
 @dataclass
@@ -299,32 +283,42 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
     )
 
 
-def _psd_block(label: str, loc: LocalizingMap, var_of, num_vars: int) -> PsdBlock:
-    dim = loc.dim
-    rows_ix: list = []
-    cols_ix: list = []
-    vals: list = []
-    pos = 0
-    for i in range(dim):
-        for j in range(i, dim):
-            for coef, target in loc.entry_indices(i, j):
-                rows_ix.append(pos)
-                cols_ix.append(var_of[target])
-                vals.append(float(coef))
-            pos += 1
+def _psd_block(label: str, loc: LocalizingMap, offset: int, count: int,
+               num_vars: int) -> PsdBlock:
+    """Lower ``loc`` onto the variables offset .. offset + count - 1.
+
+    Triplets follow the module's order: svec position p of
+    ``np.triu_indices``, then the terms of ``loc.poly`` in graded lex
+    order; term alpha of entry (i, j) lands on variable
+    offset + rank(basis[i] + basis[j] + alpha).  A target ranked at or
+    beyond ``count`` has no variable and raises KeyError.
+    """
+    basis = np.array(loc.base.basis, dtype=np.int64)
+    iu, ju = np.triu_indices(loc.dim)
+    terms = loc.poly.items()
+    alphas = np.array([alpha for alpha, _ in terms], dtype=np.int64)
+    targets = ((basis[iu] + basis[ju])[:, None, :]
+               + alphas[None, :, :]).reshape(-1, basis.shape[1])
+    ranks = graded_lex_ranks(targets)
+    outside = ranks >= count
+    if outside.any():
+        raise KeyError(tuple(targets[np.argmax(outside)].tolist()))
     mat = sp.csr_matrix(
-        (vals, (rows_ix, cols_ix)),
-        shape=(dim * (dim + 1) // 2, num_vars),
+        (np.tile([float(coef) for _, coef in terms], len(iu)),
+         (np.repeat(np.arange(len(iu)), len(terms)), offset + ranks)),
+        shape=(len(iu), num_vars),
     )
     mat.sum_duplicates()
-    return PsdBlock(label, dim, mat)
+    return PsdBlock(label, loc.dim, mat)
 
 
 def lower_to_conic(mp: MomentProblem) -> ConicProgram:
     n = mp.model.total_dim
+    num_m = len(mp.m_indices)
+    num_b = len(mp.b_indices)
     m_of = {alpha: i for i, alpha in enumerate(mp.m_indices)}
-    b_of = {alpha: len(mp.m_indices) + i for i, alpha in enumerate(mp.b_indices)}
-    num_vars = len(mp.m_indices) + len(mp.b_indices)
+    b_of = {alpha: num_m + i for i, alpha in enumerate(mp.b_indices)}
+    num_vars = num_m + num_b
 
     # -- equality rows, deduplicated on exact rational patterns ----------
     patterns = set()
@@ -363,21 +357,23 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
     # -- PSD blocks -------------------------------------------------------
     one = Polynomial.constant(n, 1)
     basis_map = MomentIndexMap(n, mp.K, mp.moment_basis)
+    m_range = (0, num_m, num_vars)
+    b_range = (num_m, num_b, num_vars)
     blocks = [
-        _psd_block("M(m)", LocalizingMap(one, basis_map), m_of, num_vars),
-        _psd_block("M(b)", LocalizingMap(one, basis_map), b_of, num_vars),
+        _psd_block("M(m)", LocalizingMap(one, basis_map), *m_range),
+        _psd_block("M(b)", LocalizingMap(one, basis_map), *b_range),
     ]
     for idx, q in enumerate(mp.interior_polys):
         blocks.append(_psd_block(f"M(q{idx} m)", LocalizingMap(q, basis_map),
-                                 m_of, num_vars))
+                                 *m_range))
     if mp.variant == "original":
         for idx in range(len(mp.interior_polys)):
             blocks.append(_psd_block(f"M(+q' b)#{idx}",
                                      LocalizingMap(mp.qprime, basis_map),
-                                     b_of, num_vars))
+                                     *b_range))
             blocks.append(_psd_block(f"M(-q' b)#{idx}",
                                      LocalizingMap(-mp.qprime, basis_map),
-                                     b_of, num_vars))
+                                     *b_range))
 
     # -- objective --------------------------------------------------------
     obj_index = tuple(
@@ -392,8 +388,8 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
         "moment_order": mp.moment_order,
         "n_q": mp.n_q,
         "d_k": mp.d_k,
-        "num_m": len(mp.m_indices),
-        "num_b": len(mp.b_indices),
+        "num_m": num_m,
+        "num_b": num_b,
         "m_indices": mp.m_indices,
         "b_indices": mp.b_indices,
         "objective_index": obj_index,
@@ -407,9 +403,3 @@ def assemble(model: AugmentedModel, variant: str, K: int,
     """Build the full conic program for one bound computation."""
     return lower_to_conic(
         build_moment_problem(model, variant, K, moment_order, sense))
-
-
-def split_moments(program: ConicProgram, z: np.ndarray):
-    """Recover the (m, b) moment vectors from a solver iterate."""
-    num_m = program.meta["num_m"]
-    return z[:num_m], z[num_m:]

@@ -6,16 +6,32 @@ becomes one block of X; the equality system A x = b is appended as one
 diagonal block holding the paired inequalities A x - b >= 0 and
 b - A x >= 0.  Maximization problems are written with the negated
 objective and flagged in a comment line.
+
+Entry lines ``matno blkno i j value`` are sorted by (matno, blkno, i, j,
+value), the order of ``SdpaData.entries`` with its keys sorted, and the
+value is written with ``{!r}`` of the Python float, the shortest string
+that reads back to the same double.  PSD block entry (i, j) comes from svec
+position p of ``np.triu_indices(dim)``, shifted to one-based indices.
+Zero values are never written.  Export and read stream the entry lines,
+so neither holds the file's text in memory at once.
 """
 
 from __future__ import annotations
 
+import gc
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
 
 from .momentproblem import ConicProgram
+
+_ENTRY_DTYPE = [("matno", np.int64), ("blkno", np.int64),
+                ("i", np.int64), ("j", np.int64), ("value", np.float64)]
+_LINES_PER_WRITE = 1 << 16
 
 
 @dataclass
@@ -26,100 +42,175 @@ class SdpaData:
     entries: dict                # (matno, blkno) -> sorted [(i, j, value)]
 
 
-def _svec_coords(dim: int):
-    coords = []
-    for i in range(dim):
-        for j in range(i, dim):
-            coords.append((i + 1, j + 1))
-    return coords
+def _nonzero(cols):
+    keep = cols[4] != 0.0
+    return cols if keep.all() else [col[keep] for col in cols]
 
 
-def program_sdpa_image(program: ConicProgram) -> SdpaData:
-    """The exact structure export_sdpa writes, kept in memory."""
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, if it runs, for the duration.
+
+    The entry tuples and lists hold only numbers and form no cycles, yet
+    their allocations trigger collections: for the 622k entries of the
+    pendulum K=10 file the collector took a quarter of read_sdpa's time.
+    The switch is process-wide; it is turned back on only if it was on.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _group(matno, blkno, i, j, value) -> dict:
+    """Entry columns in file order -> the ``SdpaData.entries`` dict."""
+    starts = np.flatnonzero((np.diff(matno, prepend=-1) != 0)
+                            | (np.diff(blkno, prepend=-1) != 0))
+    ends = np.append(starts[1:], len(matno))
+    keys = zip(matno[starts].tolist(), blkno[starts].tolist())
+    with _collector_paused():
+        items = list(zip(i.tolist(), j.tolist(), value.tolist()))
+        return {key: items[s:e]
+                for key, s, e in zip(keys, starts.tolist(), ends.tolist())}
+
+
+def _program_entries(program: ConicProgram):
+    """Entry columns of the program's file, in file order.
+
+    Stacking every block's rows over the columns [F_0 | x_1 .. x_n] and
+    reading the stack column by column gives (matno, blkno, i, j) order:
+    blocks are stacked in blkno order, svec rows run in (i, j) order,
+    and the equality pairs A x - b (i = row) come before b - A x
+    (i = m_eq + row).
+    """
+    mats, blk, ii, jj = [], [], [], []
+    for blkno, block in enumerate(program.blocks, start=1):
+        iu, ju = np.triu_indices(block.dim)
+        mats.append(block.mat)
+        blk.append(np.full(len(iu), blkno))
+        ii.append(iu + 1)
+        jj.append(ju + 1)
+    m_eq = program.a_eq.shape[0]
+    if m_eq:
+        mats += [program.a_eq, -program.a_eq]
+        blk.append(np.full(2 * m_eq, len(program.blocks) + 1))
+        diag = np.arange(1, 2 * m_eq + 1)
+        ii.append(diag)
+        jj.append(diag)
+    f = sp.vstack(mats, format="csr")
+    f0 = np.zeros(f.shape[0])
+    if m_eq:
+        f0[-2 * m_eq:] = np.concatenate([program.rhs, -program.rhs])
+    stack = sp.hstack([sp.csr_matrix(f0[:, None]), f], format="csc")
+    stack.sort_indices()
+    matno = np.repeat(np.arange(stack.shape[1]), np.diff(stack.indptr))
+    rows = stack.indices
+    blk, ii, jj = (np.concatenate(a) for a in (blk, ii, jj))
+    return _nonzero([matno, blk[rows], ii[rows], jj[rows], stack.data])
+
+
+def _sizes_and_c(program: ConicProgram):
     m_eq = program.a_eq.shape[0]
     sizes = [b.dim for b in program.blocks]
     if m_eq:
         sizes.append(-2 * m_eq)
     sign = -1.0 if program.sense == "max" else 1.0
-    c = [sign * v for v in program.objective.tolist()]
+    return sizes, [sign * v for v in program.objective.tolist()]
 
-    entries: dict = {}
 
-    def put(matno, blkno, i, j, value):
-        if value == 0.0:
-            return
-        entries.setdefault((matno, blkno), []).append((i, j, float(value)))
-
-    for blkno, block in enumerate(program.blocks, start=1):
-        coords = _svec_coords(block.dim)
-        coo = block.mat.tocoo()
-        for pos, var, val in zip(coo.row, coo.col, coo.data):
-            i, j = coords[pos]
-            put(var + 1, blkno, i, j, val)
-
-    if m_eq:
-        blkno = len(program.blocks) + 1
-        coo = program.a_eq.tocoo()
-        for row, var, val in zip(coo.row, coo.col, coo.data):
-            put(var + 1, blkno, row + 1, row + 1, val)
-            put(var + 1, blkno, m_eq + row + 1, m_eq + row + 1, -val)
-        for row, val in enumerate(program.rhs.tolist()):
-            put(0, blkno, row + 1, row + 1, val)
-            put(0, blkno, m_eq + row + 1, m_eq + row + 1, -val)
-
-    for key in entries:
-        entries[key].sort()
-    return SdpaData(program.num_vars, sizes, c, entries)
+def program_sdpa_image(program: ConicProgram) -> SdpaData:
+    """The exact structure export_sdpa writes, kept in memory."""
+    sizes, c = _sizes_and_c(program)
+    return SdpaData(program.num_vars, sizes, c,
+                    _group(*_program_entries(program)))
 
 
 def export_sdpa(program: ConicProgram, path) -> None:
     """Write the program in sparse SDPA format (see module docstring for
     the block layout; equalities are the trailing diagonal block)."""
-    data = program_sdpa_image(program)
-    lines = [
+    sizes, c = _sizes_and_c(program)
+    header = [
         "*exitmoment conic program export",
         f"*sense: {program.sense}"
         + (" (objective negated in c below)" if program.sense == "max" else ""),
         "*blocks: "
         + ", ".join(b.label for b in program.blocks)
         + (", equality pairs (diagonal)" if program.a_eq.shape[0] else ""),
-        str(data.num_vars),
-        str(len(data.block_sizes)),
-        " ".join(str(s) for s in data.block_sizes),
-        " ".join(repr(v) for v in data.c),
+        str(program.num_vars),
+        str(len(sizes)),
+        " ".join(str(s) for s in sizes),
+        " ".join(repr(v) for v in c),
     ]
-    for (matno, blkno), items in sorted(data.entries.items()):
-        for i, j, val in items:
-            lines.append(f"{matno} {blkno} {i} {j} {val!r}")
+    *index_cols, value = _program_entries(program)
+    # each distinct index ({}) and value ({!r}) is formatted once
+    top = max((int(col.max()) for col in index_cols if len(col)), default=0)
+    names = np.array([str(k) for k in range(top + 1)], dtype=object)
+    uniq, inv = np.unique(value, return_inverse=True)
+    reprs = np.array([repr(v) for v in uniq.tolist()], dtype=object)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for start in range(0, len(value), _LINES_PER_WRITE):
+            part = slice(start, start + _LINES_PER_WRITE)
+            fields = [names[col[part]].tolist() for col in index_cols]
+            fields.append(reprs[inv[part]].tolist())
+            fh.write("\n".join(map(" ".join, zip(*fields))) + "\n")
+
+
+def _is_data(line: str) -> bool:
+    stripped = line.strip()
+    return bool(stripped) and stripped[0] not in "*\""
+
+
+def _load_entries(source, skiprows=0):
+    """Entry lines -> structured array; np.loadtxt rejects a line of other
+    than 5 fields or a non-integer index, and skips blank lines."""
+    with warnings.catch_warnings():
+        # numpy releases that truncate a float-looking string read into an
+        # integer field only warn about it; reject such an index there too
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(source, dtype=_ENTRY_DTYPE, comments=None,
+                              skiprows=skiprows, ndmin=1)
+        except DeprecationWarning as exc:
+            raise ValueError(
+                f"non-integer index in an entry line: {exc}") from exc
 
 
 def read_sdpa(path) -> SdpaData:
     """Parse a sparse SDPA file back into the exported structure."""
     with open(path) as fh:
-        raw = [line.strip() for line in fh]
-    body = [line for line in raw if line and line[0] not in "*\""]
-    if len(body) < 4:
-        raise ValueError("truncated SDPA file")
-    num_vars = int(body[0])
-    nblocks = int(body[1])
-    sizes_line = body[2]
-    for ch in "{}(),":
-        sizes_line = sizes_line.replace(ch, " ")
-    block_sizes = [int(tok) for tok in sizes_line.split()]
-    if len(block_sizes) != nblocks:
-        raise ValueError("block count does not match the size list")
-    c = [float(tok) for tok in body[3].split()]
-    entries: dict = {}
-    for line in body[4:]:
-        toks = line.split()
-        if len(toks) != 5:
-            raise ValueError(f"malformed entry line: {line!r}")
-        matno, blkno, i, j = (int(t) for t in toks[:4])
-        value = float(toks[4])
-        if value != 0.0:
-            entries.setdefault((matno, blkno), []).append((i, j, value))
-    for key in entries:
-        entries[key].sort()
-    return SdpaData(num_vars, block_sizes, c, entries)
+        numbered = ((n, line) for n, line in enumerate(fh) if _is_data(line))
+        head = [line for _, line in islice(numbered, 4)]
+        if len(head) < 4:
+            raise ValueError("truncated SDPA file")
+        num_vars = int(head[0])
+        nblocks = int(head[1])
+        sizes_line = head[2]
+        for ch in "{}(),":
+            sizes_line = sizes_line.replace(ch, " ")
+        block_sizes = [int(tok) for tok in sizes_line.split()]
+        if len(block_sizes) != nblocks:
+            raise ValueError("block count does not match the size list")
+        c = [float(tok) for tok in head[3].split()]
+        first = next((n for n, _ in numbered), None)   # first entry line
+    if first is None:
+        table = np.zeros(0, dtype=_ENTRY_DTYPE)
+    else:
+        try:
+            # numpy reads the path in C, without a Python call per line;
+            # a comment line among the entries fails to parse here
+            table = _load_entries(path, skiprows=first)
+        except ValueError:
+            with open(path) as fh:
+                table = _load_entries(filter(_is_data,
+                                             islice(fh, first, None)))
+    # comparing records field by field sorts by (matno, blkno, i, j,
+    # value); the stable sort (timsort) takes one linear pass over the
+    # already sorted entries export_sdpa writes
+    table.sort(kind="stable")
+    cols = _nonzero([table[name] for name, _ in _ENTRY_DTYPE])
+    return SdpaData(num_vars, block_sizes, c, _group(*cols))

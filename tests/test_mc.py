@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from exitmoment.mc import (
     path_consistency_ladder,
     simulate_exit,
 )
+from exitmoment.expr import enumerate_multi_indices
 from exitmoment.generator import emit_all_rows
 
 
@@ -180,3 +183,31 @@ def test_martingale_rows_hold_within_monte_carlo_error():
         se = samples.std(ddof=1) / math.sqrt(samples.size)
         # 3 sigma plus a small discretization allowance
         assert abs(mean) <= 3 * se + 1e-3, (row.test_index, mean, se)
+
+
+def _digest(*arrays):
+    return hashlib.sha256(
+        b"".join(a.astype("<f8").tobytes() for a in arrays)).hexdigest()
+
+
+def test_spring_bridge_correction_raises_no_warning_and_keeps_samples():
+    # x and the time coordinate carry no diffusion, so their crossing
+    # variance is 0 while q_prev * q_new is 0 on a facet; the bridge
+    # exponent must skip them rather than evaluate 0 / 0.  The digests are
+    # the samples drawn before that fix, so the fix changed no number.
+    model = spring()
+    cfg = McConfig(dt=1e-3, paths=64, seed=3, horizon=2.0,
+                   max_moment_order=2)
+    am = scale_model(augment(model))
+    indices = enumerate_multi_indices(am.total_dim, 2)
+    taus = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        simulate_exit(model, cfg, tau_out=taus)
+        mm = measure_moments(model, am, indices, indices, cfg)
+    tau, capped = taus[0]
+    assert len(tau) == 64 and int(capped.sum()) == 7
+    assert _digest(tau) == (
+        "ff98bc6dcd5e39a2efc257054c7495dd5c5a5c0dc8a00c7481934d1879ecddf0")
+    assert _digest(mm.occupation_samples, mm.exit_samples) == (
+        "71d89f8ef66e2a629f0057c889b856211b207f4da72fa6a05ed7f4af59c4f958")

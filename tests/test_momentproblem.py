@@ -1,23 +1,30 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from exitmoment.augment import SdeModel, augment
+from exitmoment.augment import SdeModel, augment, scale_model
 from exitmoment.expr import (
     Polynomial,
     count_upto,
     enumerate_multi_indices,
     graded_lex_rank,
+    graded_lex_ranks,
     parse_polynomial,
 )
 from exitmoment.momentproblem import (
+    LocalizingMap,
+    MomentIndexMap,
+    _psd_block,
     assemble,
     boundary_product,
     build_localizing_map,
     build_moment_map,
     build_moment_problem,
+    lower_to_conic,
     reduced_boundary_equalities,
 )
 
@@ -38,6 +45,27 @@ def box_model(n_user_polys: int, T: float = 1.0):
     raise ValueError(n_user_polys)
 
 
+def scaled_brownian():
+    return scale_model(augment(SdeModel.from_strings(
+        ["y"], ["0"], [["1"]], [0.5], 10.0, ["y", "1 - y"])))
+
+
+def scaled_pendulum():
+    return scale_model(augment(SdeModel.from_strings(
+        ["x", "v"], ["v", "-5*x - 9.81 + v*sin(x)"], [["0"], ["1"]],
+        [-9.81 / 5, 0.0], 10.0, ["-x", "x + 2"])))
+
+
+# (model, K) pairs whose assembly the array code must reproduce exactly
+ASSEMBLY_CASES = {
+    "box0-K4": (lambda: box_model(0), 4),
+    "box2-K4": (lambda: box_model(2), 4),
+    "brownian-K4": (scaled_brownian, 4),
+    "brownian-K8": (scaled_brownian, 8),
+    "pendulum-K4": (scaled_pendulum, 4),
+}
+
+
 # ---------------------------------------------------------------------------
 # moment index maps
 # ---------------------------------------------------------------------------
@@ -55,6 +83,15 @@ def test_moment_map_two_vars_degree_four():
     assert mm.entry_index(1, 1) == (2, 0)
     assert mm.entry_index(1, 2) == (1, 1)
     assert mm.entry_index(3, 5) == (2, 2)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+def test_array_rank_matches_graded_lex_rank(nvars):
+    indices = enumerate_multi_indices(nvars, 12)
+    ranks = graded_lex_ranks(np.array(indices))
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == [graded_lex_rank(a) for a in indices]
+    assert ranks.tolist() == list(range(len(indices)))
 
 
 def test_moment_map_trivial():
@@ -169,6 +206,46 @@ def test_reduced_equalities_frozen_interval_example():
         {(2,): Fraction(1), (3,): Fraction(-1)},
         {(3,): Fraction(1), (4,): Fraction(-1)},
     ]
+
+
+def pair_loop_boundary_equalities(qprime, nvars, basis_degree):
+    """Reference: one row per upper-triangle entry, deduplicated by the
+    exact normalized pattern, in traversal order."""
+    basis = enumerate_multi_indices(nvars, basis_degree)
+    seen = set()
+    rows = []
+    for i in range(len(basis)):
+        for j in range(i, len(basis)):
+            beta = tuple(a + b for a, b in zip(basis[i], basis[j]))
+            row: dict = {}
+            for alpha, coef in qprime.items():
+                target = tuple(a + b for a, b in zip(beta, alpha))
+                row[target] = row.get(target, Fraction(0)) + coef
+            row = {k: v for k, v in row.items() if v}
+            if not row:
+                continue
+            lead = min(row, key=graded_lex_rank)
+            pattern = tuple(sorted(
+                ((k, v / row[lead]) for k, v in row.items()),
+                key=lambda kv: graded_lex_rank(kv[0])))
+            if pattern not in seen:
+                seen.add(pattern)
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+def test_reduced_equalities_match_pair_loop(case):
+    make_model, K = ASSEMBLY_CASES[case]
+    model = make_model()
+    mp = build_moment_problem(model, "reduced", K, 1, "max")
+    expected = pair_loop_boundary_equalities(mp.qprime, model.total_dim,
+                                             K // 2)
+    got = reduced_boundary_equalities(mp.qprime, model.total_dim, K,
+                                      basis_degree=K // 2)
+    assert got == expected
+    assert [list(r) for r in got] == [list(r) for r in expected]
+    assert mp.boundary_equalities == expected
 
 
 def test_reduced_equalities_zero_polynomial_rejected():
@@ -306,6 +383,71 @@ def test_psd_block_materialization_is_symmetric():
     for block in program.blocks:
         mat = block.materialize(z)
         assert np.array_equal(mat, mat.T)
+
+
+def per_entry_block(loc: LocalizingMap, offset: int, num_vars: int):
+    """Reference lowering of one block through ``LocalizingMap.entries``."""
+    rows, cols, vals = [], [], []
+    pos = 0
+    for i in range(loc.dim):
+        for j in range(i, loc.dim):
+            for coef, rank in loc.entries(i, j):
+                rows.append(pos)
+                cols.append(offset + rank)
+                vals.append(float(coef))
+            pos += 1
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(pos, num_vars))
+    mat.sum_duplicates()
+    return mat
+
+
+def assert_same_csr(got, expected):
+    assert got.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("variant", ["original", "reduced"])
+@pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+def test_lowering_matches_per_entry_reference(case, variant):
+    make_model, K = ASSEMBLY_CASES[case]
+    model = make_model()
+    n = model.total_dim
+    mp = build_moment_problem(model, variant, K, 2, "min")
+    program = lower_to_conic(mp)
+    num_m = len(mp.m_indices)
+    num_vars = program.num_vars
+    base = MomentIndexMap(n, K, mp.moment_basis)
+    polys = [(Polynomial.constant(n, 1), 0), (Polynomial.constant(n, 1), num_m)]
+    polys += [(q, 0) for q in mp.interior_polys]
+    if variant == "original":
+        polys += [(sign * mp.qprime, num_m)
+                  for _ in mp.interior_polys for sign in (1, -1)]
+    assert len(program.blocks) == len(polys)
+    for block, (q, offset) in zip(program.blocks, polys):
+        assert_same_csr(block.mat,
+                        per_entry_block(LocalizingMap(q, base), offset, num_vars))
+
+    # equalities lowered from the pair-loop boundary rows
+    ref_rows = (pair_loop_boundary_equalities(mp.qprime, n, K // 2)
+                if variant == "reduced" else [])
+    reference = lower_to_conic(
+        dataclasses.replace(mp, boundary_equalities=ref_rows))
+    assert_same_csr(program.a_eq, reference.a_eq)
+    assert np.array_equal(program.rhs, reference.rhs)
+    expected_c = np.zeros(num_vars)
+    expected_c[graded_lex_rank(program.meta["objective_index"])] = 2.0
+    assert np.array_equal(program.objective, expected_c)
+
+
+def test_block_target_outside_the_variables_raises():
+    base = MomentIndexMap(1, 2, enumerate_multi_indices(1, 1))
+    loc = LocalizingMap(Polynomial(1, {(1,): 1}), base)
+    # targets reach degree 3: four variables hold them, three do not
+    assert _psd_block("q", loc, 0, 4, 4).mat.shape == (3, 4)
+    with pytest.raises(KeyError):
+        _psd_block("q", loc, 0, 3, 4)
 
 
 def test_moment_problem_records_dropped_rows():
