@@ -1,0 +1,75 @@
+"""Command line: one exit-time moment bound, printed as JSON.
+
+Example (Brownian motion on [0, 1] from 1/2, lower bound on E[tau ^ T]):
+
+    exitmoment --names y --drift 0 --diffusion 1 --x0 0.5 --horizon 10 \\
+        --safe y "1 - y" --variant reduced --K 8 --order 1 --sense min
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+
+from .augment import SdeModel, augment, moment_unscale_factor, scale_model
+from .conic import SolverSettings, solve
+from .momentproblem import assemble
+
+
+def _parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="exitmoment",
+        description="Bound the exit-time moment E[(tau ^ T)^n] of an SDE "
+                    "with a moment SDP relaxation.")
+    p.add_argument("--names", nargs="+", required=True,
+                   help="state variable names")
+    p.add_argument("--drift", nargs="+", required=True,
+                   help="one drift expression per state")
+    p.add_argument("--diffusion", nargs="+", action="append", required=True,
+                   metavar="ENTRY",
+                   help="one diffusion row per state; repeat the option per row")
+    p.add_argument("--x0", nargs="+", type=float, required=True,
+                   help="initial state")
+    p.add_argument("--horizon", type=float, required=True, help="time horizon T")
+    p.add_argument("--safe", nargs="*", default=[],
+                   help="polynomials q with safe set {q > 0}")
+    p.add_argument("--variant", choices=("reduced", "original"),
+                   default="reduced")
+    p.add_argument("--K", type=int, required=True, help="relaxation degree")
+    p.add_argument("--order", type=int, default=1, help="moment order n")
+    p.add_argument("--sense", choices=("min", "max"), default="min")
+    p.add_argument("--max-iters", type=int, default=SolverSettings.max_iters)
+    return p
+
+
+def main(argv=None) -> int:
+    parser = _parser()
+    args = parser.parse_args(argv)
+    try:
+        sde = SdeModel.from_strings(args.names, args.drift, args.diffusion,
+                                    args.x0, args.horizon, args.safe)
+        settings = SolverSettings(max_iters=args.max_iters)
+    except ValueError as exc:  # unreadable model or out-of-range setting
+        parser.error(str(exc))
+    model = scale_model(augment(sde))
+    program = assemble(model, args.variant, args.K, args.order, args.sense)
+    res = solve(program, settings)
+    print(json.dumps({
+        "variant": args.variant,
+        "K": args.K,
+        "order": args.order,
+        "sense": args.sense,
+        "bound": res.objective * moment_unscale_factor(model, args.order),
+        "status": res.status,
+        "iterations": res.iterations,
+        "primal_residual": res.primal_residual,
+        "dual_residual": res.dual_residual,
+        "aa_rejected": res.aa_rejected,
+        "solve_time": res.solve_time,
+        "message": res.message,
+    }))
+    return 0 if res.status == "optimal" else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

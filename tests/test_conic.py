@@ -1,0 +1,353 @@
+import json
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import exitmoment.conic as conic
+from exitmoment.augment import SdeModel, augment, moment_unscale_factor, scale_model
+from exitmoment.cli import main
+from exitmoment.conic import (
+    SolverSettings,
+    _Anderson,
+    _ruiz_equilibrate,
+    _SvecBlocks,
+    solve,
+)
+from exitmoment.momentproblem import ConicProgram, PsdBlock, assemble
+
+BROWNIAN = (["y"], ["0"], [["1"]], [0.5], 10.0, ["y", "1 - y"])
+
+
+@pytest.fixture(scope="module")
+def brownian():
+    return scale_model(augment(SdeModel.from_strings(*BROWNIAN)))
+
+
+@pytest.fixture(scope="module")
+def pendulum():
+    return scale_model(augment(SdeModel.from_strings(
+        ["x", "v"], ["v", "-5*x - 9.81 + v*sin(x)"], [["0"], ["1"]],
+        [-9.81 / 5, 0.0], 10.0, ["-x", "x + 2"])))
+
+
+# ---------------------------------------------------------------------------
+# settings
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
+def test_settings_reject_nonpositive_rho(rho):
+    with pytest.raises(ValueError, match="rho"):
+        SolverSettings(rho=rho)
+
+
+@pytest.mark.parametrize("check_interval", [0, -25])
+def test_settings_reject_check_interval_below_one(check_interval):
+    with pytest.raises(ValueError, match="check_interval"):
+        SolverSettings(check_interval=check_interval)
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_settings_reject_max_iters_below_one(max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverSettings(max_iters=max_iters)
+
+
+# ---------------------------------------------------------------------------
+# batched PSD projection
+# ---------------------------------------------------------------------------
+
+
+def svec_program(dims):
+    """A program whose blocks read consecutive svec slices of z."""
+    blocks, offset = [], 0
+    total = sum(d * (d + 1) // 2 for d in dims)
+    for i, d in enumerate(dims):
+        n_svec = d * (d + 1) // 2
+        mat = sp.eye(n_svec, total, k=offset, format="csr")
+        blocks.append(PsdBlock(f"b{i}", d, mat))
+        offset += n_svec
+    return ConicProgram(total, np.zeros(total), "min", sp.csr_matrix((0, total)),
+                        np.zeros(0), blocks)
+
+
+def svec_scale(d):
+    iu, ju = np.triu_indices(d)
+    return np.where(iu == ju, 1.0, math.sqrt(2.0))
+
+
+def to_matrix(vec, d):
+    iu, ju = np.triu_indices(d)
+    out = np.zeros((d, d))
+    out[iu, ju] = vec / svec_scale(d)
+    out[ju, iu] = vec / svec_scale(d)
+    return out
+
+
+def from_matrix(mat):
+    d = mat.shape[0]
+    iu, ju = np.triu_indices(d)
+    return mat[iu, ju] * svec_scale(d)
+
+
+def project_reference(vec, dims):
+    """One np.linalg.eigh per block."""
+    out, offset = [], 0
+    for d in dims:
+        n_svec = d * (d + 1) // 2
+        w, v = np.linalg.eigh(to_matrix(vec[offset:offset + n_svec], d))
+        out.append(from_matrix((v * np.maximum(w, 0.0)) @ v.T))
+        offset += n_svec
+    return np.concatenate(out)
+
+
+def split(vec, dims):
+    offset = 0
+    for d in dims:
+        n_svec = d * (d + 1) // 2
+        yield d, vec[offset:offset + n_svec]
+        offset += n_svec
+
+
+MIXED_DIMS = [15, 36, 21, 15, 21, 36, 21]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_projection_matches_per_block_eigh(seed):
+    blocks = _SvecBlocks(svec_program(MIXED_DIMS))
+    vec = np.random.default_rng(seed).standard_normal(blocks.total)
+    got = blocks.project(vec)
+    np.testing.assert_allclose(got, project_reference(vec, MIXED_DIMS),
+                               rtol=0, atol=1e-12)
+    for d, part in split(got, MIXED_DIMS):
+        assert np.linalg.eigvalsh(to_matrix(part, d))[0] >= -1e-12
+    np.testing.assert_allclose(blocks.project(got), got, rtol=0, atol=1e-12)
+
+
+def test_projection_leaves_psd_blocks_unchanged():
+    rng = np.random.default_rng(3)
+    parts = []
+    for d in MIXED_DIMS:
+        b = rng.standard_normal((d, d))
+        parts.append(from_matrix(b @ b.T + np.eye(d)))
+    vec = np.concatenate(parts)
+    # one indefinite block among PSD ones of the same dimension
+    vec[:parts[0].size] = rng.standard_normal(parts[0].size)
+    got = _SvecBlocks(svec_program(MIXED_DIMS)).project(vec)
+    np.testing.assert_allclose(got[parts[0].size:], vec[parts[0].size:],
+                               rtol=0, atol=1e-12)
+    assert not np.allclose(got[:parts[0].size], vec[:parts[0].size])
+
+
+# ---------------------------------------------------------------------------
+# equilibration
+# ---------------------------------------------------------------------------
+
+
+def ruiz_reference(a_eq, g, lengths, iters=10):
+    """The per-pass loop that rebuilds both scaled matrices twice."""
+    ends = np.cumsum(lengths)
+    slices = list(zip(ends - lengths, ends))
+    total = int(ends[-1]) if len(ends) else 0
+    m_eq = a_eq.shape[0]
+    n = a_eq.shape[1]
+    d_eq = np.ones(m_eq)
+    d_cone = np.ones(len(slices))
+    e_col = np.ones(n)
+    for _ in range(iters):
+        a_s = sp.diags(d_eq) @ a_eq @ sp.diags(e_col) if m_eq else a_eq
+        cone_scale_rows = np.concatenate([
+            np.full(end - start, d_cone[i])
+            for i, (start, end) in enumerate(slices)
+        ]) if total else np.zeros(0)
+        g_s = sp.diags(cone_scale_rows) @ g @ sp.diags(e_col)
+        if m_eq:
+            r = np.asarray(abs(a_s).max(axis=1).todense()).ravel()
+            r[r == 0] = 1.0
+            d_eq /= np.sqrt(r)
+        for i, (start, end) in enumerate(slices):
+            sub = g_s[start:end]
+            r = abs(sub).max() if sub.nnz else 0.0
+            if r > 0:
+                d_cone[i] /= math.sqrt(r)
+        a_s = sp.diags(d_eq) @ a_eq @ sp.diags(e_col) if m_eq else a_eq
+        cone_scale_rows = np.concatenate([
+            np.full(end - start, d_cone[i])
+            for i, (start, end) in enumerate(slices)
+        ]) if total else np.zeros(0)
+        g_s = sp.diags(cone_scale_rows) @ g @ sp.diags(e_col)
+        stack = sp.vstack([a_s, g_s], format="csc") if m_eq else g_s.tocsc()
+        c = np.asarray(abs(stack).max(axis=0).todense()).ravel()
+        c[c == 0] = 1.0
+        e_col /= np.sqrt(c)
+    return d_eq, d_cone, e_col
+
+
+@pytest.mark.parametrize("which", [
+    ("brownian", "reduced", 8, 1), ("brownian", "original", 8, 1),
+    ("brownian", "reduced", 14, 3), ("pendulum", "original", 4, 1),
+])
+def test_ruiz_scalings_match_reference_loop_bit_for_bit(which, request):
+    name, variant, K, order = which
+    program = assemble(request.getfixturevalue(name), variant, K, order, "min")
+    blocks = _SvecBlocks(program)
+    a_eq = program.a_eq.tocsr().astype(float)
+    g = blocks.stacked.astype(float)
+    d_eq, d_cone, e_col, a_s, g_s = _ruiz_equilibrate(a_eq, g, blocks)
+    ref = ruiz_reference(a_eq, g, blocks.lengths)
+    for got, want in zip((d_eq, d_cone, e_col), ref):
+        assert np.array_equal(got, want)
+    cone_rows = np.repeat(d_cone, blocks.lengths)
+    assert np.array_equal(
+        a_s.toarray(), (sp.diags(d_eq) @ a_eq @ sp.diags(e_col)).toarray())
+    assert np.array_equal(
+        g_s.toarray(), (sp.diags(cone_rows) @ g @ sp.diags(e_col)).toarray())
+
+
+def test_ruiz_without_equality_rows():
+    program = svec_program([3, 4])
+    program.blocks[1].mat = 2.0 * program.blocks[1].mat
+    blocks = _SvecBlocks(program)
+    a_eq = program.a_eq.tocsr().astype(float)
+    d_eq, d_cone, e_col, a_s, _ = _ruiz_equilibrate(a_eq, blocks.stacked, blocks)
+    ref = ruiz_reference(a_eq, blocks.stacked, blocks.lengths)
+    assert d_eq.size == 0 and a_s.shape == (0, program.num_vars)
+    for got, want in zip((d_eq, d_cone, e_col), ref):
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Anderson acceleration
+# ---------------------------------------------------------------------------
+
+
+def anderson_reference(xs, ts, memory):
+    """Type-II step from the full history of inputs xs and outputs ts."""
+    k = min(len(xs) - 1, memory)
+    if not k:
+        return ts[-1]
+    fs = [t - x for x, t in zip(xs, ts)]
+    d_f = np.array([fs[i + 1] - fs[i] for i in range(len(fs) - k - 1, len(fs) - 1)])
+    d_t = np.array([ts[i + 1] - ts[i] for i in range(len(ts) - k - 1, len(ts) - 1)])
+    gram = d_f @ d_f.T
+    reg = conic.AA_REGULARIZATION * np.trace(gram)
+    gamma = np.linalg.solve(gram + reg * np.eye(k), d_f @ fs[-1])
+    return ts[-1] - gamma @ d_t
+
+
+def test_anderson_ring_buffer_matches_full_history():
+    rng = np.random.default_rng(0)
+    dim, memory = 8, 3
+    m = rng.standard_normal((dim, dim))
+    m *= 0.9 / np.abs(np.linalg.eigvals(m)).max()
+    b = rng.standard_normal(dim)
+    aa = _Anderson(dim, memory)
+    xs, ts = [], []
+    x = np.zeros(dim)
+    for _ in range(12):  # wraps the ring buffer several times
+        tx = m @ x + b
+        xs.append(x)
+        ts.append(tx)
+        x = aa.step(tx, tx - x)
+        np.testing.assert_allclose(x, anderson_reference(xs, ts, memory),
+                                   rtol=1e-9, atol=1e-12)
+
+
+def test_anderson_solves_a_linear_contraction_in_few_steps():
+    rng = np.random.default_rng(1)
+    dim = 6
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    m = q @ np.diag(np.linspace(0.5, 0.99, dim)) @ q.T
+    b = rng.standard_normal(dim)
+    fixed = np.linalg.solve(np.eye(dim) - m, b)
+    aa = _Anderson(dim, 10)
+    x = np.zeros(dim)
+    for _ in range(dim + 2):
+        tx = m @ x + b
+        x = aa.step(tx, tx - x)
+    assert np.linalg.norm(x - fixed) < 1e-6 * np.linalg.norm(fixed)
+    # the plain iteration is still far off after the same number of steps
+    y = np.zeros(dim)
+    for _ in range(dim + 2):
+        y = m @ y + b
+    assert np.linalg.norm(y - fixed) > 0.1 * np.linalg.norm(fixed)
+
+
+# ---------------------------------------------------------------------------
+# solve
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_brownian_reduced_k8_order1_reaches_a_quarter(brownian, sense):
+    res = solve(assemble(brownian, "reduced", 8, 1, sense))
+    assert res.status == "optimal"
+    bound = res.objective * moment_unscale_factor(brownian, 1)
+    assert abs(bound - 0.25) <= 1e-6
+    if sense == "max":
+        assert res.iterations <= 3500
+    assert all(len(entry) == 3 for entry in res.residual_history)
+    assert res.residual_history[-1][0] == res.iterations
+    assert isinstance(res.aa_rejected, int) and res.aa_rejected >= 0
+
+
+def test_safeguard_rejections_are_counted(brownian, monkeypatch):
+    """With a zero safeguard factor every accelerated point is dropped, so
+    the solver falls back to the plain steps and still converges."""
+    monkeypatch.setattr(conic, "AA_SAFEGUARD", 0.0)
+    res = solve(assemble(brownian, "reduced", 8, 1, "min"))
+    assert res.status == "optimal"
+    assert abs(res.objective * moment_unscale_factor(brownian, 1) - 0.25) <= 1e-6
+    assert res.aa_rejected >= res.iterations // 4
+
+
+def test_anderson_memory_clears_on_every_rho_change(brownian, monkeypatch):
+    resets = []
+
+    class CountingAnderson(conic._Anderson):
+        def reset(self):
+            resets.append(self.count)
+            super().reset()
+
+    monkeypatch.setattr(conic, "_Anderson", CountingAnderson)
+    # no rejections, so every reset comes from a rho change
+    monkeypatch.setattr(conic, "AA_SAFEGUARD", math.inf)
+    res = solve(assemble(brownian, "reduced", 8, 1, "max"),
+                SolverSettings(rho=1e-3, max_iters=2000))
+    rhos = [rho for _, _, rho in res.residual_history]
+    changes = sum(a != b for a, b in zip(rhos, rhos[1:]))
+    assert rhos[0] == 1e-3 and changes > 0
+    assert res.aa_rejected == 0
+    # a change at the last check shows in no later history entry
+    assert changes <= len(resets) <= changes + 1
+
+
+# ---------------------------------------------------------------------------
+# command line
+# ---------------------------------------------------------------------------
+
+
+def test_cli_prints_one_bound_as_json(capsys):
+    code = main(["--names", "y", "--drift", "0", "--diffusion", "1",
+                 "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y",
+                 "--variant", "reduced", "--K", "8", "--order", "1",
+                 "--sense", "min"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["status"] == "optimal"
+    assert abs(out["bound"] - 0.25) <= 1e-6
+    assert out["iterations"] > 0 and out["solve_time"] > 0
+    assert {"primal_residual", "dual_residual"} <= out.keys()
+
+
+@pytest.mark.parametrize("bad", [["--drift", "0 +"], ["--max-iters", "0"]])
+def test_cli_reports_bad_input_as_a_usage_error(bad, capsys):
+    args = {"--names": "y", "--drift": "0", "--diffusion": "1", "--x0": "0.5",
+            "--horizon": "10", "--K": "4"}
+    args[bad[0]] = bad[1]
+    with pytest.raises(SystemExit) as exc:
+        main([token for item in args.items() for token in item])
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
