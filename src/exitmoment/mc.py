@@ -7,9 +7,40 @@ pairwise summation, which does not depend on scheduling.
 
 Exit detection combines grid crossings (with sub-step linear
 interpolation of the crossing time) and a Brownian-bridge test for
-within-step excursions; without the bridge test the discrete monitoring
-widens every noisy barrier by about 0.58 sigma sqrt(dt), which at
-dt = 1e-4 already dwarfs the statistical error of 1e6 paths.
+within-step excursions (Gobet, Stoch. Proc. Appl. 2000); without the
+bridge test the discrete monitoring widens every noisy barrier by about
+0.58 sigma sqrt(dt), which at dt = 1e-4 already dwarfs the statistical
+error of 1e6 paths.
+
+Layout.  Every per-path quantity is stored coordinate-major, one path
+per column: the state as an (n + atoms, N) array whose first n rows are
+the coordinates and whose remaining rows are the sin/cos atoms the
+dynamics use, and the safe-polynomial values as (n_q, N).  Each
+coordinate is one contiguous row, a reduction over polynomials is an
+elementwise operation between rows, and dropping the paths that left is
+one gather per array.  The Gaussian increments are still drawn as
+(N, d), so the random stream is the one a path-major layout consumes.
+
+Compiled kernels.  Each drift, diffusion, safe-polynomial and gradient
+expression is compiled once per model into (coefficient, time power,
+factor rows) terms.  A constant expression evaluates to a float, zero
+drift and diffusion entries are skipped, and the terms are accumulated
+in the expression's term order without intermediate copies, so every
+value is the one a term-by-term evaluation gives.
+
+Near-boundary rule.  A path survives the bridge test of one step with
+probability exp(sum_q log(clip(1 - p_q, 1e-300, 1))), where
+p_q = exp(e_q) and e_q = -2 q_prev q_new / (v_q dt) for the crossing
+variance rate v_q = grad(q)^T sigma sigma^T grad(q).  Where every
+e_q <= -40, each p_q <= e^-40 < 2^-54, so 1 - p_q rounds to 1.0, each
+logarithm is 0 and the survival is exactly 1.0, which a uniform draw in
+[0, 1) never exceeds.  The transcendental functions are therefore
+evaluated only on paths with some e_q > -40, and polynomials whose
+crossing variance is identically zero (no noisy coordinate enters them)
+are left out of the test, since their p_q is 0.  The uniform draws are
+made exactly when the full evaluation makes them, so the exit times are
+those of the full evaluation, bit for bit.  Sums over polynomials, noise
+columns and coordinates run left to right.
 """
 
 from __future__ import annotations
@@ -21,6 +52,9 @@ import numpy as np
 
 from .augment import AugmentedModel, SdeModel
 from .expr import Expression, Polynomial
+
+# e^-40 < 2^-54: below this bridge exponent, 1 - p rounds to 1.0
+NEAR_BOUNDARY = -40.0
 
 
 @dataclass
@@ -34,10 +68,17 @@ class McConfig:
     bridge: bool = True                 # within-step crossing correction
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
         if self.paths < 1:
             raise ValueError("need at least one path")
+        if self.horizon is not None and not (
+                math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be positive and finite")
+        if self.max_moment_order < 1:
+            raise ValueError("max_moment_order must be at least 1")
+        if self.chunk < 1:
+            raise ValueError("chunk must be at least one path")
 
 
 @dataclass
@@ -62,71 +103,102 @@ class McEstimate:
 
 
 # ---------------------------------------------------------------------------
-# expression kernels
+# compiled kernels
 # ---------------------------------------------------------------------------
 
 
-def _pow_col(col: np.ndarray, e: int) -> np.ndarray:
+def _pow_row(row: np.ndarray, e: int) -> np.ndarray:
     if e == 1:
-        return col
+        return row
     if e == 2:
-        return col * col
-    return col**e
+        return row * row
+    return row**e
+
+
+class _Atoms:
+    """sin/cos of ``freq * x^arg`` for a list of atoms, one row each.
+
+    Only the state coordinates enter the argument; a time power in
+    ``arg`` is not read.  ``freq`` multiplies the first factor, so the
+    product rounds as ``freq * x_i^e * ...`` left to right.
+    """
+
+    def __init__(self, atoms, n: int):
+        self.specs = [
+            (np.sin if a.kind == "sin" else np.cos, float(a.freq),
+             tuple((i, e) for i, e in enumerate(a.arg[:n]) if e))
+            for a in atoms
+        ]
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None):
+        """Atom values at the coordinate rows ``x``, as (atoms, N)."""
+        if out is None:
+            out = np.empty((len(self.specs), x.shape[1]))
+        for row, (fn, freq, factors) in zip(out, self.specs):
+            u = None
+            for i, e in factors:
+                col = _pow_row(x[i], e)
+                if u is None:
+                    u = col if freq == 1.0 else freq * col
+                else:
+                    u = u * col
+            fn(np.full(x.shape[1], freq) if u is None else u, out=row)
+        return out
 
 
 class _Kernel:
-    """Vectorized evaluator for one expression over (N, n) state blocks.
+    """One expression compiled against coordinate-major state rows.
 
-    Time enters as a scalar (paths step synchronously), so its powers fold
-    into the term coefficient.
+    Rows 0..n-1 of the state are the coordinates and the following rows
+    the atoms of the model's registry.  Time enters as a scalar (paths
+    step synchronously), so its powers fold into the term coefficient.
+    A constant expression evaluates to a float.
     """
 
     def __init__(self, expr: Expression, n: int):
-        self.n = n
         self.terms = []
         for alpha, coef in expr.poly.terms.items():
-            base = alpha[:n]
-            t_exp = alpha[n]
-            atom_exps = tuple(
-                (j, e) for j, e in enumerate(alpha[n + 1:]) if e
-            )
-            self.terms.append((float(coef), base, t_exp, atom_exps))
+            factors = tuple((i if i < n else i - 1, e)
+                            for i, e in enumerate(alpha) if e and i != n)
+            self.terms.append((float(coef), alpha[n], factors))
         self.constant = None
         if not self.terms:
             self.constant = 0.0
-        elif len(self.terms) == 1:
-            coef, base, t_exp, atom_exps = self.terms[0]
-            if not any(base) and t_exp == 0 and not atom_exps:
-                self.constant = coef
+        elif len(self.terms) == 1 and self.terms[0][1:] == (0, ()):
+            self.constant = self.terms[0][0]
 
-    def is_constant(self) -> bool:
-        return self.constant is not None
+    def is_zero(self) -> bool:
+        return not self.terms
 
-    def __call__(self, x: np.ndarray, t: float, atom_cols: list) -> np.ndarray:
+    def __call__(self, rows, t: float):
         if self.constant is not None:
-            return np.full(x.shape[0], self.constant)
-        out = np.zeros(x.shape[0])
-        for coef, base, t_exp, atom_exps in self.terms:
-            c = coef * (t**t_exp if t_exp else 1.0)
+            return self.constant
+        out = None
+        for coef, t_exp, factors in self.terms:
+            c = coef * t**t_exp if t_exp else coef
             term = None
-            for i, e in enumerate(base):
-                if e:
-                    col = _pow_col(x[:, i], e)
-                    term = col.copy() if term is None else term * col
-            for j, e in atom_exps:
-                col = _pow_col(atom_cols[j], e)
-                term = col.copy() if term is None else term * col
-            out += c if term is None else c * term
+            for r, e in factors:
+                col = _pow_row(rows[r], e)
+                term = col if term is None else term * col
+            if term is None:
+                term = c
+            elif c != 1.0:
+                term = c * term
+            out = term if out is None else out + term
         return out
 
 
 class SdeKernel:
-    """Shared drift/diffusion/safe-set evaluator for one model."""
+    """Drift, diffusion and safe-set kernels of one model, compiled once."""
 
     def __init__(self, model: SdeModel):
         self.model = model
         n = model.n
         self.n = n
+        self.d = model.d
         slots = model.nslots
         atoms: list = []
         exprs = list(model.drift[:n]) + [g for row in model.diffusion[:n] for g in row]
@@ -134,71 +206,97 @@ class SdeKernel:
             for a in e.used_atoms():
                 if a not in atoms:
                     atoms.append(a)
-        self.atoms = atoms
-        self.drift = [_Kernel(e.with_atoms(atoms), n) for e in model.drift[:n]]
-        self.diffusion = [[_Kernel(g.with_atoms(atoms), n) for g in row]
+        self.atoms = _Atoms(atoms, n)
+
+        def compile_expr(e: Expression) -> _Kernel:
+            return _Kernel(e.with_atoms(atoms), n)
+
+        def compile_poly(q: Polynomial) -> _Kernel:
+            return compile_expr(Expression.from_polynomial(slots, q))
+
+        self.drift = [compile_expr(e) for e in model.drift[:n]]
+        self.diffusion = [[compile_expr(g) for g in row]
                           for row in model.diffusion[:n]]
-        self.safe_polys = [q for q in model.safe_polys
-                           if not _is_time_box(q, slots)]
-        self.safe = [
-            _Kernel(Expression.from_polynomial(slots, q).with_atoms(atoms), n)
-            for q in self.safe_polys
-        ]
-        # gradients of each safe polynomial w.r.t. the noisy coordinates,
-        # needed by the bridge crossing test
-        self.safe_grads = [
-            [_Kernel(Expression.from_polynomial(slots, q.diff(i)).with_atoms(atoms), n)
-             for i in range(n)]
-            for q in self.safe_polys
-        ]
+        # per coordinate, the (noise column, kernel) pairs that are not zero
+        self.noise = [[(k, g) for k, g in enumerate(row) if not g.is_zero()]
+                      for row in self.diffusion]
+        safe_polys = [q for q in model.safe_polys if not _is_time_box(q, slots)]
+        self.safe = [compile_poly(q) for q in safe_polys]
+        self.safe_grads = [[compile_poly(q.diff(i)) for i in range(n)]
+                           for q in safe_polys]
+        # crossing variance of polynomial j: sum over noise columns k of
+        # (sum_i d_i q_j sigma_ik)^2, kept to the (i, k) pairs where neither
+        # factor is zero; a polynomial with no such pair never crosses
+        # within a step and takes no part in the bridge test
+        self.var_pairs = []
+        for grads in self.safe_grads:
+            cols = []
+            for k in range(self.d):
+                rows = tuple(i for i in range(n) if not grads[i].is_zero()
+                             and not self.diffusion[i][k].is_zero())
+                if rows:
+                    cols.append((k, rows))
+            self.var_pairs.append(cols)
+        self.bridged = [j for j, cols in enumerate(self.var_pairs) if cols]
+        self.variances_constant = all(
+            self.safe_grads[j][i].constant is not None
+            and self.diffusion[i][k].constant is not None
+            for j in self.bridged for k, rows in self.var_pairs[j]
+            for i in rows)
 
-    def atom_columns(self, x: np.ndarray) -> list:
-        cols = []
-        for a in self.atoms:
-            u = float(a.freq) * np.ones(x.shape[0])
-            for i, e in enumerate(a.arg[: self.n]):
-                if e:
-                    u = u * _pow_col(x[:, i], e)
-            cols.append(np.sin(u) if a.kind == "sin" else np.cos(u))
-        return cols
+    def start(self, n_paths: int) -> np.ndarray:
+        """The start state of ``n_paths`` paths, (n + atoms, N)."""
+        state = np.empty((self.n + len(self.atoms), n_paths))
+        state[: self.n] = np.asarray(self.model.x0[: self.n], dtype=float)[:, None]
+        self.atoms(state, out=state[self.n:])
+        return state
 
-    def drift_at(self, x, t, cols):
-        return np.column_stack([k(x, t, cols) for k in self.drift])
+    def advance(self, state: np.ndarray, t: float, z: np.ndarray,
+                dt: float, sqrt_dt: float) -> np.ndarray:
+        """One Euler-Maruyama step: x + b dt + (sigma z) sqrt(dt), into the
+        coordinate rows of a new state array whose atom rows are left for
+        ``fill_atoms``.  ``z`` holds one row of standard normals per noise
+        column."""
+        new = np.empty_like(state)
+        for i in range(self.n):
+            acc = state[i]
+            if not self.drift[i].is_zero():
+                acc = acc + self.drift[i](state, t) * dt
+            noise = None
+            for k, g in self.noise[i]:
+                term = z[k] if g.constant == 1.0 else g(state, t) * z[k]
+                noise = term if noise is None else noise + term
+            if noise is None:
+                new[i] = acc
+            else:
+                np.add(acc, noise * sqrt_dt, out=new[i])
+        return new
 
-    def sigma_at(self, x, t, cols):
-        """Diffusion entries as an (N, n, d) array."""
-        d = self.model.d
-        out = np.zeros((x.shape[0], self.n, d))
-        for i, row in enumerate(self.diffusion):
-            for k, kern in enumerate(row):
-                out[:, i, k] = kern(x, t, cols)
+    def fill_atoms(self, state: np.ndarray) -> None:
+        self.atoms(state, out=state[self.n:])
+
+    def safe_values(self, state: np.ndarray, t: float) -> np.ndarray:
+        """Safe-polynomial values, (n_q, N)."""
+        out = np.empty((len(self.safe), state.shape[1]))
+        for row, kern in zip(out, self.safe):
+            row[...] = kern(state, t)
         return out
 
-    def noise_at(self, x, t, cols, z):
-        out = np.zeros_like(x)
-        for i, row in enumerate(self.diffusion):
-            acc = out[:, i]
-            for k, kern in enumerate(row):
-                acc += kern(x, t, cols) * z[:, k]
+    def crossing_variances(self, state, t: float) -> list:
+        """Variance rate grad(q)^T sigma sigma^T grad(q) of each bridged
+        polynomial, one float or row per polynomial."""
+        out = []
+        for j in self.bridged:
+            grads = self.safe_grads[j]
+            v = None
+            for k, rows in self.var_pairs[j]:
+                proj = None
+                for i in rows:
+                    term = grads[i](state, t) * self.diffusion[i][k](state, t)
+                    proj = term if proj is None else proj + term
+                v = proj * proj if v is None else v + proj * proj
+            out.append(v)
         return out
-
-    def safe_at(self, x, t, cols):
-        return np.column_stack([k(x, t, cols) for k in self.safe])
-
-    def crossing_variances(self, x, t, cols):
-        """Variance rate of each safe polynomial along the diffusion:
-        grad(q)^T sigma sigma^T grad(q), shape (N, n_q)."""
-        sigma = self.sigma_at(x, t, cols)
-        out = np.zeros((x.shape[0], len(self.safe)))
-        for qi, grads in enumerate(self.safe_grads):
-            gvals = np.column_stack([g(x, t, cols) for g in grads])
-            proj = np.einsum("pi,pik->pk", gvals, sigma)
-            out[:, qi] = (proj * proj).sum(axis=1)
-        return out
-
-    def variances_are_constant(self) -> bool:
-        return (all(k.is_constant() for row in self.safe_grads for k in row)
-                and all(k.is_constant() for row in self.diffusion for k in row))
 
 
 def _is_time_box(q: Polynomial, slots: int) -> bool:
@@ -210,16 +308,31 @@ def _is_time_box(q: Polynomial, slots: int) -> bool:
     )
 
 
-def _bridge_probability(q_prev, q_new, v, dt):
-    """Brownian-bridge probability exp(-2 q_prev q_new / (v dt)) that each
-    safe polynomial dipped below zero within a step; zero where it has no
-    diffusion (v = 0), so 0 / 0 is never evaluated."""
+def _bridge_survival(q_prev: np.ndarray, q_new: np.ndarray, vdt: np.ndarray):
+    """Brownian-bridge test of one step on the paths near a boundary.
+
+    ``q_prev`` and ``q_new`` are (m, N) safe values at both ends of the
+    step and ``vdt`` the crossing variance rate times dt, (m, N) or (m, 1),
+    zero where a polynomial has no diffusion.  Returns ``(near, survive,
+    p)``: the indices of the paths with some exponent
+    e = -2 q_prev q_new / (v dt) above ``NEAR_BOUNDARY``, their survival
+    exp(sum_q log(clip(1 - p_q, 1e-300, 1))) and their crossing
+    probabilities p = exp(e), (m, near.size).  Every other path survives
+    with probability exactly 1.0 (see the module docstring); a polynomial
+    without diffusion gets e = -inf, so 0 / 0 is never evaluated.
+    """
     qp = np.maximum(q_prev, 0.0)
     qn = np.maximum(q_new, 0.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        expo = np.divide(-2.0 * qp * qn, v * dt,
-                         out=np.full(qp.shape, -np.inf), where=v > 0)
-    return np.exp(expo)
+    with np.errstate(over="ignore"):
+        expo = np.divide(-2.0 * qp * qn, vdt,
+                         out=np.full(qp.shape, -np.inf), where=vdt > 0)
+    near = np.flatnonzero((expo > NEAR_BOUNDARY).any(axis=0))
+    p = np.exp(expo[:, near])
+    logs = np.log(np.clip(1.0 - p, 1e-300, 1.0))
+    total = logs[0]
+    for row in logs[1:]:
+        total = total + row
+    return near, np.exp(total), p
 
 
 # ---------------------------------------------------------------------------
@@ -234,117 +347,160 @@ class _Stepper:
     grid (crossing time linearly interpolated via the most violated
     polynomial) or, with the bridge test on, by sampling the within-step
     crossing probability exp(-2 q_k q_{k+1} / (v dt)) per polynomial.
+
+    Two optional hooks observe the paths.  ``occupation(state, t)``
+    returns an (m, N) integrand at the alive paths at the start of every
+    step; the stepper integrates it along each path (left-point rule).
+    ``exit_state(ids, x, times, facets, t_end, integrals)`` receives the
+    paths that leave in a step: their interpolated exit coordinates
+    (n, R), exit times, the index of the safe polynomial each one crossed,
+    the time at the end of the step and the integrals of the occupation
+    integrand up to the exit.  Paths alive at the horizon are reported
+    once more with ``facets`` None.
     """
 
     def __init__(self, kernel: SdeKernel, cfg: McConfig, horizon: float,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, occupation=None, exit_state=None):
         self.kernel = kernel
         self.cfg = cfg
         self.horizon = horizon
         self.rng = rng
+        self.occupation = occupation
+        self.exit_state = exit_state
         self.dt = cfg.dt
         self.sqrt_dt = math.sqrt(cfg.dt)
         self.n_steps = int(math.ceil(horizon / cfg.dt))
-        self.const_var = kernel.variances_are_constant()
-        self._var_cache = None
+        self.vdt = None
+        if kernel.variances_constant:
+            self.vdt = np.array(kernel.crossing_variances(None, 0.0),
+                                dtype=float)[:, None] * cfg.dt
 
-    def variances(self, x, t, cols):
-        if self.const_var:
-            if self._var_cache is None:
-                self._var_cache = self.kernel.crossing_variances(
-                    x[:1], t, [c[:1] for c in cols])[0]
-            return np.broadcast_to(self._var_cache, (x.shape[0],
-                                                     self._var_cache.size))
-        return self.kernel.crossing_variances(x, t, cols)
-
-    def run(self, n_paths: int, record_exit_state=None):
-        """Returns (tau, capped, flagged).  ``record_exit_state(ids, coords,
-        times)`` is invoked with boundary-projected exit states."""
+    def run(self, first: int, n_paths: int, tau: np.ndarray,
+            capped: np.ndarray) -> int:
+        """Simulate paths ``first .. first + n_paths - 1``, writing their
+        exit times into ``tau`` and clearing ``capped`` for those that
+        leave or become non-finite.  Returns the count of non-finite
+        paths, whose ``tau`` is NaN."""
         kernel = self.kernel
-        model = kernel.model
         n = kernel.n
-        d = model.d
         dt = self.dt
+        bridged = kernel.bridged
+        all_bridged = len(bridged) == len(kernel.safe)
 
-        x = np.tile(np.asarray(model.x0[:n], dtype=float), (n_paths, 1))
-        ids = np.arange(n_paths)
-        tau = np.full(n_paths, self.horizon)
-        capped = np.ones(n_paths, dtype=bool)
+        state = kernel.start(n_paths)
+        ids = np.arange(first, first + n_paths)
         flagged = 0
-
-        cols = kernel.atom_columns(x)
-        q_prev = kernel.safe_at(x, 0.0, cols)
+        q_prev = kernel.safe_values(state, 0.0)
+        integral = None
         for step in range(self.n_steps):
             t = step * dt
-            if x.shape[0] == 0:
+            if ids.size == 0:
                 break
-            z = self.rng.standard_normal((x.shape[0], d))
-            drift = kernel.drift_at(x, t, cols)
-            x_new = x + drift * dt + kernel.noise_at(x, t, cols, z) * self.sqrt_dt
+            if self.occupation is not None:
+                values = self.occupation(state, t) * dt
+                if integral is None:
+                    integral = np.zeros_like(values)
+                integral += values
+            z = self.rng.standard_normal((ids.size, kernel.d))
+            new = kernel.advance(state, t, z.T, dt, self.sqrt_dt)
 
-            finite = np.isfinite(x_new).all(axis=1)
-            if not finite.all():
+            finite = np.isfinite(new[:n]).all(axis=0)
+            if finite.all():
+                finite = None
+            else:
                 bad = ~finite
                 flagged += int(bad.sum())
                 tau[ids[bad]] = np.nan
                 capped[ids[bad]] = False
-                x_new[bad] = x[bad]  # keep finite for the q evaluation
+                new[:n, bad] = state[:n, bad]  # keep finite for the q evaluation
 
             t_new = min((step + 1) * dt, self.horizon)
-            cols_new = kernel.atom_columns(x_new)
-            q_new = kernel.safe_at(x_new, t_new, cols_new)
+            kernel.fill_atoms(new)
+            q_new = kernel.safe_values(new, t_new)
 
-            crossed = (q_new < 0).any(axis=1)
-            theta = np.zeros(x.shape[0])
-            which = np.zeros(x.shape[0], dtype=int)
-            if crossed.any():
-                rows = np.nonzero(crossed)[0]
-                w = np.argmin(q_new[rows], axis=1)
-                qp = q_prev[rows, w]
-                qn = q_new[rows, w]
+            crossed = (q_new < 0).any(axis=0)
+            rows = np.flatnonzero(crossed if finite is None else crossed & finite)
+            facets = theta = rows
+            if rows.size:
+                facets = np.argmin(q_new[:, rows], axis=0)
+                qp = q_prev[facets, rows]
+                qn = q_new[facets, rows]
                 denom = np.where(qp - qn > 1e-300, qp - qn, 1.0)
-                theta[rows] = np.clip(qp / denom, 0.0, 1.0)
-                which[rows] = w
+                theta = np.clip(qp / denom, 0.0, 1.0)
 
             if self.cfg.bridge:
-                inside = ~crossed & finite
+                inside = ~crossed if finite is None else ~crossed & finite
                 if inside.any():
-                    p = _bridge_probability(
-                        q_prev, q_new, self.variances(x, t, cols), dt)
-                    no_cross = np.clip(1.0 - p, 1e-300, 1.0)
-                    survive = np.exp(np.log(no_cross).sum(axis=1))
-                    u = self.rng.random(x.shape[0])
-                    bridged = inside & (u > survive)
-                    if bridged.any():
-                        rows = np.nonzero(bridged)[0]
-                        which[rows] = np.argmax(p[rows], axis=1)
-                        theta[rows] = 0.5  # expected within-step crossing
-                        crossed = crossed | bridged
+                    u = self.rng.random(ids.size)
+                    if bridged:
+                        if all_bridged:
+                            qb_prev, qb_new = q_prev, q_new
+                        else:
+                            qb_prev, qb_new = q_prev[bridged], q_new[bridged]
+                        vdt = self.vdt
+                        if vdt is None:
+                            v = np.empty(qb_new.shape)
+                            for row, value in zip(v, kernel.crossing_variances(state, t)):
+                                row[...] = value
+                            vdt = v * dt
+                        near, survive, p = _bridge_survival(qb_prev, qb_new, vdt)
+                        hit = inside[near] & (u[near] > survive)
+                        if hit.any():
+                            extra = near[hit]
+                            rows = np.concatenate([rows, extra])
+                            # expected within-step crossing time
+                            theta = np.concatenate([theta, np.full(extra.size, 0.5)])
+                            facets = np.concatenate(
+                                [facets, np.take(bridged, np.argmax(p[:, hit], axis=0))])
 
-            exited = crossed & finite
-            if exited.any():
-                rows = np.nonzero(exited)[0]
-                tau[ids[rows]] = t + theta[rows] * dt
+            if rows.size:
+                tau[ids[rows]] = t + theta * dt
                 capped[ids[rows]] = False
-                if record_exit_state is not None:
-                    xe = x[rows] + theta[rows, None] * (x_new[rows] - x[rows])
-                    record_exit_state(ids[rows], xe,
-                                      t + theta[rows] * dt)
+                if self.exit_state is not None:
+                    x0 = state[:n, rows]
+                    self.exit_state(
+                        ids[rows], x0 + theta * (new[:n, rows] - x0),
+                        t + theta * dt, facets, t_new,
+                        None if integral is None else integral[:, rows])
 
-            keep = finite & ~exited
-            if not keep.all():
-                x = x_new[keep]
-                ids = ids[keep]
-                q_prev = q_new[keep]
-                cols = [c[keep] for c in cols_new]
+            if rows.size or finite is not None:
+                keep = np.ones(ids.size, dtype=bool) if finite is None else finite
+                keep[rows] = False
+                idx = np.flatnonzero(keep)
+                state = new.take(idx, axis=1)
+                q_prev = q_new.take(idx, axis=1)
+                ids = ids[idx]
+                if integral is not None:
+                    integral = integral.take(idx, axis=1)
             else:
-                x = x_new
+                state = new
                 q_prev = q_new
-                cols = cols_new
 
-        if record_exit_state is not None and ids.size:
-            record_exit_state(ids, x, np.full(ids.size, self.horizon))
-        return tau, capped, flagged
+        if self.exit_state is not None and ids.size:
+            self.exit_state(ids, state[:n], np.full(ids.size, self.horizon),
+                            None, self.horizon, integral)
+        return flagged
+
+
+def _simulate_paths(model: SdeModel, cfg: McConfig, horizon: float,
+                    occupation=None, exit_state=None):
+    """Run ``cfg.paths`` paths in chunks of ``cfg.chunk`` on one random
+    stream.  Returns (tau, capped, flagged); raises when more than 0.1% of
+    the paths became non-finite."""
+    kernel = SdeKernel(model)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    stepper = _Stepper(kernel, cfg, horizon, rng, occupation, exit_state)
+    tau = np.full(cfg.paths, horizon)
+    capped = np.ones(cfg.paths, dtype=bool)
+    flagged = 0
+    for first in range(0, cfg.paths, cfg.chunk):
+        flagged += stepper.run(first, min(cfg.chunk, cfg.paths - first),
+                               tau, capped)
+    if flagged > 0.001 * cfg.paths:
+        raise RuntimeError(
+            f"{flagged} of {cfg.paths} paths became non-finite; "
+            "reduce dt or check the model")
+    return tau, capped, flagged
 
 
 # ---------------------------------------------------------------------------
@@ -367,26 +523,7 @@ def simulate_exit(model: SdeModel, cfg: McConfig,
                  for n in range(1, cfg.max_moment_order + 1)}
         return McEstimate(zeros, 1.0, cfg.paths, cfg.dt, horizon)
 
-    kernel = SdeKernel(model)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    taus = []
-    caps = []
-    flagged = 0
-    remaining = cfg.paths
-    while remaining > 0:
-        batch = min(cfg.chunk, remaining)
-        stepper = _Stepper(kernel, cfg, horizon, rng)
-        tau, capped, bad = stepper.run(batch)
-        taus.append(tau)
-        caps.append(capped)
-        flagged += bad
-        remaining -= batch
-    tau = np.concatenate(taus)
-    capped = np.concatenate(caps)
-    if flagged > 0.001 * cfg.paths:
-        raise RuntimeError(
-            f"{flagged} of {cfg.paths} paths became non-finite; "
-            "reduce dt or check the model")
+    tau, capped, flagged = _simulate_paths(model, cfg, horizon)
     good = np.isfinite(tau)
     tau = tau[good]
     capped = capped[good]
@@ -424,17 +561,6 @@ def dump_exit_times(path, estimate_tau) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _atom_reference(atoms, x: np.ndarray, n: int) -> list:
-    cols = []
-    for a in atoms:
-        u = float(a.freq) * np.ones(x.shape[0])
-        for i, e in enumerate(a.arg[:n]):
-            if e:
-                u = u * _pow_col(x[:, i], e)
-        cols.append(np.sin(u) if a.kind == "sin" else np.cos(u))
-    return cols
-
-
 def path_consistency(original: SdeModel, augmented: AugmentedModel,
                      cfg: McConfig, t_max: float | None = None,
                      increments: np.ndarray | None = None) -> float:
@@ -456,7 +582,8 @@ def path_consistency(original: SdeModel, augmented: AugmentedModel,
     n_paths = cfg.paths
 
     kernel = SdeKernel(original)
-    x = np.tile(np.asarray(original.x0[:n], dtype=float), (n_paths, 1))
+    aug_atoms = _Atoms(augmented.atoms, n)
+    state = kernel.start(n_paths)
     xa = np.tile(np.asarray(augmented.x0, dtype=float), (n_paths, 1))
 
     a_drift = [list(p.terms.items()) for p in augmented.drift]
@@ -468,13 +595,12 @@ def path_consistency(original: SdeModel, augmented: AugmentedModel,
             term = np.full(xfull.shape[0], float(coef))
             for i, e in enumerate(alpha):
                 if e:
-                    term = term * _pow_col(xfull[:, i], e)
+                    term = term * _pow_row(xfull[:, i], e)
             out += term
         return out
 
     worst = 0.0
     alive = np.ones(n_paths, dtype=bool)
-    cols = kernel.atom_columns(x)
     for step in range(n_steps):
         t = step * dt
         if increments is None:
@@ -482,8 +608,8 @@ def path_consistency(original: SdeModel, augmented: AugmentedModel,
         else:
             dw = increments[step]
         z = dw / sqrt_dt
-        drift = kernel.drift_at(x, t, cols)
-        x_new = x + drift * dt + kernel.noise_at(x, t, cols, z) * sqrt_dt
+        new = kernel.advance(state, t, z.T, dt, sqrt_dt)
+        kernel.fill_atoms(new)
 
         da = np.column_stack([eval_poly(items, xa) for items in a_drift])
         noise = np.zeros_like(xa)
@@ -494,17 +620,16 @@ def path_consistency(original: SdeModel, augmented: AugmentedModel,
                     noise[:, i] += vals * z[:, k]
         xa_new = xa + da * dt + noise * sqrt_dt
 
-        cols_new = kernel.atom_columns(x_new)
-        qv = kernel.safe_at(x_new, min((step + 1) * dt, horizon), cols_new)
-        alive &= ~(qv < 0).any(axis=1)
-        alive &= np.isfinite(x_new).all(axis=1) & np.isfinite(xa_new).all(axis=1)
+        qv = kernel.safe_values(new, min((step + 1) * dt, horizon))
+        alive &= ~(qv < 0).any(axis=0)
+        alive &= np.isfinite(new[:n]).all(axis=0) & np.isfinite(xa_new).all(axis=1)
         if not alive.any():
             break
-        refs = _atom_reference(augmented.atoms, x_new, n)
-        for j in range(len(augmented.atoms)):
-            dev = np.abs(xa_new[alive, n + 1 + j] - refs[j][alive]).max()
+        refs = aug_atoms(new[:n])
+        for j in range(len(aug_atoms)):
+            dev = np.abs(xa_new[alive, n + 1 + j] - refs[j, alive]).max()
             worst = max(worst, float(dev))
-        x, xa, cols = x_new, xa_new, cols_new
+        state, xa = new, xa_new
     return worst
 
 
@@ -560,110 +685,59 @@ def measure_moments(model: SdeModel, augmented: AugmentedModel,
 
     The original system is simulated; augmented coordinates (time, atom
     values) are evaluated exactly from the base state, and exit states are
-    interpolated onto the boundary.
+    interpolated onto the boundary.  Paths that become non-finite are
+    left out, as in ``simulate_exit``.
     """
     horizon = cfg.horizon if cfg.horizon is not None else model.horizon
     n = model.n
-    scales = np.array([float(s) for s in augmented.scales])
+    scales = np.array([float(s) for s in augmented.scales])[:, None]
+    aug_atoms = _Atoms(augmented.atoms, n)
     kernel = SdeKernel(model)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
-    n_paths = cfg.paths
-    occ = np.zeros((n_paths, len(indices_m)))
-    exit_pow = np.zeros((n_paths, len(indices_b)))
+    occ = np.zeros((cfg.paths, len(indices_m)))
+    exit_pow = np.zeros((cfg.paths, len(indices_b)))
 
-    def aug_coords(xs: np.ndarray, ts) -> np.ndarray:
-        cols = [xs[:, i] for i in range(n)]
-        if np.isscalar(ts):
-            cols.append(np.full(xs.shape[0], float(ts)))
-        else:
-            cols.append(np.asarray(ts, dtype=float))
-        cols.extend(_atom_reference(augmented.atoms, xs, n))
-        return np.column_stack(cols) / scales
+    def aug_coords(x: np.ndarray, times) -> np.ndarray:
+        time_row = np.broadcast_to(np.asarray(times, dtype=float), x.shape[1:])
+        return np.concatenate([x[:n], time_row[None], aug_atoms(x)]) / scales
 
     def powers(coords: np.ndarray, indices: list) -> np.ndarray:
-        out = np.empty((coords.shape[0], len(indices)))
-        for col, alpha in enumerate(indices):
-            acc = np.ones(coords.shape[0])
+        out = np.empty((len(indices), coords.shape[1]))
+        for row, alpha in zip(out, indices):
+            acc = None
             for i, e in enumerate(alpha):
                 if e:
-                    acc = acc * _pow_col(coords[:, i], e)
-            out[:, col] = acc
+                    col = _pow_row(coords[i], e)
+                    acc = col if acc is None else acc * col
+            row[...] = 1.0 if acc is None else acc
         return out
 
-    def on_exit(path_ids, states, times):
-        exit_pow[path_ids] = powers(aug_coords(states, times), indices_b)
+    def occupation(state, t):
+        return powers(aug_coords(state, t), indices_m)
 
-    # occupation accumulation rides on a custom stepping loop: reuse the
-    # stepper but integrate between steps through the record callback
-    stepper = _Stepper(kernel, cfg, horizon, rng)
-
-    # manual loop (mirrors _Stepper.run) with occupation accumulation
-    dt = cfg.dt
-    x = np.tile(np.asarray(model.x0[:n], dtype=float), (n_paths, 1))
-    ids = np.arange(n_paths)
-    cols = kernel.atom_columns(x)
-    q_prev = kernel.safe_at(x, 0.0, cols)
-    for step in range(stepper.n_steps):
-        t = step * dt
-        if x.shape[0] == 0:
-            break
-        occ[ids] += powers(aug_coords(x, t), indices_m) * dt
-        z = rng.standard_normal((x.shape[0], model.d))
-        x_new = (x + kernel.drift_at(x, t, cols) * dt
-                 + kernel.noise_at(x, t, cols, z) * stepper.sqrt_dt)
-        t_new = min((step + 1) * dt, horizon)
-        cols_new = kernel.atom_columns(x_new)
-        q_new = kernel.safe_at(x_new, t_new, cols_new)
-
-        crossed = (q_new < 0).any(axis=1)
-        theta = np.zeros(x.shape[0])
-        which = np.zeros(x.shape[0], dtype=int)
-        if crossed.any():
-            rows = np.nonzero(crossed)[0]
-            w = np.argmin(q_new[rows], axis=1)
-            qp = q_prev[rows, w]
-            qn = q_new[rows, w]
-            denom = np.where(qp - qn > 1e-300, qp - qn, 1.0)
-            theta[rows] = np.clip(qp / denom, 0.0, 1.0)
-            which[rows] = w
-        if cfg.bridge:
-            inside = ~crossed
-            p = _bridge_probability(q_prev, q_new,
-                                    stepper.variances(x, t, cols), dt)
-            survive = np.exp(np.log(np.clip(1.0 - p, 1e-300, 1.0)).sum(axis=1))
-            u = rng.random(x.shape[0])
-            bridged = inside & (u > survive)
-            if bridged.any():
-                theta[bridged] = 0.5
-                which[bridged] = np.argmax(p[bridged], axis=1)
-                crossed = crossed | bridged
-        if crossed.any():
-            rows = np.nonzero(crossed)[0]
-            xe = x[rows] + theta[rows, None] * (x_new[rows] - x[rows])
+    def exit_state(ids, x, times, facets, t_end, integrals):
+        if facets is not None:
             # one Newton step onto the crossing facet so exit moments see
             # boundary-supported states
-            wr = which[rows]
-            for qi in np.unique(wr):
-                sub = wr == qi
-                pts = xe[sub]
-                cols_e = kernel.atom_columns(pts)
-                grads = np.column_stack(
-                    [g(pts, t_new, cols_e) for g in kernel.safe_grads[qi]])
-                qvals = kernel.safe[qi](pts, t_new, cols_e)
-                nrm = (grads * grads).sum(axis=1)
+            for qi in np.unique(facets):
+                sub = facets == qi
+                pts = np.concatenate([x[:, sub], kernel.atoms(x[:, sub])])
+                grads = np.empty((n, pts.shape[1]))
+                for row, g in zip(grads, kernel.safe_grads[qi]):
+                    row[...] = g(pts, t_end)
+                nrm = (grads * grads).sum(axis=0)
                 nrm = np.where(nrm > 1e-300, nrm, 1.0)
-                xe[sub] = pts - (qvals / nrm)[:, None] * grads
-            on_exit(ids[rows], xe, t + theta[rows] * dt)
-        keep = ~crossed
-        x = x_new[keep]
-        ids = ids[keep]
-        q_prev = q_new[keep]
-        cols = [c[keep] for c in cols_new]
-    if ids.size:
-        on_exit(ids, x, np.full(ids.size, horizon))
+                x[:, sub] = pts[:n] - kernel.safe[qi](pts, t_end) / nrm * grads
+        if integrals is not None:
+            occ[ids] = integrals.T
+        exit_pow[ids] = powers(aug_coords(x, times), indices_b).T
 
-    sqrt_n = math.sqrt(n_paths)
+    tau, _, flagged = _simulate_paths(model, cfg, horizon, occupation, exit_state)
+    if flagged:
+        good = np.isfinite(tau)
+        occ, exit_pow = occ[good], exit_pow[good]
+
+    sqrt_n = math.sqrt(occ.shape[0])
     return MeasureMoments(
         indices_m=indices_m,
         indices_b=indices_b,

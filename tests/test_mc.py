@@ -7,7 +7,9 @@ import pytest
 
 from exitmoment.augment import SdeModel, augment, scale_model
 from exitmoment.mc import (
+    NEAR_BOUNDARY,
     McConfig,
+    _bridge_survival,
     dump_exit_times,
     measure_moments,
     path_consistency,
@@ -32,6 +34,36 @@ def spring(lower=-2.0, T=10.0):
     return SdeModel.from_strings(
         ["x", "v"], ["v", "-5*x - 9.81 + v*sin(x)"], [["0"], ["1"]],
         [-9.81 / 5, 0.0], T, ["-x", f"x + {-lower}"])
+
+
+def cos_diffusion():
+    # state-dependent crossing variance cos(x)^2, narrow enough that paths
+    # leave through the grid and through the bridge test
+    return SdeModel.from_strings(
+        ["x"], ["sin(x)"], [["cos(x)"]], [0.5], 5.0, ["x + 1", "1 - x"])
+
+
+def coupled_2d(noisy_x=True):
+    # two noise columns, state-dependent variances, four safe polynomials;
+    # without noise on x, "x + 0.9" takes no part in the bridge test
+    x_row = ["0.5 + 0.2*x*y", "0.3*y"] if noisy_x else ["0", "0"]
+    return SdeModel.from_strings(
+        ["x", "y"], ["-x + y*cos(x)", "-y + 0.3*x"],
+        [x_row, ["0.4*x", "0.6 + 0.1*sin(y)"]], [0.1, -0.2], 2.0,
+        ["1 - x^2 - y^2", "x + 0.9", "0.8 - y", "1.5 - x - y"])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", 0.0), ("dt", -1e-3), ("dt", float("nan")), ("dt", float("inf")),
+    ("paths", 0),
+    ("horizon", 0.0), ("horizon", -1.0), ("horizon", float("nan")),
+    ("horizon", float("inf")),
+    ("max_moment_order", 0),
+    ("chunk", 0), ("chunk", -5),
+])
+def test_config_rejects_out_of_range_field(field, value):
+    with pytest.raises(ValueError, match=field.rstrip("s")):
+        McConfig(**{field: value})
 
 
 def test_brownian_first_moment_brackets_quarter():
@@ -211,3 +243,102 @@ def test_spring_bridge_correction_raises_no_warning_and_keeps_samples():
         "ff98bc6dcd5e39a2efc257054c7495dd5c5a5c0dc8a00c7481934d1879ecddf0")
     assert _digest(mm.occupation_samples, mm.exit_samples) == (
         "71d89f8ef66e2a629f0057c889b856211b207f4da72fa6a05ed7f4af59c4f958")
+
+
+# ---------------------------------------------------------------------------
+# stepping core: exit times pinned to the path-major implementation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model, cfg, capped, digest", [
+    (brownian(), McConfig(dt=1e-3, paths=5_000, seed=1, chunk=2_000), 0,
+     "5beda6011ca1acbdb3c4403f773d24651c59c3b647f2ecc1e1708fdcad22644e"),
+    (spring(), McConfig(dt=1e-3, paths=2_000, seed=1), 0,
+     "145bac7278f45d830e8af798cd6c08a609742da2e97e6b34758ac42901229705"),
+    (cos_diffusion(), McConfig(dt=1e-3, paths=3_000, seed=4), 0,
+     "2ed1d9ff168ccf3e7293e83f41f88fc9a4d40824b9940e3551804ab9046a8683"),
+    (coupled_2d(), McConfig(dt=1e-3, paths=1_000, seed=2), 565,
+     "4cb4ffd3bb0e6fc024f98d6db20a7725ff95c73846d8e1f098063db6248317e9"),
+    (coupled_2d(noisy_x=False), McConfig(dt=1e-3, paths=1_000, seed=2), 695,
+     "c09bfcbb8b5f4ad147b4cdb6cb3705558088e242304dc472bd89c66f2dad6b00"),
+], ids=["brownian-chunked", "pendulum", "cos-diffusion", "coupled-2d",
+        "coupled-2d-noiseless-x"])
+def test_exit_times_match_path_major_digests(model, cfg, capped, digest):
+    # digests of the exit times the path-major stepper (full bridge
+    # evaluation on every path) drew from the same seeds
+    taus = []
+    simulate_exit(model, cfg, tau_out=taus)
+    tau, cap = taus[0]
+    assert tau.size == cfg.paths and int(cap.sum()) == capped
+    assert _digest(tau) == digest
+
+
+def _full_survival(q_prev, q_new, v, dt):
+    """Bridge survival of every path, path-major (N, m), no banding."""
+    qp = np.maximum(q_prev, 0.0)
+    qn = np.maximum(q_new, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        expo = np.divide(-2.0 * qp * qn, v * dt,
+                         out=np.full(qp.shape, -np.inf), where=v > 0)
+    p = np.exp(expo)
+    return np.exp(np.log(np.clip(1.0 - p, 1e-300, 1.0)).sum(axis=1)), p
+
+
+def test_near_boundary_survival_equals_full_evaluation_bit_for_bit():
+    rng = np.random.default_rng(17)
+    n, m = 6_000, 3
+    dt = 2.0**-10
+    q_prev = rng.uniform(0.0, 1.0, (n, m))
+    q_new = rng.uniform(-0.01, 1.0, (n, m))
+    v = rng.uniform(0.2, 2.0, (n, m))
+    v[rng.random((n, m)) < 0.1] = 0.0      # polynomials without diffusion
+    v[:200] = 0.0                          # paths without any
+    # exponents -2 q_prev q_new / (v dt) exactly at -40, one ulp above it
+    # and one ulp below it
+    edge = 20.0 * dt
+    q_prev[200:400] = 1.0
+    v[200:400] = 1.0
+    q_new[200:300] = edge
+    q_new[300:350] = np.nextafter(edge, 0.0)
+    q_new[350:400] = np.nextafter(edge, 1.0)
+    full, p_full = _full_survival(q_prev, q_new, v, dt)
+
+    near, survive, p = _bridge_survival(
+        np.ascontiguousarray(q_prev.T), np.ascontiguousarray(q_new.T),
+        np.ascontiguousarray(v.T) * dt)
+    banded = np.ones(n)
+    banded[near] = survive
+    assert np.array_equal(banded, full)
+    assert np.array_equal(p, p_full[near].T)
+    on_edge = set(range(200, 300)) | set(range(350, 400))
+    assert on_edge.isdisjoint(near) and set(range(300, 350)) <= set(near)
+    assert not set(range(200)) & set(near)
+    assert 0 < near.size < n // 2
+    # the rule: every excluded path has all exponents at or below -40
+    assert np.exp(NEAR_BOUNDARY) < 2.0**-54
+
+
+def test_blow_up_raises_after_flagging_every_path():
+    # dx = x^3 dt + dB from 2 explodes near t = 1/8; the safe polynomial
+    # 1 + x^2 never vanishes, so every path becomes non-finite
+    model = SdeModel.from_strings(["x"], ["x^3"], [["1"]], [2.0], 1.0,
+                                  ["1 + x^2"])
+    with pytest.warns(RuntimeWarning) as record:
+        with pytest.raises(RuntimeError,
+                           match="50 of 50 paths became non-finite"):
+            simulate_exit(model, McConfig(dt=1e-3, paths=50, seed=0))
+    assert any("overflow" in str(w.message) for w in record)
+
+
+def test_measure_moments_projects_onto_the_crossed_facet():
+    # "x + 0.9" has no noise here, so the bridge test sees three of the
+    # four polynomials and a bridged exit must name its facet among all
+    # four; the digest is of the samples the path-major loop drew
+    model = coupled_2d(noisy_x=False)
+    am = scale_model(augment(model))
+    indices = enumerate_multi_indices(am.total_dim, 2)
+    mm = measure_moments(model, am, indices, indices,
+                         McConfig(dt=1e-3, paths=300, seed=5,
+                                  max_moment_order=2))
+    assert _digest(mm.occupation_samples, mm.exit_samples) == (
+        "a49d246b6b2e480b110499438027b59feb498a1f66ab25b1816db03a230d72bd")
