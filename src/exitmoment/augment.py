@@ -4,13 +4,16 @@ Transforms a user SDE (drift/diffusion possibly containing sinusoids of
 monomials) into a time-augmented polynomial SDE over an extended state
 that is closed under infinitesimal generation: every sin/cos appearing in
 the dynamics becomes an extra state whose drift and diffusion follow from
-Ito's formula, so all augmented entries are plain polynomials.
+Ito's formula, so all augmented entries are plain polynomials.  The atom
+drifts come from ``generator.generator``, the same generator that gives
+the martingale rows, applied to each atom with the one
+``generator.sigma_sigma_t`` table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,6 +24,7 @@ from .expr import (
     parse_expression,
     parse_polynomial,
 )
+from .generator import generator, sigma_sigma_t
 
 TIME_NAME = "t"
 
@@ -78,8 +82,11 @@ class SdeModel:
         safe = [parse_polynomial(s, full) for s in safe_polys]
         if len(x0) != len(names):
             raise ValueError("x0 dimension must match the state dimension")
+        horizon = float(horizon)
+        if not (math.isfinite(horizon) and horizon > 0):
+            raise ValueError("horizon must be positive and finite")
         model = SdeModel(full, d, drift_e, diff_e, list(map(float, x0)),
-                         float(horizon), safe)
+                         horizon, safe)
         if check_interior:
             point = list(model.x0) + [0.0]
             for i, q in enumerate(safe):
@@ -139,36 +146,11 @@ class AugmentedModel:
     def safe_polys(self) -> list:
         return self.support_polys + list(self.trig_polys)
 
-    def sigma_sigma_t(self) -> list:
-        """Upper-triangular (i <= j) cache of (sigma sigma^T)_{ij}."""
+    def sigma_sigma_t(self) -> dict:
+        """The model's ``generator.sigma_sigma_t`` table, built once."""
         if not hasattr(self, "_sst"):
-            nd = self.total_dim
-            sst = {}
-            for i in range(nd):
-                for j in range(i, nd):
-                    acc = Polynomial.zero(nd)
-                    for k in range(self.d):
-                        acc = acc + self.diffusion[i][k] * self.diffusion[j][k]
-                    sst[(i, j)] = acc
-            self._sst = sst
+            self._sst = sigma_sigma_t(self.diffusion)
         return self._sst
-
-    def describe(self) -> str:
-        lines = [f"state ({self.total_dim}): " + ", ".join(self.names)]
-        lines.append("drift:")
-        for name, h in zip(self.names, self.drift):
-            lines.append(f"  d{name} <- {h.format(self.names)}")
-        lines.append("diffusion:")
-        for name, row in zip(self.names, self.diffusion):
-            cols = ", ".join(s.format(self.names) for s in row)
-            lines.append(f"  d{name} <- [{cols}]")
-        lines.append("x0: " + ", ".join(f"{v:.12g}" for v in self.x0))
-        lines.append("support polynomials:")
-        for q in self.support_polys:
-            lines.append(f"  {q.format(self.names)} >= 0")
-        for q in self.trig_polys:
-            lines.append(f"  {q.format(self.names)} >= 0")
-        return "\n".join(lines)
 
 
 def augment_time(model: SdeModel) -> SdeModel:
@@ -228,90 +210,32 @@ def collect_trig_atoms(model: SdeModel) -> list:
     return sines + cosines
 
 
-def check_closure(model) -> tuple:
-    """(True, None) if drift and sigma*sigma^T entries are pure polynomials.
-
-    Works on both SdeModel (entries may still hold atoms) and
-    AugmentedModel (entries are plain polynomials by construction).
-    Returns the first offending entry name as witness otherwise.
-    """
-    drift = model.drift
-    diffusion = model.diffusion
-    for i, entry in enumerate(drift):
-        if isinstance(entry, Expression) and not entry.is_polynomial():
-            return False, f"drift[{i}]"
-    nrows = len(diffusion)
-    for i in range(nrows):
-        for j in range(i, nrows):
-            entries = [(diffusion[i][k], diffusion[j][k]) for k in range(model.d)]
-            if not all(isinstance(a, Expression) and isinstance(b, Expression)
-                       for a, b in entries):
-                continue  # plain polynomials are closed by construction
-            acc = None
-            for a, b in entries:
-                prod = a * b
-                acc = prod if acc is None else acc + prod
-            if acc is not None and not acc.is_polynomial():
-                return False, f"(sigma*sigma^T)[{i},{j}]"
-    return True, None
-
-
 def augment_sinusoids(model: SdeModel) -> AugmentedModel:
     """Append sin/cos states so the dynamics close under the generator.
 
-    Each atom state a(x) gets drift sum_i da/dx_i h_i + (1/2) sum_ij
-    d2a/dx_i dx_j (sigma sigma^T)_ij and diffusion row sum_i da/dx_i
-    sigma_ik; afterwards every atom occurrence is renamed to its state
-    variable, leaving pure polynomials.
+    Each atom state a(x) gets the drift L a of the generator (Ito's
+    formula) and the diffusion row sum_i da/dx_i sigma_ik; afterwards every
+    atom occurrence is renamed to its state variable, leaving pure
+    polynomials.
     """
     if not model.time_augmented:
         raise ValueError("time-augment the model before sinusoidal augmentation")
     nslots = model.nslots
     atoms = collect_trig_atoms(model)
 
-    # First partial derivatives of each atom as expressions over the base.
-    datoms = {
-        (a, i): Expression.atom(nslots, a).differentiate(i)
-        for a in atoms
-        for i in range(nslots)
-        if a.arg[i] != 0
-    }
-
-    sst = {}
-    for i in range(nslots):
-        for j in range(i, nslots):
-            acc = Expression.zero(nslots)
-            for k in range(model.d):
-                acc = acc + model.diffusion[i][k] * model.diffusion[j][k]
-            sst[(i, j)] = acc
-
+    sst = sigma_sigma_t(model.diffusion)
     atom_drift = []
     atom_diffusion = []
     for a in atoms:
         e = Expression.atom(nslots, a)
-        h = Expression.zero(nslots)
-        for i in range(nslots):
-            if a.arg[i] == 0:
-                continue
-            h = h + datoms[(a, i)] * model.drift[i]
-            for j in range(nslots):
-                lo, hi = min(i, j), max(i, j)
-                entry = sst[(lo, hi)]
-                if entry.poly.is_zero():
-                    continue
-                second = datoms[(a, i)].differentiate(j)
-                if second.poly.is_zero():
-                    continue
-                h = h + second * entry * Fraction(1, 2)
+        grad = [(i, e.diff(i)) for i in range(nslots) if a.arg[i]]
+        atom_drift.append(generator(e, model.drift, sst))
         row = []
         for k in range(model.d):
             s = Expression.zero(nslots)
-            for i in range(nslots):
-                if a.arg[i] == 0:
-                    continue
-                s = s + datoms[(a, i)] * model.diffusion[i][k]
+            for i, g in grad:
+                s = s + g * model.diffusion[i][k]
             row.append(s)
-        atom_drift.append(h)
         atom_diffusion.append(row)
 
     drift_all = list(model.drift) + atom_drift
@@ -353,7 +277,7 @@ def augment_sinusoids(model: SdeModel) -> AugmentedModel:
         trig_polys.append(circle)
         trig_polys.append(-circle)
 
-    am = AugmentedModel(
+    return AugmentedModel(
         names=names,
         n_base=model.n,
         time_index=model.n,
@@ -368,10 +292,6 @@ def augment_sinusoids(model: SdeModel) -> AugmentedModel:
         trig_polys=trig_polys,
         scales=[Fraction(1)] * total,
     )
-    ok, witness = check_closure(am)
-    if not ok:
-        raise UnsupportedDynamicsError(f"augmentation failed to close {witness}")
-    return am
 
 
 def augment(model: SdeModel) -> AugmentedModel:

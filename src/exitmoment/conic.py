@@ -58,12 +58,8 @@ class SolverSettings:
     eps_abs: float = 1e-7
     eps_rel: float = 1e-7
     rho: float = 1.0
-    adaptive_rho: bool = True
     over_relaxation: float = 1.5
-    scaling: bool = True
     check_interval: int = 25
-    time_limit: float | None = None
-    verbose: bool = False
 
     def __post_init__(self):
         if self.eps_abs <= 0 or self.eps_rel <= 0:
@@ -256,10 +252,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     m_eq = a_eq.shape[0]
 
     # --- equilibration -----------------------------------------------------
-    if settings.scaling:
-        d_eq, _, e_col, a_s, g_s = _ruiz_equilibrate(a_eq, g, blocks)
-    else:
-        d_eq, e_col, a_s, g_s = np.ones(m_eq), np.ones(n), a_eq, g
+    d_eq, _, e_col, a_s, g_s = _ruiz_equilibrate(a_eq, g, blocks)
     gt_s = g_s.T.tocsr()
     b_s = d_eq * rhs
     c_s = e_col * c_min
@@ -332,11 +325,6 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
                             + eps_rel * rho * np.linalg.norm(gt_s @ u_new))
                 eps_eq = eps_abs * sqrt_eq + eps_rel * np.linalg.norm(b_s)
                 history.append((it, max(r_prim, r_dual), rho))
-                if settings.verbose and it % (settings.check_interval * 40) == 0:
-                    z = e_col * z_s
-                    print(f"  it {it:7d}  rp {r_prim:9.2e} rd {r_dual:9.2e} "
-                          f"eq {eq_res:9.2e} obj {program.objective @ z: .8f} "
-                          f"rho {rho:.2e} rejected {aa_rejected}")
                 if r_prim <= eps_pri and r_dual <= eps_dual and eq_res <= eps_eq:
                     # gate optimality on the recovered moment matrices
                     z = e_col * z_s
@@ -350,7 +338,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
                     if lam_ok:
                         status = "optimal"
                         break
-                if settings.adaptive_rho and it % 100 == 0:
+                if it % 100 == 0:
                     scale_p = r_prim / max(eps_pri, 1e-300)
                     scale_d = r_dual / max(eps_dual, 1e-300)
                     if scale_p > 10 * scale_d and rho < 1e6:
@@ -374,9 +362,6 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
                 anderson.reset()
             if u_scale != 1.0:
                 x = np.concatenate([x[:n_cone], u_scale * x[n_cone:]])
-            if settings.time_limit and time.time() - t0 > settings.time_limit:
-                message = "time limit reached"
-                break
     except np.linalg.LinAlgError as exc:
         status = "numerical_failure"
         message = f"eigendecomposition failed: {exc}"

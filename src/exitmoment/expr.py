@@ -25,10 +25,6 @@ MultiIndex = tuple  # tuple[int, ...], one exponent per variable
 # ---------------------------------------------------------------------------
 
 
-def mi_degree(alpha: MultiIndex) -> int:
-    return sum(alpha)
-
-
 def mi_add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
     return tuple(a + b for a, b in zip(alpha, beta))
 
@@ -388,13 +384,6 @@ class TrigAtom:
         """The derivative partner: the other kind at the same frequency/argument."""
         return TrigAtom("cos" if self.kind == "sin" else "sin", self.freq, self.arg)
 
-    def widen(self, new_nbase: int, mapping: Sequence[int]) -> "TrigAtom":
-        arg = [0] * new_nbase
-        for i, e in enumerate(self.arg):
-            if e:
-                arg[mapping[i]] += e
-        return TrigAtom(self.kind, self.freq, tuple(arg))
-
     def value(self, point: Sequence[float]) -> float:
         u = float(self.freq)
         for x, e in zip(point, self.arg):
@@ -538,6 +527,9 @@ class Expression:
 
     # -- queries ------------------------------------------------------------
 
+    def is_zero(self) -> bool:
+        return self.poly.is_zero()
+
     def is_polynomial(self) -> bool:
         return not self.used_atoms()
 
@@ -548,12 +540,9 @@ class Expression:
         terms = {alpha[: self.nbase]: c for alpha, c in self.poly.terms.items()}
         return Polynomial(self.nbase, terms)
 
-    def degree(self) -> int:
-        return self.poly.degree()
-
     # -- calculus -------------------------------------------------------------
 
-    def differentiate(self, var: int) -> "Expression":
+    def diff(self, var: int) -> "Expression":
         """d/dx_var with atoms treated as functions of the base state.
 
         The chain rule may introduce derivative partners (sin <-> cos),

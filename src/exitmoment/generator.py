@@ -1,19 +1,67 @@
-"""Infinitesimal generator on monomial test functions and martingale rows.
+"""The infinitesimal generator of an Ito diffusion, and martingale rows.
 
-For the augmented polynomial SDE the generator of a monomial f = x^k is
-the drift-weighted gradient plus half the diffusion-weighted Hessian
-trace; each such image, together with the start-state constant and a unit
-coefficient on the matching exit moment, yields one linear equality over
-the occupation/exit moment sequences.
+For dX = b dt + sigma dB the generator maps a test function f to
+
+    L f = sum_i b_i d_i f + sum_{i <= j} c_ij (sigma sigma^T)_ij d_i d_j f,
+
+with c_ii = 1/2 and c_ij = 1 for i < j (the (i, j) and (j, i) terms of
+the half Hessian trace taken together).  ``generator`` and
+``sigma_sigma_t`` only add, multiply and differentiate, so the one
+generator serves both constructions: the state augmentation applies it
+to each sin/cos atom (an ``Expression``) to get that atom's drift by
+Ito's formula, and ``martingale_row`` applies it to a monomial test
+function (a ``Polynomial``) of the augmented model.  Each such image,
+together with the start-state constant and a unit coefficient on the
+matching exit moment, yields one linear equality over the
+occupation/exit moment sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .augment import AugmentedModel
 from .expr import MultiIndex, Polynomial, enumerate_multi_indices
+
+if TYPE_CHECKING:
+    from .augment import AugmentedModel
+
+
+def sigma_sigma_t(diffusion) -> dict:
+    """The nonzero entries (sigma sigma^T)_ij, i <= j, keyed (i, j), of the
+    diffusion rows ``diffusion`` (one list of noise columns per state)."""
+    sst = {}
+    for i, row_i in enumerate(diffusion):
+        for j in range(i, len(diffusion)):
+            products = [a * b for a, b in zip(row_i, diffusion[j])]
+            if not products:
+                continue
+            entry = sum(products[1:], products[0])
+            if not entry.is_zero():
+                sst[(i, j)] = entry
+    return sst
+
+
+def generator(f, drift, sst):
+    """L f for the drift entries ``drift`` and the ``sigma_sigma_t`` table
+    ``sst``; f and every entry are all Polynomials or all Expressions."""
+    out = f * 0
+    for i, b in enumerate(drift):
+        di = f.diff(i)
+        if di.is_zero():
+            continue
+        out = out + b * di
+        for j in range(i, len(drift)):
+            entry = sst.get((i, j))
+            if entry is None:
+                continue
+            d2 = di.diff(j)
+            if d2.is_zero():
+                continue
+            term = entry * d2
+            out = out + (term * Fraction(1, 2) if i == j else term)
+    return out
 
 
 @dataclass
@@ -24,66 +72,10 @@ class MartingaleRow:
     interior_coeffs: dict          # multi-index -> Fraction, the c_j(k)
     constant: float                # x0^k
 
-    @property
-    def boundary_index(self) -> MultiIndex:
-        return self.test_index
-
-
-def apply_generator(model: AugmentedModel, k: MultiIndex) -> Polynomial:
-    """Generator image of the monomial x^k; exact polynomial."""
-    n = model.total_dim
-    if len(k) != n:
-        raise ValueError(f"test index has arity {len(k)}, expected {n}")
-    sst = model.sigma_sigma_t()
-    out = Polynomial.zero(n)
-    for i in range(n):
-        if k[i] == 0:
-            continue
-        df = tuple(e - 1 if idx == i else e for idx, e in enumerate(k))
-        out = out + model.drift[i] * Polynomial.monomial(n, df, k[i])
-    for i in range(n):
-        for j in range(i, n):
-            entry = sst[(i, j)]
-            if entry.is_zero():
-                continue
-            if i == j:
-                if k[i] < 2:
-                    continue
-                coef = Fraction(k[i] * (k[i] - 1), 2)
-                d2 = tuple(e - 2 if idx == i else e for idx, e in enumerate(k))
-            else:
-                if k[i] == 0 or k[j] == 0:
-                    continue
-                coef = Fraction(k[i] * k[j])  # both (i,j) and (j,i), halved
-                d2 = tuple(e - (idx == i) - (idx == j) for idx, e in enumerate(k))
-            out = out + entry * Polynomial.monomial(n, d2, coef)
-    return out
-
-
-def generator_of_polynomial(model: AugmentedModel, p: Polynomial) -> Polynomial:
-    """Generator via direct polynomial calculus (independent of the
-    monomial path; used as a linearity oracle in tests)."""
-    n = model.total_dim
-    sst = model.sigma_sigma_t()
-    out = Polynomial.zero(n)
-    for i in range(n):
-        di = p.diff(i)
-        if not di.is_zero():
-            out = out + model.drift[i] * di
-        for j in range(i, n):
-            entry = sst[(i, j)]
-            if entry.is_zero():
-                continue
-            d2 = di.diff(j)
-            if d2.is_zero():
-                continue
-            factor = Fraction(1, 2) if i == j else Fraction(1)
-            out = out + entry * d2 * factor
-    return out
-
 
 def martingale_row(model: AugmentedModel, k: MultiIndex) -> MartingaleRow:
-    image = apply_generator(model, k)
+    f = Polynomial.monomial(model.total_dim, k)
+    image = generator(f, model.drift, model.sigma_sigma_t())
     constant = 1.0
     for x, e in zip(model.x0, k):
         if e:

@@ -118,34 +118,36 @@ def _pow_row(row: np.ndarray, e: int) -> np.ndarray:
 class _Atoms:
     """sin/cos of ``freq * x^arg`` for a list of atoms, one row each.
 
-    Only the state coordinates enter the argument; a time power in
-    ``arg`` is not read.  ``freq`` multiplies the first factor, so the
-    product rounds as ``freq * x_i^e * ...`` left to right.
+    The argument's factors are the state coordinates, then time (the last
+    base slot); ``freq`` multiplies the first factor, so the product rounds
+    as ``freq * x_i^e * ... * t^e`` left to right.
     """
 
     def __init__(self, atoms, n: int):
+        self.n = n
         self.specs = [
             (np.sin if a.kind == "sin" else np.cos, float(a.freq),
-             tuple((i, e) for i, e in enumerate(a.arg[:n]) if e))
+             tuple((i, e) for i, e in enumerate(a.arg) if e))
             for a in atoms
         ]
 
     def __len__(self) -> int:
         return len(self.specs)
 
-    def __call__(self, x: np.ndarray, out: np.ndarray | None = None):
-        """Atom values at the coordinate rows ``x``, as (atoms, N)."""
+    def __call__(self, x: np.ndarray, t, out: np.ndarray | None = None):
+        """Atom values at the coordinate rows ``x`` and time ``t`` (a
+        scalar or one value per path), as (atoms, N)."""
         if out is None:
             out = np.empty((len(self.specs), x.shape[1]))
         for row, (fn, freq, factors) in zip(out, self.specs):
             u = None
             for i, e in factors:
-                col = _pow_row(x[i], e)
+                col = _pow_row(x[i] if i < self.n else t, e)
                 if u is None:
                     u = col if freq == 1.0 else freq * col
                 else:
                     u = u * col
-            fn(np.full(x.shape[1], freq) if u is None else u, out=row)
+            fn(u, out=row)
         return out
 
 
@@ -195,6 +197,8 @@ class SdeKernel:
     """Drift, diffusion and safe-set kernels of one model, compiled once."""
 
     def __init__(self, model: SdeModel):
+        if model.time_augmented:
+            raise ValueError("simulate the original model, not the augmented one")
         self.model = model
         n = model.n
         self.n = n
@@ -220,10 +224,9 @@ class SdeKernel:
         # per coordinate, the (noise column, kernel) pairs that are not zero
         self.noise = [[(k, g) for k, g in enumerate(row) if not g.is_zero()]
                       for row in self.diffusion]
-        safe_polys = [q for q in model.safe_polys if not _is_time_box(q, slots)]
-        self.safe = [compile_poly(q) for q in safe_polys]
+        self.safe = [compile_poly(q) for q in model.safe_polys]
         self.safe_grads = [[compile_poly(q.diff(i)) for i in range(n)]
-                           for q in safe_polys]
+                           for q in model.safe_polys]
         # crossing variance of polynomial j: sum over noise columns k of
         # (sum_i d_i q_j sigma_ik)^2, kept to the (i, k) pairs where neither
         # factor is zero; a polynomial with no such pair never crosses
@@ -248,7 +251,7 @@ class SdeKernel:
         """The start state of ``n_paths`` paths, (n + atoms, N)."""
         state = np.empty((self.n + len(self.atoms), n_paths))
         state[: self.n] = np.asarray(self.model.x0[: self.n], dtype=float)[:, None]
-        self.atoms(state, out=state[self.n:])
+        self.fill_atoms(state, 0.0)
         return state
 
     def advance(self, state: np.ndarray, t: float, z: np.ndarray,
@@ -272,8 +275,8 @@ class SdeKernel:
                 np.add(acc, noise * sqrt_dt, out=new[i])
         return new
 
-    def fill_atoms(self, state: np.ndarray) -> None:
-        self.atoms(state, out=state[self.n:])
+    def fill_atoms(self, state: np.ndarray, t: float) -> None:
+        self.atoms(state, t, out=state[self.n:])
 
     def safe_values(self, state: np.ndarray, t: float) -> np.ndarray:
         """Safe-polynomial values, (n_q, N)."""
@@ -297,15 +300,6 @@ class SdeKernel:
                 v = proj * proj if v is None else v + proj * proj
             out.append(v)
         return out
-
-
-def _is_time_box(q: Polynomial, slots: int) -> bool:
-    """True for the appended t / (T - t) box polynomials: pure-time linear."""
-    if q.degree() > 1:
-        return False
-    return all(
-        all(e == 0 for e in alpha[: slots - 1]) for alpha in q.terms
-    )
 
 
 def _bridge_survival(q_prev: np.ndarray, q_new: np.ndarray, vdt: np.ndarray):
@@ -415,7 +409,7 @@ class _Stepper:
                 new[:n, bad] = state[:n, bad]  # keep finite for the q evaluation
 
             t_new = min((step + 1) * dt, self.horizon)
-            kernel.fill_atoms(new)
+            kernel.fill_atoms(new, t_new)
             q_new = kernel.safe_values(new, t_new)
 
             crossed = (q_new < 0).any(axis=0)
@@ -482,12 +476,11 @@ class _Stepper:
         return flagged
 
 
-def _simulate_paths(model: SdeModel, cfg: McConfig, horizon: float,
+def _simulate_paths(kernel: SdeKernel, cfg: McConfig, horizon: float,
                     occupation=None, exit_state=None):
     """Run ``cfg.paths`` paths in chunks of ``cfg.chunk`` on one random
     stream.  Returns (tau, capped, flagged); raises when more than 0.1% of
     the paths became non-finite."""
-    kernel = SdeKernel(model)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     stepper = _Stepper(kernel, cfg, horizon, rng, occupation, exit_state)
     tau = np.full(cfg.paths, horizon)
@@ -515,15 +508,14 @@ def simulate_exit(model: SdeModel, cfg: McConfig,
     Paths alive at the horizon are capped.  Non-finite states flag the
     path; more than 0.1% flagged aborts the run.
     """
-    if model.time_augmented:
-        raise ValueError("simulate the original model, not the augmented one")
+    kernel = SdeKernel(model)
     horizon = cfg.horizon if cfg.horizon is not None else model.horizon
     if model.starts_on_boundary():
         zeros = {n: (0.0, 0.0, 0.0, 0.0)
                  for n in range(1, cfg.max_moment_order + 1)}
         return McEstimate(zeros, 1.0, cfg.paths, cfg.dt, horizon)
 
-    tau, capped, flagged = _simulate_paths(model, cfg, horizon)
+    tau, capped, flagged = _simulate_paths(kernel, cfg, horizon)
     good = np.isfinite(tau)
     tau = tau[good]
     capped = capped[good]
@@ -609,7 +601,8 @@ def path_consistency(original: SdeModel, augmented: AugmentedModel,
             dw = increments[step]
         z = dw / sqrt_dt
         new = kernel.advance(state, t, z.T, dt, sqrt_dt)
-        kernel.fill_atoms(new)
+        t_new = min((step + 1) * dt, horizon)
+        kernel.fill_atoms(new, t_new)
 
         da = np.column_stack([eval_poly(items, xa) for items in a_drift])
         noise = np.zeros_like(xa)
@@ -620,12 +613,12 @@ def path_consistency(original: SdeModel, augmented: AugmentedModel,
                     noise[:, i] += vals * z[:, k]
         xa_new = xa + da * dt + noise * sqrt_dt
 
-        qv = kernel.safe_values(new, min((step + 1) * dt, horizon))
+        qv = kernel.safe_values(new, t_new)
         alive &= ~(qv < 0).any(axis=0)
         alive &= np.isfinite(new[:n]).all(axis=0) & np.isfinite(xa_new).all(axis=1)
         if not alive.any():
             break
-        refs = aug_atoms(new[:n])
+        refs = aug_atoms(new[:n], t_new)
         for j in range(len(aug_atoms)):
             dev = np.abs(xa_new[alive, n + 1 + j] - refs[j, alive]).max()
             worst = max(worst, float(dev))
@@ -699,7 +692,8 @@ def measure_moments(model: SdeModel, augmented: AugmentedModel,
 
     def aug_coords(x: np.ndarray, times) -> np.ndarray:
         time_row = np.broadcast_to(np.asarray(times, dtype=float), x.shape[1:])
-        return np.concatenate([x[:n], time_row[None], aug_atoms(x)]) / scales
+        atoms = aug_atoms(x, time_row)
+        return np.concatenate([x[:n], time_row[None], atoms]) / scales
 
     def powers(coords: np.ndarray, indices: list) -> np.ndarray:
         out = np.empty((len(indices), coords.shape[1]))
@@ -721,7 +715,8 @@ def measure_moments(model: SdeModel, augmented: AugmentedModel,
             # boundary-supported states
             for qi in np.unique(facets):
                 sub = facets == qi
-                pts = np.concatenate([x[:, sub], kernel.atoms(x[:, sub])])
+                pts = np.concatenate(
+                    [x[:, sub], kernel.atoms(x[:, sub], times[sub])])
                 grads = np.empty((n, pts.shape[1]))
                 for row, g in zip(grads, kernel.safe_grads[qi]):
                     row[...] = g(pts, t_end)
@@ -732,7 +727,7 @@ def measure_moments(model: SdeModel, augmented: AugmentedModel,
             occ[ids] = integrals.T
         exit_pow[ids] = powers(aug_coords(x, times), indices_b).T
 
-    tau, _, flagged = _simulate_paths(model, cfg, horizon, occupation, exit_state)
+    tau, _, flagged = _simulate_paths(kernel, cfg, horizon, occupation, exit_state)
     if flagged:
         good = np.isfinite(tau)
         occ, exit_pow = occ[good], exit_pow[good]

@@ -230,15 +230,10 @@ class MomentProblem:
 
 def build_moment_problem(model: AugmentedModel, variant: str, K: int,
                          moment_order: int, sense: str) -> MomentProblem:
-    from .augment import check_closure
-
     if variant not in ("original", "reduced"):
         raise ValueError(f"unknown variant {variant!r}")
     if sense not in ("max", "min"):
         raise ValueError(f"unknown sense {sense!r}")
-    ok, witness = check_closure(model)
-    if not ok:
-        raise ValueError(f"model is not closed under generation: {witness}")
     if moment_order < 1:
         raise ValueError("moment order must be >= 1")
     if moment_order - 1 > K:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from exitmoment.augment import (
     augment,
     augment_time,
     augment_sinusoids,
-    check_closure,
     collect_trig_atoms,
     moment_unscale_factor,
     scale_model,
@@ -40,6 +40,15 @@ def spring_model(lower=-2.0, T=10.0):
         x0=[-9.81 / 5.0, 0.0],
         horizon=T,
         safe_polys=[f"-x", f"x - {lower}"],
+    )
+
+
+def two_noise_model():
+    return SdeModel.from_strings(
+        names=["x", "y"],
+        drift=["y - x*cos(x*y)", "sin(t) - 0.5*y"],
+        diffusion=[["0.3 + 0.1*y", "0.2*x"], ["0.1*x*y", "0.4"]],
+        x0=[0.1, -0.2], horizon=2.0, safe_polys=["1 - x^2 - y^2"],
     )
 
 
@@ -103,28 +112,6 @@ def test_collect_adds_derivative_partner():
     arg = (1, 0, 0)
     assert atoms == [TrigAtom("sin", Fraction(1), arg),
                      TrigAtom("cos", Fraction(1), arg)]
-
-
-# ---------------------------------------------------------------------------
-# closure checks
-# ---------------------------------------------------------------------------
-
-
-def test_closure_of_time_space_brownian():
-    ok, witness = check_closure(augment_time(brownian_model()))
-    assert ok and witness is None
-
-
-def test_closure_fails_before_augmentation():
-    ok, witness = check_closure(augment_time(trig_model()))
-    assert not ok
-    assert witness == "drift[0]"
-
-
-def test_closure_holds_after_augmentation():
-    am = augment(trig_model())
-    ok, witness = check_closure(am)
-    assert ok and witness is None
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +184,58 @@ def test_spring_mass_damper_augmentation():
 
 def test_augmented_dimension_counts_unique_pairs():
     for model, pairs in [(brownian_model(), 0), (trig_model(), 1),
-                         (spring_model(), 1)]:
+                         (spring_model(), 1), (two_noise_model(), 2)]:
         am = augment(model)
         n = len(model.names) - 1
         assert am.total_dim == n + 1 + 2 * pairs
+        # closed: every augmented entry is a plain polynomial
+        entries = list(am.drift) + [g for row in am.diffusion for g in row]
+        assert len(am.drift) == len(am.diffusion) == am.total_dim
+        assert all(len(row) == am.d for row in am.diffusion)
+        assert all(isinstance(p, Polynomial) and p.nvars == am.total_dim
+                   for p in entries)
+
+
+def test_atom_dynamics_match_finite_difference_ito():
+    # two noise columns and an atom of two noisy coordinates exercise the
+    # off-diagonal sigma sigma^T terms; sin(t) has time inside its argument
+    model = two_noise_model()
+    am = augment(model)
+    base = augment_time(model)
+    n_slots = base.nslots
+    h = 1e-4
+    rng = random.Random(5)
+    for _ in range(10):
+        p = [rng.uniform(-0.8, 0.8) for _ in range(n_slots)]
+        full = p + [a.value(p) for a in am.atoms]
+        drift = [e.evaluate(p) for e in base.drift]
+        sigma = [[g.evaluate(p) for g in row] for row in base.diffusion]
+        for idx, atom in enumerate(am.atoms):
+            f = atom.value
+
+            def shifted(*moves):
+                q = list(p)
+                for i, step in moves:
+                    q[i] += step
+                return f(q)
+
+            grad = [(shifted((i, h)) - shifted((i, -h))) / (2 * h)
+                    for i in range(n_slots)]
+            expected = sum(b * g for b, g in zip(drift, grad))
+            for i in range(n_slots):
+                for j in range(n_slots):
+                    sst = sum(sigma[i][c] * sigma[j][c] for c in range(am.d))
+                    d2 = (shifted((i, h), (j, h)) - shifted((i, h), (j, -h))
+                          - shifted((i, -h), (j, h))
+                          + shifted((i, -h), (j, -h))) / (4 * h * h)
+                    expected += 0.5 * sst * d2
+            row = n_slots + idx
+            assert am.drift[row].evaluate(full) == pytest.approx(
+                expected, rel=1e-5, abs=1e-6)
+            for c in range(am.d):
+                noise = sum(grad[i] * sigma[i][c] for i in range(n_slots))
+                assert am.diffusion[row][c].evaluate(full) == pytest.approx(
+                    noise, rel=1e-6, abs=1e-7)
 
 
 def test_augment_requires_time_augmentation_first():
@@ -239,6 +274,13 @@ def test_trig_box_polynomials_present():
 def test_x0_on_boundary_rejected_by_default():
     with pytest.raises(ValueError):
         SdeModel.from_strings(["y"], ["0"], [["1"]], [0.0], 1.0,
+                              ["y", "1 - y"])
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+def test_horizon_must_be_positive_and_finite(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        SdeModel.from_strings(["y"], ["0"], [["1"]], [0.5], horizon,
                               ["y", "1 - y"])
 
 

@@ -342,7 +342,8 @@ def test_cli_prints_one_bound_as_json(capsys):
     assert {"primal_residual", "dual_residual"} <= out.keys()
 
 
-@pytest.mark.parametrize("bad", [["--drift", "0 +"], ["--max-iters", "0"]])
+@pytest.mark.parametrize("bad", [["--drift", "0 +"], ["--max-iters", "0"],
+                                 ["--horizon", "-1"]])
 def test_cli_reports_bad_input_as_a_usage_error(bad, capsys):
     args = {"--names": "y", "--drift": "0", "--diffusion": "1", "--x0": "0.5",
             "--horizon": "10", "--K": "4"}

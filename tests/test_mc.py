@@ -146,8 +146,43 @@ def test_dump_exit_times(tmp_path):
 def test_simulating_augmented_model_rejected():
     from exitmoment.augment import augment_time
 
-    with pytest.raises(ValueError):
-        simulate_exit(augment_time(brownian()), McConfig(dt=1e-3, paths=10))
+    cfg = McConfig(dt=1e-3, paths=10)
+    timed = augment_time(trig_system())
+    am = augment(trig_system())
+    with pytest.raises(ValueError, match="original model"):
+        simulate_exit(timed, cfg)
+    with pytest.raises(ValueError, match="original model"):
+        measure_moments(timed, am, [(0, 0, 0, 0)], [(0, 0, 0, 0)], cfg)
+    with pytest.raises(ValueError, match="original model"):
+        path_consistency(timed, am, cfg)
+
+
+def test_time_inside_a_sinusoid_is_the_current_time():
+    # dx = cos(t) dt from 0 leaves x < 1/2 when sin(t) = 1/2, at pi/6
+    model = SdeModel.from_strings(["x"], ["cos(t)"], [["0"]], [0.0], 1.0,
+                                  ["0.5 - x"])
+    cfg = McConfig(dt=1e-3, paths=10, seed=0)
+    est = simulate_exit(model, cfg)
+    assert est.exit_fraction == 1.0
+    assert abs(est.mean(1) - math.pi / 6) < 3e-3
+    # augmented coordinates [x, t, sin(t), cos(t)]: the occupation moment
+    # of sin(t) is 1 - cos(tau), and sin(t) exits at sin(tau) = x = 1/2
+    indices = [(0, 0, 1, 0), (0, 0, 0, 1)]
+    mm = measure_moments(model, augment(model), indices, indices, cfg)
+    tau = math.pi / 6
+    assert mm.m_mean == pytest.approx([1 - math.cos(tau), math.sin(tau)],
+                                      abs=3e-3)
+    assert mm.b_mean == pytest.approx([0.5, math.cos(tau)], abs=3e-3)
+
+
+def test_safe_polynomial_in_time_alone_is_kept():
+    # "0.05 - t" is a user facet, not the time box: every path leaves by
+    # t = 0.05 at the latest
+    model = SdeModel.from_strings(["y"], ["0"], [["1"]], [0.5], 10.0,
+                                  ["y", "1 - y", "0.05 - t"])
+    est = simulate_exit(model, McConfig(dt=1e-3, paths=2_000, seed=1))
+    assert est.exit_fraction == 1.0
+    assert est.mean(1) <= 0.05 + 1e-12
 
 
 # ---------------------------------------------------------------------------
