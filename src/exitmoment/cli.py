@@ -4,6 +4,9 @@ Example (Brownian motion on [0, 1] from 1/2, lower bound on E[tau ^ T]):
 
     exitmoment --names y --drift 0 --diffusion 1 --x0 0.5 --horizon 10 \\
         --safe y "1 - y" --variant reduced --K 8 --order 1 --sense min
+
+The exit code is 0 when the solve ends ``optimal`` and 1 otherwise; the
+objective of an unconverged iterate is no bound, so "bound" is then null.
 """
 
 from __future__ import annotations
@@ -54,12 +57,14 @@ def main(argv=None) -> int:
     model = scale_model(augment(sde))
     program = assemble(model, args.variant, args.K, args.order, args.sense)
     res = solve(program, settings)
+    optimal = res.status == "optimal"
     print(json.dumps({
         "variant": args.variant,
         "K": args.K,
         "order": args.order,
         "sense": args.sense,
-        "bound": res.objective * moment_unscale_factor(model, args.order),
+        "bound": (res.objective * moment_unscale_factor(model, args.order)
+                  if optimal else None),
         "status": res.status,
         "iterations": res.iterations,
         "primal_residual": res.primal_residual,
@@ -68,7 +73,7 @@ def main(argv=None) -> int:
         "solve_time": res.solve_time,
         "message": res.message,
     }))
-    return 0 if res.status == "optimal" else 1
+    return 0 if optimal else 1
 
 
 if __name__ == "__main__":

@@ -34,39 +34,20 @@ def grlex_key(alpha: MultiIndex):
     return (sum(alpha), tuple(-a for a in alpha))
 
 
-def count_degree(nvars: int, degree: int) -> int:
-    """Number of multi-indices of dimension ``nvars`` with exact degree."""
-    return math.comb(nvars + degree - 1, degree)
-
-
 def count_upto(nvars: int, max_degree: int) -> int:
     """Number of multi-indices of dimension ``nvars`` with degree <= K."""
     return math.comb(nvars + max_degree, max_degree)
 
 
-def graded_lex_rank(alpha: MultiIndex) -> int:
-    """Zero-based position of ``alpha`` in the graded lex enumeration."""
-    n = len(alpha)
-    deg = sum(alpha)
-    rank = count_upto(n, deg - 1) if deg > 0 else 0
-    # Count same-degree indices preceding alpha: those with a larger leading
-    # exponent come first, then recurse on the tail.
-    rem = deg
-    for pos in range(n - 1):
-        a = alpha[pos]
-        tail = n - pos - 1
-        for lead in range(rem, a, -1):
-            rank += count_degree(tail, rem - lead)
-        rem -= a
-    return rank
-
-
 def graded_lex_ranks(alphas: np.ndarray) -> np.ndarray:
-    """``graded_lex_rank`` of every row of an (N, n) integer array.
+    """Zero-based position of every row of an (N, n) integer array in the
+    graded lex enumeration (``enumerate_multi_indices``).
 
-    The inner sum of ``graded_lex_rank`` telescopes (hockey stick) to
-    count_upto(tail, rem - a - 1), and rem - a at position pos is the
-    suffix sum S_{pos+1} of the exponents, so with S_0 the degree
+    The indices of lower degree come first, count_upto(n, S_0 - 1) of
+    them; among those of the same degree, the ones with a larger exponent
+    in the first position where they differ come first.  Counting those
+    position by position telescopes (hockey stick), so with S_k the
+    suffix sum alpha_k + ... + alpha_{n-1} of the exponents
 
         rank(alpha) = sum_{k=0}^{n-1} count_upto(n - k, S_k - 1),
 
@@ -545,60 +526,30 @@ class Expression:
     def diff(self, var: int) -> "Expression":
         """d/dx_var with atoms treated as functions of the base state.
 
-        The chain rule may introduce derivative partners (sin <-> cos),
-        which are appended to the atom registry of the result.
+        For E = P(x, a) with atoms a_j = sin/cos(w_j x^arg_j), the chain
+        rule gives dE/dx = dP/dx + sum_j dP/da_j * da_j/dx, where
+        da_j/dx = +-w_j arg_j[var] x^(arg_j - e_var) * partner(a_j), plus
+        for sin and minus for cos.  Partners (sin <-> cos) missing from the
+        atom registry are appended to the registry of the result.
         """
         if not 0 <= var < self.nbase:
             raise ValueError("differentiation variable must be a base variable")
+        nb = self.nbase
+        moving = [a for a in self.used_atoms() if a.arg[var]]
         atoms = list(self.atoms)
-        result = Expression(self.nbase, tuple(atoms), Polynomial.zero(self.poly.nvars))
-
-        def ensure(atom: TrigAtom) -> int:
-            nonlocal result, atoms
-            if atom in atoms:
-                return atoms.index(atom)
-            atoms.append(atom)
-            result = result.with_atoms(atoms)
-            return len(atoms) - 1
-
-        for alpha, coef in list(self.poly.terms.items()):
-            base = alpha[: self.nbase]
-            # product-rule contribution of the plain monomial factor
-            if base[var] > 0:
-                beta = list(alpha)
-                beta[var] -= 1
-                term = Expression(
-                    self.nbase,
-                    tuple(self.atoms),
-                    Polynomial.monomial(self.poly.nvars, tuple(beta), coef * base[var]),
-                ).with_atoms(atoms)
-                result = Expression(self.nbase, tuple(atoms), result.poly + term.poly)
-            # contribution of each atom factor via the chain rule
-            for j, atom in enumerate(self.atoms):
-                e = alpha[self.nbase + j]
-                if e == 0 or atom.arg[var] == 0:
-                    continue
-                partner_idx = ensure(atom.partner())
-                sign = 1 if atom.kind == "sin" else -1
-                c = coef * e * atom.freq * atom.arg[var] * sign
-                beta = [0] * result.poly.nvars
-                for i, ee in enumerate(base):
-                    beta[i] = ee
-                beta[var] += atom.arg[var] - 1
-                for i, ee in enumerate(atom.arg):
-                    if i != var:
-                        beta[i] += ee
-                # remaining atom powers from this term
-                for jj, aa in enumerate(self.atoms):
-                    ee = alpha[self.nbase + jj]
-                    if jj == j:
-                        ee -= 1
-                    if ee:
-                        beta[self.nbase + atoms.index(aa)] += ee
-                beta[self.nbase + partner_idx] += 1
-                term_poly = Polynomial.monomial(result.poly.nvars, tuple(beta), c)
-                result = Expression(self.nbase, tuple(atoms), result.poly + term_poly)
-        return result
+        for a in moving:
+            if a.partner() not in atoms:
+                atoms.append(a.partner())
+        poly = self.with_atoms(atoms).poly
+        out = poly.diff(var)
+        for a in moving:
+            shift = list(a.arg) + [0] * len(atoms)
+            shift[var] -= 1
+            shift[nb + atoms.index(a.partner())] = 1
+            rate = a.freq * a.arg[var] * (1 if a.kind == "sin" else -1)
+            inner = Polynomial.monomial(poly.nvars, tuple(shift), rate)
+            out = out + poly.diff(nb + atoms.index(a)) * inner
+        return Expression(nb, tuple(atoms), out)
 
     # -- evaluation --------------------------------------------------------
 
@@ -628,7 +579,7 @@ class Expression:
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\^|\+|-|\*|\(|\)))"
+    r"|(?P<op>\^|\+|-|\*|/|\(|\)))"
 )
 
 
@@ -643,9 +594,11 @@ class ExprSyntaxError(ValueError):
 class ExprParser:
     """Recursive-descent parser for the infix grammar with sin/cos atoms.
 
-    Grammar: ``+ - * ^`` with parentheses; no implicit multiplication and
-    no division.  ``sin(...)``/``cos(...)`` arguments must reduce to a
-    single monomial over the base variables with a rational coefficient.
+    Grammar: ``+ - * / ^`` with parentheses and no implicit
+    multiplication; ``*`` and ``/`` share one precedence and associate to
+    the left.  A divisor must reduce to a nonzero rational constant.
+    ``sin(...)``/``cos(...)`` arguments must reduce to a single monomial
+    over the base variables with a rational coefficient.
     """
 
     def __init__(self, names: Sequence[str]):
@@ -673,12 +626,8 @@ class ExprParser:
                 if text[pos:].strip():
                     raise ExprSyntaxError("unrecognized character", text, pos)
                 break
-            if m.group("num") is not None:
-                tokens.append(("num", m.group("num"), m.start()))
-            elif m.group("name") is not None:
-                tokens.append(("name", m.group("name"), m.start()))
-            else:
-                tokens.append(("op", m.group("op"), m.start()))
+            # the token's own start, past the blanks the pattern skips
+            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
             pos = m.end()
         return tokens
 
@@ -709,11 +658,20 @@ class ExprParser:
         left = self._unary()
         while True:
             tok = self._peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
+            if tok and tok[0] == "op" and tok[1] in "*/":
                 self.pos += 1
-                left = left * self._unary()
+                at = self._peek()[2] if self._peek() else len(self.text)
+                right = self._unary()
+                left = left * (right if tok[1] == "*" else self._reciprocal(right, at))
             else:
                 return left
+
+    def _reciprocal(self, divisor: Expression, pos: int) -> Fraction:
+        if any(any(alpha) for alpha in divisor.poly.terms):
+            raise ExprSyntaxError("divisor must be a numeric constant", self.text, pos)
+        if divisor.is_zero():
+            raise ExprSyntaxError("division by zero", self.text, pos)
+        return 1 / divisor.poly.coefficient((0,) * divisor.poly.nvars)
 
     def _unary(self) -> Expression:
         tok = self._peek()

@@ -539,120 +539,6 @@ def simulate_exit(model: SdeModel, cfg: McConfig,
     )
 
 
-def dump_exit_times(path, estimate_tau) -> None:
-    """CSV dump of per-path exit times: path_id, tau, capped."""
-    tau, capped = estimate_tau
-    with open(path, "w") as fh:
-        fh.write("path_id,tau,capped\n")
-        for i, (t, c) in enumerate(zip(tau, capped)):
-            fh.write(f"{i},{t!r},{int(c)}\n")
-
-
-# ---------------------------------------------------------------------------
-# path consistency between the original and augmented systems
-# ---------------------------------------------------------------------------
-
-
-def path_consistency(original: SdeModel, augmented: AugmentedModel,
-                     cfg: McConfig, t_max: float | None = None,
-                     increments: np.ndarray | None = None) -> float:
-    """Drive both systems with identical Gaussian increments and report the
-    largest deviation between the integrated atom states and sin/cos of
-    the original state's monomials (over alive paths up to ``t_max``).
-
-    Supplying ``increments`` (n_steps, paths, d Brownian increments)
-    overrides the generator; ``path_consistency_ladder`` uses this to
-    compare several dt levels on one set of driving paths."""
-    if not augmented.atoms:
-        return 0.0
-    horizon = t_max if t_max is not None else min(original.horizon, 1.0)
-    n = original.n
-    dt = cfg.dt
-    sqrt_dt = math.sqrt(dt)
-    n_steps = int(math.ceil(horizon / dt))
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    n_paths = cfg.paths
-
-    kernel = SdeKernel(original)
-    aug_atoms = _Atoms(augmented.atoms, n)
-    state = kernel.start(n_paths)
-    xa = np.tile(np.asarray(augmented.x0, dtype=float), (n_paths, 1))
-
-    a_drift = [list(p.terms.items()) for p in augmented.drift]
-    a_diff = [[list(p.terms.items()) for p in row] for row in augmented.diffusion]
-
-    def eval_poly(items, xfull):
-        out = np.zeros(xfull.shape[0])
-        for alpha, coef in items:
-            term = np.full(xfull.shape[0], float(coef))
-            for i, e in enumerate(alpha):
-                if e:
-                    term = term * _pow_row(xfull[:, i], e)
-            out += term
-        return out
-
-    worst = 0.0
-    alive = np.ones(n_paths, dtype=bool)
-    for step in range(n_steps):
-        t = step * dt
-        if increments is None:
-            dw = rng.standard_normal((n_paths, original.d)) * sqrt_dt
-        else:
-            dw = increments[step]
-        z = dw / sqrt_dt
-        new = kernel.advance(state, t, z.T, dt, sqrt_dt)
-        t_new = min((step + 1) * dt, horizon)
-        kernel.fill_atoms(new, t_new)
-
-        da = np.column_stack([eval_poly(items, xa) for items in a_drift])
-        noise = np.zeros_like(xa)
-        for i, row in enumerate(a_diff):
-            for k, items in enumerate(row):
-                vals = eval_poly(items, xa)
-                if np.any(vals):
-                    noise[:, i] += vals * z[:, k]
-        xa_new = xa + da * dt + noise * sqrt_dt
-
-        qv = kernel.safe_values(new, t_new)
-        alive &= ~(qv < 0).any(axis=0)
-        alive &= np.isfinite(new[:n]).all(axis=0) & np.isfinite(xa_new).all(axis=1)
-        if not alive.any():
-            break
-        refs = aug_atoms(new[:n], t_new)
-        for j in range(len(aug_atoms)):
-            dev = np.abs(xa_new[alive, n + 1 + j] - refs[j, alive]).max()
-            worst = max(worst, float(dev))
-        state, xa = new, xa_new
-    return worst
-
-
-def path_consistency_ladder(original: SdeModel, augmented: AugmentedModel,
-                            cfg: McConfig, dts, t_max: float | None = None) -> list:
-    """Deviations at several dt levels under common Brownian paths.
-
-    dts must be integer multiples of the finest entry; coarser levels use
-    the summed fine increments, so the convergence ratios are free of
-    resampling noise."""
-    horizon = t_max if t_max is not None else min(original.horizon, 1.0)
-    dt_fine = min(dts)
-    n_fine = int(math.ceil(horizon / dt_fine))
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    fine = rng.standard_normal((n_fine, cfg.paths, original.d)) * math.sqrt(dt_fine)
-    out = []
-    for dt in dts:
-        k = round(dt / dt_fine)
-        if abs(k * dt_fine - dt) > 1e-12 * dt:
-            raise ValueError("dt levels must be integer multiples of the finest")
-        n_steps = n_fine // k
-        agg = fine[: n_steps * k].reshape(n_steps, k, cfg.paths, original.d).sum(axis=1)
-        level_cfg = McConfig(dt=dt, paths=cfg.paths, seed=cfg.seed,
-                             max_moment_order=cfg.max_moment_order,
-                             chunk=cfg.chunk, bridge=cfg.bridge)
-        out.append(path_consistency(original, augmented, level_cfg,
-                                    t_max=n_steps * dt, increments=agg))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # occupation / exit measure moments (for feasibility cross-checks)
 # ---------------------------------------------------------------------------

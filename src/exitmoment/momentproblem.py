@@ -1,4 +1,4 @@
-"""Moment and localizing matrix maps; assembly of the two conic programs.
+"""Moment and localizing matrices; assembly of the two conic programs.
 
 The assembled program has one variable per occupation moment (degree up
 to K plus the overshoot needed by full-basis localizing blocks) followed
@@ -10,8 +10,8 @@ the reduced scalar equalities.
 Variables are numbered by graded lex rank: occupation moment alpha is
 variable rank(alpha) and exit moment alpha is num_m + rank(alpha), where
 rank is the closed form of ``expr.graded_lex_ranks``.  The array
-assembly relies on two orders, which ``LocalizingMap.entries`` and the
-tests' pair loops reproduce one entry at a time:
+assembly relies on two orders, which the tests' per-entry loops
+reproduce one entry at a time:
 
 * PSD block triplets run row-major over the upper triangle
   (``np.triu_indices(d)``: i <= j, svec position p), and within one entry
@@ -29,85 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .augment import AugmentedModel
-from .expr import (
-    MultiIndex,
-    Polynomial,
-    enumerate_multi_indices,
-    graded_lex_rank,
-    graded_lex_ranks,
-)
+from .expr import Polynomial, enumerate_multi_indices, graded_lex_ranks
 from .generator import emit_all_rows
-
-
-@dataclass
-class MomentIndexMap:
-    """Symmetric map (i, j) -> rank of basis[i] + basis[j]."""
-
-    nvars: int
-    max_degree: int                 # K of the ambient moment sequence
-    basis: list                     # multi-indices of degree <= K // 2
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def entry(self, i: int, j: int) -> int:
-        alpha = self.basis[i]
-        beta = self.basis[j]
-        return graded_lex_rank(tuple(a + b for a, b in zip(alpha, beta)))
-
-    def entry_index(self, i: int, j: int) -> MultiIndex:
-        return tuple(a + b for a, b in zip(self.basis[i], self.basis[j]))
-
-
-def build_moment_map(nvars: int, K: int) -> MomentIndexMap:
-    if K < 0:
-        raise ValueError("K must be non-negative")
-    return MomentIndexMap(nvars, K, enumerate_multi_indices(nvars, K // 2))
-
-
-@dataclass
-class LocalizingMap:
-    """Entries (i, j) -> sum_alpha q_alpha * moment[beta(i,j) + alpha]."""
-
-    poly: Polynomial
-    base: MomentIndexMap
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def entries(self, i: int, j: int) -> list:
-        beta = self.base.entry_index(i, j)
-        out = []
-        for alpha, coef in self.poly.items():
-            target = tuple(a + b for a, b in zip(beta, alpha))
-            out.append((coef, graded_lex_rank(target)))
-        return out
-
-    def max_referenced_degree(self) -> int:
-        return 2 * max(sum(b) for b in self.base.basis) + self.poly.degree()
-
-
-def build_localizing_map(q: Polynomial, nvars: int, K: int,
-                         basis_degree: int | None = None) -> LocalizingMap:
-    """Localizing structure for q.
-
-    By default the basis degree is floor((K - deg q) / 2) so every
-    referenced moment stays within degree K.  The assembler passes the
-    full moment-matrix basis degree instead, which sizes every block at
-    d_K and lets referenced moments overshoot K (the variable space is
-    widened accordingly).
-    """
-    degq = q.degree()
-    if degq < 0:
-        raise ValueError("localizing polynomial must be nonzero")
-    if degq > K:
-        raise ValueError(f"deg(q) = {degq} exceeds the moment degree K = {K}")
-    if basis_degree is None:
-        basis_degree = (K - degq) // 2
-    basis = enumerate_multi_indices(nvars, basis_degree)
-    return LocalizingMap(q, MomentIndexMap(nvars, K, basis))
 
 
 def boundary_product(safe_polys) -> Polynomial:
@@ -123,14 +46,13 @@ def boundary_product(safe_polys) -> Polynomial:
     return out
 
 
-def reduced_boundary_equalities(qprime: Polynomial, nvars: int, K: int,
-                                basis_degree: int | None = None) -> list:
+def reduced_boundary_equalities(qprime: Polynomial, nvars: int, K: int) -> list:
     """Scalar equalities 'sum_alpha q'_alpha b_{beta(i,j)+alpha} = 0'.
 
     One row per distinct beta = basis[i] + basis[j] (i <= j), in order of
     first appearance in the row-major upper-triangle traversal of the
-    moment-matrix basis.  Distinct betas shift the support of q' to
-    distinct sets, so no two rows are proportional.  Rows come back as
+    moment-matrix basis of degree K // 2.  Distinct betas shift the
+    support of q' to distinct sets, so no two rows are proportional.  Rows come back as
     dicts mapping exit-moment multi-indices to rational coefficients,
     keyed in the graded lex order of the terms of q'.
     """
@@ -141,10 +63,7 @@ def reduced_boundary_equalities(qprime: Polynomial, nvars: int, K: int,
         raise ValueError(
             f"deg(q') = {degq} exceeds K = {K}: moment sequence too short "
             "for the reduced boundary formulation")
-    if basis_degree is None:
-        basis_degree = K // 2
-    basis = np.array(enumerate_multi_indices(nvars, basis_degree),
-                     dtype=np.int64)
+    basis = np.array(enumerate_multi_indices(nvars, K // 2), dtype=np.int64)
     iu, ju = np.triu_indices(len(basis))
     betas = basis[iu] + basis[ju]
     _, first = np.unique(betas, axis=0, return_index=True)
@@ -261,8 +180,7 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
     boundary_eqs = []
     n_boundary_blocks = 0
     if variant == "reduced":
-        boundary_eqs = reduced_boundary_equalities(qprime, n, K,
-                                                   basis_degree=half)
+        boundary_eqs = reduced_boundary_equalities(qprime, n, K)
     else:
         # one (q', -q') pair of boundary localizing blocks per safe-set
         # polynomial, mirroring the 2 N_q boundary accounting
@@ -278,19 +196,20 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
     )
 
 
-def _psd_block(label: str, loc: LocalizingMap, offset: int, count: int,
-               num_vars: int) -> PsdBlock:
-    """Lower ``loc`` onto the variables offset .. offset + count - 1.
+def _psd_block(label: str, poly: Polynomial, basis: np.ndarray, offset: int,
+               count: int, num_vars: int) -> PsdBlock:
+    """Lower the localizing matrix of ``poly`` over ``basis`` (an int64
+    array of multi-indices, one per row) onto the variables
+    offset .. offset + count - 1.
 
     Triplets follow the module's order: svec position p of
-    ``np.triu_indices``, then the terms of ``loc.poly`` in graded lex
-    order; term alpha of entry (i, j) lands on variable
+    ``np.triu_indices``, then the terms of ``poly`` in graded lex order;
+    term alpha of entry (i, j) lands on variable
     offset + rank(basis[i] + basis[j] + alpha).  A target ranked at or
     beyond ``count`` has no variable and raises KeyError.
     """
-    basis = np.array(loc.base.basis, dtype=np.int64)
-    iu, ju = np.triu_indices(loc.dim)
-    terms = loc.poly.items()
+    iu, ju = np.triu_indices(len(basis))
+    terms = poly.items()
     alphas = np.array([alpha for alpha, _ in terms], dtype=np.int64)
     targets = ((basis[iu] + basis[ju])[:, None, :]
                + alphas[None, :, :]).reshape(-1, basis.shape[1])
@@ -304,7 +223,7 @@ def _psd_block(label: str, loc: LocalizingMap, offset: int, count: int,
         shape=(len(iu), num_vars),
     )
     mat.sum_duplicates()
-    return PsdBlock(label, loc.dim, mat)
+    return PsdBlock(label, len(basis), mat)
 
 
 def lower_to_conic(mp: MomentProblem) -> ConicProgram:
@@ -351,24 +270,16 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
 
     # -- PSD blocks -------------------------------------------------------
     one = Polynomial.constant(n, 1)
-    basis_map = MomentIndexMap(n, mp.K, mp.moment_basis)
-    m_range = (0, num_m, num_vars)
-    b_range = (num_m, num_b, num_vars)
-    blocks = [
-        _psd_block("M(m)", LocalizingMap(one, basis_map), *m_range),
-        _psd_block("M(b)", LocalizingMap(one, basis_map), *b_range),
-    ]
+    basis = np.array(mp.moment_basis, dtype=np.int64)
+    m_range = (basis, 0, num_m, num_vars)
+    b_range = (basis, num_m, num_b, num_vars)
+    blocks = [_psd_block("M(m)", one, *m_range), _psd_block("M(b)", one, *b_range)]
     for idx, q in enumerate(mp.interior_polys):
-        blocks.append(_psd_block(f"M(q{idx} m)", LocalizingMap(q, basis_map),
-                                 *m_range))
+        blocks.append(_psd_block(f"M(q{idx} m)", q, *m_range))
     if mp.variant == "original":
         for idx in range(len(mp.interior_polys)):
-            blocks.append(_psd_block(f"M(+q' b)#{idx}",
-                                     LocalizingMap(mp.qprime, basis_map),
-                                     *b_range))
-            blocks.append(_psd_block(f"M(-q' b)#{idx}",
-                                     LocalizingMap(-mp.qprime, basis_map),
-                                     *b_range))
+            blocks.append(_psd_block(f"M(+q' b)#{idx}", mp.qprime, *b_range))
+            blocks.append(_psd_block(f"M(-q' b)#{idx}", -mp.qprime, *b_range))
 
     # -- objective --------------------------------------------------------
     obj_index = tuple(

@@ -342,6 +342,26 @@ def test_cli_prints_one_bound_as_json(capsys):
     assert {"primal_residual", "dual_residual"} <= out.keys()
 
 
+def test_cli_reads_division_by_a_constant(capsys):
+    code = main(["--names", "y", "--drift", "0/2", "--diffusion", "1/1",
+                 "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y",
+                 "--K", "8", "--sense", "min"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and abs(out["bound"] - 0.25) <= 1e-6
+
+
+def test_cli_prints_no_bound_for_an_unconverged_solve(capsys):
+    # 50 iterations leave the "max" iterate near 0.25 with status max_iters;
+    # its objective is no upper bound, so none is printed
+    code = main(["--names", "y", "--drift", "0", "--diffusion", "1",
+                 "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y",
+                 "--K", "8", "--sense", "max", "--max-iters", "50"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["status"] == "max_iters" and out["iterations"] == 50
+    assert out["bound"] is None
+
+
 @pytest.mark.parametrize("bad", [["--drift", "0 +"], ["--max-iters", "0"],
                                  ["--horizon", "-1"]])
 def test_cli_reports_bad_input_as_a_usage_error(bad, capsys):

@@ -13,7 +13,7 @@ from exitmoment.expr import (
     TrigAtom,
     count_upto,
     enumerate_multi_indices,
-    graded_lex_rank,
+    graded_lex_ranks,
     grlex_key,
     parse_expression,
     parse_polynomial,
@@ -30,7 +30,7 @@ def poly(nvars, terms):
 
 
 def test_rank_of_zero_index_is_zero():
-    assert graded_lex_rank((0, 0, 0)) == 0
+    assert graded_lex_ranks([(0, 0, 0)]).tolist() == [0]
 
 
 def test_enumeration_three_vars_matches_reference_prefix():
@@ -54,13 +54,12 @@ def test_rank_matches_brute_force_sort_four_vars():
     all_idx = enumerate_multi_indices(4, 4)
     brute = sorted(all_idx, key=grlex_key)
     assert all_idx == brute
-    for pos, alpha in enumerate(all_idx):
-        assert graded_lex_rank(alpha) == pos
+    assert graded_lex_ranks(brute).tolist() == list(range(len(brute)))
 
 
 def test_rank_is_bijection_onto_prefix():
     for n, K in [(1, 6), (2, 5), (3, 4), (5, 3)]:
-        ranks = [graded_lex_rank(a) for a in enumerate_multi_indices(n, K)]
+        ranks = graded_lex_ranks(enumerate_multi_indices(n, K)).tolist()
         assert ranks == list(range(count_upto(n, K)))
 
 
@@ -170,6 +169,9 @@ def central_difference(f, point, var, h=1e-5):
         ("sin(2*x1*x2)", ["x1", "x2"]),
         ("x1^2*cos(x1) + sin(3*x2)", ["x1", "x2"]),
         ("cos(x1)*sin(x1)*(1 - 0.5*cos(x1))", ["x1"]),
+        # atom powers, arguments of degree > 1, a partner already registered
+        ("sin(x1)^3*cos(0.5*x1^2*x2)", ["x1", "x2"]),
+        ("x2*sin(x1^2*x2)*cos(x1^2*x2) - cos(3*x2)^2", ["x1", "x2"]),
     ],
 )
 def test_derivative_matches_finite_difference(text, names):
@@ -185,7 +187,9 @@ def test_derivative_matches_finite_difference(text, names):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from(["sin(x1*x2)", "cos(2*x1)", "x1*sin(x2)"]))
+@given(st.sampled_from(["sin(x1*x2)", "cos(2*x1)", "x1*sin(x2)",
+                        "sin(x1)^3*cos(0.5*x1^2*x2)",
+                        "x2*sin(x1^2*x2)*cos(x1^2*x2) - cos(3*x2)^2"]))
 def test_mixed_partials_commute_with_atoms(text):
     e = parse_expression(text, ["x1", "x2"])
     a = e.diff(0).diff(1)
@@ -253,7 +257,8 @@ def test_parse_rejects_non_monomial_argument():
 
 
 def test_parse_rejects_undeclared_variable():
-    with pytest.raises(ExprSyntaxError):
+    # the column is the name's own, not that of the blank before it
+    with pytest.raises(ExprSyntaxError, match="'y' at column 5:"):
         parse_expression("x + y", ["x"])
 
 
@@ -269,3 +274,31 @@ def test_power_binds_tighter_than_product():
     assert p == poly(1, {(2,): 2})
     q = parse_polynomial("-x^2", ["x"])
     assert q == poly(1, {(2,): -1})
+
+
+@pytest.mark.parametrize("quotient, product", [
+    ("1/2", "0.5"),
+    ("x/2", "x*0.5"),
+    ("(x + 1)/4", "(x + 1)*0.25"),
+    ("sin(x/2)", "sin(0.5*x)"),
+    ("x/0.5", "x*2"),
+    ("x/2/4", "x*0.125"),          # left-associative: (x/2)/4
+    ("3*x/2*y", "1.5*x*y"),        # same precedence as *
+    ("-x^2/4", "-0.25*x^2"),
+], ids=lambda text: text.replace("/", " div "))
+def test_division_by_a_constant_is_exact(quotient, product):
+    got = parse_expression(quotient, ["x", "y"])
+    assert got == parse_expression(product, ["x", "y"])
+    assert all(isinstance(c, Fraction) for c in got.poly.terms.values())
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("x/y", "divisor must be a numeric constant", 3),
+    ("x/(2*y)", "divisor must be a numeric constant", 3),
+    ("1 + x / sin(x)", "divisor must be a numeric constant", 9),
+    ("x/0", "division by zero", 3),
+    ("x/(y - y)", "division by zero", 3),
+], ids=lambda value: str(value).replace("/", " div "))
+def test_division_by_a_non_constant_or_zero_is_rejected(text, message, column):
+    with pytest.raises(ExprSyntaxError, match=f"{message} at column {column}:"):
+        parse_expression(text, ["x", "y"])

@@ -1,0 +1,62 @@
+"""Every public function and class of the library has a caller outside tests.
+
+A name counts as used when code other than its own definition refers to
+it: a name, an attribute or a string equal to it (``getattr``-style
+wrapping) in ``src/`` or in a non-test file under ``perfbench/``, or an
+entry point in ``[project.scripts]``.  Oracles that only tests compare
+against are listed in ``ORACLES``.
+"""
+
+import ast
+import re
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "exitmoment").glob("*.py"))
+CALLERS = LIBRARY + sorted(
+    p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# the Monte Carlo measure moments and the SDPA re-import of a program:
+# independent references that tests compare the assembly and export against
+ORACLES = {"measure_moments", "program_sdpa_image"}
+
+
+def references(tree: ast.Module):
+    """(name, enclosing top-level definition or None) of every reference."""
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value, owner
+
+
+def entry_points() -> set:
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return set(re.findall(r'=\s*"[\w.]+:(\w+)"', section))
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    sites = defaultdict(set)             # name -> {(file, owner)}
+    for path, tree in trees.items():
+        for name, owner in references(tree):
+            sites[name].add((path, owner))
+    scripts = entry_points()
+
+    unused = set()
+    for path in LIBRARY:
+        for stmt in trees[path].body:
+            if not isinstance(stmt, DEFINITIONS) or stmt.name.startswith("_"):
+                continue
+            if stmt.name in scripts:
+                continue
+            if not sites[stmt.name] - {(path, stmt.name)}:
+                unused.add(stmt.name)
+    assert unused == ORACLES, f"called only from tests: {sorted(unused - ORACLES)}"

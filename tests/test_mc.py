@@ -10,10 +10,7 @@ from exitmoment.mc import (
     NEAR_BOUNDARY,
     McConfig,
     _bridge_survival,
-    dump_exit_times,
     measure_moments,
-    path_consistency,
-    path_consistency_ladder,
     simulate_exit,
 )
 from exitmoment.expr import enumerate_multi_indices
@@ -132,17 +129,6 @@ def test_exit_fraction_near_one_for_small_box():
     assert est.exit_fraction > 0.99
 
 
-def test_dump_exit_times(tmp_path):
-    sink = []
-    simulate_exit(brownian(), McConfig(dt=1e-3, paths=100, seed=3),
-                  tau_out=sink)
-    out = tmp_path / "tau.csv"
-    dump_exit_times(out, sink[0])
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "path_id,tau,capped"
-    assert len(lines) == 101
-
-
 def test_simulating_augmented_model_rejected():
     from exitmoment.augment import augment_time
 
@@ -153,8 +139,6 @@ def test_simulating_augmented_model_rejected():
         simulate_exit(timed, cfg)
     with pytest.raises(ValueError, match="original model"):
         measure_moments(timed, am, [(0, 0, 0, 0)], [(0, 0, 0, 0)], cfg)
-    with pytest.raises(ValueError, match="original model"):
-        path_consistency(timed, am, cfg)
 
 
 def test_time_inside_a_sinusoid_is_the_current_time():
@@ -183,47 +167,6 @@ def test_safe_polynomial_in_time_alone_is_kept():
     est = simulate_exit(model, McConfig(dt=1e-3, paths=2_000, seed=1))
     assert est.exit_fraction == 1.0
     assert est.mean(1) <= 0.05 + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# path consistency
-# ---------------------------------------------------------------------------
-
-
-def test_path_consistency_zero_for_polynomial_model():
-    model = brownian()
-    am = augment(model)
-    dev = path_consistency(model, am, McConfig(dt=1e-3, paths=50, seed=4))
-    assert dev == 0.0
-
-
-def test_path_consistency_trig_small_and_dt_convergent():
-    # the trig argument here carries diffusion, so the coupling error is
-    # O(sqrt(dt)): expect a 1/sqrt(2) cut per halving, within noise
-    model = trig_system()
-    am = augment(model)
-    devs = path_consistency_ladder(
-        model, am, McConfig(dt=1e-3, paths=100, seed=9),
-        [1e-3, 5e-4, 2.5e-4, 1.25e-4], t_max=1.0)
-    assert devs[1] <= 0.85 * devs[0]
-    assert devs[2] <= 0.85 * devs[1]
-    assert devs[3] <= 0.05
-    # C sqrt(dt) bound with a stable constant
-    cs = [d / (dt ** 0.5) for d, dt in zip(devs, (1e-3, 5e-4, 2.5e-4, 1.25e-4))]
-    assert max(cs) <= 3 * min(cs)
-
-
-def test_path_consistency_spring_halves_with_dt():
-    # spring position (the trig argument) is noise-free, so the coupling
-    # error is O(dt) and halving dt halves the deviation
-    model = spring()
-    am = augment(model)
-    devs = path_consistency_ladder(
-        model, am, McConfig(dt=1e-3, paths=100, seed=8),
-        [1e-3, 5e-4, 2.5e-4], t_max=1.0)
-    assert devs[0] <= 0.05
-    assert devs[1] <= 0.6 * devs[0]
-    assert devs[2] <= 0.6 * devs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -11,18 +12,14 @@ from exitmoment.expr import (
     Polynomial,
     count_upto,
     enumerate_multi_indices,
-    graded_lex_rank,
     graded_lex_ranks,
+    mi_add,
     parse_polynomial,
 )
 from exitmoment.momentproblem import (
-    LocalizingMap,
-    MomentIndexMap,
     _psd_block,
     assemble,
     boundary_product,
-    build_localizing_map,
-    build_moment_map,
     build_moment_problem,
     lower_to_conic,
     reduced_boundary_equalities,
@@ -67,22 +64,67 @@ ASSEMBLY_CASES = {
 
 
 # ---------------------------------------------------------------------------
-# moment index maps
+# moment and localizing matrices
 # ---------------------------------------------------------------------------
 
 
+def graded_lex_rank(alpha):
+    """Reference rank, counted term by term: the indices of lower degree,
+    then those of the same degree with a larger exponent in the first
+    position where they differ (``graded_lex_ranks`` is its closed form)."""
+    n, deg = len(alpha), sum(alpha)
+    rank = count_upto(n, deg - 1) if deg > 0 else 0
+    rem = deg
+    for pos in range(n - 1):
+        tail = n - pos - 1
+        for lead in range(rem, alpha[pos], -1):
+            # same-degree indices of ``tail`` variables with degree rem - lead
+            rank += math.comb(tail + rem - lead - 1, rem - lead)
+        rem -= alpha[pos]
+    return rank
+
+
+def entries(q, basis, i, j):
+    """Reference entry (i, j) of the localizing matrix of q over ``basis``:
+    one (coefficient, rank) per term, term alpha on the variable ranked
+    rank(basis[i] + basis[j] + alpha)."""
+    beta = mi_add(basis[i], basis[j])
+    return [(coef, graded_lex_rank(mi_add(beta, alpha))) for alpha, coef in q.items()]
+
+
+def localizing_block(q, nvars, basis_degree):
+    """``_psd_block`` of q over the basis of the given degree, on as many
+    variables as its targets need, and that basis as a list."""
+    basis = enumerate_multi_indices(nvars, basis_degree)
+    count = count_upto(nvars, 2 * basis_degree + max(q.degree(), 0))
+    block = _psd_block("q", q, np.array(basis, dtype=np.int64), 0, count, count)
+    return block, basis
+
+
+def moment_matrix_of_ranks(nvars, K):
+    """M(K // 2) with z = arange: entry (i, j) is rank(basis[i] + basis[j])."""
+    block, basis = localizing_block(Polynomial.constant(nvars, 1), nvars, K // 2)
+    return block.materialize(np.arange(block.mat.shape[1], dtype=float)), basis
+
+
+def row_terms(block, p):
+    """(rank, coefficient) of svec row p of a block, by rank."""
+    row = block.mat[p]
+    return sorted(zip(row.indices.tolist(), row.data.tolist()))
+
+
 def test_moment_map_two_vars_degree_four():
-    mm = build_moment_map(2, 4)
-    assert mm.dim == 6
-    assert mm.basis == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    mm, basis = moment_matrix_of_ranks(2, 4)
+    assert mm.shape == (6, 6)
+    assert basis == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     # first row/column walks the moment sequence itself
-    for j in range(mm.dim):
-        assert mm.entry(0, j) == graded_lex_rank(mm.basis[j])
-        assert mm.entry(j, 0) == mm.entry(0, j)
-    # displayed reference entries: M(1,1)=m20, M(3,5)=m22
-    assert mm.entry_index(1, 1) == (2, 0)
-    assert mm.entry_index(1, 2) == (1, 1)
-    assert mm.entry_index(3, 5) == (2, 2)
+    for j in range(6):
+        assert mm[0, j] == graded_lex_rank(basis[j])
+        assert mm[j, 0] == mm[0, j]
+    # displayed reference entries: M(1,1)=m20, M(1,2)=m11, M(3,5)=m22
+    assert mm[1, 1] == graded_lex_rank((2, 0))
+    assert mm[1, 2] == graded_lex_rank((1, 1))
+    assert mm[3, 5] == graded_lex_rank((2, 2))
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
@@ -95,41 +137,36 @@ def test_array_rank_matches_graded_lex_rank(nvars):
 
 
 def test_moment_map_trivial():
-    mm = build_moment_map(1, 0)
-    assert mm.dim == 1
-    assert mm.entry(0, 0) == 0
+    mm, basis = moment_matrix_of_ranks(1, 0)
+    assert basis == [(0,)]
+    assert mm.tolist() == [[0.0]]
 
 
 def test_moment_map_exhaustive_three_vars():
-    mm = build_moment_map(3, 6)
-    for i in range(mm.dim):
-        for j in range(mm.dim):
-            expected = tuple(a + b for a, b in zip(mm.basis[i], mm.basis[j]))
-            assert mm.entry(i, j) == graded_lex_rank(expected)
-            assert mm.entry(i, j) == mm.entry(j, i)
+    mm, basis = moment_matrix_of_ranks(3, 6)
+    for i in range(len(basis)):
+        for j in range(len(basis)):
+            assert mm[i, j] == graded_lex_rank(mi_add(basis[i], basis[j]))
+            assert mm[i, j] == mm[j, i]
 
 
 def test_localizing_map_reference_example():
-    q = parse_polynomial("1 + x^2 + x^4", ["x"])
-    loc = build_localizing_map(q, 2, 6)  # nvars=2: (x, t); use 1-d instead
-    q1 = parse_polynomial("1 + x^2 + x^4", ["x"])
-    # the displayed 1-d case
-    loc = build_localizing_map(Polynomial(1, {(0,): 1, (2,): 1, (4,): 1}), 1, 6)
-    assert loc.dim == 2
-    ranks = lambda i, j: sorted(r for _, r in loc.entries(i, j))
-    assert ranks(0, 0) == [0, 2, 4]
-    assert ranks(0, 1) == [1, 3, 5]
-    assert ranks(1, 1) == [2, 4, 6]
-    assert all(c == 1 for c, _ in loc.entries(0, 0))
+    # the displayed 1-d case: q = 1 + x^2 + x^4 over the basis (1, x)
+    block, _ = localizing_block(
+        Polynomial(1, {(0,): 1, (2,): 1, (4,): 1}), 1, 1)
+    assert block.dim == 2
+    # svec rows are the entries (0, 0), (0, 1), (1, 1)
+    assert row_terms(block, 0) == [(0, 1.0), (2, 1.0), (4, 1.0)]
+    assert row_terms(block, 1) == [(1, 1.0), (3, 1.0), (5, 1.0)]
+    assert row_terms(block, 2) == [(2, 1.0), (4, 1.0), (6, 1.0)]
 
 
 def test_localizing_map_with_unit_polynomial_degenerates():
-    mm = build_moment_map(2, 4)
-    loc = build_localizing_map(Polynomial.constant(2, 1), 2, 4)
-    assert loc.dim == mm.dim
-    for i in range(mm.dim):
-        for j in range(mm.dim):
-            assert loc.entries(i, j) == [(Fraction(1), mm.entry(i, j))]
+    block, basis = localizing_block(Polynomial.constant(2, 1), 2, 2)
+    iu, ju = np.triu_indices(len(basis))
+    for p, (i, j) in enumerate(zip(iu, ju)):
+        assert row_terms(block, p) == [
+            (graded_lex_rank(mi_add(basis[i], basis[j])), 1.0)]
 
 
 def test_localizing_map_matches_symbolic_expansion():
@@ -139,28 +176,13 @@ def test_localizing_map_matches_symbolic_expansion():
     q = Polynomial(2, {a: c for a, c in terms.items() if c})
     if q.is_zero():
         q = Polynomial(2, {(1, 0): 1})
-    loc = build_localizing_map(q, 2, 4)
-    for i in range(loc.dim):
-        for j in range(loc.dim):
-            beta = loc.base.entry_index(i, j)
-            expansion = q * Polynomial.monomial(2, beta)
-            expected = sorted(
-                (graded_lex_rank(a), c) for a, c in expansion.terms.items())
-            got = sorted((r, c) for c, r in loc.entries(i, j))
-            assert got == expected
-
-
-def test_localizing_map_degree_guard():
-    q = Polynomial(1, {(4,): 1})
-    with pytest.raises(ValueError):
-        build_localizing_map(q, 1, 3)
-
-
-def test_localizing_references_stay_within_k_by_default():
-    q = Polynomial(2, {(1, 0): 1, (0, 0): 1})
-    for K in (2, 3, 4, 7):
-        loc = build_localizing_map(q, 2, K)
-        assert loc.max_referenced_degree() <= K
+    block, basis = localizing_block(q, 2, 2)
+    iu, ju = np.triu_indices(len(basis))
+    for p, (i, j) in enumerate(zip(iu, ju)):
+        expansion = q * Polynomial.monomial(2, mi_add(basis[i], basis[j]))
+        expected = sorted(
+            (graded_lex_rank(a), float(c)) for a, c in expansion.terms.items())
+        assert row_terms(block, p) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +263,7 @@ def test_reduced_equalities_match_pair_loop(case):
     mp = build_moment_problem(model, "reduced", K, 1, "max")
     expected = pair_loop_boundary_equalities(mp.qprime, model.total_dim,
                                              K // 2)
-    got = reduced_boundary_equalities(mp.qprime, model.total_dim, K,
-                                      basis_degree=K // 2)
+    got = reduced_boundary_equalities(mp.qprime, model.total_dim, K)
     assert got == expected
     assert [list(r) for r in got] == [list(r) for r in expected]
     assert mp.boundary_equalities == expected
@@ -385,13 +406,13 @@ def test_psd_block_materialization_is_symmetric():
         assert np.array_equal(mat, mat.T)
 
 
-def per_entry_block(loc: LocalizingMap, offset: int, num_vars: int):
-    """Reference lowering of one block through ``LocalizingMap.entries``."""
+def per_entry_block(q, basis, offset: int, num_vars: int):
+    """Reference lowering of one block through ``entries``."""
     rows, cols, vals = [], [], []
     pos = 0
-    for i in range(loc.dim):
-        for j in range(i, loc.dim):
-            for coef, rank in loc.entries(i, j):
+    for i in range(len(basis)):
+        for j in range(i, len(basis)):
+            for coef, rank in entries(q, basis, i, j):
                 rows.append(pos)
                 cols.append(offset + rank)
                 vals.append(float(coef))
@@ -418,7 +439,6 @@ def test_lowering_matches_per_entry_reference(case, variant):
     program = lower_to_conic(mp)
     num_m = len(mp.m_indices)
     num_vars = program.num_vars
-    base = MomentIndexMap(n, K, mp.moment_basis)
     polys = [(Polynomial.constant(n, 1), 0), (Polynomial.constant(n, 1), num_m)]
     polys += [(q, 0) for q in mp.interior_polys]
     if variant == "original":
@@ -427,7 +447,7 @@ def test_lowering_matches_per_entry_reference(case, variant):
     assert len(program.blocks) == len(polys)
     for block, (q, offset) in zip(program.blocks, polys):
         assert_same_csr(block.mat,
-                        per_entry_block(LocalizingMap(q, base), offset, num_vars))
+                        per_entry_block(q, mp.moment_basis, offset, num_vars))
 
     # equalities lowered from the pair-loop boundary rows
     ref_rows = (pair_loop_boundary_equalities(mp.qprime, n, K // 2)
@@ -442,12 +462,12 @@ def test_lowering_matches_per_entry_reference(case, variant):
 
 
 def test_block_target_outside_the_variables_raises():
-    base = MomentIndexMap(1, 2, enumerate_multi_indices(1, 1))
-    loc = LocalizingMap(Polynomial(1, {(1,): 1}), base)
+    basis = np.array(enumerate_multi_indices(1, 1), dtype=np.int64)
+    q = Polynomial(1, {(1,): 1})
     # targets reach degree 3: four variables hold them, three do not
-    assert _psd_block("q", loc, 0, 4, 4).mat.shape == (3, 4)
+    assert _psd_block("q", q, basis, 0, 4, 4).mat.shape == (3, 4)
     with pytest.raises(KeyError):
-        _psd_block("q", loc, 0, 3, 4)
+        _psd_block("q", q, basis, 0, 3, 4)
 
 
 def test_moment_problem_records_dropped_rows():
