@@ -112,7 +112,6 @@ class AugmentedModel:
     """
 
     names: list
-    n_base: int
     time_index: int
     atoms: list                 # TrigAtom per appended state
     d: int
@@ -279,7 +278,6 @@ def augment_sinusoids(model: SdeModel) -> AugmentedModel:
 
     return AugmentedModel(
         names=names,
-        n_base=model.n,
         time_index=model.n,
         atoms=atoms,
         d=model.d,
@@ -379,7 +377,6 @@ def scale_model(model: AugmentedModel, scales=None) -> AugmentedModel:
     x0 = [v / float(s) for v, s in zip(model.x0, scales)]
     scaled = AugmentedModel(
         names=list(model.names),
-        n_base=model.n_base,
         time_index=model.time_index,
         atoms=list(model.atoms),
         d=model.d,

@@ -52,10 +52,10 @@ def main(argv=None) -> int:
         sde = SdeModel.from_strings(args.names, args.drift, args.diffusion,
                                     args.x0, args.horizon, args.safe)
         settings = SolverSettings(max_iters=args.max_iters)
+        model = scale_model(augment(sde))
+        program = assemble(model, args.variant, args.K, args.order, args.sense)
     except ValueError as exc:  # unreadable model or out-of-range setting
         parser.error(str(exc))
-    model = scale_model(augment(sde))
-    program = assemble(model, args.variant, args.K, args.order, args.sense)
     res = solve(program, settings)
     optimal = res.status == "optimal"
     print(json.dumps({

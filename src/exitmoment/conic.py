@@ -81,8 +81,6 @@ class SolveResult:
     primal_residual: float
     dual_residual: float
     iterations: int
-    moments_m: np.ndarray
-    moments_b: np.ndarray
     z: np.ndarray
     solve_time: float
     # (iteration, max(primal, dual) residual, rho) at every check
@@ -271,8 +269,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
         return SolveResult(
             status="numerical_failure", objective=float("nan"),
             primal_residual=float("inf"), dual_residual=float("inf"),
-            iterations=0, moments_m=np.zeros(0), moments_b=np.zeros(0),
-            z=np.zeros(n), solve_time=time.time() - t0,
+            iterations=0, z=np.zeros(n), solve_time=time.time() - t0,
             message=f"KKT factorization failed: {exc}")
 
     rho = settings.rho
@@ -294,7 +291,6 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     sqrt_cone = math.sqrt(max(n_cone, 1))
     sqrt_n = math.sqrt(max(n, 1))
     sqrt_eq = math.sqrt(max(m_eq, 1))
-    num_m = program.meta.get("num_m", n)
 
     try:
         for it in range(1, settings.max_iters + 1):
@@ -377,8 +373,6 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
         primal_residual=r_prim,
         dual_residual=r_dual,
         iterations=it,
-        moments_m=z[:num_m],
-        moments_b=z[num_m:],
         z=z,
         solve_time=time.time() - t0,
         residual_history=history,

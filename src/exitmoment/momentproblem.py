@@ -16,8 +16,16 @@ reproduce one entry at a time:
 * PSD block triplets run row-major over the upper triangle
   (``np.triu_indices(d)``: i <= j, svec position p), and within one entry
   over the polynomial's terms in graded lex order (``Polynomial.items``).
-* Reduced boundary rows come one per distinct beta = basis[i] + basis[j],
-  in order of first appearance in that same upper-triangle traversal.
+* The reduced variant's boundary equalities are the rows of the boundary
+  localizing matrix M(q' b) at the positions where a distinct
+  beta = basis[i] + basis[j] first appears in that same upper-triangle
+  traversal, in traversal order, each with right-hand side 0.
+
+No two equality rows are proportional, so none is dropped: martingale
+row k is the only row on exit moment b_k; a boundary row holds only
+exit moments, at least two of them (q' has the factor T - t, and the
+graded lex leading and trailing terms of a product cannot cancel), on
+the support of q' shifted by the row's own beta.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .augment import AugmentedModel
-from .expr import Polynomial, enumerate_multi_indices, graded_lex_ranks
+from .expr import Polynomial, count_upto, enumerate_multi_indices, graded_lex_ranks
 from .generator import emit_all_rows
 
 
@@ -44,35 +52,6 @@ def boundary_product(safe_polys) -> Polynomial:
     if out.is_zero():
         raise ValueError("degenerate zero boundary polynomial")
     return out
-
-
-def reduced_boundary_equalities(qprime: Polynomial, nvars: int, K: int) -> list:
-    """Scalar equalities 'sum_alpha q'_alpha b_{beta(i,j)+alpha} = 0'.
-
-    One row per distinct beta = basis[i] + basis[j] (i <= j), in order of
-    first appearance in the row-major upper-triangle traversal of the
-    moment-matrix basis of degree K // 2.  Distinct betas shift the
-    support of q' to distinct sets, so no two rows are proportional.  Rows come back as
-    dicts mapping exit-moment multi-indices to rational coefficients,
-    keyed in the graded lex order of the terms of q'.
-    """
-    degq = qprime.degree()
-    if degq < 0:
-        raise ValueError("degenerate zero boundary polynomial")
-    if degq > K:
-        raise ValueError(
-            f"deg(q') = {degq} exceeds K = {K}: moment sequence too short "
-            "for the reduced boundary formulation")
-    basis = np.array(enumerate_multi_indices(nvars, K // 2), dtype=np.int64)
-    iu, ju = np.triu_indices(len(basis))
-    betas = basis[iu] + basis[ju]
-    _, first = np.unique(betas, axis=0, return_index=True)
-    betas = betas[np.sort(first)]
-    terms = qprime.items()
-    alphas = np.array([alpha for alpha, _ in terms], dtype=np.int64)
-    coefs = [coef for _, coef in terms]
-    targets = (betas[:, None, :] + alphas[None, :, :]).tolist()
-    return [dict(zip(map(tuple, row), coefs)) for row in targets]
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +109,11 @@ class MomentProblem:
     sense: str
     rows: list                     # MartingaleRow
     dropped_rows: list
-    m_indices: list
-    b_indices: list
+    num_m: int                     # occupation moments, degree <= K_m
+    num_b: int                     # exit moments, degree <= K_b
     moment_basis: list             # degree <= K // 2
     interior_polys: list
     qprime: Polynomial
-    boundary_equalities: list      # reduced variant only
-    num_boundary_blocks: int       # original variant only
 
     @property
     def n_q(self) -> int:
@@ -167,33 +144,40 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
     # keeping it would let the start-state point mass satisfy every
     # boundary constraint (collapsing the minimization to zero)
     qprime = boundary_product(model.exit_polys)
+    if variant == "reduced" and qprime.degree() > K:
+        raise ValueError(
+            f"deg(q') = {qprime.degree()} exceeds K = {K}: moment sequence "
+            "too short for the reduced boundary formulation")
 
     half = K // 2
-    basis = enumerate_multi_indices(n, half)
-
     max_int_deg = max((q.degree() for q in interior), default=0)
-    K_m = max(K, 2 * half + max_int_deg)
-    K_b = max(K, 2 * half + qprime.degree())
-    m_indices = enumerate_multi_indices(n, K_m)
-    b_indices = enumerate_multi_indices(n, K_b)
-
-    boundary_eqs = []
-    n_boundary_blocks = 0
-    if variant == "reduced":
-        boundary_eqs = reduced_boundary_equalities(qprime, n, K)
-    else:
-        # one (q', -q') pair of boundary localizing blocks per safe-set
-        # polynomial, mirroring the 2 N_q boundary accounting
-        n_boundary_blocks = 2 * len(interior)
-
     return MomentProblem(
         model=model, variant=variant, K=K, moment_order=moment_order,
         sense=sense, rows=rows, dropped_rows=dropped,
-        m_indices=m_indices, b_indices=b_indices, moment_basis=basis,
+        num_m=count_upto(n, max(K, 2 * half + max_int_deg)),
+        num_b=count_upto(n, max(K, 2 * half + qprime.degree())),
+        moment_basis=enumerate_multi_indices(n, half),
         interior_polys=interior, qprime=qprime,
-        boundary_equalities=boundary_eqs,
-        num_boundary_blocks=n_boundary_blocks,
     )
+
+
+def _ranks(targets: np.ndarray, count) -> np.ndarray:
+    """Graded lex ranks of the rows of ``targets``; a target ranked at or
+    beyond its ``count`` (a scalar or one per row) has no variable and
+    raises KeyError."""
+    ranks = graded_lex_ranks(targets)
+    outside = ranks >= count
+    if outside.any():
+        raise KeyError(tuple(targets[np.argmax(outside)].tolist()))
+    return ranks
+
+
+def _first_appearances(basis: np.ndarray) -> np.ndarray:
+    """Sorted svec positions at which each distinct basis[i] + basis[j]
+    first appears in the ``np.triu_indices`` traversal."""
+    iu, ju = np.triu_indices(len(basis))
+    _, first = np.unique(basis[iu] + basis[ju], axis=0, return_index=True)
+    return np.sort(first)
 
 
 def _psd_block(label: str, poly: Polynomial, basis: np.ndarray, offset: int,
@@ -213,13 +197,10 @@ def _psd_block(label: str, poly: Polynomial, basis: np.ndarray, offset: int,
     alphas = np.array([alpha for alpha, _ in terms], dtype=np.int64)
     targets = ((basis[iu] + basis[ju])[:, None, :]
                + alphas[None, :, :]).reshape(-1, basis.shape[1])
-    ranks = graded_lex_ranks(targets)
-    outside = ranks >= count
-    if outside.any():
-        raise KeyError(tuple(targets[np.argmax(outside)].tolist()))
     mat = sp.csr_matrix(
         (np.tile([float(coef) for _, coef in terms], len(iu)),
-         (np.repeat(np.arange(len(iu)), len(terms)), offset + ranks)),
+         (np.repeat(np.arange(len(iu)), len(terms)),
+          offset + _ranks(targets, count))),
         shape=(len(iu), num_vars),
     )
     mat.sum_duplicates()
@@ -228,45 +209,21 @@ def _psd_block(label: str, poly: Polynomial, basis: np.ndarray, offset: int,
 
 def lower_to_conic(mp: MomentProblem) -> ConicProgram:
     n = mp.model.total_dim
-    num_m = len(mp.m_indices)
-    num_b = len(mp.b_indices)
-    m_of = {alpha: i for i, alpha in enumerate(mp.m_indices)}
-    b_of = {alpha: num_m + i for i, alpha in enumerate(mp.b_indices)}
+    num_m, num_b = mp.num_m, mp.num_b
     num_vars = num_m + num_b
 
-    # -- equality rows, deduplicated on exact rational patterns ----------
-    patterns = set()
-    eq_rows = []
-    eq_rhs = []
-
-    def push(coeffs: dict, rhs):
-        if not coeffs:
-            return
-        items = sorted(coeffs.items())
-        lead = items[0][1]
-        pattern = tuple((v, c / lead) for v, c in items) + (float(rhs) / float(lead),)
-        if pattern in patterns:
-            return
-        patterns.add(pattern)
-        eq_rows.append(items)
-        eq_rhs.append(float(rhs))
-
-    for row in mp.rows:
-        coeffs = {m_of[j]: c for j, c in row.interior_coeffs.items()}
-        coeffs[b_of[row.test_index]] = Fraction(-1)
-        push(coeffs, -Fraction(row.constant).limit_denominator(10**15))
-    for eq in mp.boundary_equalities:
-        push({b_of[j]: c for j, c in eq.items()}, Fraction(0))
-
-    rows_ix, cols_ix, vals = [], [], []
-    for r, items in enumerate(eq_rows):
-        for v, c in items:
-            rows_ix.append(r)
-            cols_ix.append(v)
-            vals.append(float(c))
-    a_eq = sp.csr_matrix((vals, (rows_ix, cols_ix)),
-                         shape=(len(eq_rows), num_vars))
-    rhs = np.array(eq_rhs)
+    # -- martingale rows: sum_j c_j m_j - b_k = -x0^k ---------------------
+    # entries: every interior multi-index (on m), then every test index (on b)
+    entries = [(r, j, float(c)) for r, row in enumerate(mp.rows)
+               for j, c in row.interior_coeffs.items()]
+    entries += [(r, row.test_index, -1.0) for r, row in enumerate(mp.rows)]
+    rows_ix, targets, vals = zip(*entries)
+    on_b = np.arange(len(entries)) >= len(entries) - len(mp.rows)
+    ranks = _ranks(np.array(targets, dtype=np.int64), np.where(on_b, num_b, num_m))
+    martingale = sp.csr_matrix((vals, (rows_ix, ranks + num_m * on_b)),
+                               shape=(len(mp.rows), num_vars))
+    rhs = [float(-Fraction(row.constant).limit_denominator(10**15))
+           for row in mp.rows]
 
     # -- PSD blocks -------------------------------------------------------
     one = Polynomial.constant(n, 1)
@@ -276,17 +233,27 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
     blocks = [_psd_block("M(m)", one, *m_range), _psd_block("M(b)", one, *b_range)]
     for idx, q in enumerate(mp.interior_polys):
         blocks.append(_psd_block(f"M(q{idx} m)", q, *m_range))
+    boundary = _psd_block("M(q' b)", mp.qprime, *b_range)
     if mp.variant == "original":
-        for idx in range(len(mp.interior_polys)):
-            blocks.append(_psd_block(f"M(+q' b)#{idx}", mp.qprime, *b_range))
-            blocks.append(_psd_block(f"M(-q' b)#{idx}", -mp.qprime, *b_range))
+        # one (q', -q') pair per safe-set polynomial, mirroring the 2 N_q
+        # boundary accounting
+        negated = -boundary.mat
+        for idx in range(mp.n_q):
+            blocks += [PsdBlock(f"M(+q' b)#{idx}", boundary.dim, boundary.mat),
+                       PsdBlock(f"M(-q' b)#{idx}", boundary.dim, negated)]
+        a_eq = martingale
+    else:
+        # every distinct entry of M(q' b) vanishes
+        rows = boundary.mat[_first_appearances(basis)]
+        a_eq = sp.vstack([martingale, rows], format="csr")
+        rhs += [0.0] * rows.shape[0]
 
     # -- objective --------------------------------------------------------
     obj_index = tuple(
         mp.moment_order - 1 if i == mp.model.time_index else 0
         for i in range(n))
     c = np.zeros(num_vars)
-    c[m_of[obj_index]] = float(mp.moment_order)
+    c[_ranks(np.array([obj_index]), num_m)[0]] = float(mp.moment_order)
 
     meta = {
         "variant": mp.variant,
@@ -296,12 +263,10 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
         "d_k": mp.d_k,
         "num_m": num_m,
         "num_b": num_b,
-        "m_indices": mp.m_indices,
-        "b_indices": mp.b_indices,
         "objective_index": obj_index,
         "dropped_rows": list(mp.dropped_rows),
     }
-    return ConicProgram(num_vars, c, mp.sense, a_eq, rhs, blocks, meta)
+    return ConicProgram(num_vars, c, mp.sense, a_eq, np.array(rhs), blocks, meta)
 
 
 def assemble(model: AugmentedModel, variant: str, K: int,

@@ -363,7 +363,8 @@ def test_cli_prints_no_bound_for_an_unconverged_solve(capsys):
 
 
 @pytest.mark.parametrize("bad", [["--drift", "0 +"], ["--max-iters", "0"],
-                                 ["--horizon", "-1"]])
+                                 ["--horizon", "-1"], ["--order", "0"],
+                                 ["--order", "9"], ["--K", "0"]])
 def test_cli_reports_bad_input_as_a_usage_error(bad, capsys):
     args = {"--names": "y", "--drift": "0", "--diffusion": "1", "--x0": "0.5",
             "--horizon": "10", "--K": "4"}

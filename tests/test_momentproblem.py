@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from exitmoment.augment import SdeModel, augment, scale_model
+from exitmoment.generator import MartingaleRow
 from exitmoment.expr import (
     Polynomial,
     count_upto,
@@ -17,12 +18,12 @@ from exitmoment.expr import (
     parse_polynomial,
 )
 from exitmoment.momentproblem import (
+    _first_appearances,
     _psd_block,
     assemble,
     boundary_product,
     build_moment_problem,
     lower_to_conic,
-    reduced_boundary_equalities,
 )
 
 
@@ -109,8 +110,14 @@ def moment_matrix_of_ranks(nvars, K):
 
 def row_terms(block, p):
     """(rank, coefficient) of svec row p of a block, by rank."""
-    row = block.mat[p]
-    return sorted(zip(row.indices.tolist(), row.data.tolist()))
+    return matrix_rows(block.mat[p])[0]
+
+
+def matrix_rows(mat):
+    """Every row of a sparse matrix as sorted (column, value) pairs."""
+    mat = mat.tocsr()
+    return [sorted(zip(mat.indices[a:b].tolist(), mat.data[a:b].tolist()))
+            for a, b in zip(mat.indptr[:-1], mat.indptr[1:])]
 
 
 def test_moment_map_two_vars_degree_four():
@@ -220,13 +227,25 @@ def test_boundary_product_empty_rejected():
         boundary_product([])
 
 
+def boundary_rows(qprime, nvars, K):
+    """The reduced boundary rows: the rows of ``_psd_block`` of q' over the
+    basis of degree K // 2 at ``_first_appearances``, as ``row_terms``."""
+    block, basis = localizing_block(qprime, nvars, K // 2)
+    return matrix_rows(
+        block.mat[_first_appearances(np.array(basis, dtype=np.int64))])
+
+
+def as_terms(row: dict, offset: int = 0):
+    """A multi-index -> coefficient row as sorted (variable, float) pairs."""
+    return sorted((offset + graded_lex_rank(a), float(c)) for a, c in row.items())
+
+
 def test_reduced_equalities_frozen_interval_example():
     qprime = Polynomial(1, {(1,): 1, (2,): -1})  # x - x^2
-    rows = reduced_boundary_equalities(qprime, 1, 2)
-    assert rows == [
-        {(1,): Fraction(1), (2,): Fraction(-1)},
-        {(2,): Fraction(1), (3,): Fraction(-1)},
-        {(3,): Fraction(1), (4,): Fraction(-1)},
+    assert boundary_rows(qprime, 1, 2) == [
+        [(1, 1.0), (2, -1.0)],
+        [(2, 1.0), (3, -1.0)],
+        [(3, 1.0), (4, -1.0)],
     ]
 
 
@@ -263,42 +282,59 @@ def test_reduced_equalities_match_pair_loop(case):
     mp = build_moment_problem(model, "reduced", K, 1, "max")
     expected = pair_loop_boundary_equalities(mp.qprime, model.total_dim,
                                              K // 2)
-    got = reduced_boundary_equalities(mp.qprime, model.total_dim, K)
-    assert got == expected
-    assert [list(r) for r in got] == [list(r) for r in expected]
-    assert mp.boundary_equalities == expected
+    assert boundary_rows(mp.qprime, model.total_dim, K) == [
+        as_terms(row) for row in expected]
+    # the program's equalities end with them, on the exit moments
+    a_eq = lower_to_conic(mp).a_eq
+    assert matrix_rows(a_eq[len(mp.rows):]) == [
+        as_terms(row, mp.num_m) for row in expected]
+
+
+@pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+def test_reduced_rows_are_the_distinct_rows_of_the_boundary_block(case):
+    make_model, K = ASSEMBLY_CASES[case]
+    model = make_model()
+    reduced = build_moment_problem(model, "reduced", K, 1, "max")
+    original = assemble(model, "original", K, 1, "max")
+    (block,) = [b for b in original.blocks if b.label == "M(+q' b)#0"]
+    distinct = []
+    for row in matrix_rows(block.mat):
+        if row not in distinct:
+            distinct.append(row)
+    assert matrix_rows(lower_to_conic(reduced).a_eq[len(reduced.rows):]) == distinct
 
 
 def test_reduced_equalities_zero_polynomial_rejected():
     with pytest.raises(ValueError):
-        reduced_boundary_equalities(Polynomial.zero(1), 1, 4)
+        boundary_product([Polynomial.zero(1)])
 
 
 def test_reduced_equalities_degree_guard():
-    qprime = Polynomial(1, {(6,): 1})
-    with pytest.raises(ValueError):
-        reduced_boundary_equalities(qprime, 1, 4)
+    # q' = y (1 - y) (1 - t) has degree 3
+    model = box_model(2)
+    with pytest.raises(ValueError, match="exceeds K = 2"):
+        assemble(model, "reduced", 2, 1, "max")
+    assert assemble(model, "original", 2, 1, "max").blocks
 
 
 def test_reduced_equalities_hold_for_two_point_exit_law():
-    # exit measure p*delta_1 + (1-p)*delta_0 gives b_k = p for k >= 1
+    # exit measure p*delta_1 + (1-p)*delta_0 gives b_k = p for k >= 1;
+    # in one variable the rank of x^k is k
     qprime = Polynomial(1, {(1,): 1, (2,): -1})
-    rows = reduced_boundary_equalities(qprime, 1, 6)
     p = 0.37
 
     def b(k):
         return 1.0 if k == 0 else p
 
-    for row in rows:
-        total = sum(float(c) * b(sum(alpha)) for alpha, c in row.items())
+    for row in boundary_rows(qprime, 1, 6):
+        total = sum(c * b(k) for k, c in row)
         assert total == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reduced_equalities_deduplicate_patterns():
     qprime = Polynomial(1, {(1,): 1, (2,): -1})
-    rows = reduced_boundary_equalities(qprime, 1, 6)
     # basis degree 3 gives beta in 0..6, one row per distinct beta
-    assert len(rows) == 7
+    assert len(boundary_rows(qprime, 1, 6)) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +382,7 @@ def test_objective_higher_order_scaling():
     model = box_model(2)
     program = assemble(model, "reduced", 6, 3, "max")
     (nz,) = np.nonzero(program.objective)
-    idx = program.meta["m_indices"][nz[0]]
+    idx = enumerate_multi_indices(model.total_dim, 6)[nz[0]]
     assert idx == (0, 2)  # t-exponent n-1
     assert program.objective[nz[0]] == 3.0
 
@@ -422,6 +458,42 @@ def per_entry_block(q, basis, offset: int, num_vars: int):
     return mat
 
 
+def dict_lowering(mp):
+    """Reference lowering of the equalities: moments mapped to variables
+    through dicts over the enumerated multi-indices, the pair-loop boundary
+    rows, and every row dropped whose exact normalized pattern came before."""
+    n, half = mp.model.total_dim, mp.K // 2
+    max_int_deg = max((q.degree() for q in mp.interior_polys), default=0)
+    m_indices = enumerate_multi_indices(n, max(mp.K, 2 * half + max_int_deg))
+    b_indices = enumerate_multi_indices(n, max(mp.K, 2 * half + mp.qprime.degree()))
+    assert (len(m_indices), len(b_indices)) == (mp.num_m, mp.num_b)
+    m_of = {alpha: i for i, alpha in enumerate(m_indices)}
+    b_of = {alpha: mp.num_m + i for i, alpha in enumerate(b_indices)}
+    patterns, eq_rows, eq_rhs = set(), [], []
+
+    def push(coeffs: dict, rhs):
+        items = sorted(coeffs.items())
+        lead = items[0][1]
+        pattern = tuple((v, c / lead) for v, c in items) + (float(rhs) / float(lead),)
+        if pattern not in patterns:
+            patterns.add(pattern)
+            eq_rows.append(items)
+            eq_rhs.append(float(rhs))
+
+    for row in mp.rows:
+        coeffs = {m_of[j]: c for j, c in row.interior_coeffs.items()}
+        coeffs[b_of[row.test_index]] = Fraction(-1)
+        push(coeffs, -Fraction(row.constant).limit_denominator(10**15))
+    if mp.variant == "reduced":
+        for eq in pair_loop_boundary_equalities(mp.qprime, n, half):
+            push({b_of[j]: c for j, c in eq.items()}, Fraction(0))
+    triplets = [(r, v, float(c)) for r, items in enumerate(eq_rows) for v, c in items]
+    rows, cols, vals = zip(*triplets)
+    a_eq = sp.csr_matrix((vals, (rows, cols)),
+                         shape=(len(eq_rows), mp.num_m + mp.num_b))
+    return a_eq, np.array(eq_rhs)
+
+
 def assert_same_csr(got, expected):
     assert got.shape == expected.shape
     for name in ("indptr", "indices", "data"):
@@ -437,7 +509,7 @@ def test_lowering_matches_per_entry_reference(case, variant):
     n = model.total_dim
     mp = build_moment_problem(model, variant, K, 2, "min")
     program = lower_to_conic(mp)
-    num_m = len(mp.m_indices)
+    num_m = mp.num_m
     num_vars = program.num_vars
     polys = [(Polynomial.constant(n, 1), 0), (Polynomial.constant(n, 1), num_m)]
     polys += [(q, 0) for q in mp.interior_polys]
@@ -449,13 +521,9 @@ def test_lowering_matches_per_entry_reference(case, variant):
         assert_same_csr(block.mat,
                         per_entry_block(q, mp.moment_basis, offset, num_vars))
 
-    # equalities lowered from the pair-loop boundary rows
-    ref_rows = (pair_loop_boundary_equalities(mp.qprime, n, K // 2)
-                if variant == "reduced" else [])
-    reference = lower_to_conic(
-        dataclasses.replace(mp, boundary_equalities=ref_rows))
-    assert_same_csr(program.a_eq, reference.a_eq)
-    assert np.array_equal(program.rhs, reference.rhs)
+    a_eq, rhs = dict_lowering(mp)
+    assert_same_csr(program.a_eq, a_eq)
+    assert np.array_equal(program.rhs, rhs)
     expected_c = np.zeros(num_vars)
     expected_c[graded_lex_rank(program.meta["objective_index"])] = 2.0
     assert np.array_equal(program.objective, expected_c)
@@ -468,6 +536,21 @@ def test_block_target_outside_the_variables_raises():
     assert _psd_block("q", q, basis, 0, 4, 4).mat.shape == (3, 4)
     with pytest.raises(KeyError):
         _psd_block("q", q, basis, 0, 3, 4)
+
+
+@pytest.mark.parametrize("row, key", [
+    # an exit moment beyond the num_b exit variables (degree <= 7)
+    (MartingaleRow((0, 8), {}, 1.0), (0, 8)),
+    # an occupation moment beyond the num_m occupation variables (degree
+    # <= 5), though within the exit moments' range
+    (MartingaleRow((0, 0), {(0, 6): Fraction(1)}, 1.0), (0, 6)),
+])
+def test_row_target_outside_the_variables_raises(row, key):
+    mp = build_moment_problem(box_model(2), "reduced", 4, 1, "max")
+    assert (mp.num_m, mp.num_b) == (count_upto(2, 5), count_upto(2, 7))
+    with pytest.raises(KeyError) as exc:
+        lower_to_conic(dataclasses.replace(mp, rows=[row]))
+    assert exc.value.args[0] == key
 
 
 def test_moment_problem_records_dropped_rows():

@@ -1,0 +1,64 @@
+"""Bit-identity of the assembled benchmark programs.
+
+Each digest is the first 16 hex characters of the sha256 of the
+equality matrix (indptr, indices, data), the right-hand side, the
+objective and every PSD block's matrix (indptr, indices, data), in that
+order.  A refactor of the assembly that changes no program leaves every
+digest as it is; a change that means to alter a program records the new
+digests with it.
+"""
+
+import hashlib
+
+import pytest
+
+from exitmoment.augment import SdeModel, augment, scale_model
+from exitmoment.momentproblem import assemble
+
+MODELS = {
+    "brownian": dict(names=["y"], drift=["0"], diffusion=[["1"]], x0=[0.5],
+                     horizon=10.0, safe_polys=["y", "1 - y"]),
+    "pendulum": dict(names=["x", "v"], drift=["v", "-5*x - 9.81 + v*sin(x)"],
+                     diffusion=[["0"], ["1"]], x0=[-9.81 / 5, 0.0],
+                     horizon=10.0, safe_polys=["-x", "x + 2"]),
+    # two states, two noise columns, time inside a sinusoid
+    "trig2d": dict(names=["x", "y"],
+                   drift=["sin(x*y) - x", "cos(t) + 0.5*sin(2*x)"],
+                   diffusion=[["0.3 + 0.1*y", "0.2*x"], ["0.1*x*y", "0.4"]],
+                   x0=[0.1, -0.2], horizon=2.0, safe_polys=["1 - x^2 - y^2"]),
+}
+
+# (model, variant, K, moment order, digest); every program is "min"
+DIGESTS = [
+    ("brownian", "reduced", 14, 1, "14910f97eb5a2fa9"),
+    ("brownian", "reduced", 14, 2, "19910387d8469160"),
+    ("brownian", "reduced", 14, 3, "8cc439a9438263ed"),
+    ("brownian", "reduced", 14, 4, "ef3dc7eab9d5db04"),
+    ("brownian", "reduced", 14, 5, "87854862c65f53ff"),
+    ("brownian", "reduced", 14, 6, "1f1dc2604b1fb44b"),
+    ("brownian", "original", 8, 1, "d55678d259d0174f"),
+    ("pendulum", "reduced", 10, 1, "9149b4831c86b89f"),
+    ("pendulum", "reduced", 6, 1, "502428bea00423d3"),
+    ("pendulum", "original", 4, 1, "488ef46a79e4e054"),
+    ("trig2d", "reduced", 4, 1, "fca24719f586da21"),
+    ("trig2d", "original", 4, 1, "908f96cb3b2c1274"),
+]
+
+
+def digest(program) -> str:
+    h = hashlib.sha256()
+    arrays = [program.a_eq.indptr, program.a_eq.indices, program.a_eq.data,
+              program.rhs, program.objective]
+    for block in program.blocks:
+        arrays += [block.mat.indptr, block.mat.indices, block.mat.data]
+    for arr in arrays:
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "name, variant, K, order, expected", DIGESTS,
+    ids=[f"{name}-{variant}-K{K}-o{order}" for name, variant, K, order, _ in DIGESTS])
+def test_program_digest(name, variant, K, order, expected):
+    model = scale_model(augment(SdeModel.from_strings(**MODELS[name])))
+    assert digest(assemble(model, variant, K, order, "min")) == expected
