@@ -67,6 +67,8 @@ def main(argv=None) -> int:
                   if optimal else None),
         "status": res.status,
         "iterations": res.iterations,
+        "psd_blocks": res.psd_blocks,
+        "eq_rows": res.eq_rows,
         "primal_residual": res.primal_residual,
         "dual_residual": res.dual_residual,
         "aa_rejected": res.aa_rejected,

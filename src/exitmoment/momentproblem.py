@@ -16,10 +16,13 @@ reproduce one entry at a time:
 * PSD block triplets run row-major over the upper triangle
   (``np.triu_indices(d)``: i <= j, svec position p), and within one entry
   over the polynomial's terms in graded lex order (``Polynomial.items``).
-* The reduced variant's boundary equalities are the rows of the boundary
-  localizing matrix M(q' b) at the positions where a distinct
-  beta = basis[i] + basis[j] first appears in that same upper-triangle
-  traversal, in traversal order, each with right-hand side 0.
+* The reduced variant's boundary equalities are the distinct rows of the
+  boundary localizing matrix M(q' b), each where it first appears in that
+  same upper-triangle traversal, in traversal order, with right-hand
+  side 0.  ``distinct_rows`` finds them; entry (i, j) depends only on
+  beta = basis[i] + basis[j], and distinct betas give distinct rows, so
+  there is one row per distinct beta.  ``conic.presolve`` uses the same
+  helper to turn a (G, -G) block pair into equality rows.
 
 No two equality rows are proportional, so none is dropped: martingale
 row k is the only row on exit moment b_k; a boundary row holds only
@@ -130,6 +133,8 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
         raise ValueError(f"unknown variant {variant!r}")
     if sense not in ("max", "min"):
         raise ValueError(f"unknown sense {sense!r}")
+    if K < 0:
+        raise ValueError("K must be non-negative")
     if moment_order < 1:
         raise ValueError("moment order must be >= 1")
     if moment_order - 1 > K:
@@ -172,12 +177,24 @@ def _ranks(targets: np.ndarray, count) -> np.ndarray:
     return ranks
 
 
-def _first_appearances(basis: np.ndarray) -> np.ndarray:
-    """Sorted svec positions at which each distinct basis[i] + basis[j]
-    first appears in the ``np.triu_indices`` traversal."""
-    iu, ju = np.triu_indices(len(basis))
-    _, first = np.unique(basis[iu] + basis[ju], axis=0, return_index=True)
-    return np.sort(first)
+def distinct_rows(mat: sp.csr_matrix) -> np.ndarray:
+    """Sorted positions at which each distinct nonzero row of ``mat`` first
+    appears.  Rows compare bit for bit by their sorted (column, value)
+    entries, padded to the longest row; a row without a nonzero value is
+    left out."""
+    mat = mat.sorted_indices()
+    counts = np.diff(mat.indptr)
+    rows = np.repeat(np.arange(mat.shape[0]), counts)
+    slot = np.arange(mat.nnz) - mat.indptr[rows]
+    width = int(counts.max(initial=0))
+    keys = np.full((mat.shape[0], 2 * width), -1, dtype=np.int64)
+    keys[rows, slot] = mat.indices
+    keys[rows, width + slot] = mat.data.astype(np.float64).view(np.int64)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    nonzero = np.zeros(mat.shape[0], dtype=bool)
+    nonzero[rows[mat.data != 0]] = True
+    first = np.sort(first)
+    return first[nonzero[first]]
 
 
 def _psd_block(label: str, poly: Polynomial, basis: np.ndarray, offset: int,
@@ -244,7 +261,7 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
         a_eq = martingale
     else:
         # every distinct entry of M(q' b) vanishes
-        rows = boundary.mat[_first_appearances(basis)]
+        rows = boundary.mat[distinct_rows(boundary.mat)]
         a_eq = sp.vstack([martingale, rows], format="csr")
         rhs += [0.0] * rows.shape[0]
 

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -13,6 +14,7 @@ from exitmoment.conic import (
     _Anderson,
     _ruiz_equilibrate,
     _SvecBlocks,
+    presolve,
     solve,
 )
 from exitmoment.momentproblem import ConicProgram, PsdBlock, assemble
@@ -276,6 +278,89 @@ def test_anderson_solves_a_linear_contraction_in_few_steps():
 
 
 # ---------------------------------------------------------------------------
+# presolve
+# ---------------------------------------------------------------------------
+
+
+def size(program):
+    return len(program.blocks), program.a_eq.shape[0]
+
+
+def block_arrays(program):
+    return [a for b in program.blocks
+            for a in (np.array([b.dim]), b.mat.indptr, b.mat.indices, b.mat.data)]
+
+
+def program_arrays(program):
+    """Every array of a program, block dimensions included, in order."""
+    return [program.objective, program.rhs, program.a_eq.indptr,
+            program.a_eq.indices, program.a_eq.data] + block_arrays(program)
+
+
+def same_arrays(a, b):
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def equality_rows(program):
+    """The equality rows as a multiset of (columns, values, rhs)."""
+    a_eq = program.a_eq.sorted_indices()
+    bounds = zip(a_eq.indptr[:-1], a_eq.indptr[1:], program.rhs)
+    return collections.Counter(
+        (a_eq.indices[lo:hi].tobytes(), a_eq.data[lo:hi].tobytes(), float(r))
+        for lo, hi, r in bounds)
+
+
+@pytest.mark.parametrize("name, variant, K, before, after", [
+    ("brownian", "reduced", 14, (6, 240), (6, 240)),
+    ("brownian", "original", 8, (14, 45), (6, 90)),
+    ("pendulum", "reduced", 6, (10, 721), (8, 1183)),
+    ("pendulum", "original", 4, (26, 61), (8, 313)),
+], ids=["brownian-reduced-K14", "brownian-original-K8", "pendulum-reduced-K6",
+        "pendulum-original-K4"])
+def test_presolve_sizes(name, variant, K, before, after, request):
+    program = assemble(request.getfixturevalue(name), variant, K, 1, "min")
+    presolved = presolve(program)
+    assert size(program) == before and size(presolved) == after
+    if before == after:  # nothing to presolve: the program itself
+        assert presolved is program
+    # the variables do not change
+    assert presolved.num_vars == program.num_vars
+    assert presolved.objective is program.objective
+    # a second pass finds nothing more
+    assert presolve(presolved) is presolved
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_presolved_brownian_variants_are_one_program(brownian, order):
+    original = presolve(assemble(brownian, "original", 8, order, "min"))
+    reduced = presolve(assemble(brownian, "reduced", 8, order, "min"))
+    assert same_arrays(program_arrays(original), program_arrays(reduced))
+
+
+@pytest.mark.parametrize("K", [4, 6])
+def test_presolved_pendulum_variants_share_blocks_and_rows(pendulum, K):
+    original = presolve(assemble(pendulum, "original", K, 1, "min"))
+    reduced = presolve(assemble(pendulum, "reduced", K, 1, "min"))
+    assert same_arrays(block_arrays(original), block_arrays(reduced))
+    rows = equality_rows(original)
+    assert rows == equality_rows(reduced)
+    assert len(rows) == original.a_eq.shape[0]  # no row repeats
+
+
+def test_presolve_merges_repeats_and_closes_each_pair_once():
+    program = svec_program([2, 3])
+    a, b = program.blocks
+    neg_a = PsdBlock("-a", a.dim, -a.mat)
+    program.blocks = [a, neg_a, neg_a, a, b]
+    presolved = presolve(program)
+    assert len(presolved.blocks) == 1 and presolved.blocks[0] is b
+    # the three svec rows of the 2 x 2 block a, each once
+    assert (presolved.a_eq != a.mat).nnz == 0
+    assert np.array_equal(presolved.rhs, np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
@@ -291,6 +376,18 @@ def test_brownian_reduced_k8_order1_reaches_a_quarter(brownian, sense):
     assert all(len(entry) == 3 for entry in res.residual_history)
     assert res.residual_history[-1][0] == res.iterations
     assert isinstance(res.aa_rejected, int) and res.aa_rejected >= 0
+
+
+def test_original_variant_solves_the_reduced_program(brownian):
+    original = assemble(brownian, "original", 8, 1, "min")
+    res = solve(original)
+    assert res.status == "optimal"
+    assert (res.psd_blocks, res.eq_rows) == (6, 90)
+    # the dropped M(+q' b), M(-q' b) pair holds as equalities at z
+    (pair,) = [b for b in original.blocks if b.label == "M(+q' b)#0"]
+    assert np.abs(pair.mat @ res.z).max() <= SolverSettings().eps_abs
+    reduced = solve(assemble(brownian, "reduced", 8, 1, "min"))
+    assert res.objective == reduced.objective
 
 
 def test_safeguard_rejections_are_counted(brownian, monkeypatch):
@@ -340,6 +437,8 @@ def test_cli_prints_one_bound_as_json(capsys):
     assert abs(out["bound"] - 0.25) <= 1e-6
     assert out["iterations"] > 0 and out["solve_time"] > 0
     assert {"primal_residual", "dual_residual"} <= out.keys()
+    # M(m), M(b) and the four interior blocks; martingale and boundary rows
+    assert (out["psd_blocks"], out["eq_rows"]) == (6, 90)
 
 
 def test_cli_reads_division_by_a_constant(capsys):
@@ -362,9 +461,14 @@ def test_cli_prints_no_bound_for_an_unconverged_solve(capsys):
     assert out["bound"] is None
 
 
+# messages pinned for some of the bad inputs below
+USAGE_MESSAGES = {("--K", "-2"): "K must be non-negative"}
+
+
 @pytest.mark.parametrize("bad", [["--drift", "0 +"], ["--max-iters", "0"],
                                  ["--horizon", "-1"], ["--order", "0"],
-                                 ["--order", "9"], ["--K", "0"]])
+                                 ["--order", "9"], ["--K", "0"],
+                                 ["--K", "-2"]])
 def test_cli_reports_bad_input_as_a_usage_error(bad, capsys):
     args = {"--names": "y", "--drift": "0", "--diffusion": "1", "--x0": "0.5",
             "--horizon": "10", "--K": "4"}
@@ -372,4 +476,6 @@ def test_cli_reports_bad_input_as_a_usage_error(bad, capsys):
     with pytest.raises(SystemExit) as exc:
         main([token for item in args.items() for token in item])
     assert exc.value.code == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert USAGE_MESSAGES.get(tuple(bad), "") in err

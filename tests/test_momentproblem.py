@@ -18,11 +18,11 @@ from exitmoment.expr import (
     parse_polynomial,
 )
 from exitmoment.momentproblem import (
-    _first_appearances,
     _psd_block,
     assemble,
     boundary_product,
     build_moment_problem,
+    distinct_rows,
     lower_to_conic,
 )
 
@@ -228,11 +228,10 @@ def test_boundary_product_empty_rejected():
 
 
 def boundary_rows(qprime, nvars, K):
-    """The reduced boundary rows: the rows of ``_psd_block`` of q' over the
-    basis of degree K // 2 at ``_first_appearances``, as ``row_terms``."""
-    block, basis = localizing_block(qprime, nvars, K // 2)
-    return matrix_rows(
-        block.mat[_first_appearances(np.array(basis, dtype=np.int64))])
+    """The reduced boundary rows: the ``distinct_rows`` of ``_psd_block``
+    of q' over the basis of degree K // 2, as ``row_terms``."""
+    block, _ = localizing_block(qprime, nvars, K // 2)
+    return matrix_rows(block.mat[distinct_rows(block.mat)])
 
 
 def as_terms(row: dict, offset: int = 0):
@@ -335,6 +334,22 @@ def test_reduced_equalities_deduplicate_patterns():
     qprime = Polynomial(1, {(1,): 1, (2,): -1})
     # basis degree 3 gives beta in 0..6, one row per distinct beta
     assert len(boundary_rows(qprime, 1, 6)) == 7
+
+
+def test_distinct_rows_keeps_first_appearances_of_nonzero_rows():
+    mat = sp.csr_matrix(np.array([
+        [0, 0, 0],
+        [1, 2, 0],
+        [0, 0, 3],
+        [1, 2, 0],
+        [0, 0, 0],
+        [0, 0, 3],
+        [2, 1, 0],
+    ], dtype=float))
+    assert distinct_rows(mat).tolist() == [1, 2, 6]
+    # a row that stores only an explicit zero is a zero row too
+    explicit = sp.csr_matrix(([0.0, 5.0], [1, 0], [0, 1, 2]), shape=(2, 2))
+    assert distinct_rows(explicit).tolist() == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ equality matrix (indptr, indices, data), the right-hand side, the
 objective and every PSD block's matrix (indptr, indices, data), in that
 order.  A refactor of the assembly that changes no program leaves every
 digest as it is; a change that means to alter a program records the new
-digests with it.
+digests with it.  Next to each assembled program's digest stands the
+digest of the same program after ``conic.presolve``, over the same
+arrays, so that a change to the presolve is pinned the same way.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import hashlib
 import pytest
 
 from exitmoment.augment import SdeModel, augment, scale_model
+from exitmoment.conic import presolve
 from exitmoment.momentproblem import assemble
 
 MODELS = {
@@ -28,21 +31,24 @@ MODELS = {
                    x0=[0.1, -0.2], horizon=2.0, safe_polys=["1 - x^2 - y^2"]),
 }
 
-# (model, variant, K, moment order, digest); every program is "min"
+# (model, variant, K, moment order, digest, presolved digest); every
+# program is "min".  The Brownian reduced programs have nothing to
+# presolve, so both digests agree.
 DIGESTS = [
-    ("brownian", "reduced", 14, 1, "14910f97eb5a2fa9"),
-    ("brownian", "reduced", 14, 2, "19910387d8469160"),
-    ("brownian", "reduced", 14, 3, "8cc439a9438263ed"),
-    ("brownian", "reduced", 14, 4, "ef3dc7eab9d5db04"),
-    ("brownian", "reduced", 14, 5, "87854862c65f53ff"),
-    ("brownian", "reduced", 14, 6, "1f1dc2604b1fb44b"),
-    ("brownian", "original", 8, 1, "d55678d259d0174f"),
-    ("pendulum", "reduced", 10, 1, "9149b4831c86b89f"),
-    ("pendulum", "reduced", 6, 1, "502428bea00423d3"),
-    ("pendulum", "original", 4, 1, "488ef46a79e4e054"),
-    ("trig2d", "reduced", 4, 1, "fca24719f586da21"),
-    ("trig2d", "original", 4, 1, "908f96cb3b2c1274"),
+    ("brownian", "reduced", 14, 1, "14910f97eb5a2fa9", "14910f97eb5a2fa9"),
+    ("brownian", "reduced", 14, 2, "19910387d8469160", "19910387d8469160"),
+    ("brownian", "reduced", 14, 3, "8cc439a9438263ed", "8cc439a9438263ed"),
+    ("brownian", "reduced", 14, 4, "ef3dc7eab9d5db04", "ef3dc7eab9d5db04"),
+    ("brownian", "reduced", 14, 5, "87854862c65f53ff", "87854862c65f53ff"),
+    ("brownian", "reduced", 14, 6, "1f1dc2604b1fb44b", "1f1dc2604b1fb44b"),
+    ("brownian", "original", 8, 1, "d55678d259d0174f", "e48230802e2af15f"),
+    ("pendulum", "reduced", 10, 1, "9149b4831c86b89f", "1fc0e24e476294a2"),
+    ("pendulum", "reduced", 6, 1, "502428bea00423d3", "d8c2e1b19e2c7154"),
+    ("pendulum", "original", 4, 1, "488ef46a79e4e054", "02715f6f9c0e44ba"),
+    ("trig2d", "reduced", 4, 1, "fca24719f586da21", "14d6486574bf7703"),
+    ("trig2d", "original", 4, 1, "908f96cb3b2c1274", "5070d6d79e387e01"),
 ]
+IDS = [f"{name}-{variant}-K{K}-o{order}" for name, variant, K, order, *_ in DIGESTS]
 
 
 def digest(program) -> str:
@@ -56,9 +62,16 @@ def digest(program) -> str:
     return h.hexdigest()[:16]
 
 
-@pytest.mark.parametrize(
-    "name, variant, K, order, expected", DIGESTS,
-    ids=[f"{name}-{variant}-K{K}-o{order}" for name, variant, K, order, _ in DIGESTS])
-def test_program_digest(name, variant, K, order, expected):
+def program(name, variant, K, order):
     model = scale_model(augment(SdeModel.from_strings(**MODELS[name])))
-    assert digest(assemble(model, variant, K, order, "min")) == expected
+    return assemble(model, variant, K, order, "min")
+
+
+@pytest.mark.parametrize("name, variant, K, order, expected, _", DIGESTS, ids=IDS)
+def test_program_digest(name, variant, K, order, expected, _):
+    assert digest(program(name, variant, K, order)) == expected
+
+
+@pytest.mark.parametrize("name, variant, K, order, _, expected", DIGESTS, ids=IDS)
+def test_presolved_program_digest(name, variant, K, order, _, expected):
+    assert digest(presolve(program(name, variant, K, order))) == expected
