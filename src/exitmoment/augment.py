@@ -13,7 +13,7 @@ the martingale rows, applied to each atom with the one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,18 +38,17 @@ class SdeModel:
     """User-level SDE: drift/diffusion expressions, safe set, start state.
 
     Expressions live over ``n + 1`` base slots; the last slot is reserved
-    for time so models may depend polynomially on ``t`` even before time
-    augmentation activates it as a dynamic state.
+    for time so models may depend polynomially on ``t`` before ``augment``
+    makes it a dynamic state.
     """
 
     names: list          # n state names plus the trailing time name
     d: int               # Brownian dimension
-    drift: list          # Expressions; n entries, n+1 once time-augmented
-    diffusion: list      # list of rows of Expressions, same count as drift
-    x0: list             # floats; n entries, n+1 once time-augmented
+    drift: list          # n Expressions
+    diffusion: list      # n rows of d Expressions
+    x0: list             # n floats, strictly inside the safe set
     horizon: float
     safe_polys: list     # Polynomials over the n+1 slots
-    time_augmented: bool = False
 
     @property
     def n(self) -> int:
@@ -67,7 +66,6 @@ class SdeModel:
         x0: Sequence[float],
         horizon: float,
         safe_polys: Sequence[str] = (),
-        check_interior: bool = True,
     ) -> "SdeModel":
         if TIME_NAME in names:
             raise ValueError(f"{TIME_NAME!r} is reserved for the time variable")
@@ -82,24 +80,20 @@ class SdeModel:
         safe = [parse_polynomial(s, full) for s in safe_polys]
         if len(x0) != len(names):
             raise ValueError("x0 dimension must match the state dimension")
+        x0 = [float(v) for v in x0]
+        if not all(map(math.isfinite, x0)):
+            raise ValueError("x0 must be finite")
         horizon = float(horizon)
         if not (math.isfinite(horizon) and horizon > 0):
             raise ValueError("horizon must be positive and finite")
-        model = SdeModel(full, d, drift_e, diff_e, list(map(float, x0)),
-                         horizon, safe)
-        if check_interior:
-            point = list(model.x0) + [0.0]
-            for i, q in enumerate(safe):
-                if q.evaluate(point) <= 0:
-                    raise ValueError(
-                        f"x0 is not strictly inside the safe set: polynomial {i} "
-                        f"evaluates to {q.evaluate(point)}"
-                    )
-        return model
-
-    def starts_on_boundary(self) -> bool:
-        point = list(self.x0) + [0.0] * (self.nslots - len(self.x0))
-        return any(q.evaluate(point) <= 0 for q in self.safe_polys)
+        point = x0 + [0.0]
+        for i, q in enumerate(safe):
+            if q.evaluate(point) <= 0:
+                raise ValueError(
+                    f"x0 is not strictly inside the safe set: polynomial {i} "
+                    f"evaluates to {q.evaluate(point)}"
+                )
+        return SdeModel(full, d, drift_e, diff_e, x0, horizon, safe)
 
 
 @dataclass
@@ -122,7 +116,7 @@ class AugmentedModel:
     user_polys: list            # the original safe-set description
     time_polys: list            # [t, T - t]
     trig_polys: list            # unit-circle box polynomials for atom states
-    scales: list = field(default_factory=list)  # per-var scale already applied
+    scales: list                # per-var scale already applied
 
     @property
     def total_dim(self) -> int:
@@ -150,34 +144,6 @@ class AugmentedModel:
         if not hasattr(self, "_sst"):
             self._sst = sigma_sigma_t(self.diffusion)
         return self._sst
-
-
-def augment_time(model: SdeModel) -> SdeModel:
-    """Append time as a state with drift 1 and zero diffusion row.
-
-    Adds the box polynomials ``t >= 0`` and ``T - t >= 0`` and extends x0
-    with the component 0.
-    """
-    if model.time_augmented:
-        raise ValueError("model is already time-augmented")
-    nslots = model.nslots
-    t = model.n  # slot index of time
-    one = Expression.constant(nslots, 1)
-    zero = Expression.zero(nslots)
-    drift = list(model.drift) + [one]
-    diffusion = list(model.diffusion) + [[zero] * model.d]
-    t_poly = Polynomial.variable(nslots, t)
-    horizon_poly = Polynomial.constant(nslots, model.horizon) - t_poly
-    return SdeModel(
-        names=list(model.names),
-        d=model.d,
-        drift=drift,
-        diffusion=diffusion,
-        x0=list(model.x0) + [0.0],
-        horizon=model.horizon,
-        safe_polys=list(model.safe_polys) + [t_poly, horizon_poly],
-        time_augmented=True,
-    )
 
 
 def collect_trig_atoms(model: SdeModel) -> list:
@@ -209,36 +175,37 @@ def collect_trig_atoms(model: SdeModel) -> list:
     return sines + cosines
 
 
-def augment_sinusoids(model: SdeModel) -> AugmentedModel:
-    """Append sin/cos states so the dynamics close under the generator.
+def augment(model: SdeModel) -> AugmentedModel:
+    """Append time, then sin/cos states so the dynamics close under the
+    generator.
 
-    Each atom state a(x) gets the drift L a of the generator (Ito's
-    formula) and the diffusion row sum_i da/dx_i sigma_ik; afterwards every
-    atom occurrence is renamed to its state variable, leaving pure
+    Time becomes state n with drift 1, a zero diffusion row and start
+    value 0, boxed by ``t >= 0`` and ``T - t >= 0``.  Each atom state a(x)
+    then gets the drift L a of the generator (Ito's formula, time among
+    the states) and the diffusion row sum_i da/dx_i sigma_ik; afterwards
+    every atom occurrence is renamed to its state variable, leaving pure
     polynomials.
     """
-    if not model.time_augmented:
-        raise ValueError("time-augment the model before sinusoidal augmentation")
     nslots = model.nslots
     atoms = collect_trig_atoms(model)
+    drift = list(model.drift) + [Expression.constant(nslots, 1)]
+    diffusion = ([list(row) for row in model.diffusion]
+                 + [[Expression.zero(nslots)] * model.d])
 
-    sst = sigma_sigma_t(model.diffusion)
+    sst = sigma_sigma_t(diffusion)
     atom_drift = []
     atom_diffusion = []
     for a in atoms:
         e = Expression.atom(nslots, a)
         grad = [(i, e.diff(i)) for i in range(nslots) if a.arg[i]]
-        atom_drift.append(generator(e, model.drift, sst))
+        atom_drift.append(generator(e, drift, sst))
         row = []
         for k in range(model.d):
             s = Expression.zero(nslots)
             for i, g in grad:
-                s = s + g * model.diffusion[i][k]
+                s = s + g * diffusion[i][k]
             row.append(s)
         atom_diffusion.append(row)
-
-    drift_all = list(model.drift) + atom_drift
-    diff_all = [list(row) for row in model.diffusion] + atom_diffusion
 
     def to_poly(expr: Expression) -> Polynomial:
         unified = expr.with_atoms(atoms)
@@ -250,15 +217,16 @@ def augment_sinusoids(model: SdeModel) -> AugmentedModel:
         return unified.poly
 
     total = nslots + len(atoms)
-    drift_p = [to_poly(e) for e in drift_all]
-    diff_p = [[to_poly(e) for e in row] for row in diff_all]
+    drift_p = [to_poly(e) for e in drift + atom_drift]
+    diff_p = [[to_poly(e) for e in row] for row in diffusion + atom_diffusion]
 
-    base_point = list(model.x0)
-    x0 = list(model.x0) + [a.value(base_point) for a in atoms]
+    base_point = list(model.x0) + [0.0]
+    x0 = base_point + [a.value(base_point) for a in atoms]
 
     names = list(model.names) + [a.format(model.names) for a in atoms]
-    remapped = [q.remap_vars(total, list(range(nslots))) for q in model.safe_polys]
-    user, time_box = remapped[:-2], remapped[-2:]
+    user = [q.remap_vars(total, list(range(nslots))) for q in model.safe_polys]
+    t_poly = Polynomial.variable(total, model.n)
+    time_box = [t_poly, Polynomial.constant(total, model.horizon) - t_poly]
 
     trig_polys = []
     pairs = []
@@ -290,13 +258,6 @@ def augment_sinusoids(model: SdeModel) -> AugmentedModel:
         trig_polys=trig_polys,
         scales=[Fraction(1)] * total,
     )
-
-
-def augment(model: SdeModel) -> AugmentedModel:
-    """Full pipeline: time augmentation (once) then sinusoidal closure."""
-    if not model.time_augmented:
-        model = augment_time(model)
-    return augment_sinusoids(model)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +310,9 @@ def unit_scales(model: AugmentedModel) -> list:
     return scales
 
 
-def scale_model(model: AugmentedModel, scales=None) -> AugmentedModel:
-    """Substitute x_i -> scales[i] * x_i so boxes land in the unit cube.
+def scale_model(model: AugmentedModel) -> AugmentedModel:
+    """Substitute x_i -> s_i * x_i, with the ``unit_scales`` s, so boxes
+    land in the unit cube.
 
     Works directly on the polynomial model (real time is untouched, only
     the time *variable* is rescaled), so drift entry i picks up 1/s_i and
@@ -358,10 +320,7 @@ def scale_model(model: AugmentedModel, scales=None) -> AugmentedModel:
     to unit max coefficient.  Moments transform as m_alpha ->
     prod(s^alpha) m_alpha; order-n exit moments unscale by s_t^(n-1).
     """
-    if scales is None:
-        scales = unit_scales(model)
-    scales = [Fraction(s) if not isinstance(s, Fraction)
-              else s for s in scales]
+    scales = unit_scales(model)
     if any(s <= 0 for s in scales):
         raise ValueError("scale factors must be positive")
 

@@ -16,6 +16,10 @@ least-squares step through one cached sparse KKT factorization, a
 Euclidean projection of every PSD block onto the cone, and an
 over-relaxed dual ascent.  The penalty parameter only enters the KKT
 right-hand side, so adaptive rho updates never trigger refactorization.
+The tolerances ``EPS_ABS`` and ``EPS_REL``, the starting penalty ``RHO``,
+the over-relaxation ``OVER_RELAXATION`` and the residual check interval
+``CHECK_INTERVAL`` are module constants; ``SolverSettings`` holds the one
+setting callers vary, ``max_iters``.
 
 The ADMM map (s, u) -> (s+, u+) is a fixed-point iteration, and type-II
 Anderson acceleration extrapolates its next point from the last
@@ -61,26 +65,24 @@ AA_SAFEGUARD = 2.0
 # 1e-12 took more iterations on the 20 other bounds or the 13 benchmark
 # ones).
 AA_REGULARIZATION = 1e-10
+# Absolute and relative tolerances of the primal, dual and equality
+# residuals; the optimality gate also takes -10 EPS_ABS as the least
+# eigenvalue M(m) and M(b) may have.
+EPS_ABS = 1e-7
+EPS_REL = 1e-7
+# Starting penalty; checks every 100 iterations double or halve it when
+# one scaled residual exceeds the other tenfold.
+RHO = 1.0
+OVER_RELAXATION = 1.5
+# Iterations between residual checks (and ``residual_history`` entries).
+CHECK_INTERVAL = 25
 
 
 @dataclass
 class SolverSettings:
     max_iters: int = 200_000
-    eps_abs: float = 1e-7
-    eps_rel: float = 1e-7
-    rho: float = 1.0
-    over_relaxation: float = 1.5
-    check_interval: int = 25
 
     def __post_init__(self):
-        if self.eps_abs <= 0 or self.eps_rel <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 1.0 < self.over_relaxation < 2.0:
-            raise ValueError("over-relaxation must lie in (1, 2)")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if self.check_interval < 1:
-            raise ValueError("check_interval must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -328,8 +330,8 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
             psd_blocks=len(program.blocks), eq_rows=m_eq,
             message=f"KKT factorization failed: {exc}")
 
-    rho = settings.rho
-    alpha = settings.over_relaxation
+    rho = RHO
+    alpha = OVER_RELAXATION
     n_cone = blocks.total
     x = np.zeros(2 * n_cone)       # the map's input (s, u)
     z_s = np.zeros(n)
@@ -343,7 +345,6 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     message = ""
     r_prim = r_dual = float("inf")
     it = 0
-    eps_abs, eps_rel = settings.eps_abs, settings.eps_rel
     sqrt_cone = math.sqrt(max(n_cone, 1))
     sqrt_n = math.sqrt(max(n, 1))
     sqrt_eq = math.sqrt(max(m_eq, 1))
@@ -367,15 +368,15 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
             rejected = accelerated and res > AA_SAFEGUARD * res_plain
             u_scale = 1.0
 
-            if it % settings.check_interval == 0 or it == settings.max_iters:
+            if it % CHECK_INTERVAL == 0 or it == settings.max_iters:
                 r_prim = float(np.linalg.norm(gz - s_new))
                 r_dual = float(rho * np.linalg.norm(gt_s @ f[:n_cone]))
                 eq_res = float(np.linalg.norm(a_s @ z_s - b_s)) if m_eq else 0.0
-                eps_pri = (eps_abs * sqrt_cone
-                           + eps_rel * max(np.linalg.norm(gz), np.linalg.norm(s_new)))
-                eps_dual = (eps_abs * sqrt_n
-                            + eps_rel * rho * np.linalg.norm(gt_s @ u_new))
-                eps_eq = eps_abs * sqrt_eq + eps_rel * np.linalg.norm(b_s)
+                eps_pri = (EPS_ABS * sqrt_cone
+                           + EPS_REL * max(np.linalg.norm(gz), np.linalg.norm(s_new)))
+                eps_dual = (EPS_ABS * sqrt_n
+                            + EPS_REL * rho * np.linalg.norm(gt_s @ u_new))
+                eps_eq = EPS_ABS * sqrt_eq + EPS_REL * np.linalg.norm(b_s)
                 history.append((it, max(r_prim, r_dual), rho))
                 if r_prim <= eps_pri and r_dual <= eps_dual and eq_res <= eps_eq:
                     # gate optimality on the recovered moment matrices
@@ -384,7 +385,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
                     for which in range(min(2, len(program.blocks))):
                         mat = program.blocks[which].materialize(z)
                         lam = float(np.linalg.eigvalsh(mat)[0])
-                        if lam < -10 * eps_abs:
+                        if lam < -10 * EPS_ABS:
                             lam_ok = False
                             break
                     if lam_ok:

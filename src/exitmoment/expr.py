@@ -606,6 +606,9 @@ class ExprParser:
         self.index = {name: i for i, name in enumerate(self.names)}
         if len(self.index) != len(self.names):
             raise ValueError("duplicate variable names")
+        for name in ("sin", "cos"):
+            if name in self.index:
+                raise ValueError(f"{name!r} is reserved for the {name} function")
 
     def parse(self, text: str) -> Expression:
         self.text = text

@@ -1,9 +1,10 @@
 """Monte Carlo oracle: Euler-Maruyama simulation and exit-time moments.
 
 Paths are driven by the counter-based Philox 4x64 generator (numpy's
-``Philox`` bit generator), so runs are reproducible from the seed alone
-and chunked execution is deterministic.  Path reductions use numpy's
-pairwise summation, which does not depend on scheduling.
+``Philox`` bit generator), so runs are reproducible from the seed alone.
+The paths run in batches of ``CHUNK`` that draw from one stream in turn,
+so ``CHUNK`` fixes which draws each path takes.  Path reductions use
+numpy's pairwise summation, which does not depend on scheduling.
 
 Exit detection combines grid crossings (with sub-step linear
 interpolation of the crossing time) and a Brownian-bridge test for
@@ -55,6 +56,11 @@ from .expr import Expression, Polynomial
 
 # e^-40 < 2^-54: below this bridge exponent, 1 - p rounds to 1.0
 NEAR_BOUNDARY = -40.0
+# exit-time moment orders estimated by ``simulate_exit``
+MOMENT_ORDERS = 6
+# paths per batch; the batches share one random stream, so this fixes the
+# order in which the paths draw from it
+CHUNK = 250_000
 
 
 @dataclass
@@ -62,23 +68,12 @@ class McConfig:
     dt: float = 1e-4
     paths: int = 1_000_000
     seed: int = 0
-    horizon: float | None = None        # defaults to the model horizon
-    max_moment_order: int = 6
-    chunk: int = 250_000                # paths per batch; fixed for determinism
-    bridge: bool = True                 # within-step crossing correction
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
         if self.paths < 1:
             raise ValueError("need at least one path")
-        if self.horizon is not None and not (
-                math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError("horizon must be positive and finite")
-        if self.max_moment_order < 1:
-            raise ValueError("max_moment_order must be at least 1")
-        if self.chunk < 1:
-            raise ValueError("chunk must be at least one path")
 
 
 @dataclass
@@ -197,15 +192,13 @@ class SdeKernel:
     """Drift, diffusion and safe-set kernels of one model, compiled once."""
 
     def __init__(self, model: SdeModel):
-        if model.time_augmented:
-            raise ValueError("simulate the original model, not the augmented one")
         self.model = model
         n = model.n
         self.n = n
         self.d = model.d
         slots = model.nslots
         atoms: list = []
-        exprs = list(model.drift[:n]) + [g for row in model.diffusion[:n] for g in row]
+        exprs = list(model.drift) + [g for row in model.diffusion for g in row]
         for e in exprs:
             for a in e.used_atoms():
                 if a not in atoms:
@@ -218,9 +211,9 @@ class SdeKernel:
         def compile_poly(q: Polynomial) -> _Kernel:
             return compile_expr(Expression.from_polynomial(slots, q))
 
-        self.drift = [compile_expr(e) for e in model.drift[:n]]
+        self.drift = [compile_expr(e) for e in model.drift]
         self.diffusion = [[compile_expr(g) for g in row]
-                          for row in model.diffusion[:n]]
+                          for row in model.diffusion]
         # per coordinate, the (noise column, kernel) pairs that are not zero
         self.noise = [[(k, g) for k, g in enumerate(row) if not g.is_zero()]
                       for row in self.diffusion]
@@ -250,7 +243,7 @@ class SdeKernel:
     def start(self, n_paths: int) -> np.ndarray:
         """The start state of ``n_paths`` paths, (n + atoms, N)."""
         state = np.empty((self.n + len(self.atoms), n_paths))
-        state[: self.n] = np.asarray(self.model.x0[: self.n], dtype=float)[:, None]
+        state[: self.n] = np.asarray(self.model.x0, dtype=float)[:, None]
         self.fill_atoms(state, 0.0)
         return state
 
@@ -339,8 +332,10 @@ class _Stepper:
 
     Exits are flagged either by a sign change of a safe polynomial on the
     grid (crossing time linearly interpolated via the most violated
-    polynomial) or, with the bridge test on, by sampling the within-step
-    crossing probability exp(-2 q_k q_{k+1} / (v dt)) per polynomial.
+    polynomial) or by the bridge test, which runs on every step: it
+    samples the within-step crossing probability
+    exp(-2 q_k q_{k+1} / (v dt)) per polynomial.  Paths step to the
+    model's horizon.
 
     Two optional hooks observe the paths.  ``occupation(state, t)``
     returns an (m, N) integrand at the alive paths at the start of every
@@ -353,21 +348,20 @@ class _Stepper:
     once more with ``facets`` None.
     """
 
-    def __init__(self, kernel: SdeKernel, cfg: McConfig, horizon: float,
-                 rng: np.random.Generator, occupation=None, exit_state=None):
+    def __init__(self, kernel: SdeKernel, dt: float, rng: np.random.Generator,
+                 occupation=None, exit_state=None):
         self.kernel = kernel
-        self.cfg = cfg
-        self.horizon = horizon
+        self.horizon = kernel.model.horizon
         self.rng = rng
         self.occupation = occupation
         self.exit_state = exit_state
-        self.dt = cfg.dt
-        self.sqrt_dt = math.sqrt(cfg.dt)
-        self.n_steps = int(math.ceil(horizon / cfg.dt))
+        self.dt = dt
+        self.sqrt_dt = math.sqrt(dt)
+        self.n_steps = int(math.ceil(self.horizon / dt))
         self.vdt = None
         if kernel.variances_constant:
             self.vdt = np.array(kernel.crossing_variances(None, 0.0),
-                                dtype=float)[:, None] * cfg.dt
+                                dtype=float)[:, None] * dt
 
     def run(self, first: int, n_paths: int, tau: np.ndarray,
             capped: np.ndarray) -> int:
@@ -422,30 +416,29 @@ class _Stepper:
                 denom = np.where(qp - qn > 1e-300, qp - qn, 1.0)
                 theta = np.clip(qp / denom, 0.0, 1.0)
 
-            if self.cfg.bridge:
-                inside = ~crossed if finite is None else ~crossed & finite
-                if inside.any():
-                    u = self.rng.random(ids.size)
-                    if bridged:
-                        if all_bridged:
-                            qb_prev, qb_new = q_prev, q_new
-                        else:
-                            qb_prev, qb_new = q_prev[bridged], q_new[bridged]
-                        vdt = self.vdt
-                        if vdt is None:
-                            v = np.empty(qb_new.shape)
-                            for row, value in zip(v, kernel.crossing_variances(state, t)):
-                                row[...] = value
-                            vdt = v * dt
-                        near, survive, p = _bridge_survival(qb_prev, qb_new, vdt)
-                        hit = inside[near] & (u[near] > survive)
-                        if hit.any():
-                            extra = near[hit]
-                            rows = np.concatenate([rows, extra])
-                            # expected within-step crossing time
-                            theta = np.concatenate([theta, np.full(extra.size, 0.5)])
-                            facets = np.concatenate(
-                                [facets, np.take(bridged, np.argmax(p[:, hit], axis=0))])
+            inside = ~crossed if finite is None else ~crossed & finite
+            if inside.any():
+                u = self.rng.random(ids.size)
+                if bridged:
+                    if all_bridged:
+                        qb_prev, qb_new = q_prev, q_new
+                    else:
+                        qb_prev, qb_new = q_prev[bridged], q_new[bridged]
+                    vdt = self.vdt
+                    if vdt is None:
+                        v = np.empty(qb_new.shape)
+                        for row, value in zip(v, kernel.crossing_variances(state, t)):
+                            row[...] = value
+                        vdt = v * dt
+                    near, survive, p = _bridge_survival(qb_prev, qb_new, vdt)
+                    hit = inside[near] & (u[near] > survive)
+                    if hit.any():
+                        extra = near[hit]
+                        rows = np.concatenate([rows, extra])
+                        # expected within-step crossing time
+                        theta = np.concatenate([theta, np.full(extra.size, 0.5)])
+                        facets = np.concatenate(
+                            [facets, np.take(bridged, np.argmax(p[:, hit], axis=0))])
 
             if rows.size:
                 tau[ids[rows]] = t + theta * dt
@@ -476,18 +469,18 @@ class _Stepper:
         return flagged
 
 
-def _simulate_paths(kernel: SdeKernel, cfg: McConfig, horizon: float,
-                    occupation=None, exit_state=None):
-    """Run ``cfg.paths`` paths in chunks of ``cfg.chunk`` on one random
+def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
+                    exit_state=None):
+    """Run ``cfg.paths`` paths in chunks of ``CHUNK`` on one random
     stream.  Returns (tau, capped, flagged); raises when more than 0.1% of
     the paths became non-finite."""
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    stepper = _Stepper(kernel, cfg, horizon, rng, occupation, exit_state)
-    tau = np.full(cfg.paths, horizon)
+    stepper = _Stepper(kernel, cfg.dt, rng, occupation, exit_state)
+    tau = np.full(cfg.paths, stepper.horizon)
     capped = np.ones(cfg.paths, dtype=bool)
     flagged = 0
-    for first in range(0, cfg.paths, cfg.chunk):
-        flagged += stepper.run(first, min(cfg.chunk, cfg.paths - first),
+    for first in range(0, cfg.paths, CHUNK):
+        flagged += stepper.run(first, min(CHUNK, cfg.paths - first),
                                tau, capped)
     if flagged > 0.001 * cfg.paths:
         raise RuntimeError(
@@ -503,19 +496,13 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, horizon: float,
 
 def simulate_exit(model: SdeModel, cfg: McConfig,
                   tau_out: list | None = None) -> McEstimate:
-    """Estimate exit-time moments E[(tau ^ T)^n] by Euler-Maruyama.
+    """Estimate exit-time moments E[(tau ^ T)^n], n = 1 .. ``MOMENT_ORDERS``,
+    by Euler-Maruyama up to the model's horizon T.
 
     Paths alive at the horizon are capped.  Non-finite states flag the
     path; more than 0.1% flagged aborts the run.
     """
-    kernel = SdeKernel(model)
-    horizon = cfg.horizon if cfg.horizon is not None else model.horizon
-    if model.starts_on_boundary():
-        zeros = {n: (0.0, 0.0, 0.0, 0.0)
-                 for n in range(1, cfg.max_moment_order + 1)}
-        return McEstimate(zeros, 1.0, cfg.paths, cfg.dt, horizon)
-
-    tau, capped, flagged = _simulate_paths(kernel, cfg, horizon)
+    tau, capped, flagged = _simulate_paths(SdeKernel(model), cfg)
     good = np.isfinite(tau)
     tau = tau[good]
     capped = capped[good]
@@ -524,7 +511,7 @@ def simulate_exit(model: SdeModel, cfg: McConfig,
 
     moments = {}
     npaths = tau.size
-    for order in range(1, cfg.max_moment_order + 1):
+    for order in range(1, MOMENT_ORDERS + 1):
         powers = tau**order
         mean = float(powers.mean())
         se = float(powers.std(ddof=1) / math.sqrt(npaths)) if npaths > 1 else 0.0
@@ -534,7 +521,7 @@ def simulate_exit(model: SdeModel, cfg: McConfig,
         exit_fraction=float(1.0 - capped.mean()),
         paths=npaths,
         dt=cfg.dt,
-        horizon=horizon,
+        horizon=model.horizon,
         flagged=flagged,
     )
 
@@ -567,7 +554,6 @@ def measure_moments(model: SdeModel, augmented: AugmentedModel,
     interpolated onto the boundary.  Paths that become non-finite are
     left out, as in ``simulate_exit``.
     """
-    horizon = cfg.horizon if cfg.horizon is not None else model.horizon
     n = model.n
     scales = np.array([float(s) for s in augmented.scales])[:, None]
     aug_atoms = _Atoms(augmented.atoms, n)
@@ -613,7 +599,7 @@ def measure_moments(model: SdeModel, augmented: AugmentedModel,
             occ[ids] = integrals.T
         exit_pow[ids] = powers(aug_coords(x, times), indices_b).T
 
-    tau, _, flagged = _simulate_paths(kernel, cfg, horizon, occupation, exit_state)
+    tau, _, flagged = _simulate_paths(kernel, cfg, occupation, exit_state)
     if flagged:
         good = np.isfinite(tau)
         occ, exit_pow = occ[good], exit_pow[good]

@@ -33,7 +33,7 @@ the support of q' shifted by the row's own beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -94,11 +94,6 @@ class ConicProgram:
     a_eq: sp.csr_matrix
     rhs: np.ndarray
     blocks: list
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def psd_total_dim(self) -> int:
-        return sum(b.dim for b in self.blocks)
 
 
 @dataclass
@@ -272,18 +267,7 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
     c = np.zeros(num_vars)
     c[_ranks(np.array([obj_index]), num_m)[0]] = float(mp.moment_order)
 
-    meta = {
-        "variant": mp.variant,
-        "K": mp.K,
-        "moment_order": mp.moment_order,
-        "n_q": mp.n_q,
-        "d_k": mp.d_k,
-        "num_m": num_m,
-        "num_b": num_b,
-        "objective_index": obj_index,
-        "dropped_rows": list(mp.dropped_rows),
-    }
-    return ConicProgram(num_vars, c, mp.sense, a_eq, np.array(rhs), blocks, meta)
+    return ConicProgram(num_vars, c, mp.sense, a_eq, np.array(rhs), blocks)
 
 
 def assemble(model: AugmentedModel, variant: str, K: int,

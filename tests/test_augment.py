@@ -7,8 +7,6 @@ import pytest
 from exitmoment.augment import (
     SdeModel,
     augment,
-    augment_time,
-    augment_sinusoids,
     collect_trig_atoms,
     moment_unscale_factor,
     scale_model,
@@ -58,37 +56,30 @@ def two_noise_model():
 
 
 def test_time_augmentation_brownian():
-    m = augment_time(brownian_model())
-    assert m.time_augmented
+    m = augment(brownian_model())
     assert len(m.drift) == 2
-    assert m.drift[1].base_polynomial() == Polynomial.constant(2, 1)
-    assert m.diffusion[1][0].base_polynomial().is_zero()
+    assert m.drift[1] == Polynomial.constant(2, 1)
+    assert m.diffusion[1][0].is_zero()
     assert m.x0 == [0.5, 0.0]
-    # box polynomials t >= 0 and T - t >= 0 appended
+    # box polynomials t >= 0 and T - t >= 0
     t = Polynomial.variable(2, 1)
-    assert m.safe_polys[-2] == t
-    assert m.safe_polys[-1] == Polynomial.constant(2, 10) - t
+    assert m.time_polys == [t, Polynomial.constant(2, 10) - t]
 
 
 def test_time_augmentation_deterministic_model():
     m = SdeModel.from_strings(["x"], ["0"], [["0"]], [0.0], 1.0,
                               ["1 - x^2"])
-    am = augment_time(m)
-    assert am.drift[0].base_polynomial().is_zero()
-    assert am.drift[1].base_polynomial() == Polynomial.constant(2, 1)
-    assert all(g.base_polynomial().is_zero() for row in am.diffusion for g in row)
-
-
-def test_double_time_augmentation_rejected():
-    m = augment_time(brownian_model())
-    with pytest.raises(ValueError):
-        augment_time(m)
+    am = augment(m)
+    assert am.drift[0].is_zero()
+    assert am.drift[1] == Polynomial.constant(2, 1)
+    assert all(g.is_zero() for row in am.diffusion for g in row)
 
 
 def test_spring_time_slot_is_third():
-    m = augment_time(spring_model())
-    assert m.names == ["x", "v", "t"]
-    assert m.drift[2].base_polynomial() == Polynomial.constant(3, 1)
+    m = augment(spring_model())
+    assert m.names[:3] == ["x", "v", "t"]
+    assert m.time_index == 2
+    assert m.drift[2] == Polynomial.constant(5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +88,18 @@ def test_spring_time_slot_is_third():
 
 
 def test_collect_empty_for_polynomial_model():
-    assert collect_trig_atoms(augment_time(brownian_model())) == []
+    assert collect_trig_atoms(brownian_model()) == []
 
 
 def test_collect_sin_and_cos_from_mixed_dynamics():
-    atoms = collect_trig_atoms(augment_time(trig_model()))
+    atoms = collect_trig_atoms(trig_model())
     arg = (1, 0)  # x slot, time slot
     assert atoms == [TrigAtom("sin", Fraction(1), arg),
                      TrigAtom("cos", Fraction(1), arg)]
 
 
 def test_collect_adds_derivative_partner():
-    atoms = collect_trig_atoms(augment_time(spring_model()))
+    atoms = collect_trig_atoms(spring_model())
     arg = (1, 0, 0)
     assert atoms == [TrigAtom("sin", Fraction(1), arg),
                      TrigAtom("cos", Fraction(1), arg)]
@@ -201,15 +192,16 @@ def test_atom_dynamics_match_finite_difference_ito():
     # off-diagonal sigma sigma^T terms; sin(t) has time inside its argument
     model = two_noise_model()
     am = augment(model)
-    base = augment_time(model)
-    n_slots = base.nslots
+    n_slots = model.nslots
     h = 1e-4
     rng = random.Random(5)
     for _ in range(10):
         p = [rng.uniform(-0.8, 0.8) for _ in range(n_slots)]
         full = p + [a.value(p) for a in am.atoms]
-        drift = [e.evaluate(p) for e in base.drift]
-        sigma = [[g.evaluate(p) for g in row] for row in base.diffusion]
+        # the user's dynamics, then time's drift 1 and zero diffusion row
+        drift = [e.evaluate(p) for e in model.drift] + [1.0]
+        sigma = ([[g.evaluate(p) for g in row] for row in model.diffusion]
+                 + [[0.0] * am.d])
         for idx, atom in enumerate(am.atoms):
             f = atom.value
 
@@ -238,15 +230,10 @@ def test_atom_dynamics_match_finite_difference_ito():
                     noise, rel=1e-6, abs=1e-7)
 
 
-def test_augment_requires_time_augmentation_first():
-    with pytest.raises(ValueError):
-        augment_sinusoids(trig_model())
-
-
 def test_sinusoidal_augmentation_idempotent_on_closed_model():
-    m = augment_time(brownian_model())
-    am = augment_sinusoids(m)
-    am2 = augment_sinusoids(m)
+    m = brownian_model()
+    am = augment(m)
+    am2 = augment(m)
     assert am.drift == am2.drift
     assert am.total_dim == am2.total_dim == 2
 
@@ -282,12 +269,6 @@ def test_horizon_must_be_positive_and_finite(horizon):
     with pytest.raises(ValueError, match="horizon"):
         SdeModel.from_strings(["y"], ["0"], [["1"]], [0.5], horizon,
                               ["y", "1 - y"])
-
-
-def test_x0_on_boundary_allowed_when_requested():
-    m = SdeModel.from_strings(["y"], ["0"], [["1"]], [0.0], 1.0,
-                              ["y", "1 - y"], check_interior=False)
-    assert m.starts_on_boundary()
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,14 @@ def test_parse_rejects_undeclared_variable():
         parse_expression("x + y", ["x"])
 
 
+@pytest.mark.parametrize("name", ["sin", "cos"])
+def test_function_names_cannot_name_a_variable(name):
+    # "sin" as a variable would parse only as the start of sin(...), so
+    # every reference to it would fail
+    with pytest.raises(ValueError, match=f"'{name}' is reserved"):
+        parse_expression("x", ["x", name])
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ExprSyntaxError):
         parse_expression("x +* 2", ["x"])

@@ -1,16 +1,22 @@
-"""Every public function and class of the library has a caller outside tests.
+"""Every public function and class of the library has a caller outside
+tests, and so does every field of the settings dataclasses.
 
 A name counts as used when code other than its own definition refers to
 it: a name, an attribute or a string equal to it (``getattr``-style
 wrapping) in ``src/`` or in a non-test file under ``perfbench/``, or an
 entry point in ``[project.scripts]``.  Oracles that only tests compare
-against are listed in ``ORACLES``.
+against are listed in ``ORACLES``.  A settings field counts as used when
+one of those files passes it by keyword to its dataclass.
 """
 
 import ast
+import dataclasses
 import re
 from collections import defaultdict
 from pathlib import Path
+
+from exitmoment.conic import SolverSettings
+from exitmoment.mc import McConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "exitmoment").glob("*.py"))
@@ -60,3 +66,17 @@ def test_every_public_name_has_a_caller_outside_tests():
             if not sites[stmt.name] - {(path, stmt.name)}:
                 unused.add(stmt.name)
     assert unused == ORACLES, f"called only from tests: {sorted(unused - ORACLES)}"
+
+
+def test_every_settings_field_is_passed_by_a_caller():
+    passed = defaultdict(set)            # constructor name -> keywords
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                passed[name].update(k.arg for k in node.keywords)
+    for cls in (SolverSettings, McConfig):
+        unset = {f.name for f in dataclasses.fields(cls)} - passed[cls.__name__]
+        assert not unset, f"{cls.__name__} fields set only by tests: {sorted(unset)}"

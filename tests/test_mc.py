@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import exitmoment.mc as mc
 from exitmoment.augment import SdeModel, augment, scale_model
 from exitmoment.mc import (
     NEAR_BOUNDARY,
@@ -53,10 +54,6 @@ def coupled_2d(noisy_x=True):
 @pytest.mark.parametrize("field, value", [
     ("dt", 0.0), ("dt", -1e-3), ("dt", float("nan")), ("dt", float("inf")),
     ("paths", 0),
-    ("horizon", 0.0), ("horizon", -1.0), ("horizon", float("nan")),
-    ("horizon", float("inf")),
-    ("max_moment_order", 0),
-    ("chunk", 0), ("chunk", -5),
 ])
 def test_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ValueError, match=field.rstrip("s")):
@@ -64,34 +61,27 @@ def test_config_rejects_out_of_range_field(field, value):
 
 
 def test_brownian_first_moment_brackets_quarter():
-    est = simulate_exit(brownian(), McConfig(dt=2e-4, paths=50_000, seed=7,
-                                             max_moment_order=2))
+    est = simulate_exit(brownian(), McConfig(dt=2e-4, paths=50_000, seed=7))
     mean, se = est.mean(1), est.se(1)
     assert abs(mean - 0.25) < 3 * se + 1e-3
     lo, hi = est.ci(1)
     assert lo < mean < hi
 
 
-def test_bridge_correction_removes_monitoring_bias():
+def test_bridge_correction_removes_monitoring_bias(monkeypatch):
     with_bridge = simulate_exit(
         brownian(), McConfig(dt=1e-3, paths=60_000, seed=3))
+    # no bridge exponent exceeds an infinite threshold: grid crossings only
+    monkeypatch.setattr(mc, "NEAR_BOUNDARY", math.inf)
     without = simulate_exit(
-        brownian(), McConfig(dt=1e-3, paths=60_000, seed=3, bridge=False))
+        brownian(), McConfig(dt=1e-3, paths=60_000, seed=3))
     # discrete monitoring alone overshoots by ~0.58 sqrt(dt) of barrier width
     assert without.mean(1) - 0.25 > 0.01
     assert abs(with_bridge.mean(1) - 0.25) < 3 * with_bridge.se(1) + 1e-3
 
 
-def test_start_on_boundary_gives_zero_moments():
-    m = SdeModel.from_strings(["y"], ["0"], [["1"]], [0.0], 1.0,
-                              ["y", "1 - y"], check_interior=False)
-    est = simulate_exit(m, McConfig(dt=1e-3, paths=10, seed=0))
-    assert est.mean(1) == 0.0
-    assert est.exit_fraction == 1.0
-
-
 def test_determinism_bit_identical():
-    cfg = McConfig(dt=1e-3, paths=20_000, seed=123, max_moment_order=3)
+    cfg = McConfig(dt=1e-3, paths=20_000, seed=123)
     a = simulate_exit(brownian(), cfg)
     b = simulate_exit(brownian(), cfg)
     assert a.moments == b.moments
@@ -101,8 +91,7 @@ def test_determinism_bit_identical():
 
 
 def test_jensen_moment_ordering():
-    est = simulate_exit(brownian(), McConfig(dt=1e-3, paths=20_000, seed=5,
-                                             max_moment_order=4))
+    est = simulate_exit(brownian(), McConfig(dt=1e-3, paths=20_000, seed=5))
     for order in range(2, 5):
         assert est.mean(1) ** order <= est.mean(order) + 1e-12
 
@@ -127,18 +116,6 @@ def test_dt_refinement_consistency():
 def test_exit_fraction_near_one_for_small_box():
     est = simulate_exit(brownian(), McConfig(dt=1e-3, paths=5_000, seed=1))
     assert est.exit_fraction > 0.99
-
-
-def test_simulating_augmented_model_rejected():
-    from exitmoment.augment import augment_time
-
-    cfg = McConfig(dt=1e-3, paths=10)
-    timed = augment_time(trig_system())
-    am = augment(trig_system())
-    with pytest.raises(ValueError, match="original model"):
-        simulate_exit(timed, cfg)
-    with pytest.raises(ValueError, match="original model"):
-        measure_moments(timed, am, [(0, 0, 0, 0)], [(0, 0, 0, 0)], cfg)
 
 
 def test_time_inside_a_sinusoid_is_the_current_time():
@@ -205,10 +182,10 @@ def test_spring_bridge_correction_raises_no_warning_and_keeps_samples():
     # variance is 0 while q_prev * q_new is 0 on a facet; the bridge
     # exponent must skip them rather than evaluate 0 / 0.  The digests are
     # the samples drawn before that fix, so the fix changed no number.
-    model = spring()
-    cfg = McConfig(dt=1e-3, paths=64, seed=3, horizon=2.0,
-                   max_moment_order=2)
-    am = scale_model(augment(model))
+    # The paths run to T = 2 in the coordinates of the T = 10 model.
+    model = spring(T=2.0)
+    cfg = McConfig(dt=1e-3, paths=64, seed=3)
+    am = scale_model(augment(spring()))
     indices = enumerate_multi_indices(am.total_dim, 2)
     taus = []
     with warnings.catch_warnings():
@@ -228,22 +205,25 @@ def test_spring_bridge_correction_raises_no_warning_and_keeps_samples():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("model, cfg, capped, digest", [
-    (brownian(), McConfig(dt=1e-3, paths=5_000, seed=1, chunk=2_000), 0,
+@pytest.mark.parametrize("model, cfg, chunk, capped, digest", [
+    (brownian(), McConfig(dt=1e-3, paths=5_000, seed=1), 2_000, 0,
      "5beda6011ca1acbdb3c4403f773d24651c59c3b647f2ecc1e1708fdcad22644e"),
-    (spring(), McConfig(dt=1e-3, paths=2_000, seed=1), 0,
+    (spring(), McConfig(dt=1e-3, paths=2_000, seed=1), mc.CHUNK, 0,
      "145bac7278f45d830e8af798cd6c08a609742da2e97e6b34758ac42901229705"),
-    (cos_diffusion(), McConfig(dt=1e-3, paths=3_000, seed=4), 0,
+    (cos_diffusion(), McConfig(dt=1e-3, paths=3_000, seed=4), mc.CHUNK, 0,
      "2ed1d9ff168ccf3e7293e83f41f88fc9a4d40824b9940e3551804ab9046a8683"),
-    (coupled_2d(), McConfig(dt=1e-3, paths=1_000, seed=2), 565,
+    (coupled_2d(), McConfig(dt=1e-3, paths=1_000, seed=2), mc.CHUNK, 565,
      "4cb4ffd3bb0e6fc024f98d6db20a7725ff95c73846d8e1f098063db6248317e9"),
-    (coupled_2d(noisy_x=False), McConfig(dt=1e-3, paths=1_000, seed=2), 695,
+    (coupled_2d(noisy_x=False), McConfig(dt=1e-3, paths=1_000, seed=2),
+     mc.CHUNK, 695,
      "c09bfcbb8b5f4ad147b4cdb6cb3705558088e242304dc472bd89c66f2dad6b00"),
 ], ids=["brownian-chunked", "pendulum", "cos-diffusion", "coupled-2d",
         "coupled-2d-noiseless-x"])
-def test_exit_times_match_path_major_digests(model, cfg, capped, digest):
+def test_exit_times_match_path_major_digests(model, cfg, chunk, capped, digest,
+                                             monkeypatch):
     # digests of the exit times the path-major stepper (full bridge
     # evaluation on every path) drew from the same seeds
+    monkeypatch.setattr(mc, "CHUNK", chunk)
     taus = []
     simulate_exit(model, cfg, tau_out=taus)
     tau, cap = taus[0]
@@ -316,7 +296,6 @@ def test_measure_moments_projects_onto_the_crossed_facet():
     am = scale_model(augment(model))
     indices = enumerate_multi_indices(am.total_dim, 2)
     mm = measure_moments(model, am, indices, indices,
-                         McConfig(dt=1e-3, paths=300, seed=5,
-                                  max_moment_order=2))
+                         McConfig(dt=1e-3, paths=300, seed=5))
     assert _digest(mm.occupation_samples, mm.exit_samples) == (
         "a49d246b6b2e480b110499438027b59feb498a1f66ab25b1816db03a230d72bd")

@@ -362,23 +362,24 @@ def test_psd_size_law(n_user):
     model = box_model(n_user)
     K = 6  # large enough that deg(q') <= K for every box here
     for variant, factor in (("original", 3), ("reduced", 1)):
-        program = assemble(model, variant, K, 1, "max")
-        n_q = program.meta["n_q"]
-        d_k = program.meta["d_k"]
+        mp = build_moment_problem(model, variant, K, 1, "max")
+        program = lower_to_conic(mp)
+        n_q, d_k = mp.n_q, mp.d_k
         assert n_q == n_user + 2
         assert d_k == count_upto(model.total_dim, K // 2)
-        assert program.psd_total_dim == (2 + factor * n_q) * d_k
+        assert sum(b.dim for b in program.blocks) == (2 + factor * n_q) * d_k
         assert all(b.dim == d_k for b in program.blocks)
 
 
 def test_reduced_variant_has_no_boundary_blocks():
     model = box_model(2)
     reduced = assemble(model, "reduced", 4, 1, "max")
-    original = assemble(model, "original", 4, 1, "max")
+    mp = build_moment_problem(model, "original", 4, 1, "max")
+    original = lower_to_conic(mp)
     labels_r = [b.label for b in reduced.blocks]
     labels_o = [b.label for b in original.blocks]
     assert not any("b)#" in lab for lab in labels_r)
-    assert sum("q' b)" in lab for lab in labels_o) == 2 * original.meta["n_q"]
+    assert sum("q' b)" in lab for lab in labels_o) == 2 * mp.n_q
     # reduced swaps the blocks for scalar equalities
     assert reduced.a_eq.shape[0] > original.a_eq.shape[0]
 
@@ -390,7 +391,6 @@ def test_objective_first_order_is_occupation_mass():
     (nz,) = np.nonzero(c)
     assert list(nz) == [0]  # m_{0,...,0} is the first variable
     assert c[0] == 1.0
-    assert program.meta["objective_index"] == (0, 0)
 
 
 def test_objective_higher_order_scaling():
@@ -405,20 +405,22 @@ def test_objective_higher_order_scaling():
 def test_variable_layout_extends_for_localizing_overshoot():
     model = box_model(2)
     K = 4
-    program = assemble(model, "reduced", K, 1, "max")
+    mp = build_moment_problem(model, "reduced", K, 1, "max")
+    program = lower_to_conic(mp)
     n = model.total_dim
     # interior polys are degree 1 here: occupation moments reach K + 1
-    assert program.meta["num_m"] == count_upto(n, K + 1)
+    assert mp.num_m == count_upto(n, K + 1)
     # q' = y (1-y) (1-t) has degree 3 (start-time facet excluded)
-    assert program.meta["num_b"] == count_upto(n, K + 3)
-    assert program.num_vars == program.meta["num_m"] + program.meta["num_b"]
+    assert mp.num_b == count_upto(n, K + 3)
+    assert program.num_vars == mp.num_m + mp.num_b
 
 
 def test_mass_row_present():
     model = box_model(2)
-    program = assemble(model, "reduced", 4, 1, "max")
+    mp = build_moment_problem(model, "reduced", 4, 1, "max")
+    program = lower_to_conic(mp)
     a = program.a_eq.toarray()
-    num_m = program.meta["num_m"]
+    num_m = mp.num_m
     # find the row with a single -1 on b_0
     target = np.zeros(program.num_vars)
     target[num_m] = -1.0
@@ -540,7 +542,9 @@ def test_lowering_matches_per_entry_reference(case, variant):
     assert_same_csr(program.a_eq, a_eq)
     assert np.array_equal(program.rhs, rhs)
     expected_c = np.zeros(num_vars)
-    expected_c[graded_lex_rank(program.meta["objective_index"])] = 2.0
+    # order 2: twice the occupation moment of t
+    expected_c[graded_lex_rank(tuple(
+        int(i == model.time_index) for i in range(n)))] = 2.0
     assert np.array_equal(program.objective, expected_c)
 
 
