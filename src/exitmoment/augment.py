@@ -1,10 +1,12 @@
 """SDE models and state augmentation.
 
-Transforms a user SDE (drift/diffusion possibly containing sinusoids of
-monomials) into a time-augmented polynomial SDE over an extended state
-that is closed under infinitesimal generation: every sin/cos appearing in
-the dynamics becomes an extra state whose drift and diffusion follow from
-Ito's formula, so all augmented entries are plain polynomials.  The atom
+Transforms a user SDE into a time-augmented polynomial SDE over an
+extended state that is closed under infinitesimal generation.  The user's
+drift and diffusion entries are Polynomials that carry the sinusoids of
+monomials they use as atoms (trailing variables named by the atom
+registry); every such sin/cos becomes an extra state whose drift and
+diffusion follow from Ito's formula, so all augmented entries are plain
+polynomials over the extended state, without atoms.  The atom
 drifts come from ``generator.generator``, the same generator that gives
 the martingale rows, applied to each atom with the one
 ``generator.sigma_sigma_t`` table.
@@ -17,35 +19,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .expr import (
-    Expression,
-    Polynomial,
-    TrigAtom,
-    parse_expression,
-    parse_polynomial,
-)
+from .expr import Polynomial, TrigAtom, parse_expression, parse_polynomial
 from .generator import generator, sigma_sigma_t
 
 TIME_NAME = "t"
-
-
-class UnsupportedDynamicsError(ValueError):
-    """Dynamics outside the supported sinusoidal-polynomial family."""
 
 
 @dataclass
 class SdeModel:
     """User-level SDE: drift/diffusion expressions, safe set, start state.
 
-    Expressions live over ``n + 1`` base slots; the last slot is reserved
-    for time so models may depend polynomially on ``t`` before ``augment``
-    makes it a dynamic state.
+    Drift and diffusion entries are Polynomials over ``n + 1`` base slots
+    that carry the sin/cos atoms they use as trailing variables; the last
+    base slot is reserved for time so models may depend polynomially on
+    ``t`` before ``augment`` makes it a dynamic state.
     """
 
     names: list          # n state names plus the trailing time name
     d: int               # Brownian dimension
-    drift: list          # n Expressions
-    diffusion: list      # n rows of d Expressions
+    drift: list          # n Polynomials with atoms
+    diffusion: list      # n rows of d Polynomials with atoms
     x0: list             # n floats, strictly inside the safe set
     horizon: float
     safe_polys: list     # Polynomials over the n+1 slots
@@ -156,7 +149,7 @@ def collect_trig_atoms(model: SdeModel) -> list:
     sin_pairs: list = []
     cos_pairs: list = []
 
-    def visit(expr: Expression):
+    def visit(expr: Polynomial):
         for atom in expr.used_atoms():
             pair = (atom.freq, atom.arg)
             bucket = sin_pairs if atom.kind == "sin" else cos_pairs
@@ -188,35 +181,30 @@ def augment(model: SdeModel) -> AugmentedModel:
     """
     nslots = model.nslots
     atoms = collect_trig_atoms(model)
-    drift = list(model.drift) + [Expression.constant(nslots, 1)]
+    drift = list(model.drift) + [Polynomial.constant(nslots, 1)]
     diffusion = ([list(row) for row in model.diffusion]
-                 + [[Expression.zero(nslots)] * model.d])
+                 + [[Polynomial.zero(nslots)] * model.d])
 
     sst = sigma_sigma_t(diffusion)
     atom_drift = []
     atom_diffusion = []
     for a in atoms:
-        e = Expression.atom(nslots, a)
+        e = Polynomial.atom(nslots, a)
         grad = [(i, e.diff(i)) for i in range(nslots) if a.arg[i]]
         atom_drift.append(generator(e, drift, sst))
         row = []
         for k in range(model.d):
-            s = Expression.zero(nslots)
+            s = Polynomial.zero(nslots)
             for i, g in grad:
                 s = s + g * diffusion[i][k]
             row.append(s)
         atom_diffusion.append(row)
 
-    def to_poly(expr: Expression) -> Polynomial:
-        unified = expr.with_atoms(atoms)
-        for used in unified.used_atoms():
-            if used not in atoms:
-                raise UnsupportedDynamicsError(
-                    f"atom {used} escaped the collected frequency set"
-                )
-        return unified.poly
-
     total = nslots + len(atoms)
+
+    def to_poly(expr: Polynomial) -> Polynomial:
+        return Polynomial(total, expr.with_atoms(atoms).terms)
+
     drift_p = [to_poly(e) for e in drift + atom_drift]
     diff_p = [[to_poly(e) for e in row] for row in diffusion + atom_diffusion]
 

@@ -2,10 +2,12 @@
 
 Coefficients stay exact rationals (``fractions.Fraction``) through every
 symbolic operation; conversion to floats happens only when a caller
-evaluates numerically or hands data to the conic assembler.  Sinusoidal
-atoms (``sin``/``cos`` of a monomial times a rational frequency) are kept
-as opaque extra variables: no trig identities are applied, so products of
-atoms remain plain monomials over the extended alphabet.
+evaluates numerically or hands data to the conic assembler.  There is one
+polynomial type.  Sinusoidal atoms (``sin``/``cos`` of a monomial times a
+rational frequency) are its trailing variables, named by the polynomial's
+atom registry: no trig identities are applied, so products of atoms remain
+plain monomials over the extended alphabet, and only differentiation and
+evaluation read an atom as a function of the base variables.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -103,13 +105,18 @@ class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     Terms are stored as a dict keyed by exponent tuple; zero coefficients
-    are never stored, and iteration is in graded lex order.
+    are never stored, and iteration is in graded lex order.  The last
+    ``len(atoms)`` variables stand for the sinusoidal atoms ``atoms``,
+    functions of the first ``nbase`` (base) variables; a polynomial
+    without atoms has the empty registry.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "atoms")
 
-    def __init__(self, nvars: int, terms: Mapping[MultiIndex, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[MultiIndex, Fraction] | None = None,
+                 atoms: Sequence["TrigAtom"] = ()):
         self.nvars = nvars
+        self.atoms = tuple(atoms)
         clean = {}
         if terms:
             for alpha, coef in terms.items():
@@ -119,6 +126,10 @@ class Polynomial:
                 if coef != 0:
                     clean[tuple(alpha)] = coef
         self.terms = clean
+
+    @property
+    def nbase(self) -> int:
+        return self.nvars - len(self.atoms)
 
     # -- constructors -------------------------------------------------
 
@@ -138,6 +149,10 @@ class Polynomial:
     def variable(nvars: int, index: int) -> "Polynomial":
         alpha = tuple(1 if i == index else 0 for i in range(nvars))
         return Polynomial(nvars, {alpha: Fraction(1)})
+
+    @staticmethod
+    def atom(nbase: int, atom: "TrigAtom", coef=1) -> "Polynomial":
+        return Polynomial(nbase + 1, {(0,) * nbase + (1,): coef}, (atom,))
 
     # -- basic queries ------------------------------------------------
 
@@ -163,38 +178,67 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        if self.nbase != other.nbase:
+            return False
+        a, b = self._unify(other)
+        return a.terms == b.terms
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+    # -- atom registry --------------------------------------------------
+
+    def used_atoms(self) -> tuple:
+        """Atoms with a nonzero exponent in some term, in registry order."""
+        if not self.atoms:
+            return ()
+        nb = self.nbase
+        used = {j for alpha in self.terms for j in range(nb, self.nvars) if alpha[j]}
+        return tuple(self.atoms[j - nb] for j in sorted(used))
+
+    def with_atoms(self, atoms: Sequence["TrigAtom"]) -> "Polynomial":
+        """The same polynomial over the registry ``atoms``, which must
+        hold every atom used."""
+        atoms = tuple(atoms)
+        if atoms == self.atoms:
+            return self
+        for a in self.used_atoms():
+            if a not in atoms:
+                raise ValueError(f"atom {a} missing from registry")
+        nb = self.nbase
+        slot = {a: nb + i for i, a in enumerate(atoms)}
+        mapping = list(range(nb)) + [slot.get(a) for a in self.atoms]
+        return self.remap_vars(nb + len(atoms), mapping, atoms)
+
+    def _unify(self, other: "Polynomial"):
+        """Both operands over the union of their registries."""
+        if self.atoms == other.atoms and self.nvars == other.nvars:
+            return self, other
+        if self.nbase != other.nbase:
+            raise ValueError("polynomials over different variable alphabets")
+        atoms = self.atoms + tuple(a for a in other.atoms if a not in self.atoms)
+        return self.with_atoms(atoms), other.with_atoms(atoms)
 
     # -- arithmetic ---------------------------------------------------
 
-    def _check(self, other: "Polynomial"):
-        if self.nvars != other.nvars:
-            raise ValueError("polynomials over different variable alphabets")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
-        self._check(other)
-        terms = dict(self.terms)
-        for alpha, coef in other.terms.items():
+            other = Polynomial.constant(self.nbase, other)
+        a, b = self._unify(other)
+        terms = dict(a.terms)
+        for alpha, coef in b.terms.items():
             new = terms.get(alpha, Fraction(0)) + coef
             if new:
                 terms[alpha] = new
             else:
                 terms.pop(alpha, None)
-        return Polynomial(self.nvars, terms)
+        return Polynomial(a.nvars, terms, a.atoms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {a: -c for a, c in self.terms.items()})
+        return Polynomial(self.nvars, {a: -c for a, c in self.terms.items()}, self.atoms)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
+            other = Polynomial.constant(self.nbase, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -204,26 +248,27 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             if c == 0:
-                return Polynomial.zero(self.nvars)
-            return Polynomial(self.nvars, {a: c * v for a, v in self.terms.items()})
-        self._check(other)
+                return Polynomial(self.nvars, None, self.atoms)
+            return Polynomial(self.nvars, {a: c * v for a, v in self.terms.items()},
+                              self.atoms)
+        a, b = self._unify(other)
         terms: dict = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = mi_add(a, b)
-                new = terms.get(key, Fraction(0)) + ca * cb
+        for x, cx in a.terms.items():
+            for y, cy in b.terms.items():
+                key = mi_add(x, y)
+                new = terms.get(key, Fraction(0)) + cx * cy
                 if new:
                     terms[key] = new
                 else:
                     terms.pop(key, None)
-        return Polynomial(self.nvars, terms)
+        return Polynomial(a.nvars, terms, a.atoms)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative powers not supported")
-        result = Polynomial.constant(self.nvars, 1)
+        result = Polynomial.constant(self.nbase, 1)
         base = self
         e = exponent
         while e:
@@ -236,7 +281,15 @@ class Polynomial:
     # -- calculus and evaluation ---------------------------------------
 
     def diff(self, var: int) -> "Polynomial":
-        """Partial derivative treating every variable as independent."""
+        """d/dx_var, with each atom a function of the base variables.
+
+        For an atom slot this is the plain partial.  For a base variable
+        and atoms a_j = sin/cos(w_j x^arg_j), the chain rule adds
+        dP/da_j * da_j/dx, where da_j/dx = +-w_j arg_j[var]
+        x^(arg_j - e_var) * partner(a_j), plus for sin and minus for cos;
+        partners (sin <-> cos) missing from the registry are appended to
+        the registry of the result.
+        """
         terms = {}
         for alpha, coef in self.terms.items():
             e = alpha[var]
@@ -244,13 +297,28 @@ class Polynomial:
                 continue
             beta = alpha[:var] + (e - 1,) + alpha[var + 1:]
             terms[beta] = terms.get(beta, Fraction(0)) + coef * e
-        return Polynomial(self.nvars, terms)
+        out = Polynomial(self.nvars, terms, self.atoms)
+        if not self.atoms or var >= self.nbase:
+            return out
+        nb = self.nbase
+        for a in self.used_atoms():
+            if not a.arg[var]:
+                continue
+            shift = list(a.arg) + [1]
+            shift[var] -= 1
+            rate = a.freq * a.arg[var] * (1 if a.kind == "sin" else -1)
+            inner = Polynomial(nb + 1, {tuple(shift): rate}, (a.partner(),))
+            out = out + self.diff(nb + self.atoms.index(a)) * inner
+        return out
 
     def evaluate(self, point: Sequence[float]) -> float:
-        if len(point) != self.nvars:
+        """Value at the base point ``point``; atoms are evaluated there."""
+        if len(point) != self.nbase:
             raise ValueError(
-                f"point has dimension {len(point)}, expected {self.nvars}"
+                f"point has dimension {len(point)}, expected {self.nbase}"
             )
+        if self.atoms:
+            point = list(point) + [a.value(point) for a in self.atoms]
         total = 0.0
         for alpha, coef in self.terms.items():
             val = float(coef)
@@ -275,8 +343,10 @@ class Polynomial:
                 terms[alpha] = terms.get(alpha, Fraction(0)) + c
         return Polynomial(self.nvars, terms)
 
-    def remap_vars(self, new_nvars: int, mapping: Sequence[int]) -> "Polynomial":
-        """Move variable i to slot mapping[i] in a ``new_nvars`` alphabet."""
+    def remap_vars(self, new_nvars: int, mapping: Sequence[int],
+                   atoms: Sequence["TrigAtom"] = ()) -> "Polynomial":
+        """Move variable i to slot mapping[i] in a ``new_nvars`` alphabet
+        whose last slots are the atoms ``atoms``."""
         terms = {}
         for alpha, coef in self.terms.items():
             beta = [0] * new_nvars
@@ -284,7 +354,7 @@ class Polynomial:
                 if e:
                     beta[mapping[i]] += e
             terms[tuple(beta)] = terms.get(tuple(beta), Fraction(0)) + coef
-        return Polynomial(new_nvars, terms)
+        return Polynomial(new_nvars, terms, atoms)
 
     def max_coefficient(self) -> Fraction:
         return max((abs(c) for c in self.terms.values()), default=Fraction(0))
@@ -292,10 +362,12 @@ class Polynomial:
     # -- display --------------------------------------------------------
 
     def format(self, names: Sequence[str]) -> str:
+        """Text over the base variable names ``names``."""
+        names = list(names) + [a.format(names) for a in self.atoms]
         return format_terms(self.items(), names)
 
     def __repr__(self):
-        names = [f"x{i + 1}" for i in range(self.nvars)]
+        names = [f"x{i + 1}" for i in range(self.nbase)]
         return f"Polynomial({self.format(names)})"
 
 
@@ -337,7 +409,7 @@ def format_terms(items, names: Sequence[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sinusoidal atoms and mixed expressions
+# Sinusoidal atoms
 # ---------------------------------------------------------------------------
 
 
@@ -383,195 +455,6 @@ class TrigAtom:
         return f"{self.kind}({format_coeff(self.freq)}*{mono})"
 
 
-class Expression:
-    """Polynomial over base state variables plus registered trig atoms.
-
-    The underlying polynomial has ``nbase + len(atoms)`` variables; slot
-    ``nbase + j`` stands for ``atoms[j]``.  An expression with no atom
-    usage is exactly a polynomial in the base variables.
-    """
-
-    __slots__ = ("nbase", "atoms", "poly")
-
-    def __init__(self, nbase: int, atoms: Sequence[TrigAtom], poly: Polynomial):
-        if poly.nvars != nbase + len(atoms):
-            raise ValueError("polynomial arity does not match base + atoms")
-        self.nbase = nbase
-        self.atoms = tuple(atoms)
-        self.poly = poly
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def from_polynomial(nbase: int, poly: Polynomial) -> "Expression":
-        if poly.nvars != nbase:
-            raise ValueError("arity mismatch")
-        return Expression(nbase, (), poly)
-
-    @staticmethod
-    def zero(nbase: int) -> "Expression":
-        return Expression(nbase, (), Polynomial.zero(nbase))
-
-    @staticmethod
-    def constant(nbase: int, value) -> "Expression":
-        return Expression(nbase, (), Polynomial.constant(nbase, value))
-
-    @staticmethod
-    def variable(nbase: int, index: int) -> "Expression":
-        return Expression(nbase, (), Polynomial.variable(nbase, index))
-
-    @staticmethod
-    def atom(nbase: int, atom: TrigAtom, coef=1) -> "Expression":
-        poly = Polynomial.monomial(nbase + 1, (0,) * nbase + (1,), coef)
-        return Expression(nbase, (atom,), poly)
-
-    # -- atom registry maintenance ---------------------------------------
-
-    def used_atoms(self) -> tuple:
-        """Atoms actually appearing in some term."""
-        used = set()
-        for alpha in self.poly.terms:
-            for j in range(self.nbase, len(alpha)):
-                if alpha[j]:
-                    used.add(j - self.nbase)
-        return tuple(self.atoms[j] for j in sorted(used))
-
-    def with_atoms(self, atoms: Sequence[TrigAtom]) -> "Expression":
-        """Re-express over the given atom registry (must cover used atoms)."""
-        atoms = tuple(atoms)
-        pos = {a: i for i, a in enumerate(atoms)}
-        mapping = list(range(self.nbase))
-        for a in self.atoms:
-            if a in pos:
-                mapping.append(self.nbase + pos[a])
-            else:
-                mapping.append(-1)
-        n_new = self.nbase + len(atoms)
-        terms = {}
-        for alpha, coef in self.poly.terms.items():
-            beta = [0] * n_new
-            for i, e in enumerate(alpha):
-                if not e:
-                    continue
-                if mapping[i] < 0:
-                    raise ValueError(
-                        f"atom {self.atoms[i - self.nbase]} missing from registry"
-                    )
-                beta[mapping[i]] += e
-            key = tuple(beta)
-            terms[key] = terms.get(key, Fraction(0)) + coef
-        return Expression(self.nbase, atoms, Polynomial(n_new, terms))
-
-    def _unify(self, other: "Expression"):
-        if self.nbase != other.nbase:
-            raise ValueError("expressions over different base alphabets")
-        atoms = list(self.atoms)
-        for a in other.atoms:
-            if a not in atoms:
-                atoms.append(a)
-        return self.with_atoms(atoms), other.with_atoms(atoms)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Expression.constant(self.nbase, other)
-        a, b = self._unify(other)
-        return Expression(a.nbase, a.atoms, a.poly + b.poly)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Expression(self.nbase, self.atoms, -self.poly)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Expression.constant(self.nbase, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Expression(self.nbase, self.atoms, self.poly * other)
-        a, b = self._unify(other)
-        return Expression(a.nbase, a.atoms, a.poly * b.poly)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        return Expression(self.nbase, self.atoms, self.poly**exponent)
-
-    def __eq__(self, other):
-        if not isinstance(other, Expression):
-            return NotImplemented
-        a, b = self._unify(other)
-        return a.poly == b.poly
-
-    # -- queries ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return not self.used_atoms()
-
-    def base_polynomial(self) -> Polynomial:
-        """Drop unused atom slots; error if any atom is actually used."""
-        if not self.is_polynomial():
-            raise ValueError("expression contains sinusoidal atoms")
-        terms = {alpha[: self.nbase]: c for alpha, c in self.poly.terms.items()}
-        return Polynomial(self.nbase, terms)
-
-    # -- calculus -------------------------------------------------------------
-
-    def diff(self, var: int) -> "Expression":
-        """d/dx_var with atoms treated as functions of the base state.
-
-        For E = P(x, a) with atoms a_j = sin/cos(w_j x^arg_j), the chain
-        rule gives dE/dx = dP/dx + sum_j dP/da_j * da_j/dx, where
-        da_j/dx = +-w_j arg_j[var] x^(arg_j - e_var) * partner(a_j), plus
-        for sin and minus for cos.  Partners (sin <-> cos) missing from the
-        atom registry are appended to the registry of the result.
-        """
-        if not 0 <= var < self.nbase:
-            raise ValueError("differentiation variable must be a base variable")
-        nb = self.nbase
-        moving = [a for a in self.used_atoms() if a.arg[var]]
-        atoms = list(self.atoms)
-        for a in moving:
-            if a.partner() not in atoms:
-                atoms.append(a.partner())
-        poly = self.with_atoms(atoms).poly
-        out = poly.diff(var)
-        for a in moving:
-            shift = list(a.arg) + [0] * len(atoms)
-            shift[var] -= 1
-            shift[nb + atoms.index(a.partner())] = 1
-            rate = a.freq * a.arg[var] * (1 if a.kind == "sin" else -1)
-            inner = Polynomial.monomial(poly.nvars, tuple(shift), rate)
-            out = out + poly.diff(nb + atoms.index(a)) * inner
-        return Expression(nb, tuple(atoms), out)
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, point: Sequence[float]) -> float:
-        if len(point) != self.nbase:
-            raise ValueError(
-                f"point has dimension {len(point)}, expected {self.nbase}"
-            )
-        full = list(point) + [a.value(point) for a in self.atoms]
-        return self.poly.evaluate(full)
-
-    # -- display --------------------------------------------------------------
-
-    def format(self, names: Sequence[str]) -> str:
-        full_names = list(names) + [a.format(names) for a in self.atoms]
-        return self.poly.format(full_names)
-
-    def __repr__(self):
-        names = [f"x{i + 1}" for i in range(self.nbase)]
-        return f"Expression({self.format(names)})"
-
-
 # ---------------------------------------------------------------------------
 # Expression grammar
 # ---------------------------------------------------------------------------
@@ -610,7 +493,7 @@ class ExprParser:
             if name in self.index:
                 raise ValueError(f"{name!r} is reserved for the {name} function")
 
-    def parse(self, text: str) -> Expression:
+    def parse(self, text: str) -> Polynomial:
         self.text = text
         self.tokens = self._tokenize(text)
         self.pos = 0
@@ -646,7 +529,7 @@ class ExprParser:
         self.pos += 1
         return tok
 
-    def _sum(self) -> Expression:
+    def _sum(self) -> Polynomial:
         left = self._product()
         while True:
             tok = self._peek()
@@ -657,7 +540,7 @@ class ExprParser:
             else:
                 return left
 
-    def _product(self) -> Expression:
+    def _product(self) -> Polynomial:
         left = self._unary()
         while True:
             tok = self._peek()
@@ -669,14 +552,14 @@ class ExprParser:
             else:
                 return left
 
-    def _reciprocal(self, divisor: Expression, pos: int) -> Fraction:
-        if any(any(alpha) for alpha in divisor.poly.terms):
+    def _reciprocal(self, divisor: Polynomial, pos: int) -> Fraction:
+        if any(any(alpha) for alpha in divisor.terms):
             raise ExprSyntaxError("divisor must be a numeric constant", self.text, pos)
         if divisor.is_zero():
             raise ExprSyntaxError("division by zero", self.text, pos)
-        return 1 / divisor.poly.coefficient((0,) * divisor.poly.nvars)
+        return 1 / divisor.coefficient((0,) * divisor.nvars)
 
-    def _unary(self) -> Expression:
+    def _unary(self) -> Polynomial:
         tok = self._peek()
         if tok and tok[0] == "op" and tok[1] in "+-":
             self.pos += 1
@@ -684,7 +567,7 @@ class ExprParser:
             return inner if tok[1] == "+" else -inner
         return self._power()
 
-    def _power(self) -> Expression:
+    def _power(self) -> Polynomial:
         base = self._primary()
         tok = self._peek()
         if tok and tok[0] == "op" and tok[1] == "^":
@@ -696,13 +579,13 @@ class ExprParser:
             return base ** int(exp_tok[1])
         return base
 
-    def _primary(self) -> Expression:
+    def _primary(self) -> Polynomial:
         tok = self._peek()
         if tok is None:
             raise ExprSyntaxError("unexpected end of expression", self.text, len(self.text))
         if tok[0] == "num":
             self.pos += 1
-            return Expression.constant(len(self.names), Fraction(tok[1]))
+            return Polynomial.constant(len(self.names), Fraction(tok[1]))
         if tok[0] == "name":
             self.pos += 1
             name = tok[1]
@@ -713,7 +596,7 @@ class ExprParser:
                 return self._make_atom(name, arg, tok[2])
             if name not in self.index:
                 raise ExprSyntaxError(f"undeclared variable {name!r}", self.text, tok[2])
-            return Expression.variable(len(self.names), self.index[name])
+            return Polynomial.variable(len(self.names), self.index[name])
         if tok[0] == "op" and tok[1] == "(":
             self.pos += 1
             inner = self._sum()
@@ -721,35 +604,36 @@ class ExprParser:
             return inner
         raise ExprSyntaxError(f"unexpected {tok[1]!r}", self.text, tok[2])
 
-    def _make_atom(self, kind: str, arg: Expression, pos: int) -> Expression:
+    def _make_atom(self, kind: str, arg: Polynomial, pos: int) -> Polynomial:
         nbase = len(self.names)
-        if not arg.is_polynomial():
+        if arg.used_atoms():
             raise ExprSyntaxError(f"{kind} argument must not contain nested trig",
                                   self.text, pos)
-        poly = arg.base_polynomial()
-        if len(poly.terms) != 1:
+        terms = arg.with_atoms(()).terms
+        if len(terms) > 1:
             raise ExprSyntaxError(
                 f"{kind} argument must be a single monomial", self.text, pos)
-        (alpha, coef), = poly.terms.items()
+        # a zero argument has no term and folds like any other constant
+        alpha, coef = next(iter(terms.items()), ((0,) * nbase, Fraction(0)))
         if all(e == 0 for e in alpha):
             # Constant argument: fold to a numeric constant.
             value = math.sin(float(coef)) if kind == "sin" else math.cos(float(coef))
-            return Expression.constant(nbase, Fraction(value).limit_denominator(10**15))
+            return Polynomial.constant(nbase, Fraction(value).limit_denominator(10**15))
         sign = 1
         if coef < 0:
             coef = -coef
             if kind == "sin":
                 sign = -1
         atom = TrigAtom(kind, coef, tuple(alpha))
-        return Expression.atom(nbase, atom, sign)
+        return Polynomial.atom(nbase, atom, sign)
 
 
-def parse_expression(text: str, names: Sequence[str]) -> Expression:
+def parse_expression(text: str, names: Sequence[str]) -> Polynomial:
     return ExprParser(names).parse(text)
 
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     expr = parse_expression(text, names)
-    if not expr.is_polynomial():
+    if expr.used_atoms():
         raise ValueError(f"expected a polynomial, got trig terms in {text!r}")
-    return expr.base_polynomial()
+    return expr.with_atoms(())

@@ -6,11 +6,11 @@ For dX = b dt + sigma dB the generator maps a test function f to
 
 with c_ii = 1/2 and c_ij = 1 for i < j (the (i, j) and (j, i) terms of
 the half Hessian trace taken together).  ``generator`` and
-``sigma_sigma_t`` only add, multiply and differentiate, so the one
-generator serves both constructions: the state augmentation applies it
-to each sin/cos atom (an ``Expression``) to get that atom's drift by
-Ito's formula, and ``martingale_row`` applies it to a monomial test
-function (a ``Polynomial``) of the augmented model.  Each such image,
+``sigma_sigma_t`` only add, multiply and differentiate ``Polynomial``s,
+so the one generator serves both constructions: the state augmentation
+applies it to each sin/cos atom (a polynomial in that one atom) to get
+the atom's drift by Ito's formula, and ``martingale_row`` applies it to a
+monomial test function of the augmented model.  Each such image,
 together with the start-state constant and a unit coefficient on the
 matching exit moment, yields one linear equality over the
 occupation/exit moment sequences.
@@ -45,7 +45,7 @@ def sigma_sigma_t(diffusion) -> dict:
 
 def generator(f, drift, sst):
     """L f for the drift entries ``drift`` and the ``sigma_sigma_t`` table
-    ``sst``; f and every entry are all Polynomials or all Expressions."""
+    ``sst``."""
     out = f * 0
     for i, b in enumerate(drift):
         di = f.diff(i)
@@ -76,11 +76,7 @@ class MartingaleRow:
 def martingale_row(model: AugmentedModel, k: MultiIndex) -> MartingaleRow:
     f = Polynomial.monomial(model.total_dim, k)
     image = generator(f, model.drift, model.sigma_sigma_t())
-    constant = 1.0
-    for x, e in zip(model.x0, k):
-        if e:
-            constant *= x**e
-    return MartingaleRow(tuple(k), dict(image.terms), constant)
+    return MartingaleRow(tuple(k), dict(image.terms), f.evaluate(model.x0))
 
 
 def emit_all_rows(model: AugmentedModel, K: int, dropped=None) -> list:

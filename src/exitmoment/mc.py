@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentedModel, SdeModel
-from .expr import Expression, Polynomial
+from .expr import Polynomial
 
 # e^-40 < 2^-54: below this bridge exponent, 1 - p rounds to 1.0
 NEAR_BOUNDARY = -40.0
@@ -155,9 +155,9 @@ class _Kernel:
     A constant expression evaluates to a float.
     """
 
-    def __init__(self, expr: Expression, n: int):
+    def __init__(self, expr: Polynomial, n: int):
         self.terms = []
-        for alpha, coef in expr.poly.terms.items():
+        for alpha, coef in expr.terms.items():
             factors = tuple((i if i < n else i - 1, e)
                             for i, e in enumerate(alpha) if e and i != n)
             self.terms.append((float(coef), alpha[n], factors))
@@ -196,7 +196,6 @@ class SdeKernel:
         n = model.n
         self.n = n
         self.d = model.d
-        slots = model.nslots
         atoms: list = []
         exprs = list(model.drift) + [g for row in model.diffusion for g in row]
         for e in exprs:
@@ -205,11 +204,8 @@ class SdeKernel:
                     atoms.append(a)
         self.atoms = _Atoms(atoms, n)
 
-        def compile_expr(e: Expression) -> _Kernel:
+        def compile_expr(e: Polynomial) -> _Kernel:
             return _Kernel(e.with_atoms(atoms), n)
-
-        def compile_poly(q: Polynomial) -> _Kernel:
-            return compile_expr(Expression.from_polynomial(slots, q))
 
         self.drift = [compile_expr(e) for e in model.drift]
         self.diffusion = [[compile_expr(g) for g in row]
@@ -217,8 +213,8 @@ class SdeKernel:
         # per coordinate, the (noise column, kernel) pairs that are not zero
         self.noise = [[(k, g) for k, g in enumerate(row) if not g.is_zero()]
                       for row in self.diffusion]
-        self.safe = [compile_poly(q) for q in model.safe_polys]
-        self.safe_grads = [[compile_poly(q.diff(i)) for i in range(n)]
+        self.safe = [compile_expr(q) for q in model.safe_polys]
+        self.safe_grads = [[compile_expr(q.diff(i)) for i in range(n)]
                            for q in model.safe_polys]
         # crossing variance of polynomial j: sum over noise columns k of
         # (sum_i d_i q_j sigma_ik)^2, kept to the (i, k) pairs where neither

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitmoment.expr import (
-    Expression,
     ExprSyntaxError,
     Polynomial,
     TrigAtom,
@@ -155,6 +154,14 @@ def test_derivative_chain_rule_two_vars():
     assert e.diff(0) == expected
 
 
+def test_derivative_in_an_atom_slot_is_the_plain_partial():
+    # x^2 sin(x)^3 cos(x): d/d(sin slot) is 3 x^2 sin(x)^2 cos(x), with no
+    # chain-rule term through the base variable
+    e = parse_expression("x^2*sin(x)^3*cos(x)", ["x"])
+    sin_slot = e.nbase + e.atoms.index(TrigAtom("sin", Fraction(1), (1,)))
+    assert e.diff(sin_slot) == parse_expression("3*x^2*sin(x)^2*cos(x)", ["x"])
+
+
 def central_difference(f, point, var, h=1e-5):
     up = list(point)
     dn = list(point)
@@ -235,6 +242,28 @@ def test_decimal_literals_are_exact():
     assert p.coefficient((1,)) == Fraction(981, 100)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("cos(0)", "1"),
+    ("sin(x - x)", "0"),
+    ("2*cos(0*x)", "2"),
+])
+def test_a_zero_trig_argument_folds_to_a_constant(text, value):
+    assert parse_expression(text, ["x"]) == parse_polynomial(value, ["x"])
+
+
+def test_polynomial_times_atom_polynomial_merges_registries():
+    names = ["x"]
+    product = parse_polynomial("x", names) * parse_expression("sin(x)", names)
+    assert product == parse_expression("x*sin(x)", names)
+
+
+def test_equality_ignores_the_order_of_the_atom_registries():
+    a = parse_expression("sin(x)*cos(x)", ["x"])
+    b = parse_expression("cos(x)*sin(x)", ["x"])
+    assert a.atoms == b.atoms[::-1]
+    assert a == b
+
+
 def test_negative_frequency_normalizes():
     e = parse_expression("sin(-2*x)", ["x"])
     expected = parse_expression("-sin(2*x)", ["x"])
@@ -297,7 +326,7 @@ def test_power_binds_tighter_than_product():
 def test_division_by_a_constant_is_exact(quotient, product):
     got = parse_expression(quotient, ["x", "y"])
     assert got == parse_expression(product, ["x", "y"])
-    assert all(isinstance(c, Fraction) for c in got.poly.terms.values())
+    assert all(isinstance(c, Fraction) for c in got.terms.values())
 
 
 @pytest.mark.parametrize("text, message, column", [

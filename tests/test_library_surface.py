@@ -6,7 +6,9 @@ it: a name, an attribute or a string equal to it (``getattr``-style
 wrapping) in ``src/`` or in a non-test file under ``perfbench/``, or an
 entry point in ``[project.scripts]``.  Oracles that only tests compare
 against are listed in ``ORACLES``.  A settings field counts as used when
-one of those files passes it by keyword to its dataclass.
+one of those files passes it by keyword to its dataclass.  Within the
+library, every module-level import is read, and so is every local name a
+function assigns (other than ``_...``).
 """
 
 import ast
@@ -80,3 +82,46 @@ def test_every_settings_field_is_passed_by_a_caller():
     for cls in (SolverSettings, McConfig):
         unset = {f.name for f in dataclasses.fields(cls)} - passed[cls.__name__]
         assert not unset, f"{cls.__name__} fields set only by tests: {sorted(unset)}"
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(func):
+    """Nodes of ``func`` outside the functions, lambdas and classes nested
+    in it."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS + (ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _names(nodes, ctx):
+    return {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
+
+
+def test_every_import_and_local_name_is_read():
+    unread = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text())
+        loaded = _names(ast.walk(tree), ast.Load)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and not (
+                    isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__"):
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded:
+                        unread.append(f"{path.name}: import {name}")
+        for func in ast.walk(tree):
+            if not isinstance(func, FUNCTIONS):
+                continue
+            stored = _names(_own_nodes(func), ast.Store)
+            for node in _own_nodes(func):
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    stored -= set(node.names)
+            for name in stored - _names(ast.walk(func), ast.Load):
+                if not name.startswith("_"):
+                    unread.append(f"{path.name}: {func.name} assigns {name}")
+    assert not unread, f"never read: {sorted(unread)}"
