@@ -128,10 +128,6 @@ class AugmentedModel:
         start state satisfies every boundary constraint."""
         return list(self.user_polys) + [self.time_polys[1]]
 
-    @property
-    def safe_polys(self) -> list:
-        return self.support_polys + list(self.trig_polys)
-
     def sigma_sigma_t(self) -> dict:
         """The model's ``generator.sigma_sigma_t`` table, built once."""
         if not hasattr(self, "_sst"):

@@ -359,16 +359,8 @@ class Polynomial:
     def max_coefficient(self) -> Fraction:
         return max((abs(c) for c in self.terms.values()), default=Fraction(0))
 
-    # -- display --------------------------------------------------------
-
-    def format(self, names: Sequence[str]) -> str:
-        """Text over the base variable names ``names``."""
-        names = list(names) + [a.format(names) for a in self.atoms]
-        return format_terms(self.items(), names)
-
     def __repr__(self):
-        names = [f"x{i + 1}" for i in range(self.nbase)]
-        return f"Polynomial({self.format(names)})"
+        return f"Polynomial({self.nvars}, {self.terms!r}, {self.atoms!r})"
 
 
 def format_coeff(coef: Fraction) -> str:
@@ -378,34 +370,6 @@ def format_coeff(coef: Fraction) -> str:
     if Fraction(str(f)) == coef:
         return str(f)
     return f"{coef.numerator}/{coef.denominator}"
-
-
-def format_terms(items, names: Sequence[str]) -> str:
-    if not items:
-        return "0"
-    parts = []
-    for alpha, coef in items:
-        factors = []
-        for name, e in zip(names, alpha):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors)
-        mag = format_coeff(abs(coef))
-        if body and mag == "1":
-            text = body
-        elif body:
-            text = f"{mag}*{body}"
-        else:
-            text = mag
-        sign = "-" if coef < 0 else "+"
-        parts.append((sign, text))
-    first_sign, first_text = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_text
-    for sign, text in parts[1:]:
-        out += f" {sign} {text}"
-    return out
 
 
 # ---------------------------------------------------------------------------

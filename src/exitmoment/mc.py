@@ -22,12 +22,18 @@ elementwise operation between rows, and dropping the paths that left is
 one gather per array.  The Gaussian increments are still drawn as
 (N, d), so the random stream is the one a path-major layout consumes.
 
-Compiled kernels.  Each drift, diffusion, safe-polynomial and gradient
-expression is compiled once per model into (coefficient, time power,
-factor rows) terms.  A constant expression evaluates to a float, zero
-drift and diffusion entries are skipped, and the terms are accumulated
-in the expression's term order without intermediate copies, so every
-value is the one a term-by-term evaluation gives.
+Compiled kernels.  Every polynomial the oracle evaluates (drift,
+diffusion, safe polynomial, atom argument, measure monomial) is one
+``_Kernel``, compiled once into (coefficient, factor slots) terms and
+evaluated on ``slots``, where ``slots[i]`` is the value of variable i in
+the polynomial's own order: the coordinates, then time (slot n, a float
+while the paths step synchronously), then the atoms.  A constant
+polynomial evaluates to a float, zero drift and diffusion entries are
+skipped, and the terms are accumulated in the polynomial's term order
+without intermediate copies, so every value is the one a term-by-term
+evaluation gives.  The crossing variance of a safe polynomial q is
+sum_k p_k^2 over the noise columns k, with each projection
+p_k = sum_i d_i q sigma_ik formed exactly as a polynomial and compiled.
 
 Near-boundary rule.  A path survives the bridge test of one step with
 probability exp(sum_q log(clip(1 - p_q, 1e-300, 1))), where
@@ -110,82 +116,64 @@ def _pow_row(row: np.ndarray, e: int) -> np.ndarray:
     return row**e
 
 
-class _Atoms:
-    """sin/cos of ``freq * x^arg`` for a list of atoms, one row each.
-
-    The argument's factors are the state coordinates, then time (the last
-    base slot); ``freq`` multiplies the first factor, so the product rounds
-    as ``freq * x_i^e * ... * t^e`` left to right.
-    """
-
-    def __init__(self, atoms, n: int):
-        self.n = n
-        self.specs = [
-            (np.sin if a.kind == "sin" else np.cos, float(a.freq),
-             tuple((i, e) for i, e in enumerate(a.arg) if e))
-            for a in atoms
-        ]
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __call__(self, x: np.ndarray, t, out: np.ndarray | None = None):
-        """Atom values at the coordinate rows ``x`` and time ``t`` (a
-        scalar or one value per path), as (atoms, N)."""
-        if out is None:
-            out = np.empty((len(self.specs), x.shape[1]))
-        for row, (fn, freq, factors) in zip(out, self.specs):
-            u = None
-            for i, e in factors:
-                col = _pow_row(x[i] if i < self.n else t, e)
-                if u is None:
-                    u = col if freq == 1.0 else freq * col
-                else:
-                    u = u * col
-            fn(u, out=row)
-        return out
-
-
 class _Kernel:
-    """One expression compiled against coordinate-major state rows.
+    """One polynomial compiled against slot values.
 
-    Rows 0..n-1 of the state are the coordinates and the following rows
-    the atoms of the model's registry.  Time enters as a scalar (paths
-    step synchronously), so its powers fold into the term coefficient.
-    A constant expression evaluates to a float.
+    ``slots[i]`` is the value of variable i, a float or one row per path;
+    a term multiplies its factors in slot order and then its coefficient.
+    A constant polynomial evaluates to a float.
     """
 
-    def __init__(self, expr: Polynomial, n: int):
-        self.terms = []
-        for alpha, coef in expr.terms.items():
-            factors = tuple((i if i < n else i - 1, e)
-                            for i, e in enumerate(alpha) if e and i != n)
-            self.terms.append((float(coef), alpha[n], factors))
+    def __init__(self, poly: Polynomial):
+        self.terms = [(float(coef), tuple((i, e) for i, e in enumerate(alpha) if e))
+                      for alpha, coef in poly.terms.items()]
         self.constant = None
         if not self.terms:
             self.constant = 0.0
-        elif len(self.terms) == 1 and self.terms[0][1:] == (0, ()):
+        elif len(self.terms) == 1 and not self.terms[0][1]:
             self.constant = self.terms[0][0]
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __call__(self, rows, t: float):
+    def __call__(self, slots):
         if self.constant is not None:
             return self.constant
         out = None
-        for coef, t_exp, factors in self.terms:
-            c = coef * t**t_exp if t_exp else coef
+        for coef, factors in self.terms:
             term = None
-            for r, e in factors:
-                col = _pow_row(rows[r], e)
+            for i, e in factors:
+                col = _pow_row(slots[i], e)
                 term = col if term is None else term * col
             if term is None:
-                term = c
-            elif c != 1.0:
-                term = c * term
+                term = coef
+            elif coef != 1.0:
+                term = coef * term
             out = term if out is None else out + term
         return out
+
+
+def _compile_atoms(atoms) -> list:
+    """(sin or cos, kernel of the argument ``freq * x^arg``) per atom."""
+    return [(np.sin if a.kind == "sin" else np.cos,
+             _Kernel(Polynomial.monomial(len(a.arg), a.arg, a.freq)))
+            for a in atoms]
+
+
+def _fill_atoms(atoms: list, slots, out: np.ndarray) -> None:
+    """Write the values of the compiled ``atoms`` at ``slots`` into the
+    rows of ``out``."""
+    for row, (fn, arg) in zip(out, atoms):
+        fn(arg(slots), out=row)
+
+
+def _evaluate_rows(kernels: list, slots) -> np.ndarray:
+    """The values of ``kernels`` at ``slots``, whose first slot is a row
+    per path, one row each, (m, N)."""
+    out = np.empty((len(kernels), len(slots[0])))
+    for row, kern in zip(out, kernels):
+        row[...] = kern(slots)
+    return out
 
 
 class SdeKernel:
@@ -202,10 +190,10 @@ class SdeKernel:
             for a in e.used_atoms():
                 if a not in atoms:
                     atoms.append(a)
-        self.atoms = _Atoms(atoms, n)
+        self.atoms = _compile_atoms(atoms)
 
         def compile_expr(e: Polynomial) -> _Kernel:
-            return _Kernel(e.with_atoms(atoms), n)
+            return _Kernel(e.with_atoms(atoms))
 
         self.drift = [compile_expr(e) for e in model.drift]
         self.diffusion = [[compile_expr(g) for g in row]
@@ -214,49 +202,53 @@ class SdeKernel:
         self.noise = [[(k, g) for k, g in enumerate(row) if not g.is_zero()]
                       for row in self.diffusion]
         self.safe = [compile_expr(q) for q in model.safe_polys]
-        self.safe_grads = [[compile_expr(q.diff(i)) for i in range(n)]
-                           for q in model.safe_polys]
         # crossing variance of polynomial j: sum over noise columns k of
-        # (sum_i d_i q_j sigma_ik)^2, kept to the (i, k) pairs where neither
-        # factor is zero; a polynomial with no such pair never crosses
-        # within a step and takes no part in the bridge test
-        self.var_pairs = []
-        for grads in self.safe_grads:
-            cols = []
+        # p_jk^2, p_jk = sum_i d_i q_j sigma_ik; a polynomial whose every
+        # p_jk is zero never crosses within a step and takes no part in
+        # the bridge test
+        self.bridged = []
+        self.projections = []
+        for j, q in enumerate(model.safe_polys):
+            projs = []
             for k in range(self.d):
-                rows = tuple(i for i in range(n) if not grads[i].is_zero()
-                             and not self.diffusion[i][k].is_zero())
-                if rows:
-                    cols.append((k, rows))
-            self.var_pairs.append(cols)
-        self.bridged = [j for j, cols in enumerate(self.var_pairs) if cols]
+                p = Polynomial.zero(n + 1)
+                for i in range(n):
+                    p = p + q.diff(i) * model.diffusion[i][k]
+                if not p.is_zero():
+                    projs.append(compile_expr(p))
+            if projs:
+                self.bridged.append(j)
+                self.projections.append(projs)
         self.variances_constant = all(
-            self.safe_grads[j][i].constant is not None
-            and self.diffusion[i][k].constant is not None
-            for j in self.bridged for k, rows in self.var_pairs[j]
-            for i in rows)
+            p.constant is not None for projs in self.projections for p in projs)
+
+    def slots(self, state: np.ndarray, t) -> list:
+        """The slot list of ``state`` at time ``t``: coordinate rows, time,
+        atom rows."""
+        rows = list(state)
+        return rows[: self.n] + [t] + rows[self.n:]
 
     def start(self, n_paths: int) -> np.ndarray:
         """The start state of ``n_paths`` paths, (n + atoms, N)."""
         state = np.empty((self.n + len(self.atoms), n_paths))
         state[: self.n] = np.asarray(self.model.x0, dtype=float)[:, None]
-        self.fill_atoms(state, 0.0)
+        self.fill_atoms(self.slots(state, 0.0), state)
         return state
 
-    def advance(self, state: np.ndarray, t: float, z: np.ndarray,
-                dt: float, sqrt_dt: float) -> np.ndarray:
-        """One Euler-Maruyama step: x + b dt + (sigma z) sqrt(dt), into the
-        coordinate rows of a new state array whose atom rows are left for
-        ``fill_atoms``.  ``z`` holds one row of standard normals per noise
-        column."""
-        new = np.empty_like(state)
+    def advance(self, slots: list, z: np.ndarray, dt: float,
+                sqrt_dt: float) -> np.ndarray:
+        """One Euler-Maruyama step from ``slots``: x + b dt + (sigma z)
+        sqrt(dt), into the coordinate rows of a new state array whose atom
+        rows are left for ``fill_atoms``.  ``z`` holds one row of standard
+        normals per noise column."""
+        new = np.empty((self.n + len(self.atoms), z.shape[1]))
         for i in range(self.n):
-            acc = state[i]
+            acc = slots[i]
             if not self.drift[i].is_zero():
-                acc = acc + self.drift[i](state, t) * dt
+                acc = acc + self.drift[i](slots) * dt
             noise = None
             for k, g in self.noise[i]:
-                term = z[k] if g.constant == 1.0 else g(state, t) * z[k]
+                term = z[k] if g.constant == 1.0 else g(slots) * z[k]
                 noise = term if noise is None else noise + term
             if noise is None:
                 new[i] = acc
@@ -264,29 +256,23 @@ class SdeKernel:
                 np.add(acc, noise * sqrt_dt, out=new[i])
         return new
 
-    def fill_atoms(self, state: np.ndarray, t: float) -> None:
-        self.atoms(state, t, out=state[self.n:])
+    def fill_atoms(self, slots: list, state: np.ndarray) -> None:
+        """Atom rows of ``state`` from its coordinate and time slots."""
+        _fill_atoms(self.atoms, slots, state[self.n:])
 
-    def safe_values(self, state: np.ndarray, t: float) -> np.ndarray:
+    def safe_values(self, slots: list) -> np.ndarray:
         """Safe-polynomial values, (n_q, N)."""
-        out = np.empty((len(self.safe), state.shape[1]))
-        for row, kern in zip(out, self.safe):
-            row[...] = kern(state, t)
-        return out
+        return _evaluate_rows(self.safe, slots)
 
-    def crossing_variances(self, state, t: float) -> list:
+    def crossing_variances(self, slots) -> list:
         """Variance rate grad(q)^T sigma sigma^T grad(q) of each bridged
         polynomial, one float or row per polynomial."""
         out = []
-        for j in self.bridged:
-            grads = self.safe_grads[j]
+        for projs in self.projections:
             v = None
-            for k, rows in self.var_pairs[j]:
-                proj = None
-                for i in rows:
-                    term = grads[i](state, t) * self.diffusion[i][k](state, t)
-                    proj = term if proj is None else proj + term
-                v = proj * proj if v is None else v + proj * proj
+            for p in projs:
+                value = p(slots)
+                v = value * value if v is None else v + value * value
             out.append(v)
         return out
 
@@ -323,70 +309,61 @@ def _bridge_survival(q_prev: np.ndarray, q_new: np.ndarray, vdt: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-class _Stepper:
+def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
+                    exit_state=None):
     """Synchronous Euler-Maruyama stepping with exit detection.
 
-    Exits are flagged either by a sign change of a safe polynomial on the
-    grid (crossing time linearly interpolated via the most violated
-    polynomial) or by the bridge test, which runs on every step: it
-    samples the within-step crossing probability
-    exp(-2 q_k q_{k+1} / (v dt)) per polynomial.  Paths step to the
-    model's horizon.
+    ``cfg.paths`` paths run to the model's horizon in chunks of ``CHUNK``
+    on one random stream.  Exits are flagged either by a sign change of a
+    safe polynomial on the grid (crossing time linearly interpolated via
+    the most violated polynomial) or by the bridge test, which runs on
+    every step: it samples the within-step crossing probability
+    exp(-2 q_k q_{k+1} / (v dt)) per polynomial.
 
-    Two optional hooks observe the paths.  ``occupation(state, t)``
-    returns an (m, N) integrand at the alive paths at the start of every
-    step; the stepper integrates it along each path (left-point rule).
+    Two optional hooks observe the paths.  ``occupation(slots)`` returns
+    an (m, N) integrand at the slots of the alive paths at the start of
+    every step; it is integrated along each path (left-point rule).
     ``exit_state(ids, x, times, facets, t_end, integrals)`` receives the
     paths that leave in a step: their interpolated exit coordinates
     (n, R), exit times, the index of the safe polynomial each one crossed,
     the time at the end of the step and the integrals of the occupation
     integrand up to the exit.  Paths alive at the horizon are reported
     once more with ``facets`` None.
+
+    Returns (tau, capped, flagged): exit times (NaN for a path that became
+    non-finite), whether each path reached the horizon, and the count of
+    non-finite paths; raises when that count exceeds 0.1% of the paths.
     """
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    n, dt, horizon = kernel.n, cfg.dt, kernel.model.horizon
+    sqrt_dt = math.sqrt(dt)
+    bridged = kernel.bridged
+    all_bridged = len(bridged) == len(kernel.safe)
+    const_vdt = None
+    if kernel.variances_constant:
+        const_vdt = np.array(kernel.crossing_variances(None),
+                             dtype=float)[:, None] * dt
+    tau = np.full(cfg.paths, horizon)
+    capped = np.ones(cfg.paths, dtype=bool)
+    flagged = 0
 
-    def __init__(self, kernel: SdeKernel, dt: float, rng: np.random.Generator,
-                 occupation=None, exit_state=None):
-        self.kernel = kernel
-        self.horizon = kernel.model.horizon
-        self.rng = rng
-        self.occupation = occupation
-        self.exit_state = exit_state
-        self.dt = dt
-        self.sqrt_dt = math.sqrt(dt)
-        self.n_steps = int(math.ceil(self.horizon / dt))
-        self.vdt = None
-        if kernel.variances_constant:
-            self.vdt = np.array(kernel.crossing_variances(None, 0.0),
-                                dtype=float)[:, None] * dt
-
-    def run(self, first: int, n_paths: int, tau: np.ndarray,
-            capped: np.ndarray) -> int:
-        """Simulate paths ``first .. first + n_paths - 1``, writing their
-        exit times into ``tau`` and clearing ``capped`` for those that
-        leave or become non-finite.  Returns the count of non-finite
-        paths, whose ``tau`` is NaN."""
-        kernel = self.kernel
-        n = kernel.n
-        dt = self.dt
-        bridged = kernel.bridged
-        all_bridged = len(bridged) == len(kernel.safe)
-
-        state = kernel.start(n_paths)
-        ids = np.arange(first, first + n_paths)
-        flagged = 0
-        q_prev = kernel.safe_values(state, 0.0)
+    for first in range(0, cfg.paths, CHUNK):
+        state = kernel.start(min(CHUNK, cfg.paths - first))
+        ids = np.arange(first, first + state.shape[1])
+        q_prev = kernel.safe_values(kernel.slots(state, 0.0))
         integral = None
-        for step in range(self.n_steps):
+        for step in range(int(math.ceil(horizon / dt))):
             t = step * dt
             if ids.size == 0:
                 break
-            if self.occupation is not None:
-                values = self.occupation(state, t) * dt
+            slots = kernel.slots(state, t)
+            if occupation is not None:
+                values = occupation(slots) * dt
                 if integral is None:
                     integral = np.zeros_like(values)
                 integral += values
-            z = self.rng.standard_normal((ids.size, kernel.d))
-            new = kernel.advance(state, t, z.T, dt, self.sqrt_dt)
+            z = rng.standard_normal((ids.size, kernel.d))
+            new = kernel.advance(slots, z.T, dt, sqrt_dt)
 
             finite = np.isfinite(new[:n]).all(axis=0)
             if finite.all():
@@ -398,9 +375,10 @@ class _Stepper:
                 capped[ids[bad]] = False
                 new[:n, bad] = state[:n, bad]  # keep finite for the q evaluation
 
-            t_new = min((step + 1) * dt, self.horizon)
-            kernel.fill_atoms(new, t_new)
-            q_new = kernel.safe_values(new, t_new)
+            t_new = min((step + 1) * dt, horizon)
+            new_slots = kernel.slots(new, t_new)
+            kernel.fill_atoms(new_slots, new)
+            q_new = kernel.safe_values(new_slots)
 
             crossed = (q_new < 0).any(axis=0)
             rows = np.flatnonzero(crossed if finite is None else crossed & finite)
@@ -414,16 +392,16 @@ class _Stepper:
 
             inside = ~crossed if finite is None else ~crossed & finite
             if inside.any():
-                u = self.rng.random(ids.size)
+                u = rng.random(ids.size)
                 if bridged:
                     if all_bridged:
                         qb_prev, qb_new = q_prev, q_new
                     else:
                         qb_prev, qb_new = q_prev[bridged], q_new[bridged]
-                    vdt = self.vdt
+                    vdt = const_vdt
                     if vdt is None:
                         v = np.empty(qb_new.shape)
-                        for row, value in zip(v, kernel.crossing_variances(state, t)):
+                        for row, value in zip(v, kernel.crossing_variances(slots)):
                             row[...] = value
                         vdt = v * dt
                     near, survive, p = _bridge_survival(qb_prev, qb_new, vdt)
@@ -439,9 +417,9 @@ class _Stepper:
             if rows.size:
                 tau[ids[rows]] = t + theta * dt
                 capped[ids[rows]] = False
-                if self.exit_state is not None:
+                if exit_state is not None:
                     x0 = state[:n, rows]
-                    self.exit_state(
+                    exit_state(
                         ids[rows], x0 + theta * (new[:n, rows] - x0),
                         t + theta * dt, facets, t_new,
                         None if integral is None else integral[:, rows])
@@ -459,25 +437,10 @@ class _Stepper:
                 state = new
                 q_prev = q_new
 
-        if self.exit_state is not None and ids.size:
-            self.exit_state(ids, state[:n], np.full(ids.size, self.horizon),
-                            None, self.horizon, integral)
-        return flagged
+        if exit_state is not None and ids.size:
+            exit_state(ids, state[:n], np.full(ids.size, horizon),
+                       None, horizon, integral)
 
-
-def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
-                    exit_state=None):
-    """Run ``cfg.paths`` paths in chunks of ``CHUNK`` on one random
-    stream.  Returns (tau, capped, flagged); raises when more than 0.1% of
-    the paths became non-finite."""
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    stepper = _Stepper(kernel, cfg.dt, rng, occupation, exit_state)
-    tau = np.full(cfg.paths, stepper.horizon)
-    capped = np.ones(cfg.paths, dtype=bool)
-    flagged = 0
-    for first in range(0, cfg.paths, CHUNK):
-        flagged += stepper.run(first, min(CHUNK, cfg.paths - first),
-                               tau, capped)
     if flagged > 0.001 * cfg.paths:
         raise RuntimeError(
             f"{flagged} of {cfg.paths} paths became non-finite; "
@@ -529,12 +492,8 @@ def simulate_exit(model: SdeModel, cfg: McConfig,
 
 @dataclass
 class MeasureMoments:
-    indices_m: list
-    indices_b: list
     m_mean: np.ndarray
-    m_se: np.ndarray
     b_mean: np.ndarray
-    b_se: np.ndarray
     occupation_samples: np.ndarray
     exit_samples: np.ndarray
 
@@ -552,30 +511,29 @@ def measure_moments(model: SdeModel, augmented: AugmentedModel,
     """
     n = model.n
     scales = np.array([float(s) for s in augmented.scales])[:, None]
-    aug_atoms = _Atoms(augmented.atoms, n)
+    aug_atoms = _compile_atoms(augmented.atoms)
     kernel = SdeKernel(model)
+    # the Newton step's gradients of each safe polynomial
+    grads = [[_Kernel(q.diff(i)) for i in range(n)] for q in model.safe_polys]
 
+    def monomials(indices: list) -> list:
+        return [_Kernel(Polynomial.monomial(len(alpha), alpha)) for alpha in indices]
+
+    mono_m, mono_b = monomials(indices_m), monomials(indices_b)
     occ = np.zeros((cfg.paths, len(indices_m)))
     exit_pow = np.zeros((cfg.paths, len(indices_b)))
 
-    def aug_coords(x: np.ndarray, times) -> np.ndarray:
-        time_row = np.broadcast_to(np.asarray(times, dtype=float), x.shape[1:])
-        atoms = aug_atoms(x, time_row)
-        return np.concatenate([x[:n], time_row[None], atoms]) / scales
+    def aug_coords(base: list) -> np.ndarray:
+        """Augmented coordinates from the coordinate and time slots."""
+        coords = np.empty((len(scales), base[0].shape[0]))
+        for row, value in zip(coords[: n + 1], base):
+            row[...] = value
+        _fill_atoms(aug_atoms, coords, coords[n + 1:])
+        coords /= scales
+        return coords
 
-    def powers(coords: np.ndarray, indices: list) -> np.ndarray:
-        out = np.empty((len(indices), coords.shape[1]))
-        for row, alpha in zip(out, indices):
-            acc = None
-            for i, e in enumerate(alpha):
-                if e:
-                    col = _pow_row(coords[i], e)
-                    acc = col if acc is None else acc * col
-            row[...] = 1.0 if acc is None else acc
-        return out
-
-    def occupation(state, t):
-        return powers(aug_coords(state, t), indices_m)
+    def occupation(slots):
+        return _evaluate_rows(mono_m, aug_coords(slots))
 
     def exit_state(ids, x, times, facets, t_end, integrals):
         if facets is not None:
@@ -583,31 +541,19 @@ def measure_moments(model: SdeModel, augmented: AugmentedModel,
             # boundary-supported states
             for qi in np.unique(facets):
                 sub = facets == qi
-                pts = np.concatenate(
-                    [x[:, sub], kernel.atoms(x[:, sub], times[sub])])
-                grads = np.empty((n, pts.shape[1]))
-                for row, g in zip(grads, kernel.safe_grads[qi]):
-                    row[...] = g(pts, t_end)
-                nrm = (grads * grads).sum(axis=0)
+                pts = x[:, sub]
+                slots = list(pts) + [t_end]
+                g = _evaluate_rows(grads[qi], slots)
+                nrm = (g * g).sum(axis=0)
                 nrm = np.where(nrm > 1e-300, nrm, 1.0)
-                x[:, sub] = pts[:n] - kernel.safe[qi](pts, t_end) / nrm * grads
+                x[:, sub] = pts - kernel.safe[qi](slots) / nrm * g
         if integrals is not None:
             occ[ids] = integrals.T
-        exit_pow[ids] = powers(aug_coords(x, times), indices_b).T
+        exit_pow[ids] = _evaluate_rows(mono_b, aug_coords(list(x) + [times])).T
 
     tau, _, flagged = _simulate_paths(kernel, cfg, occupation, exit_state)
     if flagged:
         good = np.isfinite(tau)
         occ, exit_pow = occ[good], exit_pow[good]
 
-    sqrt_n = math.sqrt(occ.shape[0])
-    return MeasureMoments(
-        indices_m=indices_m,
-        indices_b=indices_b,
-        m_mean=occ.mean(axis=0),
-        m_se=occ.std(axis=0, ddof=1) / sqrt_n,
-        b_mean=exit_pow.mean(axis=0),
-        b_se=exit_pow.std(axis=0, ddof=1) / sqrt_n,
-        occupation_samples=occ,
-        exit_samples=exit_pow,
-    )
+    return MeasureMoments(occ.mean(axis=0), exit_pow.mean(axis=0), occ, exit_pow)

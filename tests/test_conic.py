@@ -388,7 +388,8 @@ def test_safeguard_rejections_are_counted(brownian, monkeypatch):
     assert res.aa_rejected >= res.iterations // 4
 
 
-def test_anderson_memory_clears_on_every_rho_change(brownian, monkeypatch):
+@pytest.mark.parametrize("rho0", [1e-3, 1e3])
+def test_anderson_memory_clears_on_every_rho_change(brownian, monkeypatch, rho0):
     resets = []
 
     class CountingAnderson(conic._Anderson):
@@ -399,12 +400,12 @@ def test_anderson_memory_clears_on_every_rho_change(brownian, monkeypatch):
     monkeypatch.setattr(conic, "_Anderson", CountingAnderson)
     # no rejections, so every reset comes from a rho change
     monkeypatch.setattr(conic, "AA_SAFEGUARD", math.inf)
-    monkeypatch.setattr(conic, "RHO", 1e-3)
+    monkeypatch.setattr(conic, "RHO", rho0)
     res = solve(assemble(brownian, "reduced", 8, 1, "max"),
                 SolverSettings(max_iters=2000))
     rhos = [rho for _, _, rho in res.residual_history]
     changes = sum(a != b for a, b in zip(rhos, rhos[1:]))
-    assert rhos[0] == 1e-3 and changes > 0
+    assert rhos[0] == rho0 and changes > 0
     assert res.aa_rejected == 0
     # a change at the last check shows in no later history entry
     assert changes <= len(resets) <= changes + 1

@@ -1,5 +1,7 @@
 """Every public function and class of the library has a caller outside
-tests, and so does every field of the settings dataclasses.
+tests, and so does every field of the settings dataclasses.  Every
+private module-level function and class is referenced in its module
+outside its own definition.
 
 A name counts as used when code other than its own definition refers to
 it: a name, an attribute or a string equal to it (``getattr``-style
@@ -68,6 +70,20 @@ def test_every_public_name_has_a_caller_outside_tests():
             if not sites[stmt.name] - {(path, stmt.name)}:
                 unused.add(stmt.name)
     assert unused == ORACLES, f"called only from tests: {sorted(unused - ORACLES)}"
+
+
+def test_every_private_name_is_referenced():
+    unreferenced = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text())
+        sites = defaultdict(set)
+        for name, owner in references(tree):
+            sites[name].add(owner)
+        for stmt in tree.body:
+            if (isinstance(stmt, DEFINITIONS) and stmt.name.startswith("_")
+                    and not sites[stmt.name] - {stmt.name}):
+                unreferenced.append(f"{path.name}: {stmt.name}")
+    assert not unreferenced, f"never referenced: {unreferenced}"
 
 
 def test_every_settings_field_is_passed_by_a_caller():

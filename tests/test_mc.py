@@ -231,6 +231,46 @@ def test_exit_times_match_path_major_digests(model, cfg, chunk, capped, digest,
     assert _digest(tau) == digest
 
 
+def test_compiled_kernels_match_exact_polynomials():
+    # time enters a drift polynomially and inside cos(t), an atom argument
+    # has two factors and another a frequency; "1.5 - t" has no noise
+    model = SdeModel.from_strings(
+        ["x", "y"], ["sin(x*y) - 0.5*t^2*x + 2", "cos(t)*y + sin(2*x)"],
+        [["0.5 + 0.1*y", "0.2*x"], ["0.3*sin(x*y)", "1"]], [0.1, 0.2], 1.0,
+        ["4 - x^2 - y^2", "x + 3", "2 - y + t", "1.5 - t"])
+    kernel = mc.SdeKernel(model)
+    polys = list(model.drift) + [g for row in model.diffusion for g in row]
+    atoms = list(dict.fromkeys(a for p in polys for a in p.used_atoms()))
+    assert len(atoms) == len(kernel.atoms) == 3
+    rng = np.random.default_rng(8)
+    m = 20
+    points = np.column_stack([rng.uniform(-1.2, 1.2, (m, 2)),
+                              rng.uniform(0.0, 1.0, m)])
+    state = np.empty((2 + len(atoms), m))
+    state[:2] = points[:, :2].T
+    slots = kernel.slots(state, points[:, 2])
+    kernel.fill_atoms(slots, state)
+
+    def values(kern):
+        return np.broadcast_to(kern(slots), (m,))
+
+    def close(actual, expected):
+        assert actual == pytest.approx(np.array(expected), rel=1e-12)
+
+    for a, row in zip(atoms, state[2:]):
+        close(row, [a.value(pt) for pt in points])
+    for poly, kern in zip(polys, kernel.drift + sum(kernel.diffusion, [])):
+        close(values(kern), [poly.evaluate(pt) for pt in points])
+    close(kernel.safe_values(slots),
+          [[q.evaluate(pt) for pt in points] for q in model.safe_polys])
+    assert kernel.bridged == [0, 1, 2] and not kernel.variances_constant
+    for j, v in zip(kernel.bridged, kernel.crossing_variances(slots)):
+        q = model.safe_polys[j]
+        close(v, [sum(sum(q.diff(i).evaluate(pt) * model.diffusion[i][k].evaluate(pt)
+                          for i in range(2))**2 for k in range(2))
+                  for pt in points])
+
+
 def _full_survival(q_prev, q_new, v, dt):
     """Bridge survival of every path, path-major (N, m), no banding."""
     qp = np.maximum(q_prev, 0.0)

@@ -78,6 +78,9 @@ def test_reader_rejects_garbage(tmp_path):
     bad.write_text("1\n1\n1\n0.0\n1 1 1 1\n")
     with pytest.raises(ValueError):
         read_sdpa(bad)
+    bad.write_text("1\n2\n2\n0.0\n0 1 1 1 1.0\n")
+    with pytest.raises(ValueError, match="block count does not match"):
+        read_sdpa(bad)
 
 
 HEADER = "*title\n2\n2\n2 -2\n1.0 0.5\n"
