@@ -378,6 +378,10 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
                             + EPS_REL * rho * np.linalg.norm(gt_s @ u_new))
                 eps_eq = EPS_ABS * sqrt_eq + EPS_REL * np.linalg.norm(b_s)
                 history.append((it, max(r_prim, r_dual), rho))
+                if not math.isfinite(r_prim + r_dual + eq_res):
+                    status = "numerical_failure"
+                    message = "iterates diverged"
+                    break
                 if r_prim <= eps_pri and r_dual <= eps_dual and eq_res <= eps_eq:
                     # gate optimality on the recovered moment matrices
                     z = e_col * z_s

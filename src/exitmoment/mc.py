@@ -336,13 +336,17 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     n, dt, horizon = kernel.n, cfg.dt, kernel.model.horizon
-    sqrt_dt = math.sqrt(dt)
+    # a horizon within a relative 1e-9 of a multiple of dt is that
+    # multiple; otherwise a last step shorter than dt ends at the horizon
+    n_steps = max(1, math.ceil(horizon / dt - 1e-9))
+    last = horizon - (n_steps - 1) * dt
+    if last >= dt * (1.0 - 1e-9):
+        last = dt
     bridged = kernel.bridged
     all_bridged = len(bridged) == len(kernel.safe)
-    const_vdt = None
+    const_v = None
     if kernel.variances_constant:
-        const_vdt = np.array(kernel.crossing_variances(None),
-                             dtype=float)[:, None] * dt
+        const_v = np.array(kernel.crossing_variances(None), dtype=float)[:, None]
     tau = np.full(cfg.paths, horizon)
     capped = np.ones(cfg.paths, dtype=bool)
     flagged = 0
@@ -352,18 +356,19 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
         ids = np.arange(first, first + state.shape[1])
         q_prev = kernel.safe_values(kernel.slots(state, 0.0))
         integral = None
-        for step in range(int(math.ceil(horizon / dt))):
+        for step in range(n_steps):
             t = step * dt
+            h = dt if step < n_steps - 1 else last
             if ids.size == 0:
                 break
             slots = kernel.slots(state, t)
             if occupation is not None:
-                values = occupation(slots) * dt
+                values = occupation(slots) * h
                 if integral is None:
                     integral = np.zeros_like(values)
                 integral += values
             z = rng.standard_normal((ids.size, kernel.d))
-            new = kernel.advance(slots, z.T, dt, sqrt_dt)
+            new = kernel.advance(slots, z.T, h, math.sqrt(h))
 
             finite = np.isfinite(new[:n]).all(axis=0)
             if finite.all():
@@ -398,12 +403,12 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
                         qb_prev, qb_new = q_prev, q_new
                     else:
                         qb_prev, qb_new = q_prev[bridged], q_new[bridged]
-                    vdt = const_vdt
-                    if vdt is None:
+                    v = const_v
+                    if v is None:
                         v = np.empty(qb_new.shape)
                         for row, value in zip(v, kernel.crossing_variances(slots)):
                             row[...] = value
-                        vdt = v * dt
+                    vdt = v * h
                     near, survive, p = _bridge_survival(qb_prev, qb_new, vdt)
                     hit = inside[near] & (u[near] > survive)
                     if hit.any():
@@ -415,13 +420,13 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
                             [facets, np.take(bridged, np.argmax(p[:, hit], axis=0))])
 
             if rows.size:
-                tau[ids[rows]] = t + theta * dt
+                tau[ids[rows]] = t + theta * h
                 capped[ids[rows]] = False
                 if exit_state is not None:
                     x0 = state[:n, rows]
                     exit_state(
                         ids[rows], x0 + theta * (new[:n, rows] - x0),
-                        t + theta * dt, facets, t_new,
+                        t + theta * h, facets, t_new,
                         None if integral is None else integral[:, rows])
 
             if rows.size or finite is not None:

@@ -8,19 +8,19 @@ b - A x >= 0.  Maximization problems are written with the negated
 objective and flagged in a comment line.
 
 Entry lines ``matno blkno i j value`` are sorted by (matno, blkno, i, j,
-value), the order of ``SdpaData.entries`` with its keys sorted, and the
-value is written with ``{!r}`` of the Python float, the shortest string
-that reads back to the same double.  PSD block entry (i, j) comes from svec
-position p of ``np.triu_indices(dim)``, shifted to one-based indices.
-Zero values are never written.  Export and read stream the entry lines,
-so neither holds the file's text in memory at once.
+value), and the value is written with ``{!r}`` of the Python float, the
+shortest string that reads back to the same double.  PSD block entry
+(i, j) comes from svec position p of ``np.triu_indices(dim)``, shifted to
+one-based indices.  Export and read stream the entry lines, so neither
+holds the file's text in memory at once.  In memory the entries are one
+record table of ``_ENTRY_DTYPE`` in that order, zero values dropped once:
+the program's table is what ``export_sdpa`` writes, and each
+``SdpaData.entries`` value is an (i, j, value) record view of its rows.
 """
 
 from __future__ import annotations
 
-import gc
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 
@@ -34,52 +34,28 @@ _ENTRY_DTYPE = [("matno", np.int64), ("blkno", np.int64),
 _LINES_PER_WRITE = 1 << 16
 
 
-@dataclass
+@dataclass(eq=False)
 class SdpaData:
     num_vars: int
     block_sizes: list            # negative entries are diagonal blocks
     c: list
-    entries: dict                # (matno, blkno) -> sorted [(i, j, value)]
+    entries: dict                # (matno, blkno) -> (i, j, value) records
 
 
-def _nonzero(cols):
-    keep = cols[4] != 0.0
-    return cols if keep.all() else [col[keep] for col in cols]
+def _grouped(table: np.ndarray) -> dict:
+    """Sorted, zero-free entry table -> ``SdpaData.entries``: a slice of
+    the table's one (i, j, value) record view per (matno, blkno)."""
+    starts = np.flatnonzero((np.diff(table["matno"], prepend=-1) != 0)
+                            | (np.diff(table["blkno"], prepend=-1) != 0))
+    ends = np.append(starts[1:], len(table)).tolist()
+    keys = table[["matno", "blkno"]][starts].tolist()
+    records = table[["i", "j", "value"]]
+    return {key: records[s:e]
+            for key, s, e in zip(keys, starts.tolist(), ends)}
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector, if it runs, for the duration.
-
-    The entry tuples and lists hold only numbers and form no cycles, yet
-    their allocations trigger collections: for the 622k entries of the
-    pendulum K=10 file the collector took a quarter of read_sdpa's time.
-    The switch is process-wide; it is turned back on only if it was on.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
-def _group(matno, blkno, i, j, value) -> dict:
-    """Entry columns in file order -> the ``SdpaData.entries`` dict."""
-    starts = np.flatnonzero((np.diff(matno, prepend=-1) != 0)
-                            | (np.diff(blkno, prepend=-1) != 0))
-    ends = np.append(starts[1:], len(matno))
-    keys = zip(matno[starts].tolist(), blkno[starts].tolist())
-    with _collector_paused():
-        items = list(zip(i.tolist(), j.tolist(), value.tolist()))
-        return {key: items[s:e]
-                for key, s, e in zip(keys, starts.tolist(), ends.tolist())}
-
-
-def _program_entries(program: ConicProgram):
-    """Entry columns of the program's file, in file order.
+def _program_table(program: ConicProgram) -> np.ndarray:
+    """The program's nonzero entries in file order, one record each.
 
     Stacking every block's rows over the columns [F_0 | x_1 .. x_n] and
     reading the stack column by column gives (matno, blkno, i, j) order:
@@ -87,30 +63,24 @@ def _program_entries(program: ConicProgram):
     and the equality pairs A x - b (i = row) come before b - A x
     (i = m_eq + row).
     """
-    mats, blk, ii, jj = [], [], [], []
-    for blkno, block in enumerate(program.blocks, start=1):
-        iu, ju = np.triu_indices(block.dim)
-        mats.append(block.mat)
-        blk.append(np.full(len(iu), blkno))
-        ii.append(iu + 1)
-        jj.append(ju + 1)
     m_eq = program.a_eq.shape[0]
-    if m_eq:
-        mats += [program.a_eq, -program.a_eq]
-        blk.append(np.full(2 * m_eq, len(program.blocks) + 1))
-        diag = np.arange(1, 2 * m_eq + 1)
-        ii.append(diag)
-        jj.append(diag)
+    mats = [b.mat for b in program.blocks] + [program.a_eq, -program.a_eq]
+    ij = [np.triu_indices(b.dim) for b in program.blocks]
+    ij.append((np.arange(2 * m_eq),) * 2)
+    blkno = np.repeat(np.arange(1, len(ij) + 1), [len(i) for i, _ in ij])
     f = sp.vstack(mats, format="csr")
-    f0 = np.zeros(f.shape[0])
-    if m_eq:
-        f0[-2 * m_eq:] = np.concatenate([program.rhs, -program.rhs])
+    f0 = np.concatenate([np.zeros(f.shape[0] - 2 * m_eq),
+                         program.rhs, -program.rhs])
     stack = sp.hstack([sp.csr_matrix(f0[:, None]), f], format="csc")
     stack.sort_indices()
-    matno = np.repeat(np.arange(stack.shape[1]), np.diff(stack.indptr))
+    stack.eliminate_zeros()
     rows = stack.indices
-    blk, ii, jj = (np.concatenate(a) for a in (blk, ii, jj))
-    return _nonzero([matno, blk[rows], ii[rows], jj[rows], stack.data])
+    table = np.empty(len(rows), dtype=_ENTRY_DTYPE)
+    table["matno"] = np.repeat(np.arange(stack.shape[1]), np.diff(stack.indptr))
+    table["blkno"] = blkno[rows]
+    table["i"], table["j"] = np.concatenate(ij, axis=1)[:, rows] + 1
+    table["value"] = stack.data
+    return table
 
 
 def _sizes_and_c(program: ConicProgram):
@@ -126,7 +96,7 @@ def program_sdpa_image(program: ConicProgram) -> SdpaData:
     """The exact structure export_sdpa writes, kept in memory."""
     sizes, c = _sizes_and_c(program)
     return SdpaData(program.num_vars, sizes, c,
-                    _group(*_program_entries(program)))
+                    _grouped(_program_table(program)))
 
 
 def export_sdpa(program: ConicProgram, path) -> None:
@@ -145,15 +115,16 @@ def export_sdpa(program: ConicProgram, path) -> None:
         " ".join(str(s) for s in sizes),
         " ".join(repr(v) for v in c),
     ]
-    *index_cols, value = _program_entries(program)
+    table = _program_table(program)
+    index_cols = [table[name] for name, _ in _ENTRY_DTYPE[:4]]
     # each distinct index ({}) and value ({!r}) is formatted once
     top = max((int(col.max()) for col in index_cols if len(col)), default=0)
     names = np.array([str(k) for k in range(top + 1)], dtype=object)
-    uniq, inv = np.unique(value, return_inverse=True)
+    uniq, inv = np.unique(table["value"], return_inverse=True)
     reprs = np.array([repr(v) for v in uniq.tolist()], dtype=object)
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        for start in range(0, len(value), _LINES_PER_WRITE):
+        for start in range(0, len(table), _LINES_PER_WRITE):
             part = slice(start, start + _LINES_PER_WRITE)
             fields = [names[col[part]].tolist() for col in index_cols]
             fields.append(reprs[inv[part]].tolist())
@@ -180,6 +151,21 @@ def _load_entries(source, skiprows=0):
                 f"non-integer index in an entry line: {exc}") from exc
 
 
+def _check_ranges(table: np.ndarray, num_vars: int,
+                  block_sizes: list) -> None:
+    """Raise a ValueError naming the first entry field out of range;
+    i > j is legal, i != j only outside diagonal blocks."""
+    size = np.array([0] + block_sizes)[
+        np.clip(table["blkno"], 0, len(block_sizes))]
+    for name, low, high in [("matno", 0, num_vars),
+                            ("blkno", 1, len(block_sizes)),
+                            ("i", 1, abs(size)), ("j", 1, abs(size))]:
+        if ((table[name] < low) | (table[name] > high)).any():
+            raise ValueError(f"entry field {name} out of range")
+    if ((size < 0) & (table["i"] != table["j"])).any():
+        raise ValueError("entry i != j in a diagonal block")
+
+
 def read_sdpa(path) -> SdpaData:
     """Parse a sparse SDPA file back into the exported structure."""
     with open(path) as fh:
@@ -189,13 +175,13 @@ def read_sdpa(path) -> SdpaData:
             raise ValueError("truncated SDPA file")
         num_vars = int(head[0])
         nblocks = int(head[1])
-        sizes_line = head[2]
-        for ch in "{}(),":
-            sizes_line = sizes_line.replace(ch, " ")
+        sizes_line = head[2].translate(str.maketrans("{}(),", "     "))
         block_sizes = [int(tok) for tok in sizes_line.split()]
         if len(block_sizes) != nblocks:
             raise ValueError("block count does not match the size list")
         c = [float(tok) for tok in head[3].split()]
+        if len(c) != num_vars:
+            raise ValueError("objective length does not match num_vars")
         first = next((n for n, _ in numbered), None)   # first entry line
     if first is None:
         table = np.zeros(0, dtype=_ENTRY_DTYPE)
@@ -208,9 +194,11 @@ def read_sdpa(path) -> SdpaData:
             with open(path) as fh:
                 table = _load_entries(filter(_is_data,
                                              islice(fh, first, None)))
+    _check_ranges(table, num_vars, block_sizes)
     # comparing records field by field sorts by (matno, blkno, i, j,
     # value); the stable sort (timsort) takes one linear pass over the
     # already sorted entries export_sdpa writes
     table.sort(kind="stable")
-    cols = _nonzero([table[name] for name, _ in _ENTRY_DTYPE])
-    return SdpaData(num_vars, block_sizes, c, _group(*cols))
+    if not (keep := table["value"] != 0.0).all():
+        table = table[keep]
+    return SdpaData(num_vars, block_sizes, c, _grouped(table))

@@ -411,6 +411,42 @@ def test_anderson_memory_clears_on_every_rho_change(brownian, monkeypatch, rho0)
     assert changes <= len(resets) <= changes + 1
 
 
+def one_variable_program(rhs=1.0, entry=1.0):
+    """min x  s.t.  x = rhs,  [entry * x] >= 0."""
+    return ConicProgram(
+        num_vars=1, objective=np.array([1.0]), sense="min",
+        a_eq=sp.csr_matrix(np.array([[1.0]])), rhs=np.array([rhs]),
+        blocks=[PsdBlock("M", 1, sp.csr_matrix(np.array([[entry]])))])
+
+
+def test_non_finite_iterates_stop_at_the_first_check():
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        res = solve(one_variable_program(rhs=math.inf),
+                    SolverSettings(max_iters=200))
+    assert res.status == "numerical_failure"
+    assert res.message == "iterates diverged"
+    assert res.iterations == conic.CHECK_INTERVAL
+
+
+def test_a_nan_entry_fails_the_kkt_factorization():
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        res = solve(one_variable_program(entry=math.nan))
+    assert res.status == "numerical_failure"
+    assert res.message.startswith("KKT factorization failed")
+    assert res.iterations == 0
+
+
+def test_a_failed_eigendecomposition_is_reported(monkeypatch):
+    def failing_eigh(mats):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    res = solve(one_variable_program())
+    assert res.status == "numerical_failure"
+    assert res.message.startswith("eigendecomposition failed")
+    assert res.iterations == 1
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------

@@ -113,6 +113,44 @@ def test_dt_refinement_consistency():
     assert abs(est_a.mean(1) - est_b.mean(1)) < width + 2e-2 * 2e-3 / 1e-3
 
 
+@pytest.mark.parametrize("T, dt, last_start", [
+    (0.0105, 1e-3, 0.010),   # 10.5 steps: the last step is half as long
+    (3 * 0.1, 0.1, 0.2),     # T / dt rounds to 3.0000000000000004
+], ids=["half-step", "rounded-multiple"])
+def test_the_last_step_ends_at_the_horizon(T, dt, last_start, monkeypatch):
+    model = SdeModel.from_strings(
+        ["y"], ["0"], [["1"]], [0.08], T, ["y", "1 - y"])
+    steps, vdts = [], []
+    advance, survival = mc.SdeKernel.advance, mc._bridge_survival
+
+    def recorded_advance(kernel, slots, z, h, sqrt_h):
+        steps.append((h, sqrt_h))
+        return advance(kernel, slots, z, h, sqrt_h)
+
+    def recorded_survival(q_prev, q_new, vdt):
+        vdts.append(vdt.max())
+        return survival(q_prev, q_new, vdt)
+
+    monkeypatch.setattr(mc.SdeKernel, "advance", recorded_advance)
+    monkeypatch.setattr(mc, "_bridge_survival", recorded_survival)
+    taus = []
+    simulate_exit(model, McConfig(dt=dt, paths=20_000, seed=1), tau_out=taus)
+    ((tau, capped),) = taus
+    hs = {h for h, _ in steps}
+    assert max(hs) == dt
+    assert min(hs) == pytest.approx(T - last_start, rel=1e-9)
+    assert all(sqrt_h == math.sqrt(h) for h, sqrt_h in steps)
+    # the crossing variance rate is 1, so the bridge test sees v h = h
+    assert set(vdts) == hs
+    assert tau.max() <= T
+    assert (tau[capped] == T).all()
+    assert ((tau > last_start) & ~capped).any()   # exits inside the last step
+    # the occupation integral of 1 is tau ^ T, and T for a capped path
+    mm = measure_moments(model, augment(model), [(0, 0)], [(0, 0)],
+                         McConfig(dt=dt, paths=2_000, seed=1))
+    assert mm.occupation_samples.max() == pytest.approx(T, rel=1e-12)
+
+
 def test_exit_fraction_near_one_for_small_box():
     est = simulate_exit(brownian(), McConfig(dt=1e-3, paths=5_000, seed=1))
     assert est.exit_fraction > 0.99

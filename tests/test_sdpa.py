@@ -14,6 +14,15 @@ from exitmoment.sdpa import (SdpaData, export_sdpa, program_sdpa_image,
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def records(data: SdpaData) -> dict:
+    """The entries, each record view as its list of (i, j, value) tuples."""
+    return {key: view.tolist() for key, view in data.entries.items()}
+
+
+def fields(data: SdpaData) -> tuple:
+    return data.num_vars, data.block_sizes, data.c, records(data)
+
+
 def trivial_program():
     return ConicProgram(
         num_vars=1,
@@ -43,7 +52,8 @@ def test_brownian_export_matches_golden(tmp_path):
     export_sdpa(brownian_program(4), out)
     golden = (GOLDEN / "brownian-reduced-K4.dat-s").read_bytes()
     assert out.read_bytes() == golden
-    assert read_sdpa(out) == program_sdpa_image(brownian_program(4))
+    image = program_sdpa_image(brownian_program(4))
+    assert fields(read_sdpa(out)) == fields(image)
 
 
 def test_block_sizes_match_assembled_dimensions(tmp_path):
@@ -67,7 +77,7 @@ def test_round_trip_exact(tmp_path):
     assert parsed.num_vars == image.num_vars
     assert parsed.block_sizes == image.block_sizes
     assert parsed.c == image.c
-    assert parsed.entries == image.entries
+    assert records(parsed) == records(image)
 
 
 def test_reader_rejects_garbage(tmp_path):
@@ -81,9 +91,41 @@ def test_reader_rejects_garbage(tmp_path):
     bad.write_text("1\n2\n2\n0.0\n0 1 1 1 1.0\n")
     with pytest.raises(ValueError, match="block count does not match"):
         read_sdpa(bad)
+    bad.write_text("2\n1\n2\n1.0\n1 1 1 1 1.0\n")
+    with pytest.raises(ValueError, match="objective length"):
+        read_sdpa(bad)
+    # HEADER declares 2 variables, a 2x2 block and a diagonal block
+    for line, field in [("7 1 1 1 1.0", "matno"), ("-1 1 1 1 1.0", "matno"),
+                        ("1 5 1 1 1.0", "blkno"), ("1 0 1 1 1.0", "blkno"),
+                        ("1 1 9 9 1.0", "i"), ("1 1 1 3 1.0", "j"),
+                        ("1 1 0 1 1.0", "i"), ("1 2 1 2 1.0", "diagonal")]:
+        bad.write_text(HEADER + "0 2 1 1 1.0\n" + line + "\n")
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            read_sdpa(bad)
 
 
 HEADER = "*title\n2\n2\n2 -2\n1.0 0.5\n"
+
+
+def test_reader_accepts_lower_triangle_entries(tmp_path):
+    path = tmp_path / "l.dat-s"
+    path.write_text(HEADER + "1 1 2 1 5.0\n2 2 2 2 1.0\n")
+    assert records(read_sdpa(path)) == {(1, 1): [(2, 1, 5.0)],
+                                        (2, 2): [(2, 2, 1.0)]}
+
+
+def test_entries_are_record_views_of_one_table(tmp_path):
+    program = brownian_program()
+    out = tmp_path / "bm.dat-s"
+    export_sdpa(program, out)
+    for data in (read_sdpa(out), program_sdpa_image(program)):
+        views = list(data.entries.values())
+        table = views[0].base
+        assert table.dtype == np.dtype(sdpa._ENTRY_DTYPE)
+        assert sum(len(view) for view in views) == len(table)
+        for view in views:
+            assert view.base is table
+            assert view.dtype.names == ("i", "j", "value")
 
 
 @pytest.mark.parametrize("comment", ["", "* a comment line\n"])
@@ -125,7 +167,7 @@ def test_reader_skips_header_comments_and_blank_lines(tmp_path):
                     "\n"
                     "  \t \n"
                     "1 1 2 2 3.0\n")
-    assert read_sdpa(path).entries == {(1, 1): [(1, 1, 2.0), (2, 2, 3.0)]}
+    assert records(read_sdpa(path)) == {(1, 1): [(1, 1, 2.0), (2, 2, 3.0)]}
 
 
 def test_reader_parses_exported_entries_in_one_pass(tmp_path, monkeypatch):
@@ -141,7 +183,8 @@ def test_reader_parses_exported_entries_in_one_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(sdpa, "_load_entries", counted)
     out = tmp_path / "bm.dat-s"
     export_sdpa(brownian_program(4), out)
-    assert read_sdpa(out) == program_sdpa_image(brownian_program(4))
+    image = program_sdpa_image(brownian_program(4))
+    assert fields(read_sdpa(out)) == fields(image)
     assert len(calls) == 1
 
 
@@ -158,13 +201,13 @@ def test_reader_skips_comments_and_blanks_between_entries(tmp_path):
                     "1 1 1 2 0.0\n"
                     "1 1 2 2 3.0\n"
                     "0 2 1 1 -0.25\n")
-    assert read_sdpa(path) == SdpaData(
-        num_vars=2, block_sizes=[2, -2], c=[1.0, 0.5],
-        entries={
-            (0, 2): [(1, 1, -0.25), (2, 2, 0.25)],
-            (1, 1): [(1, 1, 2.0), (2, 2, 3.0)],
-            (2, 1): [(1, 2, -1.5)],
-        })
+    data = read_sdpa(path)
+    assert (data.num_vars, data.block_sizes, data.c) == (2, [2, -2], [1.0, 0.5])
+    assert records(data) == {
+        (0, 2): [(1, 1, -0.25), (2, 2, 0.25)],
+        (1, 1): [(1, 1, 2.0), (2, 2, 3.0)],
+        (2, 1): [(1, 2, -1.5)],
+    }
 
 
 def test_reader_sorts_an_unsorted_file_without_comments(tmp_path):
@@ -172,8 +215,8 @@ def test_reader_sorts_an_unsorted_file_without_comments(tmp_path):
     path.write_text(HEADER + "1 1 2 2 3.0\n1 1 1 1 2.0\n0 2 1 1 1.0\n"
                     "1 1 1 1 -1.0\n")
     data = read_sdpa(path)
-    assert data.entries == {(0, 2): [(1, 1, 1.0)],
-                            (1, 1): [(1, 1, -1.0), (1, 1, 2.0), (2, 2, 3.0)]}
+    assert records(data) == {(0, 2): [(1, 1, 1.0)],
+                             (1, 1): [(1, 1, -1.0), (1, 1, 2.0), (2, 2, 3.0)]}
     path.write_text(HEADER)
     assert read_sdpa(path).entries == {}
 
