@@ -1,4 +1,4 @@
-"""Embedded ADMM splitting solver for the assembled conic programs.
+"""Embedded splitting solver for the assembled conic programs.
 
 ``solve`` first presolves the program (``presolve``), always.  A PSD
 block identical to an earlier one is dropped.  A pair of blocks with
@@ -11,26 +11,30 @@ The variables do not change, so the returned ``z`` lives in the
 assembled program's variable space and needs no lift.  The presolve
 saves one eigendecomposition per dropped block on every iteration.
 
-Classical two-block ADMM on the primal cone form: an equality-constrained
-least-squares step through one cached sparse KKT factorization, a
-Euclidean projection of every PSD block onto the cone, and an
-over-relaxed dual ascent.  The penalty parameter only enters the KKT
-right-hand side, so adaptive rho updates never trigger refactorization.
-The tolerances ``EPS_ABS`` and ``EPS_REL``, the starting penalty ``RHO``,
-the over-relaxation ``OVER_RELAXATION`` and the residual check interval
-``CHECK_INTERVAL`` are module constants; ``SolverSettings`` holds the one
-setting callers vary, ``max_iters``.
+The iteration is ADMM on the primal cone form, written as one
+Douglas-Rachford map on one vector v of the scaled svec space of the
+PSD blocks (the form the SCS solver runs).  One evaluation is
 
-The ADMM map (s, u) -> (s+, u+) is a fixed-point iteration, and type-II
-Anderson acceleration extrapolates its next point from the last
-``AA_MEMORY`` map evaluations (a Tikhonov-regularised least-squares fit of
-the residual differences).  A safeguard rejects an accelerated point whose
-own plain step grows the fixed-point residual by more than
-``AA_SAFEGUARD`` times: the iteration restarts from the plain step it
-replaced and the memory is cleared.  The memory is also cleared on every
-rho change, since that rescales u.  Termination residuals and the
-optimality gate are always those of a plain ADMM step, and ``max_iters``
-counts map evaluations.
+    s = P(v)                      every block projected onto the PSD cone
+    z = argmin c'z + |G z - (2 s - v)|^2 / 2   subject to  A z = b
+    f = G z - s,   T(v) = v + f
+
+with the least-squares step solved through one cached sparse KKT
+factorization.  With s = P(v) and u = v - s this is classical ADMM with
+penalty 1 and no over-relaxation.  Every ``CHECK_INTERVAL`` iterations
+the primal residual |f|, the dual residual |G'(s - s_prev)| (s_prev from
+the evaluation before) and the equality residual |A z - b| are compared
+with the ``EPS_ABS`` / ``EPS_REL`` tolerances; a point that meets them is
+optimal once the least eigenvalues of M(m) and M(b) at z are at least
+-10 ``EPS_ABS``.  ``SolverSettings`` holds the one setting callers vary,
+``max_iters``, which counts map evaluations.
+
+Type-II Anderson acceleration extrapolates the next v from the last
+``AA_MEMORY`` evaluations of T (a Tikhonov-regularised least-squares fit
+of the residual differences).  A safeguard rejects an extrapolated v
+whose own |f| exceeds ``AA_SAFEGUARD`` times the |f| of the plain step
+it replaced: the iteration restarts from that plain step T(v) and the
+memory is cleared.
 
 The PSD projection groups the blocks by dimension and runs one stacked
 ``np.linalg.eigh`` per dimension, rebuilding ``V max(w, 0) V'`` for the
@@ -53,27 +57,25 @@ _SQRT2 = math.sqrt(2.0)
 
 # Anderson memory (map evaluations).  Total iterations of the 13 Brownian
 # bounds of the benchmark (reduced K=14 orders 1-6, original K=8 order 1),
-# by memory: 5 -> 32.2k (worse than plain ADMM's 24.8k), 8 -> 10.8k,
-# 10 -> 8.7k, 12 -> 7.5k, 15 -> 7.3k, 20 -> 8.0k.  On 20 other Brownian
-# bounds (reduced K=6/10/12, original K=6/10) 10 took the fewest: 116k
-# against 118k for 12 and 15 and 173k for plain ADMM.
+# by memory: 0 (the plain map) -> 27.3k, 5 -> 7.7k, 8 -> 6.0k,
+# 10 -> 6.75k, 15 -> 5.6k.  On the 16 of 20 other Brownian bounds
+# (reduced K=6/10/12, original K=6/10, orders 1-2) that every memory
+# solves: 0 -> 87.3k, 5 -> 14.1k, 8 -> 12.7k, 10 -> 13.4k, 15 -> 13.9k.
+# Totals move by about this much with rounding alone (computing T(v) as
+# G z + (v - s) takes the 13 bounds from 6.75k to 5.1k at memory 10).
 AA_MEMORY = 10
 # An accelerated point is rejected when its plain step's fixed-point
 # residual exceeds this multiple of the previous plain residual.
 AA_SAFEGUARD = 2.0
-# Tikhonov weight, relative to the trace of the Gram matrix (1e-8 and
-# 1e-12 took more iterations on the 20 other bounds or the 13 benchmark
-# ones).
+# Tikhonov weight, relative to the trace of the Gram matrix.  1e-8 and
+# 1e-12 took 5.7k and 6.3k iterations on the 13 benchmark bounds and
+# 12.9k on the 16 others, differences within that rounding noise.
 AA_REGULARIZATION = 1e-10
 # Absolute and relative tolerances of the primal, dual and equality
 # residuals; the optimality gate also takes -10 EPS_ABS as the least
 # eigenvalue M(m) and M(b) may have.
 EPS_ABS = 1e-7
 EPS_REL = 1e-7
-# Starting penalty; checks every 100 iterations double or halve it when
-# one scaled residual exceeds the other tenfold.
-RHO = 1.0
-OVER_RELAXATION = 1.5
 # Iterations between residual checks (and ``residual_history`` entries).
 CHECK_INTERVAL = 25
 
@@ -98,7 +100,7 @@ class SolveResult:
     solve_time: float
     psd_blocks: int                # size of the presolved program solved
     eq_rows: int
-    # (iteration, max(primal, dual) residual, rho) at every check
+    # (iteration, max(primal, dual) residual) at every check
     residual_history: list = field(default_factory=list, repr=False)
     message: str = ""
     aa_rejected: int = 0           # accelerated points the safeguard dropped
@@ -281,6 +283,10 @@ def presolve(program: ConicProgram) -> ConicProgram:
         rhs=np.concatenate([program.rhs, np.zeros(sum(r.shape[0] for r in rows))]))
 
 
+class _Failure(Exception):
+    """A numerical failure; its message goes to ``SolveResult.message``."""
+
+
 def solve(program: ConicProgram, settings: SolverSettings | None = None) -> SolveResult:
     """Presolve the program, then run the splitting method; the returned
     objective is the relaxation optimum estimate within the reported
@@ -291,151 +297,103 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     and drops repeated blocks; ``psd_blocks`` and ``eq_rows`` report the
     size of the program actually solved.  ``z`` stays in the assembled
     program's variable space, and the objective is that program's.
+    Non-finite program data, a failed KKT factorization or
+    eigendecomposition and diverged iterates end the solve with status
+    ``numerical_failure``.
     """
     settings = settings or SolverSettings()
-    t0 = time.time()
+    t0 = time.perf_counter()
     program = presolve(program)
-
-    n = program.num_vars
-    sense_sign = -1.0 if program.sense == "max" else 1.0
-    c_min = sense_sign * program.objective.astype(float)
-
-    blocks = _SvecBlocks(program)
-    a_eq = program.a_eq.tocsr().astype(float)
-    rhs = program.rhs.astype(float)
-    g = blocks.stacked.astype(float)
-    m_eq = a_eq.shape[0]
-
-    # --- equilibration -----------------------------------------------------
-    d_eq, _, e_col, a_s, g_s = _ruiz_equilibrate(a_eq, g, blocks)
-    gt_s = g_s.T.tocsr()
-    b_s = d_eq * rhs
-    c_s = e_col * c_min
-
-    # --- cached KKT factorization ------------------------------------------
-    # [[G'G + sigma I, A'][A, -delta I]]; rho enters only the rhs.
-    sigma = 1e-9
-    delta = 1e-9
-    gtg = (gt_s @ g_s).tocsc()
-    upper = sp.hstack([gtg + sigma * sp.identity(n), a_s.T])
-    lower = sp.hstack([a_s, -delta * sp.identity(m_eq)])
-    kkt = sp.vstack([upper, lower]).tocsc()
-    try:
-        lu = spla.splu(kkt)
-    except RuntimeError as exc:
-        return SolveResult(
-            status="numerical_failure", objective=float("nan"),
-            primal_residual=float("inf"), dual_residual=float("inf"),
-            iterations=0, z=np.zeros(n), solve_time=time.time() - t0,
-            psd_blocks=len(program.blocks), eq_rows=m_eq,
-            message=f"KKT factorization failed: {exc}")
-
-    rho = RHO
-    alpha = OVER_RELAXATION
-    n_cone = blocks.total
-    x = np.zeros(2 * n_cone)       # the map's input (s, u)
-    z_s = np.zeros(n)
-    anderson = _Anderson(2 * n_cone, AA_MEMORY)
-    accelerated = False            # x is an extrapolated point
-    fallback = x                   # the plain step an extrapolation replaced
-    res_plain = 0.0                # its fixed-point residual
-    aa_rejected = 0
+    n, m_eq = program.num_vars, program.a_eq.shape[0]
+    z = np.zeros(n)
+    it = aa_rejected = 0
     history = []
-    status = "max_iters"
-    message = ""
-    r_prim = r_dual = float("inf")
-    it = 0
-    sqrt_cone = math.sqrt(max(n_cone, 1))
-    sqrt_n = math.sqrt(max(n, 1))
-    sqrt_eq = math.sqrt(max(m_eq, 1))
+    status, message = "max_iters", ""
+    r_prim = r_dual = math.inf
 
     try:
+        data = [program.objective, program.rhs, program.a_eq.data,
+                *(b.mat.data for b in program.blocks)]
+        if not all(np.isfinite(a).all() for a in data):
+            raise _Failure("non-finite program data")
+        sense_sign = -1.0 if program.sense == "max" else 1.0
+        blocks = _SvecBlocks(program)
+        a_eq = program.a_eq.tocsr().astype(float)
+        g = blocks.stacked.astype(float)
+
+        # --- equilibration -------------------------------------------------
+        d_eq, _, e_col, a_s, g_s = _ruiz_equilibrate(a_eq, g, blocks)
+        gt_s = g_s.T.tocsr()
+        b_s = d_eq * program.rhs.astype(float)
+        c_s = e_col * sense_sign * program.objective.astype(float)
+
+        # --- cached KKT factorization [[G'G + sigma I, A'], [A, -delta I]] --
+        sigma = delta = 1e-9
+        upper = sp.hstack([(gt_s @ g_s).tocsc() + sigma * sp.identity(n), a_s.T])
+        lower = sp.hstack([a_s, -delta * sp.identity(m_eq)])
+        try:
+            lu = spla.splu(sp.vstack([upper, lower]).tocsc())
+        except RuntimeError as exc:
+            raise _Failure(f"KKT factorization failed: {exc}") from exc
+
+        n_cone = blocks.total
+        v = s = np.zeros(n_cone)       # the map's input and its projection
+        anderson = _Anderson(n_cone, AA_MEMORY)
+        accelerated = False            # v is an extrapolated point
+        fallback = v                   # the plain step an extrapolation replaced
+        res_plain = 0.0                # its fixed-point residual
+        sqrt_cone, sqrt_n, sqrt_eq = (math.sqrt(max(k, 1)) for k in (n_cone, n, m_eq))
         for it in range(1, settings.max_iters + 1):
-            s, u = x[:n_cone], x[n_cone:]
-            # (1) equality-constrained least squares
-            top = gt_s @ (s - u) - c_s / rho
-            sol = lu.solve(np.concatenate([top, b_s]))
-            z_s = sol[:n]
+            s_prev, s = s, blocks.project(v)
+            z_s = lu.solve(np.concatenate([gt_s @ (2 * s - v) - c_s, b_s]))[:n]
+            z = e_col * z_s
             gz = g_s @ z_s
-            # (2) over-relaxed cone projection
-            h = alpha * gz + (1 - alpha) * s
-            s_new = blocks.project(h + u)
-            # (3) dual ascent
-            u_new = u + h - s_new
-            tx = np.concatenate([s_new, u_new])
-            f = tx - x
+            f = gz - s
             res = float(np.linalg.norm(f))
             rejected = accelerated and res > AA_SAFEGUARD * res_plain
-            u_scale = 1.0
 
             if it % CHECK_INTERVAL == 0 or it == settings.max_iters:
-                r_prim = float(np.linalg.norm(gz - s_new))
-                r_dual = float(rho * np.linalg.norm(gt_s @ f[:n_cone]))
+                r_prim = res
+                r_dual = float(np.linalg.norm(gt_s @ (s - s_prev)))
                 eq_res = float(np.linalg.norm(a_s @ z_s - b_s)) if m_eq else 0.0
                 eps_pri = (EPS_ABS * sqrt_cone
-                           + EPS_REL * max(np.linalg.norm(gz), np.linalg.norm(s_new)))
-                eps_dual = (EPS_ABS * sqrt_n
-                            + EPS_REL * rho * np.linalg.norm(gt_s @ u_new))
+                           + EPS_REL * max(np.linalg.norm(gz), np.linalg.norm(s)))
+                eps_dual = EPS_ABS * sqrt_n + EPS_REL * np.linalg.norm(gt_s @ (v - s))
                 eps_eq = EPS_ABS * sqrt_eq + EPS_REL * np.linalg.norm(b_s)
-                history.append((it, max(r_prim, r_dual), rho))
+                history.append((it, max(r_prim, r_dual)))
                 if not math.isfinite(r_prim + r_dual + eq_res):
-                    status = "numerical_failure"
-                    message = "iterates diverged"
+                    raise _Failure("iterates diverged")
+                if (r_prim <= eps_pri and r_dual <= eps_dual and eq_res <= eps_eq
+                        and all(np.linalg.eigvalsh(b.materialize(z))[0] >= -10 * EPS_ABS
+                                for b in program.blocks[:2])):
+                    status = "optimal"
                     break
-                if r_prim <= eps_pri and r_dual <= eps_dual and eq_res <= eps_eq:
-                    # gate optimality on the recovered moment matrices
-                    z = e_col * z_s
-                    lam_ok = True
-                    for which in range(min(2, len(program.blocks))):
-                        mat = program.blocks[which].materialize(z)
-                        lam = float(np.linalg.eigvalsh(mat)[0])
-                        if lam < -10 * EPS_ABS:
-                            lam_ok = False
-                            break
-                    if lam_ok:
-                        status = "optimal"
-                        break
-                if it % 100 == 0:
-                    scale_p = r_prim / max(eps_pri, 1e-300)
-                    scale_d = r_dual / max(eps_dual, 1e-300)
-                    if scale_p > 10 * scale_d and rho < 1e6:
-                        rho *= 2.0
-                        u_scale = 0.5
-                    elif scale_d > 10 * scale_p and rho > 1e-6:
-                        rho /= 2.0
-                        u_scale = 2.0
 
-            # (4) next point: safeguarded Anderson extrapolation
+            # next point: safeguarded Anderson extrapolation of T(v) = v + f
+            tv = v + f
             if rejected:
                 aa_rejected += 1
-                x = fallback
-            elif u_scale == 1.0:
-                x = anderson.step(tx, f)
-                fallback, res_plain = tx, res
-            else:
-                x = tx
-            accelerated = not rejected and x is not tx
-            if rejected or u_scale != 1.0:
                 anderson.reset()
-            if u_scale != 1.0:
-                x = np.concatenate([x[:n_cone], u_scale * x[n_cone:]])
+                v = fallback
+            else:
+                v = anderson.step(tv, f)
+                fallback, res_plain = tv, res
+            accelerated = not rejected and v is not tv
+        if not np.isfinite(z).all():
+            raise _Failure("iterates diverged")
+    except _Failure as exc:
+        status, message = "numerical_failure", str(exc)
     except np.linalg.LinAlgError as exc:
-        status = "numerical_failure"
-        message = f"eigendecomposition failed: {exc}"
+        status, message = "numerical_failure", f"eigendecomposition failed: {exc}"
 
-    z = e_col * z_s
-    if not np.all(np.isfinite(z)):
-        status = "numerical_failure"
-        message = message or "iterates diverged"
-    objective = float(program.objective @ z)
     return SolveResult(
         status=status,
-        objective=objective,
+        objective=math.nan if message else float(program.objective @ z),
         primal_residual=r_prim,
         dual_residual=r_dual,
         iterations=it,
         z=z,
-        solve_time=time.time() - t0,
+        solve_time=time.perf_counter() - t0,
         psd_blocks=len(program.blocks),
         eq_rows=m_eq,
         residual_history=history,

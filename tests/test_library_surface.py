@@ -10,7 +10,9 @@ entry point in ``[project.scripts]``.  Oracles that only tests compare
 against are listed in ``ORACLES``.  A settings field counts as used when
 one of those files passes it by keyword to its dataclass.  Within the
 library, every module-level import is read, and so is every local name a
-function assigns (other than ``_...``).
+function assigns (other than ``_...``) and every module-level name a
+module assigns (other than ``__...__``): a module constant that no code
+reads is dead.
 """
 
 import ast
@@ -141,3 +143,32 @@ def test_every_import_and_local_name_is_read():
                 if not name.startswith("_"):
                     unread.append(f"{path.name}: {func.name} assigns {name}")
     assert not unread, f"never read: {sorted(unread)}"
+
+
+def module_assignments(tree: ast.Module):
+    """Names the module body binds by assignment, dunder names aside."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and not (
+                        node.id.startswith("__") and node.id.endswith("__")):
+                    yield node.id
+
+
+def test_every_module_assignment_is_read():
+    trees = {path: ast.parse(path.read_text()) for path in LIBRARY}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    assigned = [(path.name, name) for path, tree in trees.items()
+                for name in module_assignments(tree)]
+    assert assigned
+    unread = [f"{file}: {name}" for file, name in assigned if name not in read]
+    assert not unread, f"assigned at module level, never read: {unread}"
