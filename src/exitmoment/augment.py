@@ -6,10 +6,10 @@ drift and diffusion entries are Polynomials that carry the sinusoids of
 monomials they use as atoms (trailing variables named by the atom
 registry); every such sin/cos becomes an extra state whose drift and
 diffusion follow from Ito's formula, so all augmented entries are plain
-polynomials over the extended state, without atoms.  The atom
-drifts come from ``generator.generator``, the same generator that gives
-the martingale rows, applied to each atom with the one
-``generator.sigma_sigma_t`` table.
+polynomials over the extended state, without atoms.  An atom's drift is
+``generator.generator``, the generator that gives the martingale rows,
+with the ``sigma_sigma_t`` table built here for the augmentation, and its
+diffusion row is ``generator.noise_projections``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .expr import Polynomial, TrigAtom, parse_expression, parse_polynomial
-from .generator import generator, sigma_sigma_t
+from .generator import generator, noise_projections, sigma_sigma_t
 
 TIME_NAME = "t"
 
@@ -96,9 +96,14 @@ class AugmentedModel:
     Variable order is [x_1..x_n, t, atoms...] with atoms listed sines
     first then cosines (frequency collection order), matching the moment
     indexing used downstream.
+
+    ``exit_polys`` are the polynomials whose product vanishes on the
+    exit-reachable part of the boundary: the safe set and the horizon
+    facet T - t.  The facet t = 0 carries no exit mass (the start state is
+    interior) and must stay out of the product, otherwise the point mass
+    at the start state satisfies every boundary constraint.
     """
 
-    names: list
     time_index: int
     atoms: list                 # TrigAtom per appended state
     d: int
@@ -106,37 +111,18 @@ class AugmentedModel:
     diffusion: list             # rows of Polynomials
     x0: list                    # floats, length total_dim
     horizon: float
-    user_polys: list            # the original safe-set description
-    time_polys: list            # [t, T - t]
-    trig_polys: list            # unit-circle box polynomials for atom states
+    interior_polys: list        # safe set, then t and T - t, then trig
+    exit_polys: list            # safe set, then T - t
     scales: list                # per-var scale already applied
 
     @property
     def total_dim(self) -> int:
-        return len(self.names)
-
-    @property
-    def support_polys(self) -> list:
-        return list(self.user_polys) + list(self.time_polys)
-
-    @property
-    def exit_polys(self) -> list:
-        """Polynomials whose product vanishes on the exit-reachable part
-        of the boundary: user facets and the horizon facet T - t.  The
-        facet t = 0 carries no exit mass (the start state is interior)
-        and must stay out of the product, otherwise the point mass at the
-        start state satisfies every boundary constraint."""
-        return list(self.user_polys) + [self.time_polys[1]]
-
-    def sigma_sigma_t(self) -> dict:
-        """The model's ``generator.sigma_sigma_t`` table, built once."""
-        if not hasattr(self, "_sst"):
-            self._sst = sigma_sigma_t(self.diffusion)
-        return self._sst
+        return len(self.x0)
 
 
 def collect_trig_atoms(model: SdeModel) -> list:
-    """All atoms needed to close the dynamics, sines first then cosines.
+    """All atoms needed to close the dynamics: the sines, then their
+    cosines in the same (frequency, argument) order.
 
     Every (frequency, argument) pair appearing in drift or diffusion
     contributes BOTH its sine and cosine atom: differentiation swaps the
@@ -186,15 +172,8 @@ def augment(model: SdeModel) -> AugmentedModel:
     atom_diffusion = []
     for a in atoms:
         e = Polynomial.atom(nslots, a)
-        grad = [(i, e.diff(i)) for i in range(nslots) if a.arg[i]]
         atom_drift.append(generator(e, drift, sst))
-        row = []
-        for k in range(model.d):
-            s = Polynomial.zero(nslots)
-            for i, g in grad:
-                s = s + g * diffusion[i][k]
-            row.append(s)
-        atom_diffusion.append(row)
+        atom_diffusion.append(noise_projections(e, diffusion))
 
     total = nslots + len(atoms)
 
@@ -207,29 +186,20 @@ def augment(model: SdeModel) -> AugmentedModel:
     base_point = list(model.x0) + [0.0]
     x0 = base_point + [a.value(base_point) for a in atoms]
 
-    names = list(model.names) + [a.format(model.names) for a in atoms]
-    user = [q.remap_vars(total, list(range(nslots))) for q in model.safe_polys]
+    safe = [q.remap_vars(total, list(range(nslots))) for q in model.safe_polys]
     t_poly = Polynomial.variable(total, model.n)
-    time_box = [t_poly, Polynomial.constant(total, model.horizon) - t_poly]
+    horizon_facet = Polynomial.constant(total, model.horizon) - t_poly
 
-    trig_polys = []
-    pairs = []
-    for idx, a in enumerate(atoms):
-        v = Polynomial.variable(total, nslots + idx)
-        trig_polys.append(Polynomial.constant(total, 1) - v * v)
-        if a.kind == "sin":
-            pairs.append((a.freq, a.arg))
-    for freq, arg in pairs:
-        s_i = atoms.index(TrigAtom("sin", freq, arg))
-        c_i = atoms.index(TrigAtom("cos", freq, arg))
-        s = Polynomial.variable(total, nslots + s_i)
-        c = Polynomial.variable(total, nslots + c_i)
+    # atom states lie in [-1, 1], and sine j and cosine half + j (the order
+    # of ``collect_trig_atoms``) lie on the unit circle
+    states = [Polynomial.variable(total, nslots + i) for i in range(len(atoms))]
+    trig = [Polynomial.constant(total, 1) - v * v for v in states]
+    half = len(atoms) // 2
+    for s, c in zip(states[:half], states[half:]):
         circle = s * s + c * c - 1
-        trig_polys.append(circle)
-        trig_polys.append(-circle)
+        trig += [circle, -circle]
 
     return AugmentedModel(
-        names=names,
         time_index=model.n,
         atoms=atoms,
         d=model.d,
@@ -237,9 +207,8 @@ def augment(model: SdeModel) -> AugmentedModel:
         diffusion=diff_p,
         x0=x0,
         horizon=model.horizon,
-        user_polys=user,
-        time_polys=time_box,
-        trig_polys=trig_polys,
+        interior_polys=safe + [t_poly, horizon_facet] + trig,
+        exit_polys=safe + [horizon_facet],
         scales=[Fraction(1)] * total,
     )
 
@@ -249,10 +218,10 @@ def augment(model: SdeModel) -> AugmentedModel:
 # ---------------------------------------------------------------------------
 
 
-def infer_box(support_polys, total_dim) -> dict:
+def infer_box(polys, total_dim) -> dict:
     """Per-variable bounds found among degree-1 single-variable polynomials."""
     bounds: dict = {}
-    for q in support_polys:
+    for q in polys:
         if q.degree() != 1:
             continue
         vars_used = {i for alpha in q.terms for i, e in enumerate(alpha) if e > 0}
@@ -280,11 +249,12 @@ def unit_scales(model: AugmentedModel) -> list:
     """Scale factor per variable mapping known boxes into [-1, 1].
 
     Time is scaled so its box becomes [0, TIME_BOX]; atom states already
-    live in [-1, 1]; unboxed variables are left alone.
+    live in [-1, 1] (their box polynomials have degree 2, which
+    ``infer_box`` skips); unboxed variables are left alone.
     """
     total = model.total_dim
     scales = [Fraction(1)] * total
-    bounds = infer_box(model.support_polys, total)
+    bounds = infer_box(model.interior_polys, total)
     for var, vals in bounds.items():
         s = max(abs(v) for v in vals)
         if s > 0 and var != model.time_index:
@@ -319,7 +289,6 @@ def scale_model(model: AugmentedModel) -> AugmentedModel:
                  for row, s in zip(model.diffusion, scales)]
     x0 = [v / float(s) for v, s in zip(model.x0, scales)]
     scaled = AugmentedModel(
-        names=list(model.names),
         time_index=model.time_index,
         atoms=list(model.atoms),
         d=model.d,
@@ -327,9 +296,8 @@ def scale_model(model: AugmentedModel) -> AugmentedModel:
         diffusion=diffusion,
         x0=x0,
         horizon=model.horizon / float(scales[model.time_index]),
-        user_polys=[normalized(q) for q in model.user_polys],
-        time_polys=[normalized(q) for q in model.time_polys],
-        trig_polys=[normalized(q) for q in model.trig_polys],
+        interior_polys=[normalized(q) for q in model.interior_polys],
+        exit_polys=[normalized(q) for q in model.exit_polys],
         scales=[a * b for a, b in zip(model.scales, scales)],
     )
     return scaled

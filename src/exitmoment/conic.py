@@ -21,13 +21,15 @@ PSD blocks (the form the SCS solver runs).  One evaluation is
 
 with the least-squares step solved through one cached sparse KKT
 factorization.  With s = P(v) and u = v - s this is classical ADMM with
-penalty 1 and no over-relaxation.  Every ``CHECK_INTERVAL`` iterations
-the primal residual |f|, the dual residual |G'(s - s_prev)| (s_prev from
-the evaluation before) and the equality residual |A z - b| are compared
-with the ``EPS_ABS`` / ``EPS_REL`` tolerances; a point that meets them is
-optimal once the least eigenvalues of M(m) and M(b) at z are at least
--10 ``EPS_ABS``.  ``SolverSettings`` holds the one setting callers vary,
-``max_iters``, which counts map evaluations.
+penalty 1 and no over-relaxation.  The KKT step gives
+c + A'y + G'(v - s) = -G'f - sigma z, so |G'f| is the dual residual of
+(z, y, lambda = s - v), with lambda PSD and orthogonal to s, as in SCS
+(O'Donoghue et al., JOTA 2016).  Every ``CHECK_INTERVAL`` iterations the
+primal residual |f|, this dual residual and the equality residual
+|A z - b| are compared with the ``EPS_ABS`` / ``EPS_REL`` tolerances; a
+point that meets them is optimal once the least eigenvalues of M(m) and
+M(b) at z are at least -10 ``EPS_ABS``.  ``SolverSettings`` holds the one
+setting callers vary, ``max_iters``, which counts map evaluations.
 
 Type-II Anderson acceleration extrapolates the next v from the last
 ``AA_MEMORY`` evaluations of T (a Tikhonov-regularised least-squares fit
@@ -337,14 +339,14 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
             raise _Failure(f"KKT factorization failed: {exc}") from exc
 
         n_cone = blocks.total
-        v = s = np.zeros(n_cone)       # the map's input and its projection
+        v = np.zeros(n_cone)           # the map's input
         anderson = _Anderson(n_cone, AA_MEMORY)
         accelerated = False            # v is an extrapolated point
         fallback = v                   # the plain step an extrapolation replaced
         res_plain = 0.0                # its fixed-point residual
         sqrt_cone, sqrt_n, sqrt_eq = (math.sqrt(max(k, 1)) for k in (n_cone, n, m_eq))
         for it in range(1, settings.max_iters + 1):
-            s_prev, s = s, blocks.project(v)
+            s = blocks.project(v)
             z_s = lu.solve(np.concatenate([gt_s @ (2 * s - v) - c_s, b_s]))[:n]
             z = e_col * z_s
             gz = g_s @ z_s
@@ -354,7 +356,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
 
             if it % CHECK_INTERVAL == 0 or it == settings.max_iters:
                 r_prim = res
-                r_dual = float(np.linalg.norm(gt_s @ (s - s_prev)))
+                r_dual = float(np.linalg.norm(gt_s @ f))
                 eq_res = float(np.linalg.norm(a_s @ z_s - b_s)) if m_eq else 0.0
                 eps_pri = (EPS_ABS * sqrt_cone
                            + EPS_REL * max(np.linalg.norm(gz), np.linalg.norm(s)))

@@ -363,15 +363,6 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self.terms!r}, {self.atoms!r})"
 
 
-def format_coeff(coef: Fraction) -> str:
-    if coef.denominator == 1:
-        return str(coef.numerator)
-    f = float(coef)
-    if Fraction(str(f)) == coef:
-        return str(f)
-    return f"{coef.numerator}/{coef.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # Sinusoidal atoms
 # ---------------------------------------------------------------------------
@@ -407,16 +398,6 @@ class TrigAtom:
             if e:
                 u *= x**e
         return math.sin(u) if self.kind == "sin" else math.cos(u)
-
-    def format(self, names: Sequence[str]) -> str:
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, self.arg)
-            if e
-        )
-        if self.freq == 1:
-            return f"{self.kind}({mono})"
-        return f"{self.kind}({format_coeff(self.freq)}*{mono})"
 
 
 # ---------------------------------------------------------------------------

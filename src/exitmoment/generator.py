@@ -1,18 +1,19 @@
 """The infinitesimal generator of an Ito diffusion, and martingale rows.
 
-For dX = b dt + sigma dB the generator maps a test function f to
+For dX = b dt + sigma dB, Ito's formula gives a test function f the drift
 
     L f = sum_i b_i d_i f + sum_{i <= j} c_ij (sigma sigma^T)_ij d_i d_j f,
 
 with c_ii = 1/2 and c_ij = 1 for i < j (the (i, j) and (j, i) terms of
-the half Hessian trace taken together).  ``generator`` and
-``sigma_sigma_t`` only add, multiply and differentiate ``Polynomial``s,
-so the one generator serves both constructions: the state augmentation
-applies it to each sin/cos atom (a polynomial in that one atom) to get
-the atom's drift by Ito's formula, and ``martingale_row`` applies it to a
-monomial test function of the augmented model.  Each such image,
-together with the start-state constant and a unit coefficient on the
-matching exit moment, yields one linear equality over the
+the half Hessian trace taken together), and the diffusion row
+sum_i d_i f sigma_ik over the noise columns k: ``generator`` and
+``noise_projections``.  Each caller builds the ``sigma_sigma_t`` table
+that ``generator`` reads once, where it uses it.  The augmentation gives
+each sin/cos atom both, the Monte Carlo oracle takes crossing variances
+from the diffusion rows of the safe polynomials, and ``martingale_row``
+applies the generator to a monomial test function of the augmented
+model: with the start-state constant and a unit coefficient on the
+matching exit moment, that image is one linear equality over the
 occupation/exit moment sequences.
 """
 
@@ -41,6 +42,21 @@ def sigma_sigma_t(diffusion) -> dict:
             if not entry.is_zero():
                 sst[(i, j)] = entry
     return sst
+
+
+def noise_projections(f, diffusion) -> list:
+    """sum_i d_i f diffusion[i][k] for each noise column k of the diffusion
+    rows ``diffusion``, summed over the rows i in order from
+    ``Polynomial.zero(f.nbase)``."""
+    grad = [f.diff(i) for i in range(len(diffusion))]
+    out = []
+    for column in zip(*diffusion):
+        p = Polynomial.zero(f.nbase)
+        for di, g in zip(grad, column):
+            if not di.is_zero():
+                p = p + di * g
+        out.append(p)
+    return out
 
 
 def generator(f, drift, sst):
@@ -73,9 +89,11 @@ class MartingaleRow:
     constant: float                # x0^k
 
 
-def martingale_row(model: AugmentedModel, k: MultiIndex) -> MartingaleRow:
+def martingale_row(model: AugmentedModel, k: MultiIndex, sst: dict) -> MartingaleRow:
+    """The row of test monomial x^k; ``sst`` is the ``sigma_sigma_t`` table
+    of ``model.diffusion``."""
     f = Polynomial.monomial(model.total_dim, k)
-    image = generator(f, model.drift, model.sigma_sigma_t())
+    image = generator(f, model.drift, sst)
     return MartingaleRow(tuple(k), dict(image.terms), f.evaluate(model.x0))
 
 
@@ -85,9 +103,10 @@ def emit_all_rows(model: AugmentedModel, K: int, dropped=None) -> list:
     (append their indices to ``dropped`` when a list is supplied)."""
     if K < 0:
         raise ValueError("K must be non-negative")
+    sst = sigma_sigma_t(model.diffusion)
     rows = []
     for k in enumerate_multi_indices(model.total_dim, K):
-        row = martingale_row(model, k)
+        row = martingale_row(model, k, sst)
         if row.interior_coeffs and max(
             sum(j) for j in row.interior_coeffs
         ) > K:

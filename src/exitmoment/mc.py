@@ -32,8 +32,9 @@ polynomial evaluates to a float, zero drift and diffusion entries are
 skipped, and the terms are accumulated in the polynomial's term order
 without intermediate copies, so every value is the one a term-by-term
 evaluation gives.  The crossing variance of a safe polynomial q is
-sum_k p_k^2 over the noise columns k, with each projection
-p_k = sum_i d_i q sigma_ik formed exactly as a polynomial and compiled.
+sum_k p_k^2 over the noise columns k, with the projections
+p_k = sum_i d_i q sigma_ik formed exactly by
+``generator.noise_projections`` and compiled.
 
 Near-boundary rule.  A path survives the bridge test of one step with
 probability exp(sum_q log(clip(1 - p_q, 1e-300, 1))), where
@@ -59,6 +60,7 @@ import numpy as np
 
 from .augment import AugmentedModel, SdeModel
 from .expr import Polynomial
+from .generator import noise_projections
 
 # e^-40 < 2^-54: below this bridge exponent, 1 - p rounds to 1.0
 NEAR_BOUNDARY = -40.0
@@ -181,8 +183,7 @@ class SdeKernel:
 
     def __init__(self, model: SdeModel):
         self.model = model
-        n = model.n
-        self.n = n
+        self.n = model.n
         self.d = model.d
         atoms: list = []
         exprs = list(model.drift) + [g for row in model.diffusion for g in row]
@@ -202,20 +203,13 @@ class SdeKernel:
         self.noise = [[(k, g) for k, g in enumerate(row) if not g.is_zero()]
                       for row in self.diffusion]
         self.safe = [compile_expr(q) for q in model.safe_polys]
-        # crossing variance of polynomial j: sum over noise columns k of
-        # p_jk^2, p_jk = sum_i d_i q_j sigma_ik; a polynomial whose every
-        # p_jk is zero never crosses within a step and takes no part in
-        # the bridge test
+        # a polynomial whose every noise projection is zero never crosses
+        # within a step and takes no part in the bridge test
         self.bridged = []
         self.projections = []
         for j, q in enumerate(model.safe_polys):
-            projs = []
-            for k in range(self.d):
-                p = Polynomial.zero(n + 1)
-                for i in range(n):
-                    p = p + q.diff(i) * model.diffusion[i][k]
-                if not p.is_zero():
-                    projs.append(compile_expr(p))
+            projs = [compile_expr(p) for p in noise_projections(q, model.diffusion)
+                     if not p.is_zero()]
             if projs:
                 self.bridged.append(j)
                 self.projections.append(projs)

@@ -110,12 +110,11 @@ class MomentProblem:
     num_m: int                     # occupation moments, degree <= K_m
     num_b: int                     # exit moments, degree <= K_b
     moment_basis: list             # degree <= K // 2
-    interior_polys: list
     qprime: Polynomial
 
     @property
     def n_q(self) -> int:
-        return len(self.interior_polys)
+        return len(self.model.interior_polys)
 
     @property
     def d_k(self) -> int:
@@ -139,10 +138,6 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
     dropped: list = []
     rows = emit_all_rows(model, K, dropped=dropped)
 
-    interior = list(model.support_polys) + list(model.trig_polys)
-    # exit_polys excludes the t = 0 facet: no exit mass lives there, and
-    # keeping it would let the start-state point mass satisfy every
-    # boundary constraint (collapsing the minimization to zero)
     qprime = boundary_product(model.exit_polys)
     if variant == "reduced" and qprime.degree() > K:
         raise ValueError(
@@ -150,14 +145,14 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
             "too short for the reduced boundary formulation")
 
     half = K // 2
-    max_int_deg = max((q.degree() for q in interior), default=0)
+    max_int_deg = max((q.degree() for q in model.interior_polys), default=0)
     return MomentProblem(
         model=model, variant=variant, K=K, moment_order=moment_order,
         sense=sense, rows=rows, dropped_rows=dropped,
         num_m=count_upto(n, max(K, 2 * half + max_int_deg)),
         num_b=count_upto(n, max(K, 2 * half + qprime.degree())),
         moment_basis=enumerate_multi_indices(n, half),
-        interior_polys=interior, qprime=qprime,
+        qprime=qprime,
     )
 
 
@@ -243,7 +238,7 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
     m_range = (basis, 0, num_m, num_vars)
     b_range = (basis, num_m, num_b, num_vars)
     blocks = [_psd_block("M(m)", one, *m_range), _psd_block("M(b)", one, *b_range)]
-    for idx, q in enumerate(mp.interior_polys):
+    for idx, q in enumerate(mp.model.interior_polys):
         blocks.append(_psd_block(f"M(q{idx} m)", q, *m_range))
     boundary = _psd_block("M(q' b)", mp.qprime, *b_range)
     if mp.variant == "original":

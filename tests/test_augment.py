@@ -63,7 +63,7 @@ def test_time_augmentation_brownian():
     assert m.x0 == [0.5, 0.0]
     # box polynomials t >= 0 and T - t >= 0
     t = Polynomial.variable(2, 1)
-    assert m.time_polys == [t, Polynomial.constant(2, 10) - t]
+    assert m.interior_polys[2:] == [t, Polynomial.constant(2, 10) - t]
 
 
 def test_time_augmentation_deterministic_model():
@@ -77,7 +77,6 @@ def test_time_augmentation_deterministic_model():
 
 def test_spring_time_slot_is_third():
     m = augment(spring_model())
-    assert m.names[:3] == ["x", "v", "t"]
     assert m.time_index == 2
     assert m.drift[2] == Polynomial.constant(5, 1)
 
@@ -113,7 +112,6 @@ def test_collect_adds_derivative_partner():
 def test_sin_cos_system_augments_to_reference_dynamics():
     am = augment(trig_model())
     # variable order [x, t, sin(x), cos(x)]
-    assert am.names[:2] == ["x", "t"]
     assert am.total_dim == 4
     S, C = 2, 3
 
@@ -148,7 +146,6 @@ def test_polynomial_model_unchanged_besides_time():
 
 def test_spring_mass_damper_augmentation():
     am = augment(spring_model())
-    assert am.names[:3] == ["x", "v", "t"]
     assert am.total_dim == 5
     X, V, T, S, C = range(5)
 
@@ -246,11 +243,24 @@ def test_trig_box_polynomials_present():
     s = Polynomial.variable(total, S)
     c = Polynomial.variable(total, C)
     circle = s * s + c * c - 1
-    assert one - s * s in am.trig_polys
-    assert one - c * c in am.trig_polys
-    assert circle in am.trig_polys
-    assert -circle in am.trig_polys
-    assert len(am.trig_polys) == 4
+    trig_polys = am.interior_polys[4:]     # after x, 1 - x, t, T - t
+    assert one - s * s in trig_polys
+    assert one - c * c in trig_polys
+    assert circle in trig_polys
+    assert -circle in trig_polys
+    assert len(trig_polys) == 4
+
+
+@pytest.mark.parametrize("make_model", [trig_model, two_noise_model],
+                         ids=["trig", "two_noise"])
+def test_exit_polynomials_are_interior_polynomials(make_model):
+    """The safe set and the horizon facet sit in both lists, before and
+    after scaling, so both lists must be normalized alike."""
+    sde = make_model()
+    am = augment(sde)
+    for model in (am, scale_model(am)):
+        assert len(model.exit_polys) == len(sde.safe_polys) + 1
+        assert all(q in model.interior_polys for q in model.exit_polys)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +304,8 @@ def test_scaled_spring_dynamics():
     assert scaled.x0[0] == pytest.approx(-9.81 / 10.0)
     # time box normalizes to t~ and 1 - t~/5
     t = Polynomial.variable(5, 2)
-    assert t in scaled.support_polys
-    assert Polynomial.constant(5, 1) - t * Fraction(1, 5) in scaled.support_polys
+    assert t in scaled.interior_polys
+    assert Polynomial.constant(5, 1) - t * Fraction(1, 5) in scaled.interior_polys
 
 
 def test_unscale_factor_powers_of_time_scale():

@@ -378,6 +378,18 @@ def test_brownian_reduced_k10_bounds_within_a_thousand_iterations(
     assert res.iterations <= 1000
 
 
+def test_brownian_reduced_k14_order6_max_within_a_thousand_iterations(brownian):
+    """The dual residual |G'f| of one map step stops this solve at 625
+    iterations; a residual that measured the jump between consecutive
+    (Anderson-extrapolated) map inputs held it to 1,875."""
+    exact = 540553 / 8515584
+    res = solve(assemble(brownian, "reduced", 14, 6, "max"))
+    assert res.status == "optimal"
+    bound = res.objective * moment_unscale_factor(brownian, 6)
+    assert abs(bound - exact) <= 1e-3 * exact
+    assert res.iterations <= 1000
+
+
 def test_original_variant_solves_the_reduced_program(brownian):
     original = assemble(brownian, "original", 8, 1, "min")
     res = solve(original)

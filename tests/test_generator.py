@@ -6,7 +6,12 @@ import pytest
 
 from exitmoment.augment import SdeModel, augment
 from exitmoment.expr import Polynomial, count_upto, enumerate_multi_indices
-from exitmoment.generator import emit_all_rows, generator, martingale_row
+from exitmoment.generator import (
+    emit_all_rows,
+    generator,
+    martingale_row,
+    sigma_sigma_t,
+)
 
 
 def brownian():
@@ -33,7 +38,7 @@ def trig():
 def image(model, k):
     """The library generator applied to the monomial x^k."""
     f = Polynomial.monomial(model.total_dim, k)
-    return generator(f, model.drift, model.sigma_sigma_t())
+    return generator(f, model.drift, sigma_sigma_t(model.diffusion))
 
 
 def closed_form_image(model, k):
@@ -101,7 +106,7 @@ def test_generator_linearity_against_polynomial_path():
             cb = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             combo = (Polynomial.monomial(m.total_dim, a, ca)
                      + Polynomial.monomial(m.total_dim, b, cb))
-            direct = generator(combo, m.drift, m.sigma_sigma_t())
+            direct = generator(combo, m.drift, sigma_sigma_t(m.diffusion))
             split = (closed_form_image(m, a) * ca
                      + closed_form_image(m, b) * cb)
             assert direct == split
@@ -122,7 +127,7 @@ def finite_difference_generator(model, k, point, h=1e-4):
         return val
 
     n = model.total_dim
-    sst = model.sigma_sigma_t()
+    sst = sigma_sigma_t(model.diffusion)
     total = 0.0
     for i in range(n):
         up = list(point)
@@ -172,8 +177,13 @@ def test_generator_matches_finite_difference_oracle(factory):
 # ---------------------------------------------------------------------------
 
 
+def brownian_row(k):
+    model = brownian()
+    return martingale_row(model, k, sigma_sigma_t(model.diffusion))
+
+
 def test_degree_zero_row_is_mass_normalization():
-    row = martingale_row(brownian(), (0, 0))
+    row = brownian_row((0, 0))
     assert row.interior_coeffs == {}
     assert row.constant == 1.0
     assert row.test_index == (0, 0)
@@ -181,13 +191,13 @@ def test_degree_zero_row_is_mass_normalization():
 
 def test_first_time_moment_row():
     # A(t) = 1, x0 has time component 0: m_00 - b_t = 0
-    row = martingale_row(brownian(), (0, 1))
+    row = brownian_row((0, 1))
     assert row.interior_coeffs == {(0, 0): Fraction(1)}
     assert row.constant == 0.0
 
 
 def test_y_squared_row_carries_initial_constant():
-    row = martingale_row(brownian(), (2, 0))
+    row = brownian_row((2, 0))
     assert row.interior_coeffs == {(0, 0): Fraction(1)}
     assert row.constant == pytest.approx(0.25)
 

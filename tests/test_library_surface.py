@@ -12,7 +12,9 @@ one of those files passes it by keyword to its dataclass.  Within the
 library, every module-level import is read, and so is every local name a
 function assigns (other than ``_...``) and every module-level name a
 module assigns (other than ``__...__``): a module constant that no code
-reads is dead.
+reads is dead.  A method of a library dataclass assigns only the
+dataclass's declared fields on ``self``, so every attribute of an
+instance is one its constructor takes.
 """
 
 import ast
@@ -172,3 +174,30 @@ def test_every_module_assignment_is_read():
     assert assigned
     unread = [f"{file}: {name}" for file, name in assigned if name not in read]
     assert not unread, f"assigned at module level, never read: {unread}"
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_dataclass_methods_assign_only_declared_fields():
+    checked, hidden = [], []
+    for path in LIBRARY:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            checked.append(cls.name)
+            fields = {stmt.target.id for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)}
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"
+                        and node.attr not in fields):
+                    hidden.append(f"{path.name}: {cls.name}.{node.attr}")
+    assert "AugmentedModel" in checked
+    assert not hidden, f"assigned on self but not a dataclass field: {hidden}"

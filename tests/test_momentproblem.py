@@ -480,7 +480,7 @@ def dict_lowering(mp):
     through dicts over the enumerated multi-indices, the pair-loop boundary
     rows, and every row dropped whose exact normalized pattern came before."""
     n, half = mp.model.total_dim, mp.K // 2
-    max_int_deg = max((q.degree() for q in mp.interior_polys), default=0)
+    max_int_deg = max((q.degree() for q in mp.model.interior_polys), default=0)
     m_indices = enumerate_multi_indices(n, max(mp.K, 2 * half + max_int_deg))
     b_indices = enumerate_multi_indices(n, max(mp.K, 2 * half + mp.qprime.degree()))
     assert (len(m_indices), len(b_indices)) == (mp.num_m, mp.num_b)
@@ -529,10 +529,10 @@ def test_lowering_matches_per_entry_reference(case, variant):
     num_m = mp.num_m
     num_vars = program.num_vars
     polys = [(Polynomial.constant(n, 1), 0), (Polynomial.constant(n, 1), num_m)]
-    polys += [(q, 0) for q in mp.interior_polys]
+    polys += [(q, 0) for q in mp.model.interior_polys]
     if variant == "original":
         polys += [(sign * mp.qprime, num_m)
-                  for _ in mp.interior_polys for sign in (1, -1)]
+                  for _ in mp.model.interior_polys for sign in (1, -1)]
     assert len(program.blocks) == len(polys)
     for block, (q, offset) in zip(program.blocks, polys):
         assert_same_csr(block.mat,
