@@ -59,19 +59,19 @@ _SQRT2 = math.sqrt(2.0)
 
 # Anderson memory (map evaluations).  Total iterations of the 13 Brownian
 # bounds of the benchmark (reduced K=14 orders 1-6, original K=8 order 1),
-# by memory: 0 (the plain map) -> 27.3k, 5 -> 7.7k, 8 -> 6.0k,
-# 10 -> 6.75k, 15 -> 5.6k.  On the 16 of 20 other Brownian bounds
+# by memory: 0 (the plain map) -> 59.1k, 5 -> 7.9k, 8 -> 5.9k,
+# 10 -> 5.98k, 15 -> 5.7k.  On the 16 of 20 other Brownian bounds
 # (reduced K=6/10/12, original K=6/10, orders 1-2) that every memory
-# solves: 0 -> 87.3k, 5 -> 14.1k, 8 -> 12.7k, 10 -> 13.4k, 15 -> 13.9k.
+# solves: 0 -> 117.4k, 5 -> 16.9k, 8 -> 14.1k, 10 -> 13.9k, 15 -> 14.2k.
 # Totals move by about this much with rounding alone (computing T(v) as
-# G z + (v - s) takes the 13 bounds from 6.75k to 5.1k at memory 10).
+# G z + (v - s) takes the 13 bounds from 5.98k to 5.9k at memory 10).
 AA_MEMORY = 10
 # An accelerated point is rejected when its plain step's fixed-point
 # residual exceeds this multiple of the previous plain residual.
 AA_SAFEGUARD = 2.0
 # Tikhonov weight, relative to the trace of the Gram matrix.  1e-8 and
-# 1e-12 took 5.7k and 6.3k iterations on the 13 benchmark bounds and
-# 12.9k on the 16 others, differences within that rounding noise.
+# 1e-12 took 5.75k and 6.1k iterations on the 13 benchmark bounds and
+# 13.9k and 14.2k on the 16 others, differences within that rounding noise.
 AA_REGULARIZATION = 1e-10
 # Absolute and relative tolerances of the primal, dual and equality
 # residuals; the optimality gate also takes -10 EPS_ABS as the least

@@ -45,9 +45,11 @@ logarithm is 0 and the survival is exactly 1.0, which a uniform draw in
 [0, 1) never exceeds.  The transcendental functions are therefore
 evaluated only on paths with some e_q > -40, and polynomials whose
 crossing variance is identically zero (no noisy coordinate enters them)
-are left out of the test, since their p_q is 0.  The uniform draws are
-made exactly when the full evaluation makes them, so the exit times are
-those of the full evaluation, bit for bit.  Sums over polynomials, noise
+are left out of the test, since their p_q is 0.  One uniform per alive
+path is drawn on a step only when some polynomial is bridged and some
+path ends the step inside the safe set, so a model with a bridged
+polynomial draws, and exits, as the full evaluation does, bit for bit,
+and a model without one draws no uniforms.  Sums over polynomials, noise
 columns and coordinates run left to right.
 """
 
@@ -202,7 +204,10 @@ class SdeKernel:
         # per coordinate, the (noise column, kernel) pairs that are not zero
         self.noise = [[(k, g) for k, g in enumerate(row) if not g.is_zero()]
                       for row in self.diffusion]
-        self.safe = [compile_expr(q) for q in model.safe_polys]
+        # without a safe polynomial no path leaves; the constant 1 stands
+        # in, so every step has a most violated polynomial to look for
+        self.safe = [compile_expr(q) for q in model.safe_polys] or [
+            _Kernel(Polynomial.constant(self.n + 1, 1))]
         # a polynomial whose every noise projection is zero never crosses
         # within a step and takes no part in the bridge test
         self.bridged = []
@@ -310,19 +315,22 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
     ``cfg.paths`` paths run to the model's horizon in chunks of ``CHUNK``
     on one random stream.  Exits are flagged either by a sign change of a
     safe polynomial on the grid (crossing time linearly interpolated via
-    the most violated polynomial) or by the bridge test, which runs on
-    every step: it samples the within-step crossing probability
-    exp(-2 q_k q_{k+1} / (v dt)) per polynomial.
+    the most violated polynomial) or by the bridge test, which samples the
+    within-step crossing probability exp(-2 q_k q_{k+1} / (v dt)) per
+    bridged polynomial on every step that has a path inside.  A path that
+    leaves in the step from t of length h does so at t + theta h, with
+    theta from the interpolation, or 1/2 for a bridge exit.
 
     Two optional hooks observe the paths.  ``occupation(slots)`` returns
     an (m, N) integrand at the slots of the alive paths at the start of
-    every step; it is integrated along each path (left-point rule).
-    ``exit_state(ids, x, times, facets, t_end, integrals)`` receives the
-    paths that leave in a step: their interpolated exit coordinates
-    (n, R), exit times, the index of the safe polynomial each one crossed,
-    the time at the end of the step and the integrals of the occupation
-    integrand up to the exit.  Paths alive at the horizon are reported
-    once more with ``facets`` None.
+    every step; it is integrated along each path by the left-point rule,
+    with weight h on a step the path survives and theta h on its exit
+    step.  ``exit_state(ids, x, times, facets, integrals)`` receives the
+    paths that leave in a step (possibly none): their interpolated exit
+    coordinates (n, R), exit times, the index of the safe polynomial each
+    one crossed and the integrals of the occupation integrand up to the
+    exit.  Paths alive at the horizon are reported once more with
+    ``facets`` None.
 
     Returns (tau, capped, flagged): exit times (NaN for a path that became
     non-finite), whether each path reached the horizon, and the count of
@@ -337,7 +345,12 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
     if last >= dt * (1.0 - 1e-9):
         last = dt
     bridged = kernel.bridged
+    # with every polynomial bridged the safe values are used as they are:
+    # two fancy-index copies per step took the 100k-path Brownian run at
+    # dt 1e-3 from 2.57 to 2.80 s (medians of 8 interleaved runs, 2 CPUs)
     all_bridged = len(bridged) == len(kernel.safe)
+    # constant variance rates are evaluated once: evaluating them on every
+    # step took that run from 2.57 to 2.87 s, measured alike
     const_v = None
     if kernel.variances_constant:
         const_v = np.array(kernel.crossing_variances(None), dtype=float)[:, None]
@@ -351,23 +364,16 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
         q_prev = kernel.safe_values(kernel.slots(state, 0.0))
         integral = None
         for step in range(n_steps):
-            t = step * dt
-            h = dt if step < n_steps - 1 else last
             if ids.size == 0:
                 break
+            t = step * dt
+            h = dt if step < n_steps - 1 else last
             slots = kernel.slots(state, t)
-            if occupation is not None:
-                values = occupation(slots) * h
-                if integral is None:
-                    integral = np.zeros_like(values)
-                integral += values
             z = rng.standard_normal((ids.size, kernel.d))
             new = kernel.advance(slots, z.T, h, math.sqrt(h))
 
             finite = np.isfinite(new[:n]).all(axis=0)
-            if finite.all():
-                finite = None
-            else:
+            if not finite.all():
                 bad = ~finite
                 flagged += int(bad.sum())
                 tau[ids[bad]] = np.nan
@@ -379,66 +385,60 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
             kernel.fill_atoms(new_slots, new)
             q_new = kernel.safe_values(new_slots)
 
+            # the exit record of the step: grid exits, then bridge exits
             crossed = (q_new < 0).any(axis=0)
-            rows = np.flatnonzero(crossed if finite is None else crossed & finite)
-            facets = theta = rows
-            if rows.size:
-                facets = np.argmin(q_new[:, rows], axis=0)
-                qp = q_prev[facets, rows]
-                qn = q_new[facets, rows]
-                denom = np.where(qp - qn > 1e-300, qp - qn, 1.0)
-                theta = np.clip(qp / denom, 0.0, 1.0)
+            rows = np.flatnonzero(crossed & finite)
+            facets = np.argmin(q_new[:, rows], axis=0)
+            qp = q_prev[facets, rows]
+            qn = q_new[facets, rows]
+            denom = np.where(qp - qn > 1e-300, qp - qn, 1.0)
+            theta = np.clip(qp / denom, 0.0, 1.0)
 
-            inside = ~crossed if finite is None else ~crossed & finite
-            if inside.any():
+            inside = ~crossed & finite
+            if bridged and inside.any():
                 u = rng.random(ids.size)
-                if bridged:
-                    if all_bridged:
-                        qb_prev, qb_new = q_prev, q_new
-                    else:
-                        qb_prev, qb_new = q_prev[bridged], q_new[bridged]
-                    v = const_v
-                    if v is None:
-                        v = np.empty(qb_new.shape)
-                        for row, value in zip(v, kernel.crossing_variances(slots)):
-                            row[...] = value
-                    vdt = v * h
-                    near, survive, p = _bridge_survival(qb_prev, qb_new, vdt)
-                    hit = inside[near] & (u[near] > survive)
-                    if hit.any():
-                        extra = near[hit]
-                        rows = np.concatenate([rows, extra])
-                        # expected within-step crossing time
-                        theta = np.concatenate([theta, np.full(extra.size, 0.5)])
-                        facets = np.concatenate(
-                            [facets, np.take(bridged, np.argmax(p[:, hit], axis=0))])
+                if all_bridged:
+                    qb_prev, qb_new = q_prev, q_new
+                else:
+                    qb_prev, qb_new = q_prev[bridged], q_new[bridged]
+                v = const_v
+                if v is None:
+                    v = np.empty(qb_new.shape)
+                    for row, value in zip(v, kernel.crossing_variances(slots)):
+                        row[...] = value
+                near, survive, p = _bridge_survival(qb_prev, qb_new, v * h)
+                hit = inside[near] & (u[near] > survive)
+                rows = np.concatenate([rows, near[hit]])
+                # expected within-step crossing time
+                theta = np.concatenate([theta, np.full(hit.sum(), 0.5)])
+                facets = np.concatenate(
+                    [facets, np.take(bridged, np.argmax(p[:, hit], axis=0))])
 
-            if rows.size:
-                tau[ids[rows]] = t + theta * h
-                capped[ids[rows]] = False
-                if exit_state is not None:
-                    x0 = state[:n, rows]
-                    exit_state(
-                        ids[rows], x0 + theta * (new[:n, rows] - x0),
-                        t + theta * h, facets, t_new,
-                        None if integral is None else integral[:, rows])
+            elapsed = theta * h
+            times = t + elapsed
+            tau[ids[rows]] = times
+            capped[ids[rows]] = False
+            if occupation is not None:
+                weight = np.full(ids.size, h)
+                weight[rows] = elapsed
+                values = occupation(slots) * weight
+                integral = values if integral is None else integral + values
+            if exit_state is not None:
+                x0 = state[:n, rows]
+                exit_state(ids[rows], x0 + theta * (new[:n, rows] - x0), times,
+                           facets, None if integral is None else integral[:, rows])
 
-            if rows.size or finite is not None:
-                keep = np.ones(ids.size, dtype=bool) if finite is None else finite
-                keep[rows] = False
-                idx = np.flatnonzero(keep)
-                state = new.take(idx, axis=1)
-                q_prev = q_new.take(idx, axis=1)
-                ids = ids[idx]
-                if integral is not None:
-                    integral = integral.take(idx, axis=1)
-            else:
-                state = new
-                q_prev = q_new
+            keep = finite
+            keep[rows] = False
+            idx = np.flatnonzero(keep)
+            state = new.take(idx, axis=1)
+            q_prev = q_new.take(idx, axis=1)
+            ids = ids[idx]
+            if integral is not None:
+                integral = integral.take(idx, axis=1)
 
         if exit_state is not None and ids.size:
-            exit_state(ids, state[:n], np.full(ids.size, horizon),
-                       None, horizon, integral)
+            exit_state(ids, state[:n], np.full(ids.size, horizon), None, integral)
 
     if flagged > 0.001 * cfg.paths:
         raise RuntimeError(
@@ -534,20 +534,19 @@ def measure_moments(model: SdeModel, augmented: AugmentedModel,
     def occupation(slots):
         return _evaluate_rows(mono_m, aug_coords(slots))
 
-    def exit_state(ids, x, times, facets, t_end, integrals):
+    def exit_state(ids, x, times, facets, integrals):
         if facets is not None:
-            # one Newton step onto the crossing facet so exit moments see
-            # boundary-supported states
+            # one Newton step onto the crossing facet at the exit time, so
+            # exit moments see boundary-supported states
             for qi in np.unique(facets):
                 sub = facets == qi
                 pts = x[:, sub]
-                slots = list(pts) + [t_end]
+                slots = list(pts) + [times[sub]]
                 g = _evaluate_rows(grads[qi], slots)
                 nrm = (g * g).sum(axis=0)
                 nrm = np.where(nrm > 1e-300, nrm, 1.0)
                 x[:, sub] = pts - kernel.safe[qi](slots) / nrm * g
-        if integrals is not None:
-            occ[ids] = integrals.T
+        occ[ids] = integrals.T
         exit_pow[ids] = _evaluate_rows(mono_b, aug_coords(list(x) + [times])).T
 
     tau, _, flagged = _simulate_paths(kernel, cfg, occupation, exit_state)

@@ -174,6 +174,32 @@ def test_time_inside_a_sinusoid_is_the_current_time():
     assert mm.b_mean == pytest.approx([0.5, math.cos(tau)], abs=3e-3)
 
 
+def test_a_model_without_safe_polynomials_runs_to_the_horizon():
+    model = SdeModel.from_strings(["y"], ["0"], [["1"]], [0.5], 0.1)
+    est = simulate_exit(model, McConfig(dt=1e-3, paths=100, seed=0))
+    assert est.exit_fraction == 0.0
+    assert est.mean(1) == pytest.approx(0.1, rel=1e-12)
+
+
+def test_no_uniforms_are_drawn_without_a_bridged_polynomial(monkeypatch):
+    # the spring's safe polynomials involve only x, which has no noise, so
+    # no step has a bridge test to draw for
+    calls = []
+
+    class CountingGenerator(np.random.Generator):
+        def random(self, *args, **kwargs):
+            calls.append(args)
+            return super().random(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    assert mc.SdeKernel(spring()).bridged == []
+    simulate_exit(spring(), McConfig(dt=1e-3, paths=200, seed=1))
+    assert calls == []
+    # the Brownian bounds are bridged: the count sees its draws
+    simulate_exit(brownian(), McConfig(dt=1e-3, paths=200, seed=1))
+    assert calls
+
+
 def test_safe_polynomial_in_time_alone_is_kept():
     # "0.05 - t" is a user facet, not the time box: every path leaves by
     # t = 0.05 at the latest
@@ -210,6 +236,35 @@ def test_martingale_rows_hold_within_monte_carlo_error():
         assert abs(mean) <= 3 * se + 1e-3, (row.test_index, mean, se)
 
 
+def test_occupation_of_one_is_the_capped_exit_time():
+    # the exit step is charged theta h, not h, so the occupation integral
+    # of 1 is tau ^ T path by path
+    model = spring()
+    cfg = McConfig(dt=1e-3, paths=500, seed=1)
+    taus = []
+    simulate_exit(model, cfg, tau_out=taus)
+    tau, capped = taus[0]
+    assert not capped.any()
+    am = augment(model)
+    zero = (0,) * am.total_dim
+    mm = measure_moments(model, am, [zero], [zero], cfg)
+    assert mm.occupation_samples[:, 0] == pytest.approx(tau, rel=1e-9)
+
+
+def test_exit_state_lands_on_a_moving_facet_at_the_exit_time():
+    # "1 - y + t" moves with time: the Newton step onto it is taken at the
+    # path's exit time, not at the end of its exit step
+    model = SdeModel.from_strings(["y"], ["0"], [["1"]], [0.5], 1.0,
+                                  ["y", "1 - y + t"])
+    am = augment(model)
+    mm = measure_moments(model, am, [(0, 0)], [(1, 0), (0, 1)],
+                         McConfig(dt=1e-3, paths=2_000, seed=1))
+    y, t = mm.exit_samples.T
+    through = (y > 0.5) & (t < model.horizon)
+    assert through.sum() > 100
+    assert np.abs(1 - y[through] + t[through]).max() <= 1e-12
+
+
 def _digest(*arrays):
     return hashlib.sha256(
         b"".join(a.astype("<f8").tobytes() for a in arrays)).hexdigest()
@@ -218,9 +273,9 @@ def _digest(*arrays):
 def test_spring_bridge_correction_raises_no_warning_and_keeps_samples():
     # x and the time coordinate carry no diffusion, so their crossing
     # variance is 0 while q_prev * q_new is 0 on a facet; the bridge
-    # exponent must skip them rather than evaluate 0 / 0.  The digests are
-    # the samples drawn before that fix, so the fix changed no number.
-    # The paths run to T = 2 in the coordinates of the T = 10 model.
+    # exponent must skip them rather than evaluate 0 / 0.  No polynomial
+    # is bridged, so the paths draw normals only.  The paths run to T = 2
+    # in the coordinates of the T = 10 model.
     model = spring(T=2.0)
     cfg = McConfig(dt=1e-3, paths=64, seed=3)
     am = scale_model(augment(spring()))
@@ -233,9 +288,9 @@ def test_spring_bridge_correction_raises_no_warning_and_keeps_samples():
     tau, capped = taus[0]
     assert len(tau) == 64 and int(capped.sum()) == 7
     assert _digest(tau) == (
-        "ff98bc6dcd5e39a2efc257054c7495dd5c5a5c0dc8a00c7481934d1879ecddf0")
+        "e02a0d952d9e4a31fb0bab0f58e95d258dd93fca759bfc829d7e28b55b510678")
     assert _digest(mm.occupation_samples, mm.exit_samples) == (
-        "71d89f8ef66e2a629f0057c889b856211b207f4da72fa6a05ed7f4af59c4f958")
+        "08dcbdf216a7c6833c250e671b1bba4b3d488a7517b98cf5890bc0e28d5d595a")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +302,7 @@ def test_spring_bridge_correction_raises_no_warning_and_keeps_samples():
     (brownian(), McConfig(dt=1e-3, paths=5_000, seed=1), 2_000, 0,
      "5beda6011ca1acbdb3c4403f773d24651c59c3b647f2ecc1e1708fdcad22644e"),
     (spring(), McConfig(dt=1e-3, paths=2_000, seed=1), mc.CHUNK, 0,
-     "145bac7278f45d830e8af798cd6c08a609742da2e97e6b34758ac42901229705"),
+     "db275446eeca5c1120d318b0a859158da9eeb0deed120a02cc3450169a60464d"),
     (cos_diffusion(), McConfig(dt=1e-3, paths=3_000, seed=4), mc.CHUNK, 0,
      "2ed1d9ff168ccf3e7293e83f41f88fc9a4d40824b9940e3551804ab9046a8683"),
     (coupled_2d(), McConfig(dt=1e-3, paths=1_000, seed=2), mc.CHUNK, 565,
@@ -260,7 +315,8 @@ def test_spring_bridge_correction_raises_no_warning_and_keeps_samples():
 def test_exit_times_match_path_major_digests(model, cfg, chunk, capped, digest,
                                              monkeypatch):
     # digests of the exit times the path-major stepper (full bridge
-    # evaluation on every path) drew from the same seeds
+    # evaluation on every path) drew from the same seeds; the pendulum has
+    # no bridged polynomial and draws normals only
     monkeypatch.setattr(mc, "CHUNK", chunk)
     taus = []
     simulate_exit(model, cfg, tau_out=taus)
@@ -369,11 +425,12 @@ def test_blow_up_raises_after_flagging_every_path():
 def test_measure_moments_projects_onto_the_crossed_facet():
     # "x + 0.9" has no noise here, so the bridge test sees three of the
     # four polynomials and a bridged exit must name its facet among all
-    # four; the digest is of the samples the path-major loop drew
+    # four; the digest is of the samples the path-major loop drew, with
+    # theta h charged to the occupation integral on the exit step
     model = coupled_2d(noisy_x=False)
     am = scale_model(augment(model))
     indices = enumerate_multi_indices(am.total_dim, 2)
     mm = measure_moments(model, am, indices, indices,
                          McConfig(dt=1e-3, paths=300, seed=5))
     assert _digest(mm.occupation_samples, mm.exit_samples) == (
-        "a49d246b6b2e480b110499438027b59feb498a1f66ab25b1816db03a230d72bd")
+        "42cecb5f992f3602e99a76046e4d2f08c499b0e9bc8d975badc57fa532684c04")
