@@ -97,6 +97,12 @@ class AugmentedModel:
     first then cosines (frequency collection order), matching the moment
     indexing used downstream.
 
+    The occupation measure's support is described by two lists:
+    ``interior_polys`` holds the polynomials g with g >= 0 on it (each a
+    localizing block M(g m) downstream), and ``interior_eqs`` those with
+    g = 0 on it (each lowered as equality rows, never as a pair of
+    blocks of g and -g).
+
     ``exit_polys`` are the polynomials whose product vanishes on the
     exit-reachable part of the boundary: the safe set and the horizon
     facet T - t.  The facet t = 0 carries no exit mass (the start state is
@@ -111,7 +117,8 @@ class AugmentedModel:
     diffusion: list             # rows of Polynomials
     x0: list                    # floats, length total_dim
     horizon: float
-    interior_polys: list        # safe set, then t and T - t, then trig
+    interior_polys: list        # g >= 0: safe set, t, T - t, then 1 - a^2 per atom
+    interior_eqs: list          # g = 0: sin^2 + cos^2 - 1 per frequency
     exit_polys: list            # safe set, then T - t
     scales: list                # per-var scale already applied
 
@@ -159,7 +166,9 @@ def augment(model: SdeModel) -> AugmentedModel:
     then gets the drift L a of the generator (Ito's formula, time among
     the states) and the diffusion row sum_i da/dx_i sigma_ik; afterwards
     every atom occurrence is renamed to its state variable, leaving pure
-    polynomials.
+    polynomials.  Each atom state is boxed by ``1 - a^2 >= 0``, and each
+    sine and cosine of one frequency and argument satisfy the equality
+    ``sin^2 + cos^2 - 1 = 0``, listed once in ``interior_eqs``.
     """
     nslots = model.nslots
     atoms = collect_trig_atoms(model)
@@ -195,9 +204,7 @@ def augment(model: SdeModel) -> AugmentedModel:
     states = [Polynomial.variable(total, nslots + i) for i in range(len(atoms))]
     trig = [Polynomial.constant(total, 1) - v * v for v in states]
     half = len(atoms) // 2
-    for s, c in zip(states[:half], states[half:]):
-        circle = s * s + c * c - 1
-        trig += [circle, -circle]
+    circles = [s * s + c * c - 1 for s, c in zip(states[:half], states[half:])]
 
     return AugmentedModel(
         time_index=model.n,
@@ -208,6 +215,7 @@ def augment(model: SdeModel) -> AugmentedModel:
         x0=x0,
         horizon=model.horizon,
         interior_polys=safe + [t_poly, horizon_facet] + trig,
+        interior_eqs=circles,
         exit_polys=safe + [horizon_facet],
         scales=[Fraction(1)] * total,
     )
@@ -270,9 +278,10 @@ def scale_model(model: AugmentedModel) -> AugmentedModel:
 
     Works directly on the polynomial model (real time is untouched, only
     the time *variable* is rescaled), so drift entry i picks up 1/s_i and
-    the substituted arguments s_j x_j.  Safe polynomials are renormalized
-    to unit max coefficient.  Moments transform as m_alpha ->
-    prod(s^alpha) m_alpha; order-n exit moments unscale by s_t^(n-1).
+    the substituted arguments s_j x_j.  The support polynomials (interior,
+    equality and exit lists) are renormalized to unit max coefficient.
+    Moments transform as m_alpha -> prod(s^alpha) m_alpha; order-n exit
+    moments unscale by s_t^(n-1).
     """
     scales = unit_scales(model)
     if any(s <= 0 for s in scales):
@@ -297,6 +306,7 @@ def scale_model(model: AugmentedModel) -> AugmentedModel:
         x0=x0,
         horizon=model.horizon / float(scales[model.time_index]),
         interior_polys=[normalized(q) for q in model.interior_polys],
+        interior_eqs=[normalized(q) for q in model.interior_eqs],
         exit_polys=[normalized(q) for q in model.exit_polys],
         scales=[a * b for a, b in zip(model.scales, scales)],
     )

@@ -2,14 +2,18 @@
 
 ``solve`` first presolves the program (``presolve``), always.  A PSD
 block identical to an earlier one is dropped.  A pair of blocks with
-G_j = -G_k is how an equality support constraint g = 0 enters as the two
-localizing constraints g >= 0 and -g >= 0 (the original variant's
-(+q', -q') boundary pairs, the pendulum's +-(1 - sin^2 - cos^2) trig
-pair); both blocks force G_k z = 0, so the pair is replaced by the
-distinct nonzero rows of G_k as equality rows with right-hand side 0.
-The variables do not change, so the returned ``z`` lives in the
-assembled program's variable space and needs no lift.  The presolve
-saves one eigendecomposition per dropped block on every iteration.
+G_j = -G_k is how the original variant states the boundary equality
+q' = 0 on the exit measure, as the two localizing constraints q' >= 0
+and -q' >= 0, once per inequality polynomial; both blocks force
+G_k z = 0, so the first pair is replaced by the distinct nonzero rows of
+G_k as equality rows with right-hand side 0, and its repeats are dropped.
+Those pairs and their repeats are all that ``presolve`` ever changes:
+``assemble`` lowers every other equality (the reduced variant's boundary,
+the trig circles of both variants) as rows already, so a reduced program
+comes back as it is.  The variables do not change, so the returned
+``z`` lives in the assembled program's variable space and needs no
+lift.  The presolve saves one eigendecomposition per dropped block on
+every iteration.
 
 The iteration is ADMM on the primal cone form, written as one
 Douglas-Rachford map on one vector v of the scaled svec space of the
@@ -261,8 +265,10 @@ def presolve(program: ConicProgram) -> ConicProgram:
     """Drop repeated PSD blocks and turn each (G, -G) block pair into the
     distinct nonzero rows of G as equality rows (right-hand side 0), in
     the order the pairs close.  Blocks compare bit for bit as sorted CSR
-    matrices.  The variables and the objective do not change; a program
-    with nothing to presolve comes back as it is."""
+    matrices.  Of the assembled programs, only the original variant's
+    (+q', -q') boundary pairs and their repeats are presolved.  The
+    variables and the objective do not change; a program with nothing to
+    presolve, such as every reduced program, comes back as it is."""
     by_key = {}
     kept, paired = [], []
     for block in program.blocks:
@@ -294,11 +300,12 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     objective is the relaxation optimum estimate within the reported
     residual tolerances.
 
-    Presolving replaces each pair of localizing blocks of g and -g, an
-    equality support constraint g = 0, by the equality rows it implies,
-    and drops repeated blocks; ``psd_blocks`` and ``eq_rows`` report the
-    size of the program actually solved.  ``z`` stays in the assembled
-    program's variable space, and the objective is that program's.
+    Presolving replaces the original variant's pair of localizing blocks
+    of q' and -q', the boundary equality q' = 0, by the equality rows it
+    implies, and drops the repeated pairs; it leaves a reduced program as
+    it is.  ``psd_blocks`` and ``eq_rows`` report the size of the program
+    actually solved.  ``z`` stays in the assembled program's variable
+    space, and the objective is that program's.
     Non-finite program data, a failed KKT factorization or
     eigendecomposition and diverged iterates end the solve with status
     ``numerical_failure``.

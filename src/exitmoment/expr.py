@@ -218,9 +218,14 @@ class Polynomial:
 
     # -- arithmetic ---------------------------------------------------
 
+    # An operand that is not a Polynomial, int or Fraction (a float, say)
+    # gets NotImplemented, so that Python raises TypeError.
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.nbase, other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         a, b = self._unify(other)
         terms = dict(a.terms)
         for alpha, coef in b.terms.items():
@@ -237,11 +242,13 @@ class Polynomial:
         return Polynomial(self.nvars, {a: -c for a, c in self.terms.items()}, self.atoms)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nbase, other)
+        if not isinstance(other, (int, Fraction, Polynomial)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -251,6 +258,8 @@ class Polynomial:
                 return Polynomial(self.nvars, None, self.atoms)
             return Polynomial(self.nvars, {a: c * v for a, v in self.terms.items()},
                               self.atoms)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         a, b = self._unify(other)
         terms: dict = {}
         for x, cx in a.terms.items():

@@ -326,11 +326,11 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
     every step; it is integrated along each path by the left-point rule,
     with weight h on a step the path survives and theta h on its exit
     step.  ``exit_state(ids, x, times, facets, integrals)`` receives the
-    paths that leave in a step (possibly none): their interpolated exit
-    coordinates (n, R), exit times, the index of the safe polynomial each
-    one crossed and the integrals of the occupation integrand up to the
-    exit.  Paths alive at the horizon are reported once more with
-    ``facets`` None.
+    paths that leave in a step, on each step that some path leaves: their
+    interpolated exit coordinates (n, R), exit times, the index of the
+    safe polynomial each one crossed and the integrals of the occupation
+    integrand up to the exit.  Paths alive at the horizon are reported
+    once more with ``facets`` None.
 
     Returns (tau, capped, flagged): exit times (NaN for a path that became
     non-finite), whether each path reached the horizon, and the count of
@@ -423,7 +423,7 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
                 weight[rows] = elapsed
                 values = occupation(slots) * weight
                 integral = values if integral is None else integral + values
-            if exit_state is not None:
+            if exit_state is not None and rows.size:
                 x0 = state[:n, rows]
                 exit_state(ids[rows], x0 + theta * (new[:n, rows] - x0), times,
                            facets, None if integral is None else integral[:, rows])

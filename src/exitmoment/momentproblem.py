@@ -5,7 +5,12 @@ to K plus the overshoot needed by full-basis localizing blocks) followed
 by one per exit moment.  PSD blocks all share the moment-matrix basis of
 degree floor(K/2), so the block-diagonal cone has total side
 (2 + 3 N_q) d_K with original boundary constraints and (2 + N_q) d_K with
-the reduced scalar equalities.
+the reduced scalar equalities, where N_q counts the inequality
+polynomials (``interior_polys``).  An equality polynomial g of
+``interior_eqs`` (the trig circles sin^2 + cos^2 - 1) gets no block in
+either variant: it enters as the equality rows M(g m) = 0.  The
+equality rows are the martingale rows, then (reduced variant) the
+boundary rows, then the rows of each g in ``interior_eqs`` in turn.
 
 Variables are numbered by graded lex rank: occupation moment alpha is
 variable rank(alpha) and exit moment alpha is num_m + rank(alpha), where
@@ -17,18 +22,26 @@ reproduce one entry at a time:
   (``np.triu_indices(d)``: i <= j, svec position p), and within one entry
   over the polynomial's terms in graded lex order (``Polynomial.items``).
 * The reduced variant's boundary equalities are the distinct rows of the
-  boundary localizing matrix M(q' b), each where it first appears in that
-  same upper-triangle traversal, in traversal order, with right-hand
-  side 0.  ``distinct_rows`` finds them; entry (i, j) depends only on
+  boundary localizing matrix M(q' b), and the rows of an equality
+  polynomial g those of M(g m), each where it first appears in that same
+  upper-triangle traversal, in traversal order, with right-hand side 0.
+  ``distinct_rows`` finds them; entry (i, j) depends only on
   beta = basis[i] + basis[j], and distinct betas give distinct rows, so
   there is one row per distinct beta.  ``conic.presolve`` uses the same
-  helper to turn a (G, -G) block pair into equality rows.
+  helper to turn the original variant's (q', -q') block pairs into the
+  reduced variant's boundary rows.
 
 No two equality rows are proportional, so none is dropped: martingale
 row k is the only row on exit moment b_k; a boundary row holds only
 exit moments, at least two of them (q' has the factor T - t, and the
 graded lex leading and trailing terms of a product cannot cancel), on
-the support of q' shifted by the row's own beta.
+the support of q' shifted by the row's own beta; a row of g holds only
+occupation moments, on the support of g shifted by its beta.  Within
+one polynomial, distinct betas give distinct supports (the graded lex
+least target is beta plus the polynomial's least term), and rows of the
+boundary and of g lie on disjoint variables.  Rows of two circles differ
+too: equal supports would need equal betas (each circle's least term is
+its constant) and then the same sine and cosine.
 """
 
 from __future__ import annotations
@@ -114,6 +127,7 @@ class MomentProblem:
 
     @property
     def n_q(self) -> int:
+        """The number of inequality polynomials, one M(q m) block each."""
         return len(self.model.interior_polys)
 
     @property
@@ -145,7 +159,8 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
             "too short for the reduced boundary formulation")
 
     half = K // 2
-    max_int_deg = max((q.degree() for q in model.interior_polys), default=0)
+    max_int_deg = max((q.degree() for q in model.interior_polys + model.interior_eqs),
+                      default=0)
     return MomentProblem(
         model=model, variant=variant, K=K, moment_order=moment_order,
         sense=sense, rows=rows, dropped_rows=dropped,
@@ -242,18 +257,21 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
         blocks.append(_psd_block(f"M(q{idx} m)", q, *m_range))
     boundary = _psd_block("M(q' b)", mp.qprime, *b_range)
     if mp.variant == "original":
-        # one (q', -q') pair per safe-set polynomial, mirroring the 2 N_q
+        # one (q', -q') pair per inequality polynomial, mirroring the 2 N_q
         # boundary accounting
         negated = -boundary.mat
         for idx in range(mp.n_q):
             blocks += [PsdBlock(f"M(+q' b)#{idx}", boundary.dim, boundary.mat),
                        PsdBlock(f"M(-q' b)#{idx}", boundary.dim, negated)]
-        a_eq = martingale
+        vanishing = []
     else:
-        # every distinct entry of M(q' b) vanishes
-        rows = boundary.mat[distinct_rows(boundary.mat)]
-        a_eq = sp.vstack([martingale, rows], format="csr")
-        rhs += [0.0] * rows.shape[0]
+        vanishing = [boundary]
+    # every distinct entry of M(q' b) (reduced) and of each M(g m), g in
+    # interior_eqs, vanishes
+    vanishing += [_psd_block("M(g m)", g, *m_range) for g in mp.model.interior_eqs]
+    rows = [block.mat[distinct_rows(block.mat)] for block in vanishing]
+    a_eq = sp.vstack([martingale, *rows], format="csr")
+    rhs += [0.0] * sum(r.shape[0] for r in rows)
 
     # -- objective --------------------------------------------------------
     obj_index = tuple(

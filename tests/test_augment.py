@@ -64,6 +64,7 @@ def test_time_augmentation_brownian():
     # box polynomials t >= 0 and T - t >= 0
     t = Polynomial.variable(2, 1)
     assert m.interior_polys[2:] == [t, Polynomial.constant(2, 10) - t]
+    assert m.interior_eqs == []
 
 
 def test_time_augmentation_deterministic_model():
@@ -244,11 +245,10 @@ def test_trig_box_polynomials_present():
     c = Polynomial.variable(total, C)
     circle = s * s + c * c - 1
     trig_polys = am.interior_polys[4:]     # after x, 1 - x, t, T - t
-    assert one - s * s in trig_polys
-    assert one - c * c in trig_polys
-    assert circle in trig_polys
-    assert -circle in trig_polys
-    assert len(trig_polys) == 4
+    assert trig_polys == [one - s * s, one - c * c]
+    # the circle is one equality, not a pair of inequalities
+    assert am.interior_eqs == [circle]
+    assert -circle not in am.interior_polys
 
 
 @pytest.mark.parametrize("make_model", [trig_model, two_noise_model],
@@ -306,6 +306,9 @@ def test_scaled_spring_dynamics():
     t = Polynomial.variable(5, 2)
     assert t in scaled.interior_polys
     assert Polynomial.constant(5, 1) - t * Fraction(1, 5) in scaled.interior_polys
+    # the atom states keep scale 1, so the circle keeps its coefficients
+    s, c = Polynomial.variable(5, 3), Polynomial.variable(5, 4)
+    assert scaled.interior_eqs == [s * s + c * c - 1]
 
 
 def test_unscale_factor_powers_of_time_scale():

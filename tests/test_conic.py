@@ -302,8 +302,8 @@ def equality_rows(program):
 @pytest.mark.parametrize("name, variant, K, before, after", [
     ("brownian", "reduced", 14, (6, 240), (6, 240)),
     ("brownian", "original", 8, (14, 45), (6, 90)),
-    ("pendulum", "reduced", 6, (10, 721), (8, 1183)),
-    ("pendulum", "original", 4, (26, 61), (8, 313)),
+    ("pendulum", "reduced", 6, (8, 1183), (8, 1183)),
+    ("pendulum", "original", 4, (20, 187), (8, 313)),
 ], ids=["brownian-reduced-K14", "brownian-original-K8", "pendulum-reduced-K6",
         "pendulum-original-K4"])
 def test_presolve_sizes(name, variant, K, before, after, request):

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -71,6 +72,22 @@ def test_mul_identity():
     p = poly(2, {(1, 0): 3, (0, 2): -1})
     one = Polynomial.constant(2, 1)
     assert one * p == p
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                         ids=["add", "sub", "mul"])
+@pytest.mark.parametrize("other", [0.5, 2.0, None])
+def test_arithmetic_with_an_unsupported_operand_raises_type_error(op, other):
+    p = Polynomial(1, {(1,): 1})
+    with pytest.raises(TypeError):
+        op(p, other)
+    with pytest.raises(TypeError):
+        op(other, p)
+    # exact scalars still work in either order
+    half = Polynomial.constant(1, Fraction(1, 2))
+    assert op(p, Fraction(1, 2)) == op(p, half)
+    assert op(Fraction(1, 2), p) == op(half, p)
+    assert op(3, p) == op(Polynomial.constant(1, 3), p)
 
 
 def test_binomial_square():

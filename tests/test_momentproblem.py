@@ -248,8 +248,9 @@ def test_reduced_equalities_frozen_interval_example():
     ]
 
 
-def pair_loop_boundary_equalities(qprime, nvars, basis_degree):
-    """Reference: one row per upper-triangle entry, deduplicated by the
+def pair_loop_equalities(g, nvars, basis_degree):
+    """Reference rows of g = 0 (the boundary's q', or a circle): one row
+    per upper-triangle entry of its localizing matrix, deduplicated by the
     exact normalized pattern, in traversal order."""
     basis = enumerate_multi_indices(nvars, basis_degree)
     seen = set()
@@ -258,7 +259,7 @@ def pair_loop_boundary_equalities(qprime, nvars, basis_degree):
         for j in range(i, len(basis)):
             beta = tuple(a + b for a, b in zip(basis[i], basis[j]))
             row: dict = {}
-            for alpha, coef in qprime.items():
+            for alpha, coef in g.items():
                 target = tuple(a + b for a, b in zip(beta, alpha))
                 row[target] = row.get(target, Fraction(0)) + coef
             row = {k: v for k, v in row.items() if v}
@@ -279,14 +280,16 @@ def test_reduced_equalities_match_pair_loop(case):
     make_model, K = ASSEMBLY_CASES[case]
     model = make_model()
     mp = build_moment_problem(model, "reduced", K, 1, "max")
-    expected = pair_loop_boundary_equalities(mp.qprime, model.total_dim,
-                                             K // 2)
+    expected = pair_loop_equalities(mp.qprime, model.total_dim, K // 2)
     assert boundary_rows(mp.qprime, model.total_dim, K) == [
         as_terms(row) for row in expected]
-    # the program's equalities end with them, on the exit moments
+    # the program's equalities follow the martingale rows with them, on the
+    # exit moments, and then with the circle rows, on the occupation moments
+    circles = [as_terms(row) for g in model.interior_eqs
+               for row in pair_loop_equalities(g, model.total_dim, K // 2)]
     a_eq = lower_to_conic(mp).a_eq
     assert matrix_rows(a_eq[len(mp.rows):]) == [
-        as_terms(row, mp.num_m) for row in expected]
+        as_terms(row, mp.num_m) for row in expected] + circles
 
 
 @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
@@ -300,7 +303,43 @@ def test_reduced_rows_are_the_distinct_rows_of_the_boundary_block(case):
     for row in matrix_rows(block.mat):
         if row not in distinct:
             distinct.append(row)
-    assert matrix_rows(lower_to_conic(reduced).a_eq[len(reduced.rows):]) == distinct
+    # both variants end with the same circle rows, if any
+    circles = matrix_rows(original.a_eq[len(reduced.rows):])
+    assert len(circles) == (count_upto(model.total_dim, 2 * (K // 2))
+                            * len(model.interior_eqs))
+    assert matrix_rows(lower_to_conic(reduced).a_eq[len(reduced.rows):]) == (
+        distinct + circles)
+
+
+@pytest.mark.parametrize("variant", ["original", "reduced"])
+def test_circle_rows_vanish_on_the_unit_circle(variant):
+    """The last rows are those of sin^2 + cos^2 - 1 = 0, one per distinct
+    beta = basis[i] + basis[j]; on the moments of a point mass at an
+    augmented state they read (s^2 + c^2 - 1) times that state's x^beta."""
+    model = scaled_pendulum()
+    K, n = 4, model.total_dim
+    mp = build_moment_problem(model, variant, K, 1, "min")
+    program = lower_to_conic(mp)
+    count = count_upto(n, K)
+    rows = program.a_eq[-count:]
+    assert np.array_equal(program.rhs[-count:], np.zeros(count))
+    if variant == "original":  # right after the martingale rows
+        assert rows.shape[0] == program.a_eq.shape[0] - len(mp.rows)
+    indices = np.array(enumerate_multi_indices(n, K + 2))
+    assert len(indices) == mp.num_m
+
+    def point_mass(s, c):
+        state = np.array([-0.3, 0.4, 0.2, s, c])  # x, v, t, sin, cos
+        z = np.zeros(program.num_vars)
+        z[:mp.num_m] = np.prod(state ** indices, axis=1)
+        return rows @ z
+
+    theta = 0.7
+    assert np.abs(point_mass(math.sin(theta), math.cos(theta))).max() <= 1e-12
+    off = point_mass(0.5, 0.5)
+    # beta = 0 comes first and reads s^2 + c^2 - 1 itself
+    assert off[0] == pytest.approx(-0.5, abs=1e-12)
+    assert np.abs(off).min() > 0
 
 
 def test_reduced_equalities_zero_polynomial_rejected():
@@ -478,9 +517,11 @@ def per_entry_block(q, basis, offset: int, num_vars: int):
 def dict_lowering(mp):
     """Reference lowering of the equalities: moments mapped to variables
     through dicts over the enumerated multi-indices, the pair-loop boundary
-    rows, and every row dropped whose exact normalized pattern came before."""
+    rows (reduced) and circle rows, and every row dropped whose exact
+    normalized pattern came before."""
     n, half = mp.model.total_dim, mp.K // 2
-    max_int_deg = max((q.degree() for q in mp.model.interior_polys), default=0)
+    max_int_deg = max((q.degree() for q in mp.model.interior_polys
+                       + mp.model.interior_eqs), default=0)
     m_indices = enumerate_multi_indices(n, max(mp.K, 2 * half + max_int_deg))
     b_indices = enumerate_multi_indices(n, max(mp.K, 2 * half + mp.qprime.degree()))
     assert (len(m_indices), len(b_indices)) == (mp.num_m, mp.num_b)
@@ -502,8 +543,11 @@ def dict_lowering(mp):
         coeffs[b_of[row.test_index]] = Fraction(-1)
         push(coeffs, -Fraction(row.constant).limit_denominator(10**15))
     if mp.variant == "reduced":
-        for eq in pair_loop_boundary_equalities(mp.qprime, n, half):
+        for eq in pair_loop_equalities(mp.qprime, n, half):
             push({b_of[j]: c for j, c in eq.items()}, Fraction(0))
+    for g in mp.model.interior_eqs:
+        for eq in pair_loop_equalities(g, n, half):
+            push({m_of[j]: c for j, c in eq.items()}, Fraction(0))
     triplets = [(r, v, float(c)) for r, items in enumerate(eq_rows) for v, c in items]
     rows, cols, vals = zip(*triplets)
     a_eq = sp.csr_matrix((vals, (rows, cols)),
