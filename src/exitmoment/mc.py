@@ -45,17 +45,23 @@ logarithm is 0 and the survival is exactly 1.0, which a uniform draw in
 [0, 1) never exceeds.  The transcendental functions are therefore
 evaluated only on paths with some e_q > -40, and polynomials whose
 crossing variance is identically zero (no noisy coordinate enters them)
-are left out of the test, since their p_q is 0.  One uniform per alive
-path is drawn on a step only when some polynomial is bridged and some
-path ends the step inside the safe set, so a model with a bridged
-polynomial draws, and exits, as the full evaluation does, bit for bit,
-and a model without one draws no uniforms.  Sums over polynomials, noise
-columns and coordinates run left to right.
+are left out of the test, since their p_q is 0.  Where every v_q is a
+constant, e_q > -40 needs q_prev or q_new below about sqrt(20 v_q dt),
+so the exponents themselves are evaluated only on the paths with a safe
+value that close to 0; the near set, the survival and p are those of
+the evaluation on every path, bit for bit.  One uniform is drawn per
+near path that ends the step inside the safe set, the only paths the
+test can flag, so a path out of reach of every boundary draws none, and
+neither does a model without a bridged polynomial.  Drawing one uniform
+per alive path instead would give the exits of the full evaluation, bit
+for bit.  Sums over polynomials, noise columns and coordinates run left
+to right.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +88,15 @@ class McConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
-        if self.paths < 1:
-            raise ValueError("need at least one path")
+        if not _is_integer(self.paths) or self.paths < 1:
+            raise ValueError("need at least one path, as an integer")
+        # the Philox key is 128 bits
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**128:
+            raise ValueError("seed must be an integer in [0, 2**128)")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -276,6 +289,24 @@ class SdeKernel:
         return out
 
 
+def _reach(vdt: float) -> float:
+    """A distance c such that every bridge exponent -2 q_prev q_new / vdt
+    with q_prev, q_new >= c is at or below ``NEAR_BOUNDARY``.
+
+    c is sqrt(-NEAR_BOUNDARY vdt / 2) widened by 2^-20.  Rounding is
+    monotone, so once the exponent at (c, c) is at or below the threshold,
+    so is every exponent at larger values; where rounding defeats the
+    margin (say, a threshold so close to 0 that c underflows) the distance
+    is inf and every path is a candidate.  It is -inf, no candidate, where
+    no exponent exceeds the threshold: vdt is 0, or the threshold is not
+    negative while every exponent is at most 0.
+    """
+    if not (NEAR_BOUNDARY < 0 and vdt > 0):
+        return -math.inf
+    c = math.sqrt(-NEAR_BOUNDARY / 2 * vdt) * (1 + 2**-20)
+    return c if -2.0 * c * c / vdt <= NEAR_BOUNDARY else math.inf
+
+
 def _bridge_survival(q_prev: np.ndarray, q_new: np.ndarray, vdt: np.ndarray):
     """Brownian-bridge test of one step on the paths near a boundary.
 
@@ -288,18 +319,32 @@ def _bridge_survival(q_prev: np.ndarray, q_new: np.ndarray, vdt: np.ndarray):
     probabilities p = exp(e), (m, near.size).  Every other path survives
     with probability exactly 1.0 (see the module docstring); a polynomial
     without diffusion gets e = -inf, so 0 / 0 is never evaluated.
+
+    With one variance per polynomial, (m, 1), the exponents are evaluated
+    only on the candidate paths, those with q_prev or q_new below the
+    ``_reach`` of some polynomial.  Every other path has all its exponents
+    at or below the threshold, so ``near``, survival and p are those of the
+    evaluation on every path, bit for bit.
     """
+    cand = None
+    if vdt.shape[1] == 1:
+        reach = np.array([[_reach(x)] for x in vdt[:, 0].tolist()])
+        cand = np.flatnonzero(((q_prev < reach) | (q_new < reach)).any(axis=0))
+        # take gathers columns several times faster than [:, cand]
+        q_prev, q_new = q_prev.take(cand, axis=1), q_new.take(cand, axis=1)
     qp = np.maximum(q_prev, 0.0)
     qn = np.maximum(q_new, 0.0)
     with np.errstate(over="ignore"):
         expo = np.divide(-2.0 * qp * qn, vdt,
                          out=np.full(qp.shape, -np.inf), where=vdt > 0)
     near = np.flatnonzero((expo > NEAR_BOUNDARY).any(axis=0))
-    p = np.exp(expo[:, near])
+    p = np.exp(expo.take(near, axis=1))
     logs = np.log(np.clip(1.0 - p, 1e-300, 1.0))
     total = logs[0]
     for row in logs[1:]:
         total = total + row
+    if cand is not None:
+        near = cand[near]
     return near, np.exp(total), p
 
 
@@ -317,7 +362,7 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
     safe polynomial on the grid (crossing time linearly interpolated via
     the most violated polynomial) or by the bridge test, which samples the
     within-step crossing probability exp(-2 q_k q_{k+1} / (v dt)) per
-    bridged polynomial on every step that has a path inside.  A path that
+    bridged polynomial on the paths near a boundary.  A path that
     leaves in the step from t of length h does so at t + theta h, with
     theta from the interpolation, or 1/2 for a bridge exit.
 
@@ -394,9 +439,7 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
             denom = np.where(qp - qn > 1e-300, qp - qn, 1.0)
             theta = np.clip(qp / denom, 0.0, 1.0)
 
-            inside = ~crossed & finite
-            if bridged and inside.any():
-                u = rng.random(ids.size)
+            if bridged:
                 if all_bridged:
                     qb_prev, qb_new = q_prev, q_new
                 else:
@@ -407,12 +450,14 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
                     for row, value in zip(v, kernel.crossing_variances(slots)):
                         row[...] = value
                 near, survive, p = _bridge_survival(qb_prev, qb_new, v * h)
-                hit = inside[near] & (u[near] > survive)
+                # one uniform per near path that ends the step inside
+                tested = np.flatnonzero(~crossed[near] & finite[near])
+                hit = tested[rng.random(tested.size) > survive[tested]]
                 rows = np.concatenate([rows, near[hit]])
                 # expected within-step crossing time
-                theta = np.concatenate([theta, np.full(hit.sum(), 0.5)])
-                facets = np.concatenate(
-                    [facets, np.take(bridged, np.argmax(p[:, hit], axis=0))])
+                theta = np.concatenate([theta, np.full(hit.size, 0.5)])
+                crossing = np.argmax(p.take(hit, axis=1), axis=0)
+                facets = np.concatenate([facets, np.take(bridged, crossing)])
 
             elapsed = theta * h
             times = t + elapsed

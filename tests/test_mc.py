@@ -53,7 +53,8 @@ def coupled_2d(noisy_x=True):
 
 @pytest.mark.parametrize("field, value", [
     ("dt", 0.0), ("dt", -1e-3), ("dt", float("nan")), ("dt", float("inf")),
-    ("paths", 0),
+    ("paths", 0), ("paths", 100.5), ("paths", True),
+    ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", 2**128),
 ])
 def test_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ValueError, match=field.rstrip("s")):
@@ -181,23 +182,42 @@ def test_a_model_without_safe_polynomials_runs_to_the_horizon():
     assert est.mean(1) == pytest.approx(0.1, rel=1e-12)
 
 
-def test_no_uniforms_are_drawn_without_a_bridged_polynomial(monkeypatch):
-    # the spring's safe polynomials involve only x, which has no noise, so
-    # no step has a bridge test to draw for
-    calls = []
+@pytest.fixture
+def uniform_draws(monkeypatch):
+    """The sizes of the uniform draws, one per ``random`` call, of every
+    generator made after the fixture."""
+    sizes = []
 
     class CountingGenerator(np.random.Generator):
         def random(self, *args, **kwargs):
-            calls.append(args)
-            return super().random(*args, **kwargs)
+            out = super().random(*args, **kwargs)
+            sizes.append(np.size(out))
+            return out
 
     monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    return sizes
+
+
+def test_no_uniforms_are_drawn_without_a_bridged_polynomial(uniform_draws):
+    # the spring's safe polynomials involve only x, which has no noise, so
+    # no step has a bridge test to draw for
     assert mc.SdeKernel(spring()).bridged == []
     simulate_exit(spring(), McConfig(dt=1e-3, paths=200, seed=1))
-    assert calls == []
+    assert uniform_draws == []
     # the Brownian bounds are bridged: the count sees its draws
     simulate_exit(brownian(), McConfig(dt=1e-3, paths=200, seed=1))
-    assert calls
+    assert sum(uniform_draws)
+
+
+def test_no_uniforms_are_drawn_out_of_reach_of_a_boundary(uniform_draws):
+    # both bounds are bridged, but within T = 1 no path comes within
+    # sqrt(20 dt) = 0.14 of them, so no bridge exponent is near
+    model = SdeModel.from_strings(
+        ["y"], ["0"], [["1"]], [0.0], 1.0, ["y + 100", "100 - y"])
+    assert mc.SdeKernel(model).bridged == [0, 1]
+    est = simulate_exit(model, McConfig(dt=1e-3, paths=200, seed=1))
+    assert est.exit_fraction == 0.0
+    assert sum(uniform_draws) == 0
 
 
 def test_safe_polynomial_in_time_alone_is_kept():
@@ -300,23 +320,25 @@ def test_spring_bridge_correction_raises_no_warning_and_keeps_samples():
 
 @pytest.mark.parametrize("model, cfg, chunk, capped, digest", [
     (brownian(), McConfig(dt=1e-3, paths=5_000, seed=1), 2_000, 0,
-     "5beda6011ca1acbdb3c4403f773d24651c59c3b647f2ecc1e1708fdcad22644e"),
+     "f027d1d78bc7738c4e81c8711c009f9dd976315443b2562924885c4a9e16082f"),
     (spring(), McConfig(dt=1e-3, paths=2_000, seed=1), mc.CHUNK, 0,
      "db275446eeca5c1120d318b0a859158da9eeb0deed120a02cc3450169a60464d"),
     (cos_diffusion(), McConfig(dt=1e-3, paths=3_000, seed=4), mc.CHUNK, 0,
-     "2ed1d9ff168ccf3e7293e83f41f88fc9a4d40824b9940e3551804ab9046a8683"),
-    (coupled_2d(), McConfig(dt=1e-3, paths=1_000, seed=2), mc.CHUNK, 565,
-     "4cb4ffd3bb0e6fc024f98d6db20a7725ff95c73846d8e1f098063db6248317e9"),
+     "c73b617e085c671edb797611436acbd36ed6c0cfec4eed8bcd7fa6aed5386a38"),
+    (coupled_2d(), McConfig(dt=1e-3, paths=1_000, seed=2), mc.CHUNK, 576,
+     "5882a58e401a0f6bfcf3df46944faacd1bdb21f662daba8571ae8380117fb243"),
     (coupled_2d(noisy_x=False), McConfig(dt=1e-3, paths=1_000, seed=2),
-     mc.CHUNK, 695,
-     "c09bfcbb8b5f4ad147b4cdb6cb3705558088e242304dc472bd89c66f2dad6b00"),
+     mc.CHUNK, 735,
+     "6f28babb74359a931a6eec4f51f40165a3f075a2bf78ef5e4772cdc7fb9380a8"),
 ], ids=["brownian-chunked", "pendulum", "cos-diffusion", "coupled-2d",
         "coupled-2d-noiseless-x"])
 def test_exit_times_match_path_major_digests(model, cfg, chunk, capped, digest,
                                              monkeypatch):
-    # digests of the exit times the path-major stepper (full bridge
-    # evaluation on every path) drew from the same seeds; the pendulum has
-    # no bridged polynomial and draws normals only
+    # digests of the exit times drawn with one uniform per path that ends
+    # a step inside with a bridge exponent above NEAR_BOUNDARY; drawing one
+    # per alive path instead gives back the digests of the path-major
+    # stepper (full bridge evaluation on every path).  The pendulum has no
+    # bridged polynomial and draws normals only.
     monkeypatch.setattr(mc, "CHUNK", chunk)
     taus = []
     simulate_exit(model, cfg, tau_out=taus)
@@ -365,14 +387,18 @@ def test_compiled_kernels_match_exact_polynomials():
                   for pt in points])
 
 
-def _full_survival(q_prev, q_new, v, dt):
-    """Bridge survival of every path, path-major (N, m), no banding."""
+def _full_exponents(q_prev, q_new, v, dt):
+    """Bridge exponents of every path, path-major (N, m)."""
     qp = np.maximum(q_prev, 0.0)
     qn = np.maximum(q_new, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
-        expo = np.divide(-2.0 * qp * qn, v * dt,
+        return np.divide(-2.0 * qp * qn, v * dt,
                          out=np.full(qp.shape, -np.inf), where=v > 0)
-    p = np.exp(expo)
+
+
+def _full_survival(q_prev, q_new, v, dt):
+    """Bridge survival of every path, path-major (N, m), no banding."""
+    p = np.exp(_full_exponents(q_prev, q_new, v, dt))
     return np.exp(np.log(np.clip(1.0 - p, 1e-300, 1.0)).sum(axis=1)), p
 
 
@@ -410,6 +436,58 @@ def test_near_boundary_survival_equals_full_evaluation_bit_for_bit():
     assert np.exp(NEAR_BOUNDARY) < 2.0**-54
 
 
+def test_constant_variance_prefilter_equals_full_evaluation_bit_for_bit(
+        monkeypatch):
+    # one variance per polynomial, (m, 1): the exponents are evaluated only
+    # on the paths within reach of a boundary
+    rng = np.random.default_rng(23)
+    n = 6_000
+    dt = 2.0**-10
+    v = np.array([1.0, 0.0, 0.5])          # no diffusion in the middle one
+    q_prev = rng.uniform(0.0, 1.0, (n, 3))
+    q_new = rng.uniform(-0.01, 1.0, (n, 3))
+    # exponents exactly at -40, one ulp above it and one ulp below it
+    edge = 20.0 * dt
+    q_prev[:300] = q_new[:300] = 1.0
+    q_new[:100, 0] = edge
+    q_new[100:150, 0] = np.nextafter(edge, 0.0)
+    q_new[150:200, 0] = np.nextafter(edge, 1.0)
+    # both ends at the reach, one ulp inside it, and at sqrt(20 dt)
+    reach = mc._reach(dt)
+    q_prev[200:250, 0] = q_new[200:250, 0] = reach
+    q_prev[250:300, 0] = q_new[250:300, 0] = np.nextafter(reach, 0.0)
+    q_prev[300:350] = q_new[300:350] = math.sqrt(edge)
+    q_prev, q_new, vdt = (np.ascontiguousarray(q_prev.T),
+                          np.ascontiguousarray(q_new.T), v[:, None] * dt)
+
+    def check(threshold):
+        expo = _full_exponents(q_prev.T, q_new.T, v, dt)
+        full, p_full = _full_survival(q_prev.T, q_new.T, v, dt)
+        near, survive, p = _bridge_survival(q_prev, q_new, vdt)
+        assert np.array_equal(
+            near, np.flatnonzero((expo > threshold).any(axis=1)))
+        assert np.array_equal(survive, full[near])
+        assert np.array_equal(p, p_full[near].T)
+        return set(near)
+
+    near = check(NEAR_BOUNDARY)
+    assert near.isdisjoint(range(100)) and set(range(100, 150)) <= near
+    # the reach is wider than the rule: inside it, the rule still decides
+    assert near.isdisjoint(range(150, 300))
+    assert 350 < len(near) < n // 2
+    # a threshold so close to 0 that the reach underflows: every path is a
+    # candidate, and the near set is the crossed or touching paths
+    monkeypatch.setattr(mc, "NEAR_BOUNDARY", -5e-324)
+    assert mc._reach(dt) == math.inf
+    check(-5e-324)
+    # no exponent exceeds an infinite threshold: no candidate, no warning
+    monkeypatch.setattr(mc, "NEAR_BOUNDARY", math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        near, survive, p = _bridge_survival(q_prev, q_new, vdt)
+    assert near.size == survive.size == 0 and p.shape == (3, 0)
+
+
 def test_blow_up_raises_after_flagging_every_path():
     # dx = x^3 dt + dB from 2 explodes near t = 1/8; the safe polynomial
     # 1 + x^2 never vanishes, so every path becomes non-finite
@@ -425,12 +503,14 @@ def test_blow_up_raises_after_flagging_every_path():
 def test_measure_moments_projects_onto_the_crossed_facet():
     # "x + 0.9" has no noise here, so the bridge test sees three of the
     # four polynomials and a bridged exit must name its facet among all
-    # four; the digest is of the samples the path-major loop drew, with
-    # theta h charged to the occupation integral on the exit step
+    # four; the digest is of the samples drawn with one uniform per near
+    # path that ends a step inside, with theta h charged to the occupation
+    # integral on the exit step (one uniform per alive path gives back the
+    # path-major loop's digest)
     model = coupled_2d(noisy_x=False)
     am = scale_model(augment(model))
     indices = enumerate_multi_indices(am.total_dim, 2)
     mm = measure_moments(model, am, indices, indices,
                          McConfig(dt=1e-3, paths=300, seed=5))
     assert _digest(mm.occupation_samples, mm.exit_samples) == (
-        "42cecb5f992f3602e99a76046e4d2f08c499b0e9bc8d975badc57fa532684c04")
+        "3dd5ea95a16a56e5bbab3e0d9d52abc8ccc6fc02f5cbc739d7723bcfe2926fb6")
