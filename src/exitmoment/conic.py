@@ -57,6 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .expr import is_int
 from .momentproblem import ConicProgram, distinct_rows
 
 _SQRT2 = math.sqrt(2.0)
@@ -91,8 +92,8 @@ class SolverSettings:
     max_iters: int = 200_000
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not is_int(self.max_iters) or self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1, as an integer")
 
 
 @dataclass
@@ -165,11 +166,7 @@ def _ruiz_equilibrate(a_eq, g, blocks: _SvecBlocks, iters: int = 10):
     is preserved; equality rows scale independently.  Returns the scalings
     and the scaled ``a_s``, ``g_s``.
 
-    Each pass scales the stacked entries once, in two halves: the
-    row-scaled entries D A serve the column update, and (D A) E with the
-    updated E serves the next pass's row update.  The column update applies
-    E after taking the maxima of D A, which gives the maxima of (D A) E
-    exactly because rounding a product by a positive factor is monotone.
+    Each row pass and each column pass scales the stacked entries afresh.
     """
     m_eq, n = a_eq.shape
     stack = sp.vstack([a_eq, g], format="csr")
@@ -179,19 +176,20 @@ def _ruiz_equilibrate(a_eq, g, blocks: _SvecBlocks, iters: int = 10):
     d_cone = np.ones(len(blocks.lengths))
     e_col = np.ones(n)
 
-    def row_scaled():
+    def scaled():
+        """The entries of D [A; G] E."""
         row_scale = np.concatenate([d_eq, np.repeat(d_cone, blocks.lengths)])
-        return row_scale[rows] * stack.data
+        return row_scale[rows] * stack.data * e_col[cols]
 
-    def abs_max(index, vals, size):
+    def abs_max(index, size):
+        """The largest |entry| of D [A; G] E per row or per column."""
         out = np.zeros(size)
-        np.maximum.at(out, index, np.abs(vals))
+        np.maximum.at(out, index, np.abs(scaled()))
         return out
 
-    da = row_scaled()
     for _ in range(iters):
         # row update
-        r = abs_max(rows, da * e_col[cols], stack.shape[0])
+        r = abs_max(rows, stack.shape[0])
         r_eq = r[:m_eq]
         r_eq[r_eq == 0] = 1.0
         d_eq /= np.sqrt(r_eq)
@@ -200,13 +198,11 @@ def _ruiz_equilibrate(a_eq, g, blocks: _SvecBlocks, iters: int = 10):
             nonzero = r_cone > 0
             d_cone[nonzero] /= np.sqrt(r_cone[nonzero])
         # column update
-        da = row_scaled()
-        c = abs_max(cols, da, n) * e_col
+        c = abs_max(cols, n)
         c[c == 0] = 1.0
         e_col /= np.sqrt(c)
-    scaled = sp.csr_matrix((da * e_col[cols], cols, stack.indptr),
-                           shape=stack.shape)
-    return d_eq, d_cone, e_col, scaled[:m_eq], scaled[m_eq:]
+    mat = sp.csr_matrix((scaled(), cols, stack.indptr), shape=stack.shape)
+    return d_eq, d_cone, e_col, mat[:m_eq], mat[m_eq:]
 
 
 class _Anderson:

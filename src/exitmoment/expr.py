@@ -13,6 +13,7 @@ evaluation read an atom as a function of the base variables.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,6 +89,12 @@ def _exact_degree(nvars: int, deg: int) -> Iterator[MultiIndex]:
 # ---------------------------------------------------------------------------
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer, numpy integers included; a bool is
+    not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -96,7 +103,8 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, float):
-        # Floats are accepted for convenience but converted exactly.
+        # the nearest fraction with a denominator of at most 10^12, so a
+        # decimal such as 0.1 becomes 1/10 rather than its binary value
         return Fraction(value).limit_denominator(10**12)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 

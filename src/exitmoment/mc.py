@@ -39,35 +39,35 @@ p_k = sum_i d_i q sigma_ik formed exactly by
 Near-boundary rule.  A path survives the bridge test of one step with
 probability exp(sum_q log(clip(1 - p_q, 1e-300, 1))), where
 p_q = exp(e_q) and e_q = -2 q_prev q_new / (v_q dt) for the crossing
-variance rate v_q = grad(q)^T sigma sigma^T grad(q).  Where every
-e_q <= -40, each p_q <= e^-40 < 2^-54, so 1 - p_q rounds to 1.0, each
-logarithm is 0 and the survival is exactly 1.0, which a uniform draw in
-[0, 1) never exceeds.  The transcendental functions are therefore
-evaluated only on paths with some e_q > -40, and polynomials whose
-crossing variance is identically zero (no noisy coordinate enters them)
-are left out of the test, since their p_q is 0.  Where every v_q is a
-constant, e_q > -40 needs q_prev or q_new below about sqrt(20 v_q dt),
-so the exponents themselves are evaluated only on the paths with a safe
-value that close to 0; the near set, the survival and p are those of
-the evaluation on every path, bit for bit.  One uniform is drawn per
-near path that ends the step inside the safe set, the only paths the
-test can flag, so a path out of reach of every boundary draws none, and
-neither does a model without a bridged polynomial.  Drawing one uniform
-per alive path instead would give the exits of the full evaluation, bit
-for bit.  Sums over polynomials, noise columns and coordinates run left
-to right.
+variance rate v_q = grad(q)^T sigma sigma^T grad(q).  Where
+e_q <= -40, p_q <= e^-40 < 2^-54, so 1 - p_q rounds to 1.0 and its
+logarithm is 0; p_q is then taken as 0 and exp is not evaluated.  A path
+with every e_q <= -40 survives with probability exactly 1.0, which a
+uniform draw in [0, 1) never exceeds, and polynomials whose crossing
+variance is identically zero (no noisy coordinate enters them) are left
+out of the test, since their p_q is 0.  One rule selects the paths to
+evaluate, whether the rates are constants or vary with the state:
+e_q > -40 needs q_prev or q_new below about sqrt(20 v dt), with v the
+largest rate of q over the paths, so the exponents are evaluated only on
+the paths with a safe value that close to 0, and the near set, the
+survival and p are those of the evaluation on every path, bit for bit.
+One uniform is drawn per near path that ends the step inside the safe
+set, the only paths the test can flag, so a path out of reach of every
+boundary draws none, and neither does a model without a bridged
+polynomial.  Drawing one uniform per alive path instead would give the
+exits of the full evaluation, bit for bit.  Sums over polynomials, noise
+columns and coordinates run left to right.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .augment import AugmentedModel, SdeModel
-from .expr import Polynomial
+from .expr import Polynomial, is_int
 from .generator import noise_projections
 
 # e^-40 < 2^-54: below this bridge exponent, 1 - p rounds to 1.0
@@ -88,15 +88,11 @@ class McConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
-        if not _is_integer(self.paths) or self.paths < 1:
+        if not is_int(self.paths) or self.paths < 1:
             raise ValueError("need at least one path, as an integer")
         # the Philox key is 128 bits
-        if not _is_integer(self.seed) or not 0 <= self.seed < 2**128:
+        if not is_int(self.seed) or not 0 <= self.seed < 2**128:
             raise ValueError("seed must be an integer in [0, 2**128)")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -231,8 +227,10 @@ class SdeKernel:
             if projs:
                 self.bridged.append(j)
                 self.projections.append(projs)
-        self.variances_constant = all(
-            p.constant is not None for projs in self.projections for p in projs)
+        # constant rates are evaluated once, here
+        self._constant_rates = None
+        if all(p.constant is not None for projs in self.projections for p in projs):
+            self._constant_rates = self._variances(None, 1)
 
     def slots(self, state: np.ndarray, t) -> list:
         """The slot list of ``state`` at time ``t``: coordinate rows, time,
@@ -276,16 +274,21 @@ class SdeKernel:
         """Safe-polynomial values, (n_q, N)."""
         return _evaluate_rows(self.safe, slots)
 
-    def crossing_variances(self, slots) -> list:
+    def crossing_variances(self, slots) -> np.ndarray:
         """Variance rate grad(q)^T sigma sigma^T grad(q) of each bridged
-        polynomial, one float or row per polynomial."""
-        out = []
-        for projs in self.projections:
+        polynomial: (m, 1) when every rate is a constant, else (m, N)."""
+        if self._constant_rates is not None:
+            return self._constant_rates
+        return self._variances(slots, len(slots[0]))
+
+    def _variances(self, slots, width: int) -> np.ndarray:
+        out = np.empty((len(self.projections), width))
+        for row, projs in zip(out, self.projections):
             v = None
             for p in projs:
                 value = p(slots)
                 v = value * value if v is None else v + value * value
-            out.append(v)
+            row[...] = v
         return out
 
 
@@ -307,45 +310,52 @@ def _reach(vdt: float) -> float:
     return c if -2.0 * c * c / vdt <= NEAR_BOUNDARY else math.inf
 
 
-def _bridge_survival(q_prev: np.ndarray, q_new: np.ndarray, vdt: np.ndarray):
+def _bridge_survival(q_prev: np.ndarray, q_new: np.ndarray, rows,
+                     vdt: np.ndarray):
     """Brownian-bridge test of one step on the paths near a boundary.
 
-    ``q_prev`` and ``q_new`` are (m, N) safe values at both ends of the
-    step and ``vdt`` the crossing variance rate times dt, (m, N) or (m, 1),
-    zero where a polynomial has no diffusion.  Returns ``(near, survive,
-    p)``: the indices of the paths with some exponent
+    ``q_prev`` and ``q_new`` are the (n_q, N) safe values at both ends of
+    the step, ``rows`` the indices of the m bridged polynomials and ``vdt``
+    their crossing variance rates times dt, (m, 1) or (m, N).  Returns
+    ``(near, survive, p)``: the indices of the paths with some exponent
     e = -2 q_prev q_new / (v dt) above ``NEAR_BOUNDARY``, their survival
     exp(sum_q log(clip(1 - p_q, 1e-300, 1))) and their crossing
-    probabilities p = exp(e), (m, near.size).  Every other path survives
-    with probability exactly 1.0 (see the module docstring); a polynomial
-    without diffusion gets e = -inf, so 0 / 0 is never evaluated.
+    probabilities, (m, near.size): exp(e) where e > -40, 0 elsewhere.
+    Every other path survives with probability exactly 1.0 (see the module
+    docstring); a zero or NaN rate gives e = -inf.
 
-    With one variance per polynomial, (m, 1), the exponents are evaluated
-    only on the candidate paths, those with q_prev or q_new below the
-    ``_reach`` of some polynomial.  Every other path has all its exponents
-    at or below the threshold, so ``near``, survival and p are those of the
-    evaluation on every path, bit for bit.
+    Only the candidate paths, with q_prev or q_new below the ``_reach`` of
+    some polynomial's largest positive rate, get exponents: by monotone
+    rounding no other path has one above the threshold, so the result is
+    that of the evaluation on every path, bit for bit.
     """
-    cand = None
-    if vdt.shape[1] == 1:
-        reach = np.array([[_reach(x)] for x in vdt[:, 0].tolist()])
-        cand = np.flatnonzero(((q_prev < reach) | (q_new < reach)).any(axis=0))
-        # take gathers columns several times faster than [:, cand]
-        q_prev, q_new = q_prev.take(cand, axis=1), q_new.take(cand, axis=1)
-    qp = np.maximum(q_prev, 0.0)
-    qn = np.maximum(q_new, 0.0)
+    vmax = vdt.max(axis=1, where=vdt > 0, initial=0.0).tolist()
+    cand = np.zeros(q_prev.shape[1], dtype=bool)
+    for j, v in zip(rows, vmax):
+        c = _reach(v)
+        cand |= q_prev[j] < c
+        cand |= q_new[j] < c
+    cand = np.flatnonzero(cand)
+    # take gathers columns several times faster than [:, cand]
+    qp = np.maximum(q_prev.take(cand, axis=1)[rows], 0.0)
+    qn = np.maximum(q_new.take(cand, axis=1)[rows], 0.0)
+    if vdt.shape[1] > 1:
+        vdt = vdt.take(cand, axis=1)
     with np.errstate(over="ignore"):
         expo = np.divide(-2.0 * qp * qn, vdt,
                          out=np.full(qp.shape, -np.inf), where=vdt > 0)
     near = np.flatnonzero((expo > NEAR_BOUNDARY).any(axis=0))
-    p = np.exp(expo.take(near, axis=1))
+    expo = expo.take(near, axis=1)
+    # at or below -40, exp(e) < 2^-54 leaves 1 - p at 1.0, so p is 0 there
+    # and exp skips its slow underflow on the far exponents.  The cut is not
+    # NEAR_BOUNDARY: a threshold moved closer to 0 tests fewer paths, but
+    # the survival of those it tests stays exact
+    p = np.exp(expo, out=np.zeros(expo.shape), where=expo > -40.0)
     logs = np.log(np.clip(1.0 - p, 1e-300, 1.0))
     total = logs[0]
     for row in logs[1:]:
         total = total + row
-    if cand is not None:
-        near = cand[near]
-    return near, np.exp(total), p
+    return cand[near], np.exp(total), p
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +400,6 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
     if last >= dt * (1.0 - 1e-9):
         last = dt
     bridged = kernel.bridged
-    # with every polynomial bridged the safe values are used as they are:
-    # two fancy-index copies per step took the 100k-path Brownian run at
-    # dt 1e-3 from 2.57 to 2.80 s (medians of 8 interleaved runs, 2 CPUs)
-    all_bridged = len(bridged) == len(kernel.safe)
-    # constant variance rates are evaluated once: evaluating them on every
-    # step took that run from 2.57 to 2.87 s, measured alike
-    const_v = None
-    if kernel.variances_constant:
-        const_v = np.array(kernel.crossing_variances(None), dtype=float)[:, None]
     tau = np.full(cfg.paths, horizon)
     capped = np.ones(cfg.paths, dtype=bool)
     flagged = 0
@@ -440,16 +441,8 @@ def _simulate_paths(kernel: SdeKernel, cfg: McConfig, occupation=None,
             theta = np.clip(qp / denom, 0.0, 1.0)
 
             if bridged:
-                if all_bridged:
-                    qb_prev, qb_new = q_prev, q_new
-                else:
-                    qb_prev, qb_new = q_prev[bridged], q_new[bridged]
-                v = const_v
-                if v is None:
-                    v = np.empty(qb_new.shape)
-                    for row, value in zip(v, kernel.crossing_variances(slots)):
-                        row[...] = value
-                near, survive, p = _bridge_survival(qb_prev, qb_new, v * h)
+                near, survive, p = _bridge_survival(
+                    q_prev, q_new, bridged, kernel.crossing_variances(slots) * h)
                 # one uniform per near path that ends the step inside
                 tested = np.flatnonzero(~crossed[near] & finite[near])
                 hit = tested[rng.random(tested.size) > survive[tested]]

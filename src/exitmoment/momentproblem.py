@@ -53,7 +53,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .augment import AugmentedModel
-from .expr import Polynomial, count_upto, enumerate_multi_indices, graded_lex_ranks
+from .expr import (Polynomial, count_upto, enumerate_multi_indices,
+                   graded_lex_ranks, is_int)
 from .generator import emit_all_rows
 
 
@@ -141,10 +142,10 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
         raise ValueError(f"unknown variant {variant!r}")
     if sense not in ("max", "min"):
         raise ValueError(f"unknown sense {sense!r}")
-    if K < 0:
-        raise ValueError("K must be non-negative")
-    if moment_order < 1:
-        raise ValueError("moment order must be >= 1")
+    if not is_int(K) or K < 0:
+        raise ValueError("K must be non-negative, as an integer")
+    if not is_int(moment_order) or moment_order < 1:
+        raise ValueError("moment order must be >= 1, as an integer")
     if moment_order - 1 > K:
         raise ValueError("objective moment exceeds the moment sequence")
     n = model.total_dim

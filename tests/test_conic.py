@@ -39,7 +39,7 @@ def pendulum():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("max_iters", [0, -1])
+@pytest.mark.parametrize("max_iters", [0, -1, 2.5, True])
 def test_settings_reject_max_iters_below_one(max_iters):
     with pytest.raises(ValueError, match="max_iters"):
         SolverSettings(max_iters=max_iters)

@@ -128,9 +128,9 @@ def test_the_last_step_ends_at_the_horizon(T, dt, last_start, monkeypatch):
         steps.append((h, sqrt_h))
         return advance(kernel, slots, z, h, sqrt_h)
 
-    def recorded_survival(q_prev, q_new, vdt):
+    def recorded_survival(q_prev, q_new, rows, vdt):
         vdts.append(vdt.max())
-        return survival(q_prev, q_new, vdt)
+        return survival(q_prev, q_new, rows, vdt)
 
     monkeypatch.setattr(mc.SdeKernel, "advance", recorded_advance)
     monkeypatch.setattr(mc, "_bridge_survival", recorded_survival)
@@ -379,7 +379,8 @@ def test_compiled_kernels_match_exact_polynomials():
         close(values(kern), [poly.evaluate(pt) for pt in points])
     close(kernel.safe_values(slots),
           [[q.evaluate(pt) for pt in points] for q in model.safe_polys])
-    assert kernel.bridged == [0, 1, 2] and not kernel.variances_constant
+    assert kernel.bridged == [0, 1, 2]
+    assert kernel.crossing_variances(slots).shape == (3, m)
     for j, v in zip(kernel.bridged, kernel.crossing_variances(slots)):
         q = model.safe_polys[j]
         close(v, [sum(sum(q.diff(i).evaluate(pt) * model.diffusion[i][k].evaluate(pt)
@@ -420,20 +421,45 @@ def test_near_boundary_survival_equals_full_evaluation_bit_for_bit():
     q_new[300:350] = np.nextafter(edge, 0.0)
     q_new[350:400] = np.nextafter(edge, 1.0)
     full, p_full = _full_survival(q_prev, q_new, v, dt)
+    expo = _full_exponents(q_prev, q_new, v, dt)
 
     near, survive, p = _bridge_survival(
         np.ascontiguousarray(q_prev.T), np.ascontiguousarray(q_new.T),
-        np.ascontiguousarray(v.T) * dt)
+        [0, 1, 2], np.ascontiguousarray(v.T) * dt)
     banded = np.ones(n)
     banded[near] = survive
     assert np.array_equal(banded, full)
-    assert np.array_equal(p, p_full[near].T)
+    assert np.array_equal(p, np.where(expo > NEAR_BOUNDARY, p_full, 0.0)[near].T)
     on_edge = set(range(200, 300)) | set(range(350, 400))
     assert on_edge.isdisjoint(near) and set(range(300, 350)) <= set(near)
     assert not set(range(200)) & set(near)
     assert 0 < near.size < n // 2
     # the rule: every excluded path has all exponents at or below -40
     assert np.exp(NEAR_BOUNDARY) < 2.0**-54
+
+    # the bridged rows among safe values with a crossed polynomial without
+    # diffusion at row 1, which would make every path near if it were tested;
+    # then a NaN rate beside finite ones, which leaves its polynomial out as
+    # a zero rate does (a plain maximum over the paths would be NaN and hide
+    # the near paths of its row), and an inf rate, whose exponents are -0
+    safe_prev, safe_new = (np.insert(q, 1, -1.0, axis=1) for q in (q_prev, q_new))
+    v_nan = v.copy()
+    v_nan[400:450, 0] = np.nan
+    v_inf = v_nan.copy()
+    v_inf[450:500, 2] = np.inf
+    for rates in (v, v_nan, v_inf):
+        expo = _full_exponents(q_prev, q_new, rates, dt)
+        full, p_full = _full_survival(q_prev, q_new, rates, dt)
+        near, survive, p = _bridge_survival(
+            np.ascontiguousarray(safe_prev.T), np.ascontiguousarray(safe_new.T),
+            [0, 2, 3], np.ascontiguousarray(rates.T) * dt)
+        banded = np.ones(n)
+        banded[near] = survive
+        assert np.array_equal(banded, full)
+        assert np.array_equal(
+            p, np.where(expo > NEAR_BOUNDARY, p_full, 0.0)[near].T)
+        assert 0 < near.size < n // 2
+    assert set(range(450, 500)) <= set(near)
 
 
 def test_constant_variance_prefilter_equals_full_evaluation_bit_for_bit(
@@ -463,11 +489,12 @@ def test_constant_variance_prefilter_equals_full_evaluation_bit_for_bit(
     def check(threshold):
         expo = _full_exponents(q_prev.T, q_new.T, v, dt)
         full, p_full = _full_survival(q_prev.T, q_new.T, v, dt)
-        near, survive, p = _bridge_survival(q_prev, q_new, vdt)
+        near, survive, p = _bridge_survival(q_prev, q_new, [0, 1, 2], vdt)
         assert np.array_equal(
             near, np.flatnonzero((expo > threshold).any(axis=1)))
         assert np.array_equal(survive, full[near])
-        assert np.array_equal(p, p_full[near].T)
+        assert np.array_equal(
+            p, np.where(expo > NEAR_BOUNDARY, p_full, 0.0)[near].T)
         return set(near)
 
     near = check(NEAR_BOUNDARY)
@@ -484,7 +511,7 @@ def test_constant_variance_prefilter_equals_full_evaluation_bit_for_bit(
     monkeypatch.setattr(mc, "NEAR_BOUNDARY", math.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        near, survive, p = _bridge_survival(q_prev, q_new, vdt)
+        near, survive, p = _bridge_survival(q_prev, q_new, [0, 1, 2], vdt)
     assert near.size == survive.size == 0 and p.shape == (3, 0)
 
 

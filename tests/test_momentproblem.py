@@ -486,6 +486,12 @@ def test_assemble_precondition_checks():
         assemble(model, "diagonal", 4, 1, "max")
     with pytest.raises(ValueError):
         assemble(model, "reduced", 4, 1, "extremize")
+    for K in (4.0, True):
+        with pytest.raises(ValueError, match="K must be"):
+            assemble(model, "reduced", K, 1, "max")
+    for order in (1.0, True):
+        with pytest.raises(ValueError, match="moment order"):
+            assemble(model, "reduced", 4, order, "max")
 
 
 def test_psd_block_materialization_is_symmetric():
