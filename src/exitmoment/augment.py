@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .expr import Polynomial, TrigAtom, parse_expression, parse_polynomial
+from .expr import Polynomial, TrigAtom, is_real, parse_expression, parse_polynomial
 from .generator import generator, noise_projections, sigma_sigma_t
 
 TIME_NAME = "t"
@@ -76,9 +76,9 @@ class SdeModel:
         x0 = [float(v) for v in x0]
         if not all(map(math.isfinite, x0)):
             raise ValueError("x0 must be finite")
+        if not (is_real(horizon) and math.isfinite(horizon) and horizon > 0):
+            raise ValueError("horizon must be positive and finite, as a real number")
         horizon = float(horizon)
-        if not (math.isfinite(horizon) and horizon > 0):
-            raise ValueError("horizon must be positive and finite")
         point = x0 + [0.0]
         for i, q in enumerate(safe):
             if q.evaluate(point) <= 0:

@@ -3,7 +3,7 @@
 Example (Brownian motion on [0, 1] from 1/2, lower bound on E[tau ^ T]):
 
     exitmoment --names y --drift 0 --diffusion 1 --x0 0.5 --horizon 10 \\
-        --safe y "1 - y" --variant reduced --K 8 --order 1 --sense min
+        --safe y "1 - y" --K 8 --order 1 --sense min
 
 The exit code is 0 when the solve ends ``optimal`` and 1 otherwise; the
 objective of an unconverged iterate is no bound, so "bound" is then null.
@@ -36,8 +36,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, required=True, help="time horizon T")
     p.add_argument("--safe", nargs="*", default=[],
                    help="polynomials q with safe set {q > 0}")
-    p.add_argument("--variant", choices=("reduced", "original"),
-                   default="reduced")
     p.add_argument("--K", type=int, required=True, help="relaxation degree")
     p.add_argument("--order", type=int, default=1, help="moment order n")
     p.add_argument("--sense", choices=("min", "max"), default="min")
@@ -53,13 +51,12 @@ def main(argv=None) -> int:
                                     args.x0, args.horizon, args.safe)
         settings = SolverSettings(max_iters=args.max_iters)
         model = scale_model(augment(sde))
-        program = assemble(model, args.variant, args.K, args.order, args.sense)
+        program = assemble(model, "reduced", args.K, args.order, args.sense)
     except ValueError as exc:  # unreadable model or out-of-range setting
         parser.error(str(exc))
     res = solve(program, settings)
     optimal = res.status == "optimal"
     print(json.dumps({
-        "variant": args.variant,
         "K": args.K,
         "order": args.order,
         "sense": args.sense,

@@ -95,12 +95,16 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number, numpy floats and ``Fraction``
+    included; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, float):
         # the nearest fraction with a denominator of at most 10^12, so a
@@ -112,8 +116,11 @@ def _as_fraction(value) -> Fraction:
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Terms are stored as a dict keyed by exponent tuple; zero coefficients
-    are never stored, and iteration is in graded lex order.  The last
+    Terms are stored as a dict keyed by exponent tuple, and ``items``
+    iterates in graded lex order.  The constructor is the one place where
+    coefficients become ``Fraction`` and zero terms are dropped, so the
+    stored terms are always exact and nonzero; every operation hands it
+    raw sums and products and repeats neither job.  The last
     ``len(atoms)`` variables stand for the sinusoidal atoms ``atoms``,
     functions of the first ``nbase`` (base) variables; a polynomial
     without atoms has the empty registry.
@@ -147,11 +154,11 @@ class Polynomial:
 
     @staticmethod
     def constant(nvars: int, value) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: _as_fraction(value)})
+        return Polynomial(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def monomial(nvars: int, alpha: MultiIndex, coef=1) -> "Polynomial":
-        return Polynomial(nvars, {tuple(alpha): _as_fraction(coef)})
+        return Polynomial(nvars, {tuple(alpha): coef})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Polynomial":
@@ -237,11 +244,7 @@ class Polynomial:
         a, b = self._unify(other)
         terms = dict(a.terms)
         for alpha, coef in b.terms.items():
-            new = terms.get(alpha, Fraction(0)) + coef
-            if new:
-                terms[alpha] = new
-            else:
-                terms.pop(alpha, None)
+            terms[alpha] = terms.get(alpha, 0) + coef
         return Polynomial(a.nvars, terms, a.atoms)
 
     __radd__ = __add__
@@ -261,10 +264,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return Polynomial(self.nvars, None, self.atoms)
-            return Polynomial(self.nvars, {a: c * v for a, v in self.terms.items()},
+            return Polynomial(self.nvars, {a: other * v for a, v in self.terms.items()},
                               self.atoms)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -273,11 +273,7 @@ class Polynomial:
         for x, cx in a.terms.items():
             for y, cy in b.terms.items():
                 key = mi_add(x, y)
-                new = terms.get(key, Fraction(0)) + cx * cy
-                if new:
-                    terms[key] = new
-                else:
-                    terms.pop(key, None)
+                terms[key] = terms.get(key, 0) + cx * cy
         return Polynomial(a.nvars, terms, a.atoms)
 
     __rmul__ = __mul__
@@ -352,12 +348,10 @@ class Polynomial:
         fr = [_as_fraction(f) for f in factors]
         terms = {}
         for alpha, coef in self.terms.items():
-            c = coef
             for f, e in zip(fr, alpha):
                 if e:
-                    c *= f**e
-            if c:
-                terms[alpha] = terms.get(alpha, Fraction(0)) + c
+                    coef *= f**e
+            terms[alpha] = coef
         return Polynomial(self.nvars, terms)
 
     def remap_vars(self, new_nvars: int, mapping: Sequence[int],

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentedModel, SdeModel
-from .expr import Polynomial, is_int
+from .expr import Polynomial, is_int, is_real
 from .generator import noise_projections
 
 # e^-40 < 2^-54: below this bridge exponent, 1 - p rounds to 1.0
@@ -86,8 +86,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be positive and finite")
+        if not (is_real(self.dt) and math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite, as a real number")
         if not is_int(self.paths) or self.paths < 1:
             raise ValueError("need at least one path, as an integer")
         # the Philox key is 128 bits
@@ -111,9 +111,6 @@ class McEstimate:
 
     def se(self, order: int) -> float:
         return self.moments[order][1]
-
-    def ci(self, order: int):
-        return self.moments[order][2], self.moments[order][3]
 
 
 # ---------------------------------------------------------------------------

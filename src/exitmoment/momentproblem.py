@@ -131,10 +131,6 @@ class MomentProblem:
         """The number of inequality polynomials, one M(q m) block each."""
         return len(self.model.interior_polys)
 
-    @property
-    def d_k(self) -> int:
-        return len(self.moment_basis)
-
 
 def build_moment_problem(model: AugmentedModel, variant: str, K: int,
                          moment_order: int, sense: str) -> MomentProblem:

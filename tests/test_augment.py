@@ -274,7 +274,7 @@ def test_x0_on_boundary_rejected_by_default():
                               ["y", "1 - y"])
 
 
-@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf"), True])
 def test_horizon_must_be_positive_and_finite(horizon):
     with pytest.raises(ValueError, match="horizon"):
         SdeModel.from_strings(["y"], ["0"], [["1"]], [0.5], horizon,

@@ -489,14 +489,14 @@ def test_a_failed_eigendecomposition_is_reported(monkeypatch):
 def test_cli_prints_one_bound_as_json(capsys):
     code = main(["--names", "y", "--drift", "0", "--diffusion", "1",
                  "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y",
-                 "--variant", "reduced", "--K", "8", "--order", "1",
-                 "--sense", "min"])
+                 "--K", "8", "--order", "1", "--sense", "min"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["status"] == "optimal"
     assert abs(out["bound"] - 0.25) <= 1e-6
     assert out["iterations"] > 0 and out["solve_time"] > 0
     assert {"primal_residual", "dual_residual"} <= out.keys()
+    assert "variant" not in out
     # M(m), M(b) and the four interior blocks; martingale and boundary rows
     assert (out["psd_blocks"], out["eq_rows"]) == (6, 90)
 

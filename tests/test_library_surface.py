@@ -1,14 +1,16 @@
-"""Every public function and class of the library has a caller outside
-tests, and so does every field of the settings dataclasses.  Every
-private module-level function and class is referenced in its module
-outside its own definition.
+"""Every public function, class, method and property of the library has a
+caller outside tests, and so does every field of the settings
+dataclasses.  Every private module-level function and class is
+referenced in its module outside its own definition.
 
 A name counts as used when code other than its own definition refers to
 it: a name, an attribute or a string equal to it (``getattr``-style
 wrapping) in ``src/`` or in a non-test file under ``perfbench/``, or an
-entry point in ``[project.scripts]``.  Oracles that only tests compare
-against are listed in ``ORACLES``.  A settings field counts as used when
-one of those files passes it by keyword to its dataclass.  Within the
+entry point in ``[project.scripts]``; a method or property counts as
+used when an attribute of its name appears there outside its own body.
+Oracles that only tests compare against are listed in ``ORACLES``.  A
+settings field counts as used when one of those files passes it by
+keyword to its dataclass.  Within the
 library, every module-level import is read, and so is every local name a
 function assigns (other than ``_...``) and every module-level name a
 module assigns (other than ``__...__``): a module constant that no code
@@ -105,6 +107,27 @@ def test_every_settings_field_is_passed_by_a_caller():
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def test_every_public_member_has_a_caller_outside_tests():
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    attributes = defaultdict(list)       # name -> Attribute nodes
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes[node.attr].append(node)
+    unused = []
+    for path in LIBRARY:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if not isinstance(member, FUNCTIONS) or member.name.startswith("_"):
+                    continue
+                own = set(map(id, ast.walk(member)))
+                if all(id(node) in own for node in attributes[member.name]):
+                    unused.append(f"{path.name}: {cls.name}.{member.name}")
+    assert not unused, f"members called only from tests: {unused}"
 
 
 def _own_nodes(func):

@@ -53,6 +53,7 @@ def coupled_2d(noisy_x=True):
 
 @pytest.mark.parametrize("field, value", [
     ("dt", 0.0), ("dt", -1e-3), ("dt", float("nan")), ("dt", float("inf")),
+    ("dt", True), ("dt", "0.001"),
     ("paths", 0), ("paths", 100.5), ("paths", True),
     ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", 2**128),
 ])
@@ -65,7 +66,7 @@ def test_brownian_first_moment_brackets_quarter():
     est = simulate_exit(brownian(), McConfig(dt=2e-4, paths=50_000, seed=7))
     mean, se = est.mean(1), est.se(1)
     assert abs(mean - 0.25) < 3 * se + 1e-3
-    lo, hi = est.ci(1)
+    lo, hi = est.moments[1][2:]
     assert lo < mean < hi
 
 
@@ -101,7 +102,7 @@ def test_ci_width_shrinks_like_root_paths():
     widths = []
     for paths in (10_000, 40_000, 160_000):
         est = simulate_exit(brownian(), McConfig(dt=1e-3, paths=paths, seed=2))
-        lo, hi = est.ci(1)
+        lo, hi = est.moments[1][2:]
         widths.append(hi - lo)
     assert widths[0] / widths[1] == pytest.approx(2.0, rel=0.25)
     assert widths[1] / widths[2] == pytest.approx(2.0, rel=0.25)
@@ -110,7 +111,7 @@ def test_ci_width_shrinks_like_root_paths():
 def test_dt_refinement_consistency():
     est_a = simulate_exit(brownian(), McConfig(dt=2e-3, paths=40_000, seed=11))
     est_b = simulate_exit(brownian(), McConfig(dt=1e-3, paths=40_000, seed=12))
-    width = (est_a.ci(1)[1] - est_a.ci(1)[0]) + (est_b.ci(1)[1] - est_b.ci(1)[0])
+    width = sum(hi - lo for lo, hi in (est.moments[1][2:] for est in (est_a, est_b)))
     assert abs(est_a.mean(1) - est_b.mean(1)) < width + 2e-2 * 2e-3 / 1e-3
 
 

@@ -54,6 +54,16 @@ def scaled_pendulum():
         [-9.81 / 5, 0.0], 10.0, ["-x", "x + 2"])))
 
 
+def coupled_pendulum():
+    """Two damped pendulums joined by a spring, noise on both velocities:
+    4 states, 9 augmented variables (t and a sin/cos pair per angle)."""
+    return augment(SdeModel.from_strings(
+        ["x", "y", "u", "w"],
+        ["u", "w", "-sin(x) + 0.5*(y - x) - 0.1*u", "-sin(y) + 0.5*(x - y) - 0.1*w"],
+        [["0", "0"], ["0", "0"], ["1", "0"], ["0", "1"]],
+        [0.2, -0.1, 0.0, 0.0], 10.0, ["1 - x^2 - y^2"]))
+
+
 # (model, K) pairs whose assembly the array code must reproduce exactly
 ASSEMBLY_CASES = {
     "box0-K4": (lambda: box_model(0), 4),
@@ -396,16 +406,24 @@ def test_distinct_rows_keeps_first_appearances_of_nonzero_rows():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n_user", [0, 2, 4])
-def test_psd_size_law(n_user):
-    model = box_model(n_user)
-    K = 6  # large enough that deg(q') <= K for every box here
+# (model, K, N_q, d_K): K = 6 is large enough that deg(q') <= K for every
+# box; the coupled pendulum is the paper's higher-dimensional case, with
+# N_q = its safe polynomial, t, T - t and 1 - a^2 for each of its four
+# atoms, and d_K = count_upto(9, 2)
+@pytest.mark.parametrize("make_model, K, n_q, d_k", [
+    pytest.param(lambda: box_model(0), 6, 2, 10, id="0"),
+    pytest.param(lambda: box_model(2), 6, 4, 10, id="2"),
+    pytest.param(lambda: box_model(4), 6, 6, 20, id="4"),
+    pytest.param(coupled_pendulum, 4, 7, 55, id="coupled-pendulum-K4"),
+])
+def test_psd_size_law(make_model, K, n_q, d_k):
+    model = make_model()
+    assert d_k == count_upto(model.total_dim, K // 2)
     for variant, factor in (("original", 3), ("reduced", 1)):
         mp = build_moment_problem(model, variant, K, 1, "max")
         program = lower_to_conic(mp)
-        n_q, d_k = mp.n_q, mp.d_k
-        assert n_q == n_user + 2
-        assert d_k == count_upto(model.total_dim, K // 2)
+        assert mp.n_q == n_q
+        assert len(mp.moment_basis) == d_k
         assert sum(b.dim for b in program.blocks) == (2 + factor * n_q) * d_k
         assert all(b.dim == d_k for b in program.blocks)
 
