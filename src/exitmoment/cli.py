@@ -63,6 +63,7 @@ def main(argv=None) -> int:
         "bound": (res.objective * moment_unscale_factor(model, args.order)
                   if optimal else None),
         "status": res.status,
+        "method": res.method,
         "iterations": res.iterations,
         "psd_blocks": res.psd_blocks,
         "eq_rows": res.eq_rows,

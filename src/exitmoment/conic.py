@@ -1,4 +1,6 @@
-"""Embedded splitting solver for the assembled conic programs.
+"""Embedded conic solvers for the assembled programs: a dense
+interior-point method for programs with few free moments, and ADMM for
+the rest.
 
 ``solve`` first presolves the program (``presolve``), always.  A PSD
 block identical to an earlier one is dropped.  A pair of blocks with
@@ -15,9 +17,45 @@ comes back as it is.  The variables do not change, so the returned
 lift.  The presolve saves one eigendecomposition per dropped block on
 every iteration.
 
-The iteration is ADMM on the primal cone form, written as one
-Douglas-Rachford map on one vector v of the scaled svec space of the
-PSD blocks (the form the SCS solver runs).  One evaluation is
+Dispatch.  After the presolve and the check for non-finite data, a
+program with ``num_vars - eq_rows <= IPM_MAX_FREE`` goes to the
+interior-point method.  That difference is a lower bound on the number
+of free moments, known without a factorization.  If the interior-point
+method ends with any status other than ``optimal`` (``max_iters``, a
+matrix that is not positive definite, non-finite values, a stall), ADMM
+runs on the same presolved program, as it would have without the
+interior-point attempt, and its result is returned with the
+interior-point stop reason in ``message``.  ``SolveResult.method`` names
+the method whose result it is, and ``max_iters`` caps the iterations of
+each method.
+
+The interior-point method eliminates A z = b through a null-space basis
+from the SVD of the dense A: z = z0 + N w.  Directions of N that move no
+PSD block (moments that only the equalities see) would make the Schur
+matrix singular; the eigendecomposition of the Gram matrix
+sum_k (G_k N)'(G_k N) keeps the others, scaled so that the stacked block
+images are orthonormal: z = z0 + W w, W = N Q diag(lambda)^-1/2.  What
+remains is the LMI  X_k = C_k + sum_i w_i F_k,i >= 0  with objective q'w
+and the dual  Z_k >= 0,  sum_k <F_k,i, Z_k> = q_i.  Each block keeps C_k
+and its coefficients F_k once, as a (p, svec) array of upper-triangle
+entries.  The iteration is the infeasible-start primal-dual path
+following method with the HKM direction (Helmberg, Rendl, Vanderbei &
+Wolkowicz, SIAM J. Optim. 1996) and Mehrotra's predictor-corrector
+(SIAM J. Optim. 1992): the dense p x p Schur matrix
+M_ij = sum_k tr(F_k,i Z_k F_k,j X_k^-1) is formed block by block and
+factored once per step for both directions, and each side steps
+``IPM_STEP`` of the way to the boundary of its cone.  The stopping rule
+takes the relative gap <X, Z> / (1 + |primal| + |dual objective|), the
+moment-side residual |C + F(w) - X| / (1 + |C|) and the Z-side residual
+|q - F'(Z)| / (1 + |q|); the solve is ``optimal`` when all three are at
+most ``EPS_REL``, and it has stalled when the largest of the three has
+not halved in ``IPM_STALL`` steps.  ``primal_residual`` and
+``dual_residual`` report the two residuals, and ``residual_history`` the
+largest of the three after every step.
+
+ADMM runs on the primal cone form, written as one Douglas-Rachford map
+on one vector v of the scaled svec space of the PSD blocks (the form the
+SCS solver runs).  One evaluation is
 
     s = P(v)                      every block projected onto the PSD cone
     z = argmin c'z + |G z - (2 s - v)|^2 / 2   subject to  A z = b
@@ -54,6 +92,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -80,11 +119,34 @@ AA_SAFEGUARD = 2.0
 AA_REGULARIZATION = 1e-10
 # Absolute and relative tolerances of the primal, dual and equality
 # residuals; the optimality gate also takes -10 EPS_ABS as the least
-# eigenvalue M(m) and M(b) may have.
+# eigenvalue M(m) and M(b) may have.  The interior-point method stops when
+# its relative gap and both relative residuals are at most EPS_REL.
 EPS_ABS = 1e-7
 EPS_REL = 1e-7
 # Iterations between residual checks (and ``residual_history`` entries).
 CHECK_INTERVAL = 25
+# Largest num_vars - eq_rows of a presolved program that goes to the
+# interior-point method first.  Measured on order-1 "min" reduced programs,
+# 1 BLAS thread, as (num_vars - eq_rows: interior point, ADMM alone):
+# Brownian K=14 (67: 0.32 s / 23 steps, 0.76 s / 425 iterations); 2-D
+# Brownian motion in the unit disc, K=8 (320: 0.84 s / 20, 0.81 s / 600)
+# and in the box [-1, 1]^2, K=8 (450: 1.4 s / 29, 8.7 s / 3,775).  At
+# Brownian K=22 (99) the Z-side residual climbs from 3.5e-9 to 1e-6 after
+# step 22 and the stall test hands over to ADMM: 15.0 s in all, against
+# 12.6 s for ADMM alone.  The pendulum stays above the cutoff: 941 at
+# reduced K=4 and 2,106 at K=6.
+IPM_MAX_FREE = 500
+# Fraction of the way to the boundary of its cone that each side steps.
+# Interior-point steps on the 13 benchmark bounds / on 24 other Brownian
+# bounds (reduced K=4-10, orders 1, 2 and 4, both senses), all ending
+# optimal: 0.8 -> 311 / 513, 0.85 -> 295 / 469, 0.9 -> 294 / 436,
+# 0.95 -> 330 / 418; at 0.98 only 1 of the 13 and 12 of the 24 do.
+IPM_STEP = 0.9
+# Steps within which the largest of the relative gap and residuals must
+# at least halve, or the interior-point solve has stalled.  On those 37
+# solves it shrank at least 7.7-fold over every 5 steps (at IPM_STEP 0.8
+# to 0.95).
+IPM_STALL = 5
 
 
 @dataclass
@@ -107,7 +169,9 @@ class SolveResult:
     solve_time: float
     psd_blocks: int                # size of the presolved program solved
     eq_rows: int
-    # (iteration, max(primal, dual) residual) at every check
+    method: str                    # ipm | admm; "" when the data is rejected
+    # (iteration, max(primal, dual) residual) at every check; the
+    # interior-point method adds one entry per step, with its relative gap
     residual_history: list = field(default_factory=list, repr=False)
     message: str = ""
     aa_rejected: int = 0           # accelerated points the safeguard dropped
@@ -291,24 +355,205 @@ class _Failure(Exception):
     """A numerical failure; its message goes to ``SolveResult.message``."""
 
 
-def solve(program: ConicProgram, settings: SolverSettings | None = None) -> SolveResult:
-    """Presolve the program, then run the splitting method; the returned
-    objective is the relaxation optimum estimate within the reported
-    residual tolerances.
+def _free_moments(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray):
+    """z0 and W with z = z0 + W w over the solutions of A z = b that the
+    PSD blocks see.  W spans the null space of A less the directions that
+    move no block, scaled so that the stacked block images (blocks.stacked
+    @ W) have orthonormal columns."""
+    a = program.a_eq.toarray()
+    b = program.rhs.astype(float)
+    u, s, vt = np.linalg.svd(a)
+    eps = np.finfo(float).eps
+    rank = int(np.count_nonzero(s > s.max(initial=0.0) * max(a.shape) * eps))
+    z0 = vt[:rank].T @ (u[:, :rank].T @ b / s[:rank])
+    if (np.linalg.norm(a @ z0 - b)
+            > EPS_ABS * math.sqrt(max(len(b), 1)) + EPS_REL * np.linalg.norm(b)):
+        raise _Failure("inconsistent equality rows")
+    null = vt[rank:].T
+    r = null.shape[1]
+    gram = np.zeros((r, r))
+    for start, length in zip(blocks.starts, blocks.lengths):
+        moved = blocks.stacked[start:start + length] @ null
+        gram += moved.T @ moved
+    # eigenvalues below r eps of the largest are rounding: on Brownian
+    # K = 4-22 they sit under 5e-17 of it, the smallest kept one above 3e-7
+    lam, vec = np.linalg.eigh(gram)
+    keep = lam > lam.max(initial=0.0) * r * eps
+    if np.abs(c @ null @ vec[:, ~keep]).max(initial=0.0) > EPS_REL * np.linalg.norm(c):
+        raise _Failure("the objective moves along a direction no PSD block bounds")
+    return z0, null @ (vec[:, keep] / np.sqrt(lam[keep]))
 
-    Presolving replaces the original variant's pair of localizing blocks
-    of q' and -q', the boundary equality q' = 0, by the equality rows it
-    implies, and drops the repeated pairs; it leaves a reduced program as
-    it is.  ``psd_blocks`` and ``eq_rows`` report the size of the program
-    actually solved.  ``z`` stays in the assembled program's variable
-    space, and the objective is that program's.
-    Non-finite program data, a failed KKT factorization or
-    eigendecomposition and diverged iterates end the solve with status
-    ``numerical_failure``.
-    """
-    settings = settings or SolverSettings()
-    t0 = time.perf_counter()
-    program = presolve(program)
+
+def _step_to_boundary(factors: list, steps: list) -> float:
+    """The largest alpha with every X_k + alpha steps[k] PSD (inf when no
+    step leaves the cone), given factors[k] = L_k^-1 for X_k = L_k L_k'.
+    One stacked eigendecomposition per block dimension."""
+    by_dim = {}
+    for f, step in zip(factors, steps):
+        by_dim.setdefault(len(f), []).append(f @ step @ f.T)
+    low = min((np.linalg.eigvalsh(np.stack(mats))[:, 0].min() for mats in by_dim.values()),
+              default=0.0)
+    return -1.0 / low if low < 0 else math.inf
+
+
+def _symmetric_part(mat: np.ndarray) -> np.ndarray:
+    return (mat + mat.T) / 2
+
+
+def _inverse_factor(mat: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of a positive definite matrix."""
+    return sla.solve_triangular(np.linalg.cholesky(mat), np.eye(len(mat)), lower=True)
+
+
+class _LmiBlock:
+    """One block X = C + sum_i w_i F_i of the interior-point LMI.  ``coef``
+    holds the rows F_i once, as the (p, svec) array of their upper-triangle
+    entries (unscaled, in ``np.triu_indices`` order); ``const`` is C as a
+    d x d matrix."""
+
+    def __init__(self, block, z0: np.ndarray, basis: np.ndarray, full: np.ndarray,
+                 upper: np.ndarray, lower: np.ndarray, half: np.ndarray):
+        self.dim = block.dim
+        self.full, self.upper, self.lower, self.half = full, upper, lower, half
+        self.coef = np.ascontiguousarray((block.mat @ basis).T)
+        self.const = self.matrix(block.mat @ z0)
+
+    def matrix(self, entries: np.ndarray) -> np.ndarray:
+        """The symmetric d x d matrix with these upper-triangle entries."""
+        return entries[self.full].reshape(self.dim, self.dim)
+
+    def adjoint(self, mat: np.ndarray) -> np.ndarray:
+        """<F_i, mat> for every i; mat need not be symmetric."""
+        flat = mat.reshape(-1)
+        return self.coef @ ((flat[self.upper] + flat[self.lower]) * self.half)
+
+    def add_schur(self, schur: np.ndarray, z: np.ndarray, x_inv: np.ndarray):
+        """Add tr(F_i Z F_j X^-1) to schur[i, j], over batches of rows i
+        whose (rows, d, d) temporaries hold at most 2^13 entries (64 KB)."""
+        d = self.dim
+        rows = max(1, 2 ** 13 // (d * d))
+        for lo in range(0, len(self.coef), rows):
+            part = np.take(self.coef[lo:lo + rows], self.full, axis=1).reshape(-1, d, d)
+            np.matmul(z @ part, x_inv, out=part)
+            part = part.reshape(-1, d * d)
+            schur[lo:lo + rows] += (
+                (part[:, self.upper] + part[:, self.lower]) * self.half) @ self.coef.T
+
+
+def _interior_point(program: ConicProgram, max_iters: int) -> SolveResult:
+    """HKM primal-dual interior-point method with Mehrotra's corrector on
+    the presolved program, as the module docstring describes.  Statuses
+    other than ``optimal`` carry the stop reason in ``message``."""
+    c = (-1.0 if program.sense == "max" else 1.0) * program.objective.astype(float)
+    blocks = _SvecBlocks(program)
+    z = np.zeros(program.num_vars)
+    it = 0
+    history = []
+    r_x = r_z = math.inf
+    status, message = "max_iters", ""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            z0, basis = _free_moments(program, blocks, c)
+            q = basis.T @ c
+            offset = float(c @ z0)
+            # svec -> flat d x d gather, the flat positions of the upper
+            # entries and of their transposes, and the weights with which
+            # <F, Y> = sum F_upper (Y_upper + Y_lower) half
+            geometry = {d: (full, upper, upper % d * d + upper // d, scale ** 2 / 2)
+                        for d, _, scale, full, upper in blocks.groups}
+            lmi = [_LmiBlock(b, z0, basis, *geometry[b.dim]) for b in program.blocks]
+            nu = sum(blk.dim for blk in lmi)
+            norm_c = math.sqrt(sum(float(np.vdot(blk.const, blk.const)) for blk in lmi))
+            norm_q = float(np.linalg.norm(q))
+            xs = [max(10.0, norm_c) * np.eye(blk.dim) for blk in lmi]
+            zs = [max(10.0, norm_q) * np.eye(blk.dim) for blk in lmi]
+            w = np.zeros(q.size)
+
+            while True:
+                # moment-side residual C + F(w) - X, Z-side residual
+                # q - F'(Z), gap <X, Z>
+                r_p = [blk.const + blk.matrix(blk.coef.T @ w) - x for blk, x in zip(lmi, xs)]
+                r_d = q - sum((blk.adjoint(zk) for blk, zk in zip(lmi, zs)), np.zeros(q.size))
+                gap = sum(float(np.vdot(x, zk)) for x, zk in zip(xs, zs))
+                primal = offset + float(q @ w)
+                dual = offset - sum(float(np.vdot(blk.const, zk)) for blk, zk in zip(lmi, zs))
+                r_x = math.sqrt(sum(float(np.vdot(r, r)) for r in r_p)) / (1 + norm_c)
+                r_z = float(np.linalg.norm(r_d)) / (1 + norm_q)
+                merit = max(gap / (1 + abs(primal) + abs(dual)), r_x, r_z)
+                if not math.isfinite(merit):
+                    raise _Failure("non-finite iterates")
+                if it:
+                    history.append((it, merit))
+                if merit <= EPS_REL:
+                    status = "optimal"
+                    break
+                if it == max_iters:
+                    break
+                if it > IPM_STALL and merit > history[-1 - IPM_STALL][1] / 2:
+                    raise _Failure(f"no progress in {IPM_STALL} steps")
+                it += 1
+
+                x_factors = [_inverse_factor(x) for x in xs]
+                z_factors = [_inverse_factor(zk) for zk in zs]
+                x_invs = [f.T @ f for f in x_factors]
+                schur = np.zeros((q.size, q.size))
+                for blk, zk, x_inv in zip(lmi, zs, x_invs):
+                    blk.add_schur(schur, zk, x_inv)
+                factor = sla.cho_factor(schur)
+
+                def direction(rc):
+                    """The Newton step whose complementarity right-hand side
+                    is rc[k] (in place of sigma mu X^-1 - Z)."""
+                    rhs = -r_d
+                    for blk, zk, x_inv, r, rck in zip(lmi, zs, x_invs, r_p, rc):
+                        rhs = rhs + blk.adjoint(rck - zk @ r @ x_inv)
+                    dw = sla.cho_solve(factor, rhs)
+                    dxs = [blk.matrix(blk.coef.T @ dw) + r for blk, r in zip(lmi, r_p)]
+                    return dw, dxs, [_symmetric_part(rck - zk @ dx @ x_inv)
+                                     for rck, zk, dx, x_inv in zip(rc, zs, dxs, x_invs)]
+
+                # predictor (sigma = 0), then Mehrotra's corrector
+                mu = gap / nu
+                dw, dxs, dzs = direction([-zk for zk in zs])
+                a_p = min(1.0, _step_to_boundary(x_factors, dxs))
+                a_d = min(1.0, _step_to_boundary(z_factors, dzs))
+                mu_aff = sum(float(np.vdot(x + a_p * dx, zk + a_d * dz))
+                             for x, zk, dx, dz in zip(xs, zs, dxs, dzs)) / nu
+                sigma = min(1.0, (mu_aff / mu) ** 3)
+                dw, dxs, dzs = direction([sigma * mu * x_inv - zk - dz @ dx @ x_inv
+                                          for x_inv, zk, dx, dz in zip(x_invs, zs, dxs, dzs)])
+                a_p = min(1.0, IPM_STEP * _step_to_boundary(x_factors, dxs))
+                a_d = min(1.0, IPM_STEP * _step_to_boundary(z_factors, dzs))
+                w = w + a_p * dw
+                xs = [x + a_p * dx for x, dx in zip(xs, dxs)]
+                zs = [zk + a_d * dz for zk, dz in zip(zs, dzs)]
+            z = z0 + basis @ w
+    except _Failure as exc:
+        status, message = "numerical_failure", str(exc)
+    except np.linalg.LinAlgError as exc:
+        status, message = "numerical_failure", f"factorization failed: {exc}"
+    except FloatingPointError as exc:
+        status, message = "numerical_failure", f"floating-point error: {exc}"
+
+    return SolveResult(
+        status=status,
+        objective=math.nan if message else float(program.objective @ z),
+        primal_residual=r_x,
+        dual_residual=r_z,
+        iterations=it,
+        z=z,
+        solve_time=0.0,
+        psd_blocks=len(program.blocks),
+        eq_rows=program.a_eq.shape[0],
+        method="ipm",
+        residual_history=history,
+        message=message,
+    )
+
+
+def _admm(program: ConicProgram, max_iters: int) -> SolveResult:
+    """Anderson-accelerated ADMM on the presolved program, as the module
+    docstring describes."""
     n, m_eq = program.num_vars, program.a_eq.shape[0]
     z = np.zeros(n)
     it = aa_rejected = 0
@@ -317,10 +562,6 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     r_prim = r_dual = math.inf
 
     try:
-        data = [program.objective, program.rhs, program.a_eq.data,
-                *(b.mat.data for b in program.blocks)]
-        if not all(np.isfinite(a).all() for a in data):
-            raise _Failure("non-finite program data")
         sense_sign = -1.0 if program.sense == "max" else 1.0
         blocks = _SvecBlocks(program)
         a_eq = program.a_eq.tocsr().astype(float)
@@ -348,7 +589,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
         fallback = v                   # the plain step an extrapolation replaced
         res_plain = 0.0                # its fixed-point residual
         sqrt_cone, sqrt_n, sqrt_eq = (math.sqrt(max(k, 1)) for k in (n_cone, n, m_eq))
-        for it in range(1, settings.max_iters + 1):
+        for it in range(1, max_iters + 1):
             s = blocks.project(v)
             z_s = lu.solve(np.concatenate([gt_s @ (2 * s - v) - c_s, b_s]))[:n]
             z = e_col * z_s
@@ -357,7 +598,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
             res = float(np.linalg.norm(f))
             rejected = accelerated and res > AA_SAFEGUARD * res_plain
 
-            if it % CHECK_INTERVAL == 0 or it == settings.max_iters:
+            if it % CHECK_INTERVAL == 0 or it == max_iters:
                 r_prim = res
                 r_dual = float(np.linalg.norm(gt_s @ f))
                 eq_res = float(np.linalg.norm(a_s @ z_s - b_s)) if m_eq else 0.0
@@ -391,6 +632,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     except np.linalg.LinAlgError as exc:
         status, message = "numerical_failure", f"eigendecomposition failed: {exc}"
 
+
     return SolveResult(
         status=status,
         objective=math.nan if message else float(program.objective @ z),
@@ -398,10 +640,50 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
         dual_residual=r_dual,
         iterations=it,
         z=z,
-        solve_time=time.perf_counter() - t0,
+        solve_time=0.0,
         psd_blocks=len(program.blocks),
         eq_rows=m_eq,
+        method="admm",
         residual_history=history,
         message=message,
         aa_rejected=aa_rejected,
     )
+
+
+def solve(program: ConicProgram, settings: SolverSettings | None = None) -> SolveResult:
+    """Presolve the program, then run the interior-point method when it has
+    at most ``IPM_MAX_FREE`` free moments, and ADMM otherwise or when the
+    interior-point method does not end ``optimal``; the returned objective
+    is the relaxation optimum estimate within the reported residual
+    tolerances.
+
+    Presolving replaces the original variant's pair of localizing blocks
+    of q' and -q', the boundary equality q' = 0, by the equality rows it
+    implies, and drops the repeated pairs; it leaves a reduced program as
+    it is.  ``psd_blocks`` and ``eq_rows`` report the size of the program
+    actually solved.  ``z`` stays in the assembled program's variable
+    space, and the objective is that program's.
+    Non-finite program data, a failed KKT factorization or
+    eigendecomposition and diverged iterates end the solve with status
+    ``numerical_failure``.
+    """
+    settings = settings or SolverSettings()
+    t0 = time.perf_counter()
+    program = presolve(program)
+    n, m_eq = program.num_vars, program.a_eq.shape[0]
+    data = [program.objective, program.rhs, program.a_eq.data,
+            *(b.mat.data for b in program.blocks)]
+    if not all(np.isfinite(a).all() for a in data):
+        res = SolveResult(
+            status="numerical_failure", objective=math.nan,
+            primal_residual=math.inf, dual_residual=math.inf, iterations=0,
+            z=np.zeros(n), solve_time=0.0, psd_blocks=len(program.blocks),
+            eq_rows=m_eq, method="", message="non-finite program data")
+    else:
+        res = _interior_point(program, settings.max_iters) if n - m_eq <= IPM_MAX_FREE else None
+        if res is None or res.status != "optimal":
+            reason = res and f"interior point stopped: {res.message or res.status}"
+            res = _admm(program, settings.max_iters)
+            res.message = "; ".join(filter(None, [reason, res.message]))
+    res.solve_time = time.perf_counter() - t0
+    return res

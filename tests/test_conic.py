@@ -1,6 +1,8 @@
 import collections
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -413,6 +415,7 @@ def test_safeguard_rejections_are_counted(brownian, monkeypatch):
             resets.append(self.count)
             super().reset()
 
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
     monkeypatch.setattr(conic, "_Anderson", CountingAnderson)
     monkeypatch.setattr(conic, "AA_SAFEGUARD", 0.0)
     res = solve(assemble(brownian, "reduced", 8, 1, "min"))
@@ -423,6 +426,7 @@ def test_safeguard_rejections_are_counted(brownian, monkeypatch):
 
 
 def test_the_plain_map_converges_without_acceleration(brownian, monkeypatch):
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
     monkeypatch.setattr(conic, "AA_MEMORY", 0)
     res = solve(assemble(brownian, "reduced", 8, 1, "min"))
     assert res.status == "optimal" and res.aa_rejected == 0
@@ -454,6 +458,7 @@ def test_a_failed_kkt_factorization_is_reported(monkeypatch):
     def failing_splu(kkt):
         raise RuntimeError("Factor is exactly singular")
 
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
     monkeypatch.setattr(conic.spla, "splu", failing_splu)
     res = solve(one_variable_program())
     assert res.status == "numerical_failure"
@@ -462,6 +467,7 @@ def test_a_failed_kkt_factorization_is_reported(monkeypatch):
 
 
 def test_non_finite_iterates_stop_at_the_first_check(monkeypatch):
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
     monkeypatch.setattr(conic._SvecBlocks, "project",
                         lambda self, vec: np.full_like(vec, math.nan))
     res = solve(one_variable_program(), SolverSettings(max_iters=200))
@@ -474,11 +480,111 @@ def test_a_failed_eigendecomposition_is_reported(monkeypatch):
     def failing_eigh(mats):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     res = solve(one_variable_program())
     assert res.status == "numerical_failure"
     assert res.message.startswith("eigendecomposition failed")
     assert res.iterations == 1
+
+
+# ---------------------------------------------------------------------------
+# interior-point method
+# ---------------------------------------------------------------------------
+
+# E[tau^n] of Brownian motion from 1/2 on [0, 1], exact
+BROWNIAN_MOMENTS = {1: Fraction(1, 4), 2: Fraction(5, 48), 3: Fraction(61, 960),
+                    4: Fraction(277, 5376), 5: Fraction(50521, 967680),
+                    6: Fraction(540553, 8515584)}
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_brownian_reduced_k14_bounds_by_the_interior_point_method(
+        brownian, order, sense):
+    exact = float(BROWNIAN_MOMENTS[order])
+    res = solve(assemble(brownian, "reduced", 14, order, sense))
+    assert (res.status, res.method, res.message) == ("optimal", "ipm", "")
+    assert res.iterations <= 40
+    bound = res.objective * moment_unscale_factor(brownian, order)
+    assert abs(bound - exact) <= 1e-5 * exact
+    # one history entry per step; the last one met the stopping rule
+    assert [i for i, _ in res.residual_history] == list(range(1, res.iterations + 1))
+    assert res.residual_history[-1][1] <= conic.EPS_REL
+    assert max(res.primal_residual, res.dual_residual) <= conic.EPS_REL
+
+
+@pytest.mark.parametrize("K, order", [(6, 1), (6, 2), (6, 4), (10, 4)])
+def test_interior_point_brackets_the_bounds_admm_leaves_unconverged(
+        brownian, K, order):
+    """ADMM stops at 20,000 iterations on each "max" here."""
+    exact = float(BROWNIAN_MOMENTS[order])
+    bound = {}
+    for sense in ("min", "max"):
+        res = solve(assemble(brownian, "reduced", K, order, sense))
+        assert (res.status, res.method) == ("optimal", "ipm")
+        bound[sense] = res.objective * moment_unscale_factor(brownian, order)
+    assert bound["min"] <= exact * (1 + 1e-6)
+    assert bound["max"] >= exact * (1 - 1e-6)
+
+
+# ADMM's own stopping point on K=6 order-2 "min" is 1.5e-6 (relative) below
+# the interior-point optimum; with EPS_ABS = EPS_REL = 1e-8 it ends within
+# 8e-7 of it.  The "max" bounds of K=6 orders 1-2 and K=8 order 2 are left
+# out: ADMM does not reach them in 20,000 iterations.
+@pytest.mark.parametrize("K, order, sense, rel", [
+    (6, 1, "min", 1e-6), (6, 2, "min", 2e-6), (8, 1, "min", 1e-6),
+    (8, 1, "max", 1e-6), (8, 2, "min", 1e-6), (10, 1, "min", 1e-6),
+    (10, 1, "max", 1e-6), (10, 2, "min", 1e-6), (10, 2, "max", 1e-6)])
+def test_interior_point_agrees_with_admm(brownian, monkeypatch, K, order, sense, rel):
+    program = assemble(brownian, "reduced", K, order, sense)
+    ipm = solve(program)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    admm = solve(program)
+    assert (ipm.method, admm.method) == ("ipm", "admm")
+    assert ipm.status == admm.status == "optimal"
+    assert abs(ipm.objective - admm.objective) <= rel * abs(admm.objective)
+
+
+def test_a_nearly_singular_moment_matrix_raises_no_exception(brownian):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve(assemble(brownian, "reduced", 4, 2, "max"))
+    assert (res.status, res.method) == ("optimal", "ipm")
+
+
+def test_a_program_without_free_moments_is_solved_by_the_interior_point_method():
+    res = solve(one_variable_program())
+    assert (res.status, res.method) == ("optimal", "ipm")
+    assert abs(res.objective - 1.0) <= 1e-12
+
+
+def test_an_interior_point_breakdown_returns_the_admm_result(brownian, monkeypatch):
+    program = assemble(brownian, "reduced", 8, 1, "min")
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Schur matrix is singular")
+
+    monkeypatch.setattr(conic.sla, "cho_factor", singular)
+    res = solve(program)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    admm = solve(program)
+    assert res.message == ("interior point stopped: "
+                           "factorization failed: Schur matrix is singular")
+    assert admm.message == ""
+    for name in ("status", "objective", "primal_residual", "dual_residual",
+                 "iterations", "psd_blocks", "eq_rows", "method",
+                 "residual_history", "aa_rejected"):
+        assert getattr(res, name) == getattr(admm, name), name
+    assert np.array_equal(res.z, admm.z)
+
+
+def test_the_pendulum_stays_on_admm(pendulum):
+    program = assemble(pendulum, "reduced", 4, 1, "min")
+    presolved = presolve(program)
+    assert presolved.num_vars - presolved.a_eq.shape[0] > conic.IPM_MAX_FREE
+    res = solve(program, SolverSettings(max_iters=1))
+    assert (res.method, res.iterations, res.message) == ("admm", 1, "")
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +616,22 @@ def test_cli_reads_division_by_a_constant(capsys):
 
 
 def test_cli_prints_no_bound_for_an_unconverged_solve(capsys):
-    # 50 iterations leave the "max" iterate near 0.25 with status max_iters;
-    # its objective is no upper bound, so none is printed
+    # 5 iterations stop the interior-point method and then ADMM short of
+    # optimal, with status max_iters; the objective is no upper bound, so
+    # none is printed
     code = main(["--names", "y", "--drift", "0", "--diffusion", "1",
                  "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y",
-                 "--K", "8", "--sense", "max", "--max-iters", "50"])
+                 "--K", "8", "--sense", "max", "--max-iters", "5"])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert out["status"] == "max_iters" and out["iterations"] == 50
+    assert out["status"] == "max_iters" and out["iterations"] == 5
     assert out["bound"] is None
+
+
+def test_cli_prints_the_method(capsys):
+    main(["--names", "y", "--drift", "0", "--diffusion", "1", "--x0", "0.5",
+          "--horizon", "10", "--safe", "y", "1 - y", "--K", "8"])
+    assert json.loads(capsys.readouterr().out)["method"] == "ipm"
 
 
 # messages pinned for some of the bad inputs below
