@@ -45,11 +45,14 @@ Wolkowicz, SIAM J. Optim. 1996) and Mehrotra's predictor-corrector
 M_ij = sum_k tr(F_k,i Z_k F_k,j X_k^-1) is formed block by block and
 factored once per step for both directions, and each side steps
 ``IPM_STEP`` of the way to the boundary of its cone.  The stopping rule
-takes the relative gap <X, Z> / (1 + |primal| + |dual objective|), the
-moment-side residual |C + F(w) - X| / (1 + |C|) and the Z-side residual
-|q - F'(Z)| / (1 + |q|); the solve is ``optimal`` when all three are at
-most ``EPS_REL``, and it has stalled when the largest of the three has
-not halved in ``IPM_STALL`` steps.  ``primal_residual`` and
+takes the relative gap <X, Z> / max(|primal| + |dual objective|,
+``IPM_GAP_FLOOR``), the moment-side residual |C + F(w) - X| / (1 + |C|)
+and the Z-side residual |q - F'(Z)| / (1 + |q|); the solve is ``optimal``
+when all three are at most ``EPS_REL``, and it has stalled when the
+largest of the three has not halved in ``IPM_STALL`` steps.  The
+reported objective is the end of the primal/dual pair on the side of a
+bound, the lesser for "min" and the greater for "max": the moment-side
+value approaches a minimum from above.  ``primal_residual`` and
 ``dual_residual`` report the two residuals, and ``residual_history`` the
 largest of the three after every step.
 
@@ -128,24 +131,38 @@ CHECK_INTERVAL = 25
 # Largest num_vars - eq_rows of a presolved program that goes to the
 # interior-point method first.  Measured on order-1 "min" reduced programs,
 # 1 BLAS thread, as (num_vars - eq_rows: interior point, ADMM alone):
-# Brownian K=14 (67: 0.32 s / 23 steps, 0.76 s / 425 iterations); 2-D
-# Brownian motion in the unit disc, K=8 (320: 0.84 s / 20, 0.81 s / 600)
-# and in the box [-1, 1]^2, K=8 (450: 1.4 s / 29, 8.7 s / 3,775).  At
-# Brownian K=22 (99) the Z-side residual climbs from 3.5e-9 to 1e-6 after
-# step 22 and the stall test hands over to ADMM: 15.0 s in all, against
-# 12.6 s for ADMM alone.  The pendulum stays above the cutoff: 941 at
-# reduced K=4 and 2,106 at K=6.
+# Brownian K=14 (67: 0.26 s / 23 steps, 0.8 s / 425 iterations) and 2-D
+# Brownian motion in the box [-1, 1]^2, K=8 (450: 1.4 s / 30, 8.7 s /
+# 3,775; ``test_brownian_motion_in_a_box_is_solved_by_the_interior_point_method``).
+# The free-moment count alone does not predict which method wins: in the
+# unit disc, K=8 (320), the Schur matrix stops being positive definite at
+# step 21 and the fallback takes 1.2 s against 1.0 s / 600 for ADMM alone;
+# at Brownian K=22 (99) the Z-side residual climbs from 3.5e-9 to 1e-6
+# after step 22 and the stall test hands over to ADMM: 14.3 s in all,
+# against 12.6 s.  The benchmark sees only the two ends, 67 free moments
+# (Brownian) and 941 or more: the pendulum stays above the cutoff, with 941
+# at reduced K=4 and 2,106 at K=6.
 IPM_MAX_FREE = 500
+# Least |primal| + |dual| objective against which the interior-point gap is
+# measured: the solve stops when <X, Z> <= EPS_REL max(|primal| + |dual|,
+# IPM_GAP_FLOOR).  The reported bound is the end of the primal/dual pair on
+# the side of a bound, so its distance from the other end is this gap.  On
+# the 13 benchmark bounds, as (floor: steps, worst relative error against
+# the exact moments): 1 -> 295, 2.9e-5 (reduced K=14 order-6 "min", whose
+# objective is 0.002); 0.1 -> 308, 6.2e-6; 0.01 -> 318, 5.3e-6.  The floor
+# is what ends a solve whose optimum is 0: at 0.001, reduced K=4 order-4
+# "min" keeps a gap as large as |primal| + |dual| for 5 steps and stalls.
+IPM_GAP_FLOOR = 0.1
 # Fraction of the way to the boundary of its cone that each side steps.
 # Interior-point steps on the 13 benchmark bounds / on 24 other Brownian
 # bounds (reduced K=4-10, orders 1, 2 and 4, both senses), all ending
-# optimal: 0.8 -> 311 / 513, 0.85 -> 295 / 469, 0.9 -> 294 / 436,
-# 0.95 -> 330 / 418; at 0.98 only 1 of the 13 and 12 of the 24 do.
+# optimal: 0.8 -> 333 / 543, 0.85 -> 320 / 500, 0.9 -> 308 / 461; at 0.95
+# only 10 of the 13 and 20 of the 24 do, at 0.98 only 1 and 8.
 IPM_STEP = 0.9
 # Steps within which the largest of the relative gap and residuals must
 # at least halve, or the interior-point solve has stalled.  On those 37
-# solves it shrank at least 7.7-fold over every 5 steps (at IPM_STEP 0.8
-# to 0.95).
+# solves it shrank at least 3.6-fold over every 5 steps (at IPM_STEP 0.8
+# to 0.9).
 IPM_STALL = 5
 
 
@@ -384,20 +401,15 @@ def _free_moments(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray):
     return z0, null @ (vec[:, keep] / np.sqrt(lam[keep]))
 
 
-def _step_to_boundary(factors: list, steps: list) -> float:
+def _step_to_boundary(factors: list, steps: list, spans: list) -> float:
     """The largest alpha with every X_k + alpha steps[k] PSD (inf when no
     step leaves the cone), given factors[k] = L_k^-1 for X_k = L_k L_k'.
-    One stacked eigendecomposition per block dimension."""
-    by_dim = {}
-    for f, step in zip(factors, steps):
-        by_dim.setdefault(len(f), []).append(f @ step @ f.T)
-    low = min((np.linalg.eigvalsh(np.stack(mats))[:, 0].min() for mats in by_dim.values()),
-              default=0.0)
+    One stacked eigendecomposition per slice of ``spans``, the runs of
+    blocks of one dimension."""
+    low = min((np.linalg.eigvalsh(np.stack([f @ step @ f.T for f, step
+                                            in zip(factors[k], steps[k])]))[:, 0].min()
+               for k in spans), default=0.0)
     return -1.0 / low if low < 0 else math.inf
-
-
-def _symmetric_part(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.T) / 2
 
 
 def _inverse_factor(mat: np.ndarray) -> np.ndarray:
@@ -444,9 +456,11 @@ def _interior_point(program: ConicProgram, max_iters: int) -> SolveResult:
     """HKM primal-dual interior-point method with Mehrotra's corrector on
     the presolved program, as the module docstring describes.  Statuses
     other than ``optimal`` carry the stop reason in ``message``."""
-    c = (-1.0 if program.sense == "max" else 1.0) * program.objective.astype(float)
+    sign = -1.0 if program.sense == "max" else 1.0
+    c = sign * program.objective.astype(float)
     blocks = _SvecBlocks(program)
     z = np.zeros(program.num_vars)
+    objective = math.nan
     it = 0
     history = []
     r_x = r_z = math.inf
@@ -456,12 +470,17 @@ def _interior_point(program: ConicProgram, max_iters: int) -> SolveResult:
             z0, basis = _free_moments(program, blocks, c)
             q = basis.T @ c
             offset = float(c @ z0)
-            # svec -> flat d x d gather, the flat positions of the upper
-            # entries and of their transposes, and the weights with which
-            # <F, Y> = sum F_upper (Y_upper + Y_lower) half
-            geometry = {d: (full, upper, upper % d * d + upper // d, scale ** 2 / 2)
-                        for d, _, scale, full, upper in blocks.groups}
-            lmi = [_LmiBlock(b, z0, basis, *geometry[b.dim]) for b in program.blocks]
+            # the blocks group by dimension, in the order of blocks.groups;
+            # each group shares the svec -> flat d x d gather, the flat
+            # positions of the upper entries and of their transposes, and
+            # the weights with which <F, Y> = sum F_upper (Y_upper + Y_lower) half
+            lmi, spans = [], []
+            for d, _, scale, full, upper in blocks.groups:
+                lower, half = upper % d * d + upper // d, scale ** 2 / 2
+                start = len(lmi)
+                lmi += [_LmiBlock(b, z0, basis, full, upper, lower, half)
+                        for b in program.blocks if b.dim == d]
+                spans.append(slice(start, len(lmi)))
             nu = sum(blk.dim for blk in lmi)
             norm_c = math.sqrt(sum(float(np.vdot(blk.const, blk.const)) for blk in lmi))
             norm_q = float(np.linalg.norm(q))
@@ -479,7 +498,7 @@ def _interior_point(program: ConicProgram, max_iters: int) -> SolveResult:
                 dual = offset - sum(float(np.vdot(blk.const, zk)) for blk, zk in zip(lmi, zs))
                 r_x = math.sqrt(sum(float(np.vdot(r, r)) for r in r_p)) / (1 + norm_c)
                 r_z = float(np.linalg.norm(r_d)) / (1 + norm_q)
-                merit = max(gap / (1 + abs(primal) + abs(dual)), r_x, r_z)
+                merit = max(gap / max(abs(primal) + abs(dual), IPM_GAP_FLOOR), r_x, r_z)
                 if not math.isfinite(merit):
                     raise _Failure("non-finite iterates")
                 if it:
@@ -509,25 +528,26 @@ def _interior_point(program: ConicProgram, max_iters: int) -> SolveResult:
                         rhs = rhs + blk.adjoint(rck - zk @ r @ x_inv)
                     dw = sla.cho_solve(factor, rhs)
                     dxs = [blk.matrix(blk.coef.T @ dw) + r for blk, r in zip(lmi, r_p)]
-                    return dw, dxs, [_symmetric_part(rck - zk @ dx @ x_inv)
-                                     for rck, zk, dx, x_inv in zip(rc, zs, dxs, x_invs)]
+                    dzs = [rck - zk @ dx @ x_inv for rck, zk, dx, x_inv in zip(rc, zs, dxs, x_invs)]
+                    return dw, dxs, [(dz + dz.T) / 2 for dz in dzs]
 
                 # predictor (sigma = 0), then Mehrotra's corrector
                 mu = gap / nu
                 dw, dxs, dzs = direction([-zk for zk in zs])
-                a_p = min(1.0, _step_to_boundary(x_factors, dxs))
-                a_d = min(1.0, _step_to_boundary(z_factors, dzs))
+                a_p = min(1.0, _step_to_boundary(x_factors, dxs, spans))
+                a_d = min(1.0, _step_to_boundary(z_factors, dzs, spans))
                 mu_aff = sum(float(np.vdot(x + a_p * dx, zk + a_d * dz))
                              for x, zk, dx, dz in zip(xs, zs, dxs, dzs)) / nu
                 sigma = min(1.0, (mu_aff / mu) ** 3)
                 dw, dxs, dzs = direction([sigma * mu * x_inv - zk - dz @ dx @ x_inv
                                           for x_inv, zk, dx, dz in zip(x_invs, zs, dxs, dzs)])
-                a_p = min(1.0, IPM_STEP * _step_to_boundary(x_factors, dxs))
-                a_d = min(1.0, IPM_STEP * _step_to_boundary(z_factors, dzs))
+                a_p = min(1.0, IPM_STEP * _step_to_boundary(x_factors, dxs, spans))
+                a_d = min(1.0, IPM_STEP * _step_to_boundary(z_factors, dzs, spans))
                 w = w + a_p * dw
                 xs = [x + a_p * dx for x, dx in zip(xs, dxs)]
                 zs = [zk + a_d * dz for zk, dz in zip(zs, dzs)]
             z = z0 + basis @ w
+            objective = sign * min(primal, dual)
     except _Failure as exc:
         status, message = "numerical_failure", str(exc)
     except np.linalg.LinAlgError as exc:
@@ -537,7 +557,7 @@ def _interior_point(program: ConicProgram, max_iters: int) -> SolveResult:
 
     return SolveResult(
         status=status,
-        objective=math.nan if message else float(program.objective @ z),
+        objective=objective,
         primal_residual=r_x,
         dual_residual=r_z,
         iterations=it,
@@ -632,7 +652,6 @@ def _admm(program: ConicProgram, max_iters: int) -> SolveResult:
     except np.linalg.LinAlgError as exc:
         status, message = "numerical_failure", f"eigendecomposition failed: {exc}"
 
-
     return SolveResult(
         status=status,
         objective=math.nan if message else float(program.objective @ z),
@@ -662,7 +681,9 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     implies, and drops the repeated pairs; it leaves a reduced program as
     it is.  ``psd_blocks`` and ``eq_rows`` report the size of the program
     actually solved.  ``z`` stays in the assembled program's variable
-    space, and the objective is that program's.
+    space, and the objective is that program's: ADMM's is its value at
+    ``z``, the interior-point method's the end of the primal/dual pair on
+    the side of a bound.
     Non-finite program data, a failed KKT factorization or
     eigendecomposition and diverged iterates end the solve with status
     ``numerical_failure``.

@@ -356,7 +356,8 @@ def test_presolve_merges_repeats_and_closes_each_pair_once():
 
 
 @pytest.mark.parametrize("sense", ["min", "max"])
-def test_brownian_reduced_k8_order1_reaches_a_quarter(brownian, sense):
+def test_brownian_reduced_k8_order1_reaches_a_quarter(brownian, sense, monkeypatch):
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
     res = solve(assemble(brownian, "reduced", 8, 1, sense))
     assert res.status == "optimal"
     bound = res.objective * moment_unscale_factor(brownian, 1)
@@ -372,7 +373,8 @@ def test_brownian_reduced_k8_order1_reaches_a_quarter(brownian, sense):
                          ids=["order1", "order2"])
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_brownian_reduced_k10_bounds_within_a_thousand_iterations(
-        brownian, order, exact, sense):
+        brownian, order, exact, sense, monkeypatch):
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
     res = solve(assemble(brownian, "reduced", 10, order, sense))
     assert res.status == "optimal"
     bound = res.objective * moment_unscale_factor(brownian, order)
@@ -380,10 +382,12 @@ def test_brownian_reduced_k10_bounds_within_a_thousand_iterations(
     assert res.iterations <= 1000
 
 
-def test_brownian_reduced_k14_order6_max_within_a_thousand_iterations(brownian):
+def test_brownian_reduced_k14_order6_max_within_a_thousand_iterations(
+        brownian, monkeypatch):
     """The dual residual |G'f| of one map step stops this solve at 625
     iterations; a residual that measured the jump between consecutive
     (Anderson-extrapolated) map inputs held it to 1,875."""
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
     exact = 540553 / 8515584
     res = solve(assemble(brownian, "reduced", 14, 6, "max"))
     assert res.status == "optimal"
@@ -392,7 +396,8 @@ def test_brownian_reduced_k14_order6_max_within_a_thousand_iterations(brownian):
     assert res.iterations <= 1000
 
 
-def test_original_variant_solves_the_reduced_program(brownian):
+def test_original_variant_solves_the_reduced_program(brownian, monkeypatch):
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
     original = assemble(brownian, "original", 8, 1, "min")
     res = solve(original)
     assert res.status == "optimal"
@@ -502,12 +507,14 @@ BROWNIAN_MOMENTS = {1: Fraction(1, 4), 2: Fraction(5, 48), 3: Fraction(61, 960),
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_brownian_reduced_k14_bounds_by_the_interior_point_method(
         brownian, order, sense):
-    exact = float(BROWNIAN_MOMENTS[order])
+    exact = BROWNIAN_MOMENTS[order]
     res = solve(assemble(brownian, "reduced", 14, order, sense))
     assert (res.status, res.method, res.message) == ("optimal", "ipm", "")
     assert res.iterations <= 40
     bound = res.objective * moment_unscale_factor(brownian, order)
-    assert abs(bound - exact) <= 1e-5 * exact
+    assert abs(bound - float(exact)) <= 1e-5 * float(exact)
+    # the reported end of the primal/dual pair lies on the side of a bound
+    assert Fraction(bound) <= exact if sense == "min" else Fraction(bound) >= exact
     # one history entry per step; the last one met the stopping rule
     assert [i for i, _ in res.residual_history] == list(range(1, res.iterations + 1))
     assert res.residual_history[-1][1] <= conic.EPS_REL
@@ -518,14 +525,19 @@ def test_brownian_reduced_k14_bounds_by_the_interior_point_method(
 def test_interior_point_brackets_the_bounds_admm_leaves_unconverged(
         brownian, K, order):
     """ADMM stops at 20,000 iterations on each "max" here."""
-    exact = float(BROWNIAN_MOMENTS[order])
     bound = {}
     for sense in ("min", "max"):
         res = solve(assemble(brownian, "reduced", K, order, sense))
         assert (res.status, res.method) == ("optimal", "ipm")
-        bound[sense] = res.objective * moment_unscale_factor(brownian, order)
-    assert bound["min"] <= exact * (1 + 1e-6)
-    assert bound["max"] >= exact * (1 - 1e-6)
+        bound[sense] = Fraction(res.objective * moment_unscale_factor(brownian, order))
+    assert bound["min"] <= BROWNIAN_MOMENTS[order] <= bound["max"]
+
+
+def test_original_variant_min_by_the_interior_point_method_is_below_a_quarter(brownian):
+    res = solve(assemble(brownian, "original", 8, 1, "min"))
+    assert (res.status, res.method) == ("optimal", "ipm")
+    assert res.objective < 0.25
+    assert 0.25 - res.objective <= 1e-6
 
 
 # ADMM's own stopping point on K=6 order-2 "min" is 1.5e-6 (relative) below
@@ -556,7 +568,10 @@ def test_a_nearly_singular_moment_matrix_raises_no_exception(brownian):
 def test_a_program_without_free_moments_is_solved_by_the_interior_point_method():
     res = solve(one_variable_program())
     assert (res.status, res.method) == ("optimal", "ipm")
-    assert abs(res.objective - 1.0) <= 1e-12
+    assert np.array_equal(res.z, [1.0])
+    # the reported "min" is the dual end, within the stopping gap
+    # EPS_REL (|primal| + |dual|) below the exact minimum 1
+    assert 1.0 - 2 * conic.EPS_REL <= res.objective <= 1.0
 
 
 def test_an_interior_point_breakdown_returns_the_admm_result(brownian, monkeypatch):
@@ -577,6 +592,19 @@ def test_an_interior_point_breakdown_returns_the_admm_result(brownian, monkeypat
                  "residual_history", "aa_rejected"):
         assert getattr(res, name) == getattr(admm, name), name
     assert np.array_equal(res.z, admm.z)
+
+
+def test_brownian_motion_in_a_box_is_solved_by_the_interior_point_method():
+    """The IPM_MAX_FREE regime point with the most free moments: ADMM
+    alone takes 3,775 iterations here."""
+    model = scale_model(augment(SdeModel.from_strings(
+        ["x", "y"], ["0", "0"], [["1", "0"], ["0", "1"]], [0.2, 0.1], 10.0,
+        ["x + 1", "1 - x", "y + 1", "1 - y"])))
+    program = assemble(model, "reduced", 8, 1, "min")
+    assert program.num_vars - program.a_eq.shape[0] == 450
+    res = solve(program)
+    assert (res.status, res.method) == ("optimal", "ipm")
+    assert res.iterations <= 40
 
 
 def test_the_pendulum_stays_on_admm(pendulum):
