@@ -36,25 +36,31 @@ matrix singular; the eigendecomposition of the Gram matrix
 sum_k (G_k N)'(G_k N) keeps the others, scaled so that the stacked block
 images are orthonormal: z = z0 + W w, W = N Q diag(lambda)^-1/2.  What
 remains is the LMI  X_k = C_k + sum_i w_i F_k,i >= 0  with objective q'w
-and the dual  Z_k >= 0,  sum_k <F_k,i, Z_k> = q_i.  Each block keeps C_k
-and its coefficients F_k once, as a (p, svec) array of upper-triangle
-entries.  The iteration is the infeasible-start primal-dual path
-following method with the HKM direction (Helmberg, Rendl, Vanderbei &
-Wolkowicz, SIAM J. Optim. 1996) and Mehrotra's predictor-corrector
-(SIAM J. Optim. 1992): the dense p x p Schur matrix
-M_ij = sum_k tr(F_k,i Z_k F_k,j X_k^-1) is formed block by block and
-factored once per step for both directions, and each side steps
-``IPM_STEP`` of the way to the boundary of its cone.  The stopping rule
-takes the relative gap <X, Z> / max(|primal| + |dual objective|,
-``IPM_GAP_FLOOR``), the moment-side residual |C + F(w) - X| / (1 + |C|)
-and the Z-side residual |q - F'(Z)| / (1 + |q|); the solve is ``optimal``
-when all three are at most ``EPS_REL``, and it has stalled when the
-largest of the three has not halved in ``IPM_STALL`` steps.  The
-reported objective is the end of the primal/dual pair on the side of a
-bound, the lesser for "min" and the greater for "max": the moment-side
-value approaches a minimum from above.  ``primal_residual`` and
-``dual_residual`` report the two residuals, and ``residual_history`` the
-largest of the three after every step.
+and the dual  Z_k >= 0,  sum_k <F_k,i, Z_k> = q_i.  Blocks of one
+dimension form a stacked group (an assembled program has one: its blocks
+share the moment basis of degree K/2) that keeps the F_k,i once, as an
+(n_blocks, p, svec) array of upper-triangle entries, and X, Z, their
+factors and the directions as (n_blocks, d, d) arrays, so a Cholesky
+factorization or step-length eigendecomposition is one call per group.
+The iteration is the infeasible-start primal-dual path following method
+with the HKM direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J.
+Optim. 1996) and Mehrotra's predictor-corrector (SIAM J. Optim. 1992).
+The p x p Schur matrix M_ij = sum_k tr(F_k,i Z_k F_k,j X_k^-1) is the
+Gram matrix sum_k G_k G_k' of the images G_k,i = L_k^-1 F_k,i R_k, with
+X_k = L_k L_k' and Z_k = R_k R_k': PSD by construction, at about
+d^3 p + p^2 d^2 / 2 multiply-adds per block.  M is factored once per
+step for both directions, and each side steps ``IPM_STEP`` of the way to
+the boundary of its cone.  The stopping rule takes the relative gap
+<X, Z> / max(|primal| + |dual objective|, ``IPM_GAP_FLOOR``), the
+moment-side residual |C + F(w) - X| / (1 + |C|) and the Z-side residual
+|q - F'(Z)| / (1 + |q|); the solve is ``optimal`` when all three are at
+most ``EPS_REL``, and it has stalled when the largest of the three has
+not halved in ``IPM_STALL`` steps.  The reported objective is the end of
+the primal/dual pair on the side of a bound, the lesser for "min" and
+the greater for "max": the moment-side value approaches a minimum from
+above.  ``primal_residual`` and ``dual_residual`` report the two
+residuals, and ``residual_history`` the largest of the three after
+every step.
 
 ADMM runs on the primal cone form, written as one Douglas-Rachford map
 on one vector v of the scaled svec space of the PSD blocks (the form the
@@ -131,17 +137,16 @@ CHECK_INTERVAL = 25
 # Largest num_vars - eq_rows of a presolved program that goes to the
 # interior-point method first.  Measured on order-1 "min" reduced programs,
 # 1 BLAS thread, as (num_vars - eq_rows: interior point, ADMM alone):
-# Brownian K=14 (67: 0.26 s / 23 steps, 0.8 s / 425 iterations) and 2-D
-# Brownian motion in the box [-1, 1]^2, K=8 (450: 1.4 s / 30, 8.7 s /
-# 3,775; ``test_brownian_motion_in_a_box_is_solved_by_the_interior_point_method``).
-# The free-moment count alone does not predict which method wins: in the
-# unit disc, K=8 (320), the Schur matrix stops being positive definite at
-# step 21 and the fallback takes 1.2 s against 1.0 s / 600 for ADMM alone;
-# at Brownian K=22 (99) the Z-side residual climbs from 3.5e-9 to 1e-6
-# after step 22 and the stall test hands over to ADMM: 14.3 s in all,
-# against 12.6 s.  The benchmark sees only the two ends, 67 free moments
-# (Brownian) and 941 or more: the pendulum stays above the cutoff, with 941
-# at reduced K=4 and 2,106 at K=6.
+# Brownian K=14 (67: 0.29 s / 23 steps, 0.84 s / 425 iterations), 2-D
+# Brownian motion in the box [-1, 1]^2, K=8 (450: 1.3 s / 30, 9.3 s /
+# 3,775) and in the unit disc, K=8 (320: 0.6 s / 21, 1.1 s / 600); see
+# ``test_brownian_motion_in_a_box_is_solved_by_the_interior_point_method``
+# and ``..._in_a_disc_...``.  The free-moment count alone does not predict
+# which method wins: at Brownian K=22 (99) the Z-side residual climbs from
+# 3.5e-9 to 1e-6 after step 22, and the stall test hands over to ADMM at
+# step 30, which adds 1.7 s to the 12 s of ADMM alone.  The benchmark sees
+# only the two ends, 67 free moments (Brownian) and 941 or more: the
+# pendulum stays above the cutoff, with 941 at reduced K=4 and 2,106 at K=6.
 IPM_MAX_FREE = 500
 # Least |primal| + |dual| objective against which the interior-point gap is
 # measured: the solve stops when <X, Z> <= EPS_REL max(|primal| + |dual|,
@@ -401,55 +406,59 @@ def _free_moments(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray):
     return z0, null @ (vec[:, keep] / np.sqrt(lam[keep]))
 
 
-def _step_to_boundary(factors: list, steps: list, spans: list) -> float:
-    """The largest alpha with every X_k + alpha steps[k] PSD (inf when no
-    step leaves the cone), given factors[k] = L_k^-1 for X_k = L_k L_k'.
-    One stacked eigendecomposition per slice of ``spans``, the runs of
-    blocks of one dimension."""
-    low = min((np.linalg.eigvalsh(np.stack([f @ step @ f.T for f, step
-                                            in zip(factors[k], steps[k])]))[:, 0].min()
-               for k in spans), default=0.0)
+def _step_to_boundary(inv_factors: list, steps: list) -> float:
+    """The largest alpha with every X_k + alpha step_k PSD (inf if no step
+    leaves the cone), given L_k^-1 for X_k = L_k L_k'; one eigvalsh per group."""
+    low = min((np.linalg.eigvalsh(f @ step @ f.transpose(0, 2, 1))[:, 0].min()
+               for f, step in zip(inv_factors, steps)), default=0.0)
     return -1.0 / low if low < 0 else math.inf
 
 
-def _inverse_factor(mat: np.ndarray) -> np.ndarray:
-    """L^-1 for the Cholesky factor L of a positive definite matrix."""
-    return sla.solve_triangular(np.linalg.cholesky(mat), np.eye(len(mat)), lower=True)
+def _factors(mats: np.ndarray) -> tuple:
+    """Cholesky factors L of stacked positive definite matrices, and L^-1."""
+    low = np.linalg.cholesky(mats)
+    return low, np.stack([sla.lapack.dtrtri(f, lower=1)[0] for f in low])
 
 
-class _LmiBlock:
-    """One block X = C + sum_i w_i F_i of the interior-point LMI.  ``coef``
-    holds the rows F_i once, as the (p, svec) array of their upper-triangle
-    entries (unscaled, in ``np.triu_indices`` order); ``const`` is C as a
-    d x d matrix."""
+class _LmiGroup:
+    """The blocks X_k = C_k + sum_i w_i F_k,i of one dimension d, stacked:
+    ``coef`` holds the F_k,i once, as the (n_blocks, p, svec) array of their
+    upper-triangle entries (unscaled, in ``np.triu_indices`` order), and
+    ``const`` the C_k as an (n_blocks, d, d) array."""
 
-    def __init__(self, block, z0: np.ndarray, basis: np.ndarray, full: np.ndarray,
-                 upper: np.ndarray, lower: np.ndarray, half: np.ndarray):
-        self.dim = block.dim
-        self.full, self.upper, self.lower, self.half = full, upper, lower, half
-        self.coef = np.ascontiguousarray((block.mat @ basis).T)
-        self.const = self.matrix(block.mat @ z0)
+    def __init__(self, blocks: list, z0: np.ndarray, basis: np.ndarray,
+                 full: np.ndarray, upper: np.ndarray, scale: np.ndarray):
+        d, p, s = blocks[0].dim, basis.shape[1], upper.size
+        self.dim, self.full, self.upper, self.half = d, full, upper, scale ** 2 / 2
+        self.coef = np.empty((len(blocks), p, s))
+        for coef, block in zip(self.coef, blocks):
+            coef[...] = (block.mat @ basis).T
+        self.const = self.matrix(np.stack([block.mat @ z0 for block in blocks]))
+        # gather[y, i, x] is where one block's flat coef holds F_i[x, y]: x is
+        # the fastest axis and y the slowest, the two that ``schur`` acts on
+        self.gather = full.reshape(d, 1, d) + s * np.arange(p)[:, None]
 
     def matrix(self, entries: np.ndarray) -> np.ndarray:
-        """The symmetric d x d matrix with these upper-triangle entries."""
-        return entries[self.full].reshape(self.dim, self.dim)
+        """The symmetric matrices with these rows of upper-triangle entries."""
+        return np.take(entries, self.full, axis=1).reshape(-1, self.dim, self.dim)
 
-    def adjoint(self, mat: np.ndarray) -> np.ndarray:
-        """<F_i, mat> for every i; mat need not be symmetric."""
-        flat = mat.reshape(-1)
-        return self.coef @ ((flat[self.upper] + flat[self.lower]) * self.half)
+    def adjoint(self, mats: np.ndarray) -> np.ndarray:
+        """sum_k <F_k,i, mats[k]> for every i; mats need not be symmetric."""
+        both = (mats + mats.transpose(0, 2, 1)).reshape(len(mats), -1)[:, self.upper]
+        return np.matmul(self.coef, (both * self.half)[..., None]).sum(axis=0)[:, 0]
 
-    def add_schur(self, schur: np.ndarray, z: np.ndarray, x_inv: np.ndarray):
-        """Add tr(F_i Z F_j X^-1) to schur[i, j], over batches of rows i
-        whose (rows, d, d) temporaries hold at most 2^13 entries (64 KB)."""
-        d = self.dim
-        rows = max(1, 2 ** 13 // (d * d))
-        for lo in range(0, len(self.coef), rows):
-            part = np.take(self.coef[lo:lo + rows], self.full, axis=1).reshape(-1, d, d)
-            np.matmul(z @ part, x_inv, out=part)
-            part = part.reshape(-1, d * d)
-            schur[lo:lo + rows] += (
-                (part[:, self.upper] + part[:, self.lower]) * self.half) @ self.coef.T
+    def schur(self, x_inv_factors: np.ndarray, z_lows: np.ndarray) -> np.ndarray:
+        """sum_k tr(F_k,i Z_k F_k,j X_k^-1) for every i, j: the Gram matrix of
+        G_k,i = L_k^-1 F_k,i R_k (X_k = L_k L_k', Z_k = R_k R_k')."""
+        d, p = self.dim, self.coef.shape[1]
+        gram = np.zeros((p, p))
+        for coef, left, right in zip(self.coef, x_inv_factors, z_lows):
+            image = np.take(coef, self.gather)
+            sla.blas.dtrmm(1.0, left, image.reshape(d * p, d).T, lower=1, overwrite_b=1)
+            sla.blas.dtrmm(1.0, right, image.reshape(d, p * d).T, side=1, lower=1, overwrite_b=1)
+            image = image.transpose(1, 0, 2).reshape(p, d * d)
+            gram += image @ image.T
+        return gram
 
 
 def _interior_point(program: ConicProgram, max_iters: int) -> SolveResult:
@@ -470,32 +479,25 @@ def _interior_point(program: ConicProgram, max_iters: int) -> SolveResult:
             z0, basis = _free_moments(program, blocks, c)
             q = basis.T @ c
             offset = float(c @ z0)
-            # the blocks group by dimension, in the order of blocks.groups;
-            # each group shares the svec -> flat d x d gather, the flat
-            # positions of the upper entries and of their transposes, and
-            # the weights with which <F, Y> = sum F_upper (Y_upper + Y_lower) half
-            lmi, spans = [], []
-            for d, _, scale, full, upper in blocks.groups:
-                lower, half = upper % d * d + upper // d, scale ** 2 / 2
-                start = len(lmi)
-                lmi += [_LmiBlock(b, z0, basis, full, upper, lower, half)
-                        for b in program.blocks if b.dim == d]
-                spans.append(slice(start, len(lmi)))
-            nu = sum(blk.dim for blk in lmi)
-            norm_c = math.sqrt(sum(float(np.vdot(blk.const, blk.const)) for blk in lmi))
+            # X, Z, their factors and the directions: one array per group
+            groups = [_LmiGroup([b for b in program.blocks if b.dim == d],
+                                z0, basis, full, upper, scale)
+                      for d, _, scale, full, upper in blocks.groups]
+            nu = sum(b.dim for b in program.blocks)
+            norm_c = math.sqrt(sum(float(np.vdot(g.const, g.const)) for g in groups))
             norm_q = float(np.linalg.norm(q))
-            xs = [max(10.0, norm_c) * np.eye(blk.dim) for blk in lmi]
-            zs = [max(10.0, norm_q) * np.eye(blk.dim) for blk in lmi]
+            xs = [max(10.0, norm_c) * np.ones_like(g.const) * np.eye(g.dim) for g in groups]
+            zs = [max(10.0, norm_q) * np.ones_like(g.const) * np.eye(g.dim) for g in groups]
             w = np.zeros(q.size)
 
             while True:
                 # moment-side residual C + F(w) - X, Z-side residual
                 # q - F'(Z), gap <X, Z>
-                r_p = [blk.const + blk.matrix(blk.coef.T @ w) - x for blk, x in zip(lmi, xs)]
-                r_d = q - sum((blk.adjoint(zk) for blk, zk in zip(lmi, zs)), np.zeros(q.size))
+                r_p = [g.const + g.matrix(w @ g.coef) - x for g, x in zip(groups, xs)]
+                r_d = q - sum(g.adjoint(zk) for g, zk in zip(groups, zs))
                 gap = sum(float(np.vdot(x, zk)) for x, zk in zip(xs, zs))
                 primal = offset + float(q @ w)
-                dual = offset - sum(float(np.vdot(blk.const, zk)) for blk, zk in zip(lmi, zs))
+                dual = offset - sum(float(np.vdot(g.const, zk)) for g, zk in zip(groups, zs))
                 r_x = math.sqrt(sum(float(np.vdot(r, r)) for r in r_p)) / (1 + norm_c)
                 r_z = float(np.linalg.norm(r_d)) / (1 + norm_q)
                 merit = max(gap / max(abs(primal) + abs(dual), IPM_GAP_FLOOR), r_x, r_z)
@@ -512,37 +514,35 @@ def _interior_point(program: ConicProgram, max_iters: int) -> SolveResult:
                     raise _Failure(f"no progress in {IPM_STALL} steps")
                 it += 1
 
-                x_factors = [_inverse_factor(x) for x in xs]
-                z_factors = [_inverse_factor(zk) for zk in zs]
-                x_invs = [f.T @ f for f in x_factors]
-                schur = np.zeros((q.size, q.size))
-                for blk, zk, x_inv in zip(lmi, zs, x_invs):
-                    blk.add_schur(schur, zk, x_inv)
+                x_inv_factors = [_factors(x)[1] for x in xs]
+                z_lows, z_inv_factors = zip(*map(_factors, zs))
+                x_invs = [f.transpose(0, 2, 1) @ f for f in x_inv_factors]
+                schur = sum(g.schur(f, r) for g, f, r in zip(groups, x_inv_factors, z_lows))
                 factor = sla.cho_factor(schur)
 
                 def direction(rc):
                     """The Newton step whose complementarity right-hand side
-                    is rc[k] (in place of sigma mu X^-1 - Z)."""
+                    is rc[g] (in place of sigma mu X^-1 - Z)."""
                     rhs = -r_d
-                    for blk, zk, x_inv, r, rck in zip(lmi, zs, x_invs, r_p, rc):
-                        rhs = rhs + blk.adjoint(rck - zk @ r @ x_inv)
+                    for g, zk, x_inv, r, rck in zip(groups, zs, x_invs, r_p, rc):
+                        rhs = rhs + g.adjoint(rck - zk @ r @ x_inv)
                     dw = sla.cho_solve(factor, rhs)
-                    dxs = [blk.matrix(blk.coef.T @ dw) + r for blk, r in zip(lmi, r_p)]
+                    dxs = [g.matrix(dw @ g.coef) + r for g, r in zip(groups, r_p)]
                     dzs = [rck - zk @ dx @ x_inv for rck, zk, dx, x_inv in zip(rc, zs, dxs, x_invs)]
-                    return dw, dxs, [(dz + dz.T) / 2 for dz in dzs]
+                    return dw, dxs, [(dz + dz.transpose(0, 2, 1)) / 2 for dz in dzs]
 
                 # predictor (sigma = 0), then Mehrotra's corrector
                 mu = gap / nu
                 dw, dxs, dzs = direction([-zk for zk in zs])
-                a_p = min(1.0, _step_to_boundary(x_factors, dxs, spans))
-                a_d = min(1.0, _step_to_boundary(z_factors, dzs, spans))
+                a_p = min(1.0, _step_to_boundary(x_inv_factors, dxs))
+                a_d = min(1.0, _step_to_boundary(z_inv_factors, dzs))
                 mu_aff = sum(float(np.vdot(x + a_p * dx, zk + a_d * dz))
                              for x, zk, dx, dz in zip(xs, zs, dxs, dzs)) / nu
                 sigma = min(1.0, (mu_aff / mu) ** 3)
                 dw, dxs, dzs = direction([sigma * mu * x_inv - zk - dz @ dx @ x_inv
                                           for x_inv, zk, dx, dz in zip(x_invs, zs, dxs, dzs)])
-                a_p = min(1.0, IPM_STEP * _step_to_boundary(x_factors, dxs, spans))
-                a_d = min(1.0, IPM_STEP * _step_to_boundary(z_factors, dzs, spans))
+                a_p = min(1.0, IPM_STEP * _step_to_boundary(x_inv_factors, dxs))
+                a_d = min(1.0, IPM_STEP * _step_to_boundary(z_inv_factors, dzs))
                 w = w + a_p * dw
                 xs = [x + a_p * dx for x, dx in zip(xs, dxs)]
                 zs = [zk + a_d * dz for zk, dz in zip(zs, dzs)]

@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -605,6 +606,95 @@ def test_brownian_motion_in_a_box_is_solved_by_the_interior_point_method():
     res = solve(program)
     assert (res.status, res.method) == ("optimal", "ipm")
     assert res.iterations <= 40
+
+
+def test_brownian_motion_in_a_disc_is_solved_by_the_interior_point_method():
+    """320 free moments; E[tau] from (0.2, 0.1) is (1 - 0.2^2 - 0.1^2) / 2."""
+    model = scale_model(augment(SdeModel.from_strings(
+        ["x", "y"], ["0", "0"], [["1", "0"], ["0", "1"]], [0.2, 0.1], 10.0,
+        ["1 - x^2 - y^2"])))
+    bound = {}
+    for sense in ("min", "max"):
+        res = solve(assemble(model, "reduced", 8, 1, sense))
+        assert (res.status, res.method) == ("optimal", "ipm")
+        assert res.iterations <= 40
+        bound[sense] = Fraction(res.objective * moment_unscale_factor(model, 1))
+    assert bound["min"] <= Fraction(475, 1000) <= bound["max"]
+
+
+def random_group(dim, n_blocks, num_vars, free, seed):
+    """An _LmiGroup of random dense blocks, with random positive definite
+    X and Z stacks of the same shape."""
+    rng = np.random.default_rng(seed)
+    blocks = [PsdBlock(f"b{k}", dim, sp.csr_matrix(
+        rng.standard_normal((dim * (dim + 1) // 2, num_vars)))) for k in range(n_blocks)]
+    program = ConicProgram(num_vars, np.zeros(num_vars), "min",
+                           sp.csr_matrix((0, num_vars)), np.zeros(0), blocks)
+    (_, _, scale, full, upper), = _SvecBlocks(program).groups
+    z0, basis = rng.standard_normal(num_vars), rng.standard_normal((num_vars, free))
+    group = conic._LmiGroup(blocks, z0, basis, full, upper, scale)
+    x, z = (a @ a.transpose(0, 2, 1) + np.eye(dim)
+            for a in rng.standard_normal((2, n_blocks, dim, dim)))
+    return group, blocks, z0, basis, x, z
+
+
+def test_the_gram_form_schur_matrix_matches_the_trace_formula():
+    group, blocks, _, basis, x, z = random_group(7, 3, 40, 12, seed=3)
+    schur = group.schur(conic._factors(x)[1], conic._factors(z)[0])
+    coefs = [[b.materialize(basis[:, i]) for i in range(basis.shape[1])] for b in blocks]
+    direct = np.array([[sum(np.trace(f[i] @ zk @ f[j] @ np.linalg.inv(xk))
+                            for f, xk, zk in zip(coefs, x, z))
+                        for j in range(basis.shape[1])] for i in range(basis.shape[1])])
+    assert np.abs(schur - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def test_a_group_maps_moments_to_its_blocks_and_back():
+    group, blocks, z0, basis, x, _ = random_group(5, 4, 30, 9, seed=4)
+    w = np.random.default_rng(5).standard_normal(basis.shape[1])
+    moved = np.array([b.materialize(z0 + basis @ w) for b in blocks])
+    assert np.allclose(group.const + group.matrix(w @ group.coef), moved, rtol=1e-13, atol=1e-13)
+    # <F_k,i, Y_k> for a Y that is not symmetric
+    y = x @ np.triu(x)
+    direct = [sum(np.vdot(b.materialize(basis[:, i]), yk) for b, yk in zip(blocks, y))
+              for i in range(basis.shape[1])]
+    assert np.allclose(group.adjoint(y), direct, rtol=1e-13, atol=1e-13)
+
+
+def two_dimension_program():
+    """min x^4 - 3 x^2 + x over [-2, 2] in the moments z = (1, x, ..., x^4):
+    the 3 x 3 moment matrix and the 2 x 2 localizing matrix of 4 - x^2."""
+    moments = sp.csr_matrix(np.eye(5)[[0, 1, 2, 2, 3, 4]])
+    localizing = sp.csr_matrix(4 * np.eye(5)[[0, 1, 2]] - np.eye(5)[[2, 3, 4]])
+    return ConicProgram(
+        num_vars=5, objective=np.array([0.0, 1.0, -3.0, 0.0, 1.0]), sense="min",
+        a_eq=sp.csr_matrix(np.eye(5)[:1]), rhs=np.array([1.0]),
+        blocks=[PsdBlock("M", 3, moments), PsdBlock("L", 2, localizing)])
+
+
+def test_blocks_of_two_dimensions_are_solved_by_the_interior_point_method(monkeypatch):
+    program = two_dimension_program()
+    assert [g[0] for g in _SvecBlocks(program).groups] == [2, 3]
+    ipm = solve(program)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    admm = solve(program)
+    assert (ipm.method, admm.method) == ("ipm", "admm")
+    assert ipm.status == admm.status == "optimal"
+    assert abs(ipm.objective - admm.objective) <= 1e-6 * abs(admm.objective)
+
+
+def test_an_interior_point_solve_stays_within_its_memory(brownian):
+    """The numpy peak (tracemalloc) of reduced K=14 order 6 is 4.7 MB, of
+    which the (6, 61, 666) coefficient array is 1.95 MB: the Schur matrix
+    gathers one (36, 61, 36) block operand at a time, never a 4-D array."""
+    program = assemble(brownian, "reduced", 14, 6, "max")
+    tracemalloc.start()
+    try:
+        res = solve(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.method) == ("optimal", "ipm")
+    assert peak <= 5_800_000
 
 
 def test_the_pendulum_stays_on_admm(pendulum):
