@@ -17,10 +17,11 @@ comes back as it is.  The variables do not change, so the returned
 lift.  The presolve saves one eigendecomposition per dropped block on
 every iteration.
 
-Dispatch.  After the presolve and the check for non-finite data, a
-program with ``num_vars - eq_rows <= IPM_MAX_FREE`` goes to the
-interior-point method.  That difference is a lower bound on the number
-of free moments, known without a factorization.  If the interior-point
+Dispatch.  After the presolve and the checks for non-finite data and
+for at least one PSD block, a program with
+``num_vars - eq_rows <= IPM_MAX_FREE`` goes to the interior-point
+method.  That difference is a lower bound on the number of free
+moments, known without a factorization.  If the interior-point
 method ends with any status other than ``optimal`` (``max_iters``, a
 matrix that is not positive definite, non-finite values, a stall), ADMM
 runs on the same presolved program, as it would have without the
@@ -41,7 +42,8 @@ dimension form a stacked group (an assembled program has one: its blocks
 share the moment basis of degree K/2) that keeps the F_k,i once, as an
 (n_blocks, p, svec) array of upper-triangle entries, and X, Z, their
 factors and the directions as (n_blocks, d, d) arrays, so a Cholesky
-factorization or step-length eigendecomposition is one call per group.
+factorization or step-length congruence is one call per group; a step
+length then takes only the least eigenvalue of each block's congruence.
 The iteration is the infeasible-start primal-dual path following method
 with the HKM direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J.
 Optim. 1996) and Mehrotra's predictor-corrector (SIAM J. Optim. 1992).
@@ -406,11 +408,22 @@ def _free_moments(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray):
     return z0, null @ (vec[:, keep] / np.sqrt(lam[keep]))
 
 
+def _least_eigenvalue(mat: np.ndarray) -> float:
+    """The least eigenvalue of a symmetric matrix (its lower triangle, as
+    ``eigvalsh`` reads it), without the others: LAPACK dsyevr, range "I"."""
+    w, _, _, _, info = sla.lapack.dsyevr(mat, compute_v=0, range="I",
+                                          lower=1, il=1, iu=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevr failed (info {info})")
+    return float(w[0])
+
+
 def _step_to_boundary(inv_factors: list, steps: list) -> float:
     """The largest alpha with every X_k + alpha step_k PSD (inf if no step
-    leaves the cone), given L_k^-1 for X_k = L_k L_k'; one eigvalsh per group."""
-    low = min((np.linalg.eigvalsh(f @ step @ f.transpose(0, 2, 1))[:, 0].min()
-               for f, step in zip(inv_factors, steps)), default=0.0)
+    leaves the cone), given L_k^-1 for X_k = L_k L_k'; one stacked
+    congruence per group, then the least eigenvalue of each block."""
+    low = min((_least_eigenvalue(c) for f, step in zip(inv_factors, steps)
+               for c in f @ step @ f.transpose(0, 2, 1)), default=0.0)
     return -1.0 / low if low < 0 else math.inf
 
 
@@ -684,9 +697,9 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     space, and the objective is that program's: ADMM's is its value at
     ``z``, the interior-point method's the end of the primal/dual pair on
     the side of a bound.
-    Non-finite program data, a failed KKT factorization or
-    eigendecomposition and diverged iterates end the solve with status
-    ``numerical_failure``.
+    Non-finite program data, a program without PSD blocks, a failed KKT
+    factorization or eigendecomposition and diverged iterates end the
+    solve with status ``numerical_failure``.
     """
     settings = settings or SolverSettings()
     t0 = time.perf_counter()
@@ -695,11 +708,17 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     data = [program.objective, program.rhs, program.a_eq.data,
             *(b.mat.data for b in program.blocks)]
     if not all(np.isfinite(a).all() for a in data):
+        refused = "non-finite program data"
+    elif not program.blocks:
+        refused = "no PSD blocks: the solvers work on a block cone"
+    else:
+        refused = ""
+    if refused:
         res = SolveResult(
             status="numerical_failure", objective=math.nan,
             primal_residual=math.inf, dual_residual=math.inf, iterations=0,
             z=np.zeros(n), solve_time=0.0, psd_blocks=len(program.blocks),
-            eq_rows=m_eq, method="", message="non-finite program data")
+            eq_rows=m_eq, method="", message=refused)
     else:
         res = _interior_point(program, settings.max_iters) if n - m_eq <= IPM_MAX_FREE else None
         if res is None or res.status != "optimal":

@@ -168,6 +168,12 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
     )
 
 
+# Targets ranked at a time by ``_psd_block``: a 16k x n int64 chunk and its
+# rank tables take a few MB, where the 127,512 targets of the pendulum's
+# K=10 boundary block took 18 MB at once.
+_RANKS_PER_CHUNK = 1 << 14
+
+
 def _ranks(targets: np.ndarray, count) -> np.ndarray:
     """Graded lex ranks of the rows of ``targets``; a target ranked at or
     beyond its ``count`` (a scalar or one per row) has no variable and
@@ -184,7 +190,8 @@ def distinct_rows(mat: sp.csr_matrix) -> np.ndarray:
     appears.  Rows compare bit for bit by their sorted (column, value)
     entries, padded to the longest row; a row without a nonzero value is
     left out."""
-    mat = mat.sorted_indices()
+    if not mat.has_sorted_indices:
+        mat = mat.sorted_indices()
     counts = np.diff(mat.indptr)
     rows = np.repeat(np.arange(mat.shape[0]), counts)
     slot = np.arange(mat.nnz) - mat.indptr[rows]
@@ -192,10 +199,16 @@ def distinct_rows(mat: sp.csr_matrix) -> np.ndarray:
     keys = np.full((mat.shape[0], 2 * width), -1, dtype=np.int64)
     keys[rows, slot] = mat.indices
     keys[rows, width + slot] = mat.data.astype(np.float64).view(np.int64)
-    _, first = np.unique(keys, axis=0, return_index=True)
     nonzero = np.zeros(mat.shape[0], dtype=bool)
     nonzero[rows[mat.data != 0]] = True
-    first = np.sort(first)
+    if not width:
+        return np.flatnonzero(nonzero)
+    # a stable sort puts each row's first appearance first among its equals
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = np.sort(order[first])
     return first[nonzero[first]]
 
 
@@ -209,17 +222,25 @@ def _psd_block(label: str, poly: Polynomial, basis: np.ndarray, offset: int,
     ``np.triu_indices``, then the terms of ``poly`` in graded lex order;
     term alpha of entry (i, j) lands on variable
     offset + rank(basis[i] + basis[j] + alpha).  A target ranked at or
-    beyond ``count`` has no variable and raises KeyError.
+    beyond ``count`` has no variable and raises KeyError.  The targets
+    are ranked ``_RANKS_PER_CHUNK`` at a time (whole svec rows), so the
+    temporaries stay that size whatever the block's.
     """
     iu, ju = np.triu_indices(len(basis))
     terms = poly.items()
     alphas = np.array([alpha for alpha, _ in terms], dtype=np.int64)
-    targets = ((basis[iu] + basis[ju])[:, None, :]
-               + alphas[None, :, :]).reshape(-1, basis.shape[1])
+    width = len(terms)
+    cols = np.empty(len(iu) * width, dtype=np.int64)
+    step = max(1, _RANKS_PER_CHUNK // width)
+    for start in range(0, len(iu), step):
+        pairs = slice(start, start + step)
+        targets = ((basis[iu[pairs]] + basis[ju[pairs]])[:, None, :]
+                   + alphas[None, :, :]).reshape(-1, basis.shape[1])
+        cols[start * width:(start + step) * width] = (
+            offset + _ranks(targets, count))
     mat = sp.csr_matrix(
-        (np.tile([float(coef) for _, coef in terms], len(iu)),
-         (np.repeat(np.arange(len(iu)), len(terms)),
-          offset + _ranks(targets, count))),
+        (np.tile([float(coef) for _, coef in terms], len(iu)), cols,
+         np.arange(0, len(cols) + 1, width)),
         shape=(len(iu), num_vars),
     )
     mat.sum_duplicates()

@@ -11,11 +11,21 @@ Entry lines ``matno blkno i j value`` are sorted by (matno, blkno, i, j,
 value), and the value is written with ``{!r}`` of the Python float, the
 shortest string that reads back to the same double.  PSD block entry
 (i, j) comes from svec position p of ``np.triu_indices(dim)``, shifted to
-one-based indices.  Export and read stream the entry lines, so neither
-holds the file's text in memory at once.  In memory the entries are one
-record table of ``_ENTRY_DTYPE`` in that order, zero values dropped once:
-the program's table is what ``export_sdpa`` writes, and each
-``SdpaData.entries`` value is an (i, j, value) record view of its rows.
+one-based indices.  In memory the entries are records of
+``_ENTRY_DTYPE`` (int32 indices, 24 bytes an entry) in that order, zero
+values dropped once, and each ``SdpaData.entries`` value is an
+(i, j, value) record view of one (matno, blkno) run of a single table.
+
+What each stage holds.  Neither holds the file's text at once.
+``export_sdpa`` holds a by-column copy of every block and of [b | A]
+(the size of the program's own matrices) and one chunk of whole columns
+of about ``_LINES_PER_WRITE`` lines: its records, its distinct values
+formatted once, and its lines; no table of the whole program.
+``program_sdpa_image`` joins the same chunks into its one table.
+``read_sdpa`` reads the entry lines into one table in one ``np.loadtxt``
+pass, checks ranges and order a slice of ``_LINES_PER_WRITE`` entries
+at a time, and sorts only a file written out of order, so past the
+table and its record views it holds slice-sized temporaries.
 """
 
 from __future__ import annotations
@@ -29,9 +39,13 @@ import scipy.sparse as sp
 
 from .momentproblem import ConicProgram
 
-_ENTRY_DTYPE = [("matno", np.int64), ("blkno", np.int64),
-                ("i", np.int64), ("j", np.int64), ("value", np.float64)]
-_LINES_PER_WRITE = 1 << 16
+_ENTRY_DTYPE = [("matno", np.int32), ("blkno", np.int32),
+                ("i", np.int32), ("j", np.int32), ("value", np.float64)]
+# Entry lines per chunk of the export, and entries per slice of the
+# reader's checks.  A chunk's records and line strings take about 250 B a
+# line, so a chunk holds about 2 MB: the pendulum's files have 28,152
+# lines at K=6 and 448,688 at K=10.
+_LINES_PER_WRITE = 1 << 13
 
 
 @dataclass(eq=False)
@@ -45,8 +59,11 @@ class SdpaData:
 def _grouped(table: np.ndarray) -> dict:
     """Sorted, zero-free entry table -> ``SdpaData.entries``: a slice of
     the table's one (i, j, value) record view per (matno, blkno)."""
-    starts = np.flatnonzero((np.diff(table["matno"], prepend=-1) != 0)
-                            | (np.diff(table["blkno"], prepend=-1) != 0))
+    matno, blkno = table["matno"], table["blkno"]
+    new = np.ones(len(table), dtype=bool)
+    np.not_equal(matno[1:], matno[:-1], out=new[1:])
+    new[1:] |= blkno[1:] != blkno[:-1]
+    starts = np.flatnonzero(new)
     ends = np.append(starts[1:], len(table)).tolist()
     keys = table[["matno", "blkno"]][starts].tolist()
     records = table[["i", "j", "value"]]
@@ -54,33 +71,73 @@ def _grouped(table: np.ndarray) -> dict:
             for key, s, e in zip(keys, starts.tolist(), ends)}
 
 
-def _program_table(program: ConicProgram) -> np.ndarray:
-    """The program's nonzero entries in file order, one record each.
+def _by_column(mat: sp.spmatrix) -> sp.csc_matrix:
+    """A copy of ``mat`` by columns, rows sorted and summed, zeros dropped."""
+    out = sp.csc_matrix(mat, copy=True)
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
 
-    Stacking every block's rows over the columns [F_0 | x_1 .. x_n] and
-    reading the stack column by column gives (matno, blkno, i, j) order:
-    blocks are stacked in blkno order, svec rows run in (i, j) order,
-    and the equality pairs A x - b (i = row) come before b - A x
-    (i = m_eq + row).
+
+def _entry_chunks(program: ConicProgram):
+    """The program's nonzero entries in file order, as record tables of
+    whole columns of [F_0 | x_1 .. x_n], about ``_LINES_PER_WRITE`` each.
+
+    Each block, +A and -A is one source of entries, held by columns: a
+    block's svec row p is entry (i, j) of ``np.triu_indices``, and the
+    equality pairs A x - b (i = row) come before b - A x (i = m_eq + row),
+    with the right-hand side b as column F_0.  Within one column the
+    sources run in blkno order and each source's rows in (i, j) order, so
+    a stable sort of a chunk's pieces by column gives (matno, blkno, i, j)
+    order.
     """
     m_eq = program.a_eq.shape[0]
-    mats = [b.mat for b in program.blocks] + [program.a_eq, -program.a_eq]
-    ij = [np.triu_indices(b.dim) for b in program.blocks]
-    ij.append((np.arange(2 * m_eq),) * 2)
-    blkno = np.repeat(np.arange(1, len(ij) + 1), [len(i) for i, _ in ij])
-    f = sp.vstack(mats, format="csr")
-    f0 = np.concatenate([np.zeros(f.shape[0] - 2 * m_eq),
-                         program.rhs, -program.rhs])
-    stack = sp.hstack([sp.csr_matrix(f0[:, None]), f], format="csc")
-    stack.sort_indices()
-    stack.eliminate_zeros()
-    rows = stack.indices
-    table = np.empty(len(rows), dtype=_ENTRY_DTYPE)
-    table["matno"] = np.repeat(np.arange(stack.shape[1]), np.diff(stack.indptr))
-    table["blkno"] = blkno[rows]
-    table["i"], table["j"] = np.concatenate(ij, axis=1)[:, rows] + 1
-    table["value"] = stack.data
-    return table
+    # (blkno, indptr over num_vars + 1 columns, rows, values, one-based
+    # i and j of each row, negated)
+    sources = []
+    triu = {}
+    for blkno, block in enumerate(program.blocks, 1):
+        if block.dim not in triu:
+            triu[block.dim] = [ix.astype(np.int32) + 1
+                               for ix in np.triu_indices(block.dim)]
+        mat = _by_column(block.mat)
+        # F_0 of a PSD block is zero: an empty leading column
+        sources.append((blkno, np.append(0, mat.indptr), mat.indices,
+                        mat.data, *triu[block.dim], False))
+    if m_eq:
+        pairs = _by_column(sp.hstack([sp.csc_matrix(program.rhs[:, None]),
+                                      program.a_eq]))
+        plus = np.arange(1, m_eq + 1, dtype=np.int32)
+        blkno = len(sources) + 1
+        sources += [(blkno, pairs.indptr, pairs.indices, pairs.data,
+                     ix, ix, negated)
+                    for ix, negated in [(plus, False), (plus + m_eq, True)]]
+    if not sources:
+        return
+    before = np.zeros(program.num_vars + 2, dtype=np.int64)
+    for _, indptr, *_ in sources:
+        before[1:] += np.diff(indptr)
+    np.cumsum(before, out=before)        # entries before each column
+    start = 0
+    while start <= program.num_vars:
+        stop = int(np.searchsorted(before, before[start] + _LINES_PER_WRITE))
+        stop = min(max(stop, start + 1), program.num_vars + 1)
+        parts = []
+        for blkno, indptr, rows, values, i_of, j_of, negated in sources:
+            lo, hi = indptr[start], indptr[stop]
+            parts.append((np.repeat(np.arange(start, stop, dtype=np.int32),
+                                    np.diff(indptr[start:stop + 1])),
+                          np.full(hi - lo, blkno, dtype=np.int32),
+                          i_of[rows[lo:hi]], j_of[rows[lo:hi]],
+                          -values[lo:hi] if negated else values[lo:hi]))
+        columns = [np.concatenate(col) for col in zip(*parts)]
+        if len(columns[0]):
+            order = np.argsort(columns[0], kind="stable")
+            table = np.empty(len(order), dtype=_ENTRY_DTYPE)
+            for (name, _), col in zip(_ENTRY_DTYPE, columns):
+                table[name] = col[order]
+            yield table
+        start = stop
 
 
 def _sizes_and_c(program: ConicProgram):
@@ -95,8 +152,9 @@ def _sizes_and_c(program: ConicProgram):
 def program_sdpa_image(program: ConicProgram) -> SdpaData:
     """The exact structure export_sdpa writes, kept in memory."""
     sizes, c = _sizes_and_c(program)
-    return SdpaData(program.num_vars, sizes, c,
-                    _grouped(_program_table(program)))
+    table = np.concatenate([np.zeros(0, dtype=_ENTRY_DTYPE),
+                            *_entry_chunks(program)])
+    return SdpaData(program.num_vars, sizes, c, _grouped(table))
 
 
 def export_sdpa(program: ConicProgram, path) -> None:
@@ -115,19 +173,18 @@ def export_sdpa(program: ConicProgram, path) -> None:
         " ".join(str(s) for s in sizes),
         " ".join(repr(v) for v in c),
     ]
-    table = _program_table(program)
-    index_cols = [table[name] for name, _ in _ENTRY_DTYPE[:4]]
-    # each distinct index ({}) and value ({!r}) is formatted once
-    top = max((int(col.max()) for col in index_cols if len(col)), default=0)
+    index_names = [name for name, _ in _ENTRY_DTYPE[:4]]
+    top = max([program.num_vars, len(sizes)] + [abs(s) for s in sizes])
     names = np.array([str(k) for k in range(top + 1)], dtype=object)
-    uniq, inv = np.unique(table["value"], return_inverse=True)
-    reprs = np.array([repr(v) for v in uniq.tolist()], dtype=object)
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        for start in range(0, len(table), _LINES_PER_WRITE):
-            part = slice(start, start + _LINES_PER_WRITE)
-            fields = [names[col[part]].tolist() for col in index_cols]
-            fields.append(reprs[inv[part]].tolist())
+        for table in _entry_chunks(program):
+            # each distinct index ({}) and value ({!r}) of the chunk is
+            # formatted once
+            uniq, inv = np.unique(table["value"], return_inverse=True)
+            reprs = np.array([repr(v) for v in uniq.tolist()], dtype=object)
+            fields = [names[table[name]].tolist() for name in index_names]
+            fields.append(reprs[inv].tolist())
             fh.write("\n".join(map(" ".join, zip(*fields))) + "\n")
 
 
@@ -153,17 +210,36 @@ def _load_entries(source, skiprows=0):
 
 def _check_ranges(table: np.ndarray, num_vars: int,
                   block_sizes: list) -> None:
-    """Raise a ValueError naming the first entry field out of range;
-    i > j is legal, i != j only outside diagonal blocks."""
-    size = np.array([0] + block_sizes)[
-        np.clip(table["blkno"], 0, len(block_sizes))]
-    for name, low, high in [("matno", 0, num_vars),
-                            ("blkno", 1, len(block_sizes)),
-                            ("i", 1, abs(size)), ("j", 1, abs(size))]:
-        if ((table[name] < low) | (table[name] > high)).any():
-            raise ValueError(f"entry field {name} out of range")
-    if ((size < 0) & (table["i"] != table["j"])).any():
-        raise ValueError("entry i != j in a diagonal block")
+    """Raise a ValueError naming the first entry field out of range in the
+    first slice of ``_LINES_PER_WRITE`` entries that has one; i > j is
+    legal, i != j only outside diagonal blocks."""
+    sizes = np.array([0] + block_sizes)
+    for start in range(0, len(table), _LINES_PER_WRITE):
+        part = table[start:start + _LINES_PER_WRITE]
+        size = sizes[np.clip(part["blkno"], 0, len(block_sizes))]
+        for name, low, high in [("matno", 0, num_vars),
+                                ("blkno", 1, len(block_sizes)),
+                                ("i", 1, abs(size)), ("j", 1, abs(size))]:
+            if ((part[name] < low) | (part[name] > high)).any():
+                raise ValueError(f"entry field {name} out of range")
+        if ((size < 0) & (part["i"] != part["j"])).any():
+            raise ValueError("entry i != j in a diagonal block")
+
+
+def _in_file_order(table: np.ndarray) -> bool:
+    """Whether the records are sorted by (matno, blkno, i, j, value), as
+    ``export_sdpa`` writes them; compared ``_LINES_PER_WRITE`` neighbours
+    at a time, the last field first."""
+    for start in range(0, len(table) - 1, _LINES_PER_WRITE):
+        later = table[start + 1:start + 1 + _LINES_PER_WRITE]
+        earlier = table[start:start + len(later)]
+        ordered = np.ones(len(later), dtype=bool)
+        for name in reversed(table.dtype.names):
+            ordered = (earlier[name] < later[name]) | (
+                (earlier[name] == later[name]) & ordered)
+        if not ordered.all():
+            return False
+    return True
 
 
 def read_sdpa(path) -> SdpaData:
@@ -195,10 +271,10 @@ def read_sdpa(path) -> SdpaData:
                 table = _load_entries(filter(_is_data,
                                              islice(fh, first, None)))
     _check_ranges(table, num_vars, block_sizes)
-    # comparing records field by field sorts by (matno, blkno, i, j,
-    # value); the stable sort (timsort) takes one linear pass over the
-    # already sorted entries export_sdpa writes
-    table.sort(kind="stable")
+    if not _in_file_order(table):
+        # comparing records field by field sorts by (matno, blkno, i, j,
+        # value)
+        table.sort(kind="stable")
     if not (keep := table["value"] != 0.0).all():
         table = table[keep]
     return SdpaData(num_vars, block_sizes, c, _grouped(table))

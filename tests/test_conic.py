@@ -460,6 +460,17 @@ def test_non_finite_program_data_is_rejected_up_front(data):
     assert res.iterations == 0 and math.isnan(res.objective)
 
 
+def test_a_program_without_psd_blocks_is_refused():
+    """x = 1, minimize x, with no block: a status and a message, not an
+    exception from the solvers' block bookkeeping."""
+    program = one_variable_program()
+    program.blocks = []
+    res = solve(program)
+    assert res.status == "numerical_failure"
+    assert res.message.startswith("no PSD blocks")
+    assert res.iterations == 0 and math.isnan(res.objective)
+
+
 def test_a_failed_kkt_factorization_is_reported(monkeypatch):
     def failing_splu(kkt):
         raise RuntimeError("Factor is exactly singular")

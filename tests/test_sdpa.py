@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -40,6 +41,13 @@ def brownian_program(K=4):
     return assemble(model, "reduced", K, 1, "max")
 
 
+def pendulum_program(K):
+    model = scale_model(augment(SdeModel.from_strings(
+        ["x", "v"], ["v", "-5*x - 9.81 + v*sin(x)"], [["0"], ["1"]],
+        [-9.81 / 5, 0.0], 10.0, ["-x", "x + 2"])))
+    return assemble(model, "reduced", K, 1, "min")
+
+
 def test_trivial_export_matches_golden(tmp_path):
     out = tmp_path / "trivial.dat-s"
     export_sdpa(trivial_program(), out)
@@ -54,6 +62,37 @@ def test_brownian_export_matches_golden(tmp_path):
     assert out.read_bytes() == golden
     image = program_sdpa_image(brownian_program(4))
     assert fields(read_sdpa(out)) == fields(image)
+
+
+@pytest.mark.parametrize("lines", [3, 7])
+def test_chunk_size_changes_no_byte(tmp_path, monkeypatch, lines):
+    # chunks hold whole columns, so these cut the file at many places,
+    # and the reader checks ranges and order as many slices
+    monkeypatch.setattr(sdpa, "_LINES_PER_WRITE", lines)
+    out = tmp_path / "bm.dat-s"
+    export_sdpa(brownian_program(4), out)
+    golden = (GOLDEN / "brownian-reduced-K4.dat-s").read_bytes()
+    assert out.read_bytes() == golden
+    image = program_sdpa_image(brownian_program(4))
+    assert fields(read_sdpa(out)) == fields(image)
+
+
+def test_export_and_read_stay_within_their_memory(tmp_path):
+    """The numpy peak (tracemalloc) of exporting pendulum reduced K=6
+    (28,152 entry lines) and reading it back is 3.1 MB, of which 2.5 MB is
+    the read's result.  An export that builds a record table of the whole
+    program and formats all its lines at once peaks at 5.4 MB."""
+    program = pendulum_program(6)
+    out = tmp_path / "p.dat-s"
+    tracemalloc.start()
+    try:
+        export_sdpa(program, out)
+        data = read_sdpa(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(view) for view in data.entries.values()) == 28_152
+    assert peak <= 4_200_000
 
 
 def test_block_sizes_match_assembled_dimensions(tmp_path):
@@ -101,6 +140,11 @@ def test_reader_rejects_garbage(tmp_path):
                         ("1 1 0 1 1.0", "i"), ("1 2 1 2 1.0", "diagonal")]:
         bad.write_text(HEADER + "0 2 1 1 1.0\n" + line + "\n")
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            read_sdpa(bad)
+    # 2**32 + 1 wraps to the valid index 1 in a 32-bit field
+    for line in ["4294967297 1 1 1 1.0", "1 1 1 4294967297 1.0"]:
+        bad.write_text(HEADER + line + "\n")
+        with pytest.raises(ValueError):
             read_sdpa(bad)
 
 
@@ -219,6 +263,20 @@ def test_reader_sorts_an_unsorted_file_without_comments(tmp_path):
                              (1, 1): [(1, 1, -1.0), (1, 1, 2.0), (2, 2, 3.0)]}
     path.write_text(HEADER)
     assert read_sdpa(path).entries == {}
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3])
+def test_reader_sorts_a_file_out_of_order_by_value_alone(tmp_path,
+                                                         monkeypatch, lines):
+    # the order check compares neighbours a slice of entries at a time;
+    # the one pair out of order differs only in its last field
+    monkeypatch.setattr(sdpa, "_LINES_PER_WRITE", lines)
+    path = tmp_path / "v.dat-s"
+    path.write_text(HEADER + "0 2 1 1 1.0\n1 1 1 1 2.0\n1 1 1 1 -1.0\n"
+                    "1 1 2 2 3.0\n")
+    assert records(read_sdpa(path)) == {
+        (0, 2): [(1, 1, 1.0)],
+        (1, 1): [(1, 1, -1.0), (1, 1, 2.0), (2, 2, 3.0)]}
 
 
 def test_objective_negated_for_max(tmp_path):
