@@ -7,12 +7,17 @@ Example (Brownian motion on [0, 1] from 1/2, lower bound on E[tau ^ T]):
 
 The exit code is 0 when the solve ends ``optimal`` and 1 otherwise; the
 objective of an unconverged iterate is no bound, so "bound" is then null.
+The ``SolveResult`` fields but ``objective``, ``z`` and
+``residual_history`` follow "bound"; a non-finite number prints as null.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
+import sys
 
 from .augment import SdeModel, augment, moment_unscale_factor, scale_model
 from .conic import SolverSettings, solve
@@ -45,7 +50,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    # a space before an argument with one leading "-" but -h, such as -x or -1,
+    # makes argparse read a value, which the expression and number parsers strip
+    args = parser.parse_args([" " + a if a.startswith("-") and a[1:2] != "-" and a != "-h" else a
+                              for a in (sys.argv[1:] if argv is None else argv)])
     try:
         sde = SdeModel.from_strings(args.names, args.drift, args.diffusion,
                                     args.x0, args.horizon, args.safe)
@@ -56,23 +64,13 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     res = solve(program, settings)
     optimal = res.status == "optimal"
-    print(json.dumps({
-        "K": args.K,
-        "order": args.order,
-        "sense": args.sense,
-        "bound": (res.objective * moment_unscale_factor(model, args.order)
-                  if optimal else None),
-        "status": res.status,
-        "method": res.method,
-        "iterations": res.iterations,
-        "psd_blocks": res.psd_blocks,
-        "eq_rows": res.eq_rows,
-        "primal_residual": res.primal_residual,
-        "dual_residual": res.dual_residual,
-        "aa_rejected": res.aa_rejected,
-        "solve_time": res.solve_time,
-        "message": res.message,
-    }))
+    record = {"K": args.K, "order": args.order, "sense": args.sense,
+              "bound": (res.objective * moment_unscale_factor(model, args.order)
+                        if optimal else None)}
+    record.update((f.name, getattr(res, f.name)) for f in dataclasses.fields(res)
+                  if f.name not in ("objective", "z", "residual_history"))
+    print(json.dumps({key: None if isinstance(value, float) and not math.isfinite(value)
+                      else value for key, value in record.items()}))
     return 0 if optimal else 1
 
 

@@ -28,7 +28,9 @@ runs on the same presolved program, as it would have without the
 interior-point attempt, and its result is returned with the
 interior-point stop reason in ``message``.  ``SolveResult.method`` names
 the method whose result it is, and ``max_iters`` caps the iterations of
-each method.
+each method.  ``solve`` builds ``_SvecBlocks`` once for both methods and
+fills ``psd_blocks``, ``eq_rows`` and ``solve_time`` of the record it
+returns, a refusal included; the method fills the rest.
 
 The interior-point method eliminates A z = b through a null-space basis
 from the SVD of the dense A: z = z0 + N w.  Directions of N that move no
@@ -184,21 +186,23 @@ class SolverSettings:
 
 @dataclass
 class SolveResult:
+    """The record of one ``solve``: the method that ran fills the fields
+    before ``psd_blocks``, and ``solve`` the last three."""
     status: str                    # optimal | max_iters | numerical_failure
     objective: float
     primal_residual: float
     dual_residual: float
     iterations: int
     z: np.ndarray                  # in the assembled program's variables
-    solve_time: float
-    psd_blocks: int                # size of the presolved program solved
-    eq_rows: int
     method: str                    # ipm | admm; "" when the data is rejected
     # (iteration, max(primal, dual) residual) at every check; the
     # interior-point method adds one entry per step, with its relative gap
     residual_history: list = field(default_factory=list, repr=False)
     message: str = ""
     aa_rejected: int = 0           # accelerated points the safeguard dropped
+    psd_blocks: int = 0            # size of the presolved program solved
+    eq_rows: int = 0
+    solve_time: float = 0.0
 
 
 class _SvecBlocks:
@@ -247,8 +251,8 @@ class _SvecBlocks:
         return out
 
 
-def _ruiz_equilibrate(a_eq, g, blocks: _SvecBlocks, iters: int = 10):
-    """Row/column scaling of the stacked constraint matrix [A; G].
+def _ruiz_equilibrate(a_eq, g, blocks: _SvecBlocks):
+    """Ten passes of row/column scaling of the stacked matrix [A; G].
 
     Cone rows are scaled uniformly within each block so the PSD geometry
     is preserved; equality rows scale independently.  Returns the scalings
@@ -275,7 +279,7 @@ def _ruiz_equilibrate(a_eq, g, blocks: _SvecBlocks, iters: int = 10):
         np.maximum.at(out, index, np.abs(scaled()))
         return out
 
-    for _ in range(iters):
+    for _ in range(10):
         # row update
         r = abs_max(rows, stack.shape[0])
         r_eq = r[:m_eq]
@@ -474,13 +478,12 @@ class _LmiGroup:
         return gram
 
 
-def _interior_point(program: ConicProgram, max_iters: int) -> SolveResult:
+def _interior_point(program: ConicProgram, blocks: _SvecBlocks, max_iters: int) -> SolveResult:
     """HKM primal-dual interior-point method with Mehrotra's corrector on
     the presolved program, as the module docstring describes.  Statuses
     other than ``optimal`` carry the stop reason in ``message``."""
     sign = -1.0 if program.sense == "max" else 1.0
     c = sign * program.objective.astype(float)
-    blocks = _SvecBlocks(program)
     z = np.zeros(program.num_vars)
     objective = math.nan
     it = 0
@@ -575,16 +578,13 @@ def _interior_point(program: ConicProgram, max_iters: int) -> SolveResult:
         dual_residual=r_z,
         iterations=it,
         z=z,
-        solve_time=0.0,
-        psd_blocks=len(program.blocks),
-        eq_rows=program.a_eq.shape[0],
         method="ipm",
         residual_history=history,
         message=message,
     )
 
 
-def _admm(program: ConicProgram, max_iters: int) -> SolveResult:
+def _admm(program: ConicProgram, blocks: _SvecBlocks, max_iters: int) -> SolveResult:
     """Anderson-accelerated ADMM on the presolved program, as the module
     docstring describes."""
     n, m_eq = program.num_vars, program.a_eq.shape[0]
@@ -596,12 +596,9 @@ def _admm(program: ConicProgram, max_iters: int) -> SolveResult:
 
     try:
         sense_sign = -1.0 if program.sense == "max" else 1.0
-        blocks = _SvecBlocks(program)
-        a_eq = program.a_eq.tocsr().astype(float)
-        g = blocks.stacked.astype(float)
 
         # --- equilibration -------------------------------------------------
-        d_eq, _, e_col, a_s, g_s = _ruiz_equilibrate(a_eq, g, blocks)
+        d_eq, _, e_col, a_s, g_s = _ruiz_equilibrate(program.a_eq, blocks.stacked, blocks)
         gt_s = g_s.T.tocsr()
         b_s = d_eq * program.rhs.astype(float)
         c_s = e_col * sense_sign * program.objective.astype(float)
@@ -643,7 +640,7 @@ def _admm(program: ConicProgram, max_iters: int) -> SolveResult:
                 if not math.isfinite(r_prim + r_dual + eq_res):
                     raise _Failure("iterates diverged")
                 if (r_prim <= eps_pri and r_dual <= eps_dual and eq_res <= eps_eq
-                        and all(np.linalg.eigvalsh(b.materialize(z))[0] >= -10 * EPS_ABS
+                        and all(_least_eigenvalue(b.materialize(z)) >= -10 * EPS_ABS
                                 for b in program.blocks[:2])):
                     status = "optimal"
                     break
@@ -672,9 +669,6 @@ def _admm(program: ConicProgram, max_iters: int) -> SolveResult:
         dual_residual=r_dual,
         iterations=it,
         z=z,
-        solve_time=0.0,
-        psd_blocks=len(program.blocks),
-        eq_rows=m_eq,
         method="admm",
         residual_history=history,
         message=message,
@@ -692,11 +686,12 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     Presolving replaces the original variant's pair of localizing blocks
     of q' and -q', the boundary equality q' = 0, by the equality rows it
     implies, and drops the repeated pairs; it leaves a reduced program as
-    it is.  ``psd_blocks`` and ``eq_rows`` report the size of the program
-    actually solved.  ``z`` stays in the assembled program's variable
-    space, and the objective is that program's: ADMM's is its value at
-    ``z``, the interior-point method's the end of the primal/dual pair on
-    the side of a bound.
+    it is.  ``solve`` fills ``psd_blocks`` and ``eq_rows``, the size of the
+    program actually solved, and ``solve_time``; the method that ran fills
+    the rest.  ``z`` stays in the assembled program's variable space, and
+    the objective is that program's: ADMM's is its value at ``z``, the
+    interior-point method's the end of the primal/dual pair on the side of
+    a bound.
     Non-finite program data, a program without PSD blocks, a failed KKT
     factorization or eigendecomposition and diverged iterates end the
     solve with status ``numerical_failure``.
@@ -717,13 +712,15 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
         res = SolveResult(
             status="numerical_failure", objective=math.nan,
             primal_residual=math.inf, dual_residual=math.inf, iterations=0,
-            z=np.zeros(n), solve_time=0.0, psd_blocks=len(program.blocks),
-            eq_rows=m_eq, method="", message=refused)
+            z=np.zeros(n), method="", message=refused)
     else:
-        res = _interior_point(program, settings.max_iters) if n - m_eq <= IPM_MAX_FREE else None
+        blocks = _SvecBlocks(program)
+        res = (_interior_point(program, blocks, settings.max_iters)
+               if n - m_eq <= IPM_MAX_FREE else None)
         if res is None or res.status != "optimal":
             reason = res and f"interior point stopped: {res.message or res.status}"
-            res = _admm(program, settings.max_iters)
+            res = _admm(program, blocks, settings.max_iters)
             res.message = "; ".join(filter(None, [reason, res.message]))
+    res.psd_blocks, res.eq_rows = len(program.blocks), m_eq
     res.solve_time = time.perf_counter() - t0
     return res

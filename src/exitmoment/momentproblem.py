@@ -254,8 +254,11 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
 
     # -- martingale rows: sum_j c_j m_j - b_k = -x0^k ---------------------
     # entries: every interior multi-index (on m), then every test index (on b)
-    entries = [(r, j, float(c)) for r, row in enumerate(mp.rows)
-               for j, c in row.interior_coeffs.items()]
+    try:
+        entries = [(r, j, float(c)) for r, row in enumerate(mp.rows)
+                   for j, c in row.interior_coeffs.items()]
+    except OverflowError as exc:
+        raise ValueError("a martingale-row coefficient is too large for a float") from exc
     entries += [(r, row.test_index, -1.0) for r, row in enumerate(mp.rows)]
     rows_ix, targets, vals = zip(*entries)
     on_b = np.arange(len(entries)) >= len(entries) - len(mp.rows)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ from exitmoment.augment import SdeModel, augment, moment_unscale_factor, scale_m
 from exitmoment.cli import main
 from exitmoment.conic import (
     SolverSettings,
+    SolveResult,
     _Anderson,
     _ruiz_equilibrate,
     _SvecBlocks,
@@ -471,10 +473,11 @@ def test_a_program_without_psd_blocks_is_refused():
     assert res.iterations == 0 and math.isnan(res.objective)
 
 
-def test_a_failed_kkt_factorization_is_reported(monkeypatch):
-    def failing_splu(kkt):
-        raise RuntimeError("Factor is exactly singular")
+def failing_splu(kkt):
+    raise RuntimeError("Factor is exactly singular")
 
+
+def test_a_failed_kkt_factorization_is_reported(monkeypatch):
     monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
     monkeypatch.setattr(conic.spla, "splu", failing_splu)
     res = solve(one_variable_program())
@@ -592,8 +595,17 @@ def test_an_interior_point_breakdown_returns_the_admm_result(brownian, monkeypat
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Schur matrix is singular")
 
+    class CountedBlocks(conic._SvecBlocks):
+        def __init__(self, program):
+            built.append(program)
+            super().__init__(program)
+
+    built = []
     monkeypatch.setattr(conic.sla, "cho_factor", singular)
+    monkeypatch.setattr(conic, "_SvecBlocks", CountedBlocks)
     res = solve(program)
+    # both methods work from the one svec bookkeeping solve builds
+    assert len(built) == 1
     monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
     admm = solve(program)
     assert res.message == ("interior point stopped: "
@@ -721,6 +733,16 @@ def test_the_pendulum_stays_on_admm(pendulum):
 # ---------------------------------------------------------------------------
 
 
+# the command line prints the solve record but its objective, z and history
+CLI_KEYS = {"K", "order", "sense", "bound"} | {
+    f.name for f in dataclasses.fields(SolveResult)} - {
+    "objective", "z", "residual_history"}
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_cli_prints_one_bound_as_json(capsys):
     code = main(["--names", "y", "--drift", "0", "--diffusion", "1",
                  "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y",
@@ -730,8 +752,7 @@ def test_cli_prints_one_bound_as_json(capsys):
     assert out["status"] == "optimal"
     assert abs(out["bound"] - 0.25) <= 1e-6
     assert out["iterations"] > 0 and out["solve_time"] > 0
-    assert {"primal_residual", "dual_residual"} <= out.keys()
-    assert "variant" not in out
+    assert out.keys() == CLI_KEYS
     # M(m), M(b) and the four interior blocks; martingale and boundary rows
     assert (out["psd_blocks"], out["eq_rows"]) == (6, 90)
 
@@ -755,6 +776,47 @@ def test_cli_prints_no_bound_for_an_unconverged_solve(capsys):
     assert code == 1
     assert out["status"] == "max_iters" and out["iterations"] == 5
     assert out["bound"] is None
+    assert out.keys() == CLI_KEYS
+
+
+def test_cli_prints_a_non_finite_residual_as_null(capsys, monkeypatch):
+    """A failed KKT factorization leaves both residuals infinite; the output
+    stays strict JSON."""
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic.spla, "splu", failing_splu)
+    code = main(["--names", "y", "--drift", "0", "--diffusion", "1",
+                 "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y",
+                 "--K", "4"])
+    out = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert code == 1 and out["status"] == "numerical_failure"
+    assert (out["primal_residual"], out["dual_residual"]) == (None, None)
+
+
+def test_cli_reads_expressions_that_start_with_a_minus(capsys):
+    """An Ornstein-Uhlenbeck drift -x on the benchmark pendulum's safe set
+    {-x > 0, x + 2 > 0}: the same bound as with the expressions spelled
+    with a leading space, which argparse never took for an option."""
+    def bound(drift, safe):
+        code = main(["--names", "x", "--drift", drift, "--diffusion", "1",
+                     "--x0", "-1", "--horizon", "10", "--safe", safe, "x + 2",
+                     "--K", "4"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        return out["bound"]
+
+    assert bound("-x", "-x") == bound(" -x", " -x")
+
+
+def test_a_coefficient_too_large_for_a_float_is_a_usage_error(capsys):
+    model = scale_model(augment(SdeModel.from_strings(
+        ["y"], ["1e308*y*y"], [["1"]], [0.5], 10.0, ["y", "1 - y"])))
+    with pytest.raises(ValueError, match="too large for a float"):
+        assemble(model, "reduced", 4, 1, "min")
+    with pytest.raises(SystemExit) as exc:
+        main(["--names", "y", "--drift", "1e308*y*y", "--diffusion", "1",
+              "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y", "--K", "4"])
+    assert exc.value.code == 2
+    assert "too large for a float" in capsys.readouterr().err
 
 
 def test_cli_prints_the_method(capsys):
