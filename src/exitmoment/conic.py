@@ -26,11 +26,12 @@ method ends with any status other than ``optimal`` (``max_iters``, a
 matrix that is not positive definite, non-finite values, a stall), ADMM
 runs on the same presolved program, as it would have without the
 interior-point attempt, and its result is returned with the
-interior-point stop reason in ``message``.  ``SolveResult.method`` names
-the method whose result it is, and ``max_iters`` caps the iterations of
-each method.  ``solve`` builds ``_SvecBlocks`` once for both methods and
-fills ``psd_blocks``, ``eq_rows`` and ``solve_time`` of the record it
-returns, a refusal included; the method fills the rest.
+interior-point stop reason in ``message``; inconsistent equality rows
+and an objective that no PSD block bounds describe the program and end
+the solve instead.  ``SolveResult.method`` names the method whose result
+it is, and ``max_iters`` caps the iterations of each method.  One runner
+builds each method's record, which the method fills as it goes, and maps
+a numerical failure to ``numerical_failure`` with a NaN objective.
 
 The interior-point method eliminates A z = b through a null-space basis
 from the SVD of the dense A: z = z0 + N w.  Directions of N that move no
@@ -82,8 +83,8 @@ c + A'y + G'(v - s) = -G'f - sigma z, so |G'f| is the dual residual of
 (O'Donoghue et al., JOTA 2016).  Every ``CHECK_INTERVAL`` iterations the
 primal residual |f|, this dual residual and the equality residual
 |A z - b| are compared with the ``EPS_ABS`` / ``EPS_REL`` tolerances; a
-point that meets them is optimal once the least eigenvalues of M(m) and
-M(b) at z are at least -10 ``EPS_ABS``.  ``SolverSettings`` holds the one
+point that meets them is optimal once the least eigenvalue of every PSD
+block at z is at least -10 ``EPS_ABS``.  ``SolverSettings`` holds the one
 setting callers vary, ``max_iters``, which counts map evaluations.
 
 Type-II Anderson acceleration extrapolates the next v from the last
@@ -132,7 +133,7 @@ AA_SAFEGUARD = 2.0
 AA_REGULARIZATION = 1e-10
 # Absolute and relative tolerances of the primal, dual and equality
 # residuals; the optimality gate also takes -10 EPS_ABS as the least
-# eigenvalue M(m) and M(b) may have.  The interior-point method stops when
+# eigenvalue each PSD block may have.  The interior-point method stops when
 # its relative gap and both relative residuals are at most EPS_REL.
 EPS_ABS = 1e-7
 EPS_REL = 1e-7
@@ -383,6 +384,10 @@ class _Failure(Exception):
     """A numerical failure; its message goes to ``SolveResult.message``."""
 
 
+class _Refusal(_Failure):
+    """A stop that the program itself causes, which no other method mends."""
+
+
 def _free_moments(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray):
     """z0 and W with z = z0 + W w over the solutions of A z = b that the
     PSD blocks see.  W spans the null space of A less the directions that
@@ -396,7 +401,7 @@ def _free_moments(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray):
     z0 = vt[:rank].T @ (u[:, :rank].T @ b / s[:rank])
     if (np.linalg.norm(a @ z0 - b)
             > EPS_ABS * math.sqrt(max(len(b), 1)) + EPS_REL * np.linalg.norm(b)):
-        raise _Failure("inconsistent equality rows")
+        raise _Refusal("inconsistent equality rows")
     null = vt[rank:].T
     r = null.shape[1]
     gram = np.zeros((r, r))
@@ -408,7 +413,7 @@ def _free_moments(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray):
     lam, vec = np.linalg.eigh(gram)
     keep = lam > lam.max(initial=0.0) * r * eps
     if np.abs(c @ null @ vec[:, ~keep]).max(initial=0.0) > EPS_REL * np.linalg.norm(c):
-        raise _Failure("the objective moves along a direction no PSD block bounds")
+        raise _Refusal("the objective moves along a direction no PSD block bounds")
     return z0, null @ (vec[:, keep] / np.sqrt(lam[keep]))
 
 
@@ -478,249 +483,229 @@ class _LmiGroup:
         return gram
 
 
-def _interior_point(program: ConicProgram, blocks: _SvecBlocks, max_iters: int) -> SolveResult:
-    """HKM primal-dual interior-point method with Mehrotra's corrector on
-    the presolved program, as the module docstring describes.  Statuses
-    other than ``optimal`` carry the stop reason in ``message``."""
-    sign = -1.0 if program.sense == "max" else 1.0
-    c = sign * program.objective.astype(float)
-    z = np.zeros(program.num_vars)
-    objective = math.nan
-    it = 0
-    history = []
-    r_x = r_z = math.inf
-    status, message = "max_iters", ""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            z0, basis = _free_moments(program, blocks, c)
-            q = basis.T @ c
-            offset = float(c @ z0)
-            # X, Z, their factors and the directions: one array per group
-            groups = [_LmiGroup([b for b in program.blocks if b.dim == d],
-                                z0, basis, full, upper, scale)
-                      for d, _, scale, full, upper in blocks.groups]
-            nu = sum(b.dim for b in program.blocks)
-            norm_c = math.sqrt(sum(float(np.vdot(g.const, g.const)) for g in groups))
-            norm_q = float(np.linalg.norm(q))
-            xs = [max(10.0, norm_c) * np.ones_like(g.const) * np.eye(g.dim) for g in groups]
-            zs = [max(10.0, norm_q) * np.ones_like(g.const) * np.eye(g.dim) for g in groups]
-            w = np.zeros(q.size)
+def _interior_point(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray,
+                    max_iters: int, res: SolveResult):
+    """HKM primal-dual interior-point method with Mehrotra's corrector,
+    minimizing c'z on the presolved program as the module docstring
+    describes; it fills ``res`` as it goes."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        z0, basis = _free_moments(program, blocks, c)
+        q = basis.T @ c
+        offset = float(c @ z0)
+        # X, Z, their factors and the directions: one array per group
+        groups = [_LmiGroup([b for b in program.blocks if b.dim == d],
+                            z0, basis, full, upper, scale)
+                  for d, _, scale, full, upper in blocks.groups]
+        nu = sum(b.dim for b in program.blocks)
+        norm_c = math.sqrt(sum(float(np.vdot(g.const, g.const)) for g in groups))
+        norm_q = float(np.linalg.norm(q))
+        xs = [max(10.0, norm_c) * np.ones_like(g.const) * np.eye(g.dim) for g in groups]
+        zs = [max(10.0, norm_q) * np.ones_like(g.const) * np.eye(g.dim) for g in groups]
+        w = np.zeros(q.size)
+        history = res.residual_history
 
-            while True:
-                # moment-side residual C + F(w) - X, Z-side residual
-                # q - F'(Z), gap <X, Z>
-                r_p = [g.const + g.matrix(w @ g.coef) - x for g, x in zip(groups, xs)]
-                r_d = q - sum(g.adjoint(zk) for g, zk in zip(groups, zs))
-                gap = sum(float(np.vdot(x, zk)) for x, zk in zip(xs, zs))
-                primal = offset + float(q @ w)
-                dual = offset - sum(float(np.vdot(g.const, zk)) for g, zk in zip(groups, zs))
-                r_x = math.sqrt(sum(float(np.vdot(r, r)) for r in r_p)) / (1 + norm_c)
-                r_z = float(np.linalg.norm(r_d)) / (1 + norm_q)
-                merit = max(gap / max(abs(primal) + abs(dual), IPM_GAP_FLOOR), r_x, r_z)
-                if not math.isfinite(merit):
-                    raise _Failure("non-finite iterates")
-                if it:
-                    history.append((it, merit))
-                if merit <= EPS_REL:
-                    status = "optimal"
-                    break
-                if it == max_iters:
-                    break
-                if it > IPM_STALL and merit > history[-1 - IPM_STALL][1] / 2:
-                    raise _Failure(f"no progress in {IPM_STALL} steps")
-                it += 1
+        while True:
+            # moment-side residual C + F(w) - X, Z-side residual
+            # q - F'(Z), gap <X, Z>
+            r_p = [g.const + g.matrix(w @ g.coef) - x for g, x in zip(groups, xs)]
+            r_d = q - sum(g.adjoint(zk) for g, zk in zip(groups, zs))
+            gap = sum(float(np.vdot(x, zk)) for x, zk in zip(xs, zs))
+            primal = offset + float(q @ w)
+            dual = offset - sum(float(np.vdot(g.const, zk)) for g, zk in zip(groups, zs))
+            res.primal_residual = math.sqrt(sum(float(np.vdot(r, r)) for r in r_p)) / (1 + norm_c)
+            res.dual_residual = float(np.linalg.norm(r_d)) / (1 + norm_q)
+            merit = max(gap / max(abs(primal) + abs(dual), IPM_GAP_FLOOR),
+                        res.primal_residual, res.dual_residual)
+            if not math.isfinite(merit):
+                raise _Failure("non-finite iterates")
+            if res.iterations:
+                history.append((res.iterations, merit))
+            if merit <= EPS_REL:
+                res.status = "optimal"
+                break
+            if res.iterations == max_iters:
+                break
+            if res.iterations > IPM_STALL and merit > history[-1 - IPM_STALL][1] / 2:
+                raise _Failure(f"no progress in {IPM_STALL} steps")
+            res.iterations += 1
 
-                x_inv_factors = [_factors(x)[1] for x in xs]
-                z_lows, z_inv_factors = zip(*map(_factors, zs))
-                x_invs = [f.transpose(0, 2, 1) @ f for f in x_inv_factors]
-                schur = sum(g.schur(f, r) for g, f, r in zip(groups, x_inv_factors, z_lows))
-                factor = sla.cho_factor(schur)
+            x_inv_factors = [_factors(x)[1] for x in xs]
+            z_lows, z_inv_factors = zip(*map(_factors, zs))
+            x_invs = [f.transpose(0, 2, 1) @ f for f in x_inv_factors]
+            schur = sum(g.schur(f, r) for g, f, r in zip(groups, x_inv_factors, z_lows))
+            factor = sla.cho_factor(schur)
 
-                def direction(rc):
-                    """The Newton step whose complementarity right-hand side
-                    is rc[g] (in place of sigma mu X^-1 - Z)."""
-                    rhs = -r_d
-                    for g, zk, x_inv, r, rck in zip(groups, zs, x_invs, r_p, rc):
-                        rhs = rhs + g.adjoint(rck - zk @ r @ x_inv)
-                    dw = sla.cho_solve(factor, rhs)
-                    dxs = [g.matrix(dw @ g.coef) + r for g, r in zip(groups, r_p)]
-                    dzs = [rck - zk @ dx @ x_inv for rck, zk, dx, x_inv in zip(rc, zs, dxs, x_invs)]
-                    return dw, dxs, [(dz + dz.transpose(0, 2, 1)) / 2 for dz in dzs]
+            def direction(rc):
+                """The Newton step whose complementarity right-hand side
+                is rc[g] (in place of sigma mu X^-1 - Z)."""
+                rhs = -r_d
+                for g, zk, x_inv, r, rck in zip(groups, zs, x_invs, r_p, rc):
+                    rhs = rhs + g.adjoint(rck - zk @ r @ x_inv)
+                dw = sla.cho_solve(factor, rhs)
+                dxs = [g.matrix(dw @ g.coef) + r for g, r in zip(groups, r_p)]
+                dzs = [rck - zk @ dx @ x_inv for rck, zk, dx, x_inv in zip(rc, zs, dxs, x_invs)]
+                return dw, dxs, [(dz + dz.transpose(0, 2, 1)) / 2 for dz in dzs]
 
-                # predictor (sigma = 0), then Mehrotra's corrector
-                mu = gap / nu
-                dw, dxs, dzs = direction([-zk for zk in zs])
-                a_p = min(1.0, _step_to_boundary(x_inv_factors, dxs))
-                a_d = min(1.0, _step_to_boundary(z_inv_factors, dzs))
-                mu_aff = sum(float(np.vdot(x + a_p * dx, zk + a_d * dz))
-                             for x, zk, dx, dz in zip(xs, zs, dxs, dzs)) / nu
-                sigma = min(1.0, (mu_aff / mu) ** 3)
-                dw, dxs, dzs = direction([sigma * mu * x_inv - zk - dz @ dx @ x_inv
-                                          for x_inv, zk, dx, dz in zip(x_invs, zs, dxs, dzs)])
-                a_p = min(1.0, IPM_STEP * _step_to_boundary(x_inv_factors, dxs))
-                a_d = min(1.0, IPM_STEP * _step_to_boundary(z_inv_factors, dzs))
-                w = w + a_p * dw
-                xs = [x + a_p * dx for x, dx in zip(xs, dxs)]
-                zs = [zk + a_d * dz for zk, dz in zip(zs, dzs)]
-            z = z0 + basis @ w
-            objective = sign * min(primal, dual)
-    except _Failure as exc:
-        status, message = "numerical_failure", str(exc)
-    except np.linalg.LinAlgError as exc:
-        status, message = "numerical_failure", f"factorization failed: {exc}"
-    except FloatingPointError as exc:
-        status, message = "numerical_failure", f"floating-point error: {exc}"
-
-    return SolveResult(
-        status=status,
-        objective=objective,
-        primal_residual=r_x,
-        dual_residual=r_z,
-        iterations=it,
-        z=z,
-        method="ipm",
-        residual_history=history,
-        message=message,
-    )
+            # predictor (sigma = 0), then Mehrotra's corrector
+            mu = gap / nu
+            dw, dxs, dzs = direction([-zk for zk in zs])
+            a_p = min(1.0, _step_to_boundary(x_inv_factors, dxs))
+            a_d = min(1.0, _step_to_boundary(z_inv_factors, dzs))
+            mu_aff = sum(float(np.vdot(x + a_p * dx, zk + a_d * dz))
+                         for x, zk, dx, dz in zip(xs, zs, dxs, dzs)) / nu
+            sigma = min(1.0, (mu_aff / mu) ** 3)
+            dw, dxs, dzs = direction([sigma * mu * x_inv - zk - dz @ dx @ x_inv
+                                      for x_inv, zk, dx, dz in zip(x_invs, zs, dxs, dzs)])
+            a_p = min(1.0, IPM_STEP * _step_to_boundary(x_inv_factors, dxs))
+            a_d = min(1.0, IPM_STEP * _step_to_boundary(z_inv_factors, dzs))
+            w = w + a_p * dw
+            xs = [x + a_p * dx for x, dx in zip(xs, dxs)]
+            zs = [zk + a_d * dz for zk, dz in zip(zs, dzs)]
+        res.z = z0 + basis @ w
+        res.objective = min(primal, dual)
 
 
-def _admm(program: ConicProgram, blocks: _SvecBlocks, max_iters: int) -> SolveResult:
-    """Anderson-accelerated ADMM on the presolved program, as the module
-    docstring describes."""
+def _admm(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray,
+          max_iters: int, res: SolveResult):
+    """Anderson-accelerated ADMM minimizing c'z on the presolved program, as
+    the module docstring describes; it fills ``res`` as it goes."""
     n, m_eq = program.num_vars, program.a_eq.shape[0]
-    z = np.zeros(n)
-    it = aa_rejected = 0
-    history = []
-    status, message = "max_iters", ""
-    r_prim = r_dual = math.inf
 
+    # --- equilibration -----------------------------------------------------
+    d_eq, _, e_col, a_s, g_s = _ruiz_equilibrate(program.a_eq, blocks.stacked, blocks)
+    gt_s = g_s.T.tocsr()
+    b_s = d_eq * program.rhs.astype(float)
+    c_s = e_col * c
+
+    # --- cached KKT factorization [[G'G + sigma I, A'], [A, -delta I]] ------
+    sigma = delta = 1e-9
+    upper = sp.hstack([(gt_s @ g_s).tocsc() + sigma * sp.identity(n), a_s.T])
+    lower = sp.hstack([a_s, -delta * sp.identity(m_eq)])
     try:
-        sense_sign = -1.0 if program.sense == "max" else 1.0
+        lu = spla.splu(sp.vstack([upper, lower]).tocsc())
+    except RuntimeError as exc:
+        raise _Failure(f"KKT factorization failed: {exc}") from exc
 
-        # --- equilibration -------------------------------------------------
-        d_eq, _, e_col, a_s, g_s = _ruiz_equilibrate(program.a_eq, blocks.stacked, blocks)
-        gt_s = g_s.T.tocsr()
-        b_s = d_eq * program.rhs.astype(float)
-        c_s = e_col * sense_sign * program.objective.astype(float)
+    n_cone = blocks.total
+    v = np.zeros(n_cone)           # the map's input
+    anderson = _Anderson(n_cone, AA_MEMORY)
+    accelerated = False            # v is an extrapolated point
+    fallback = v                   # the plain step an extrapolation replaced
+    res_plain = 0.0                # its fixed-point residual
+    sqrt_cone, sqrt_n, sqrt_eq = (math.sqrt(max(k, 1)) for k in (n_cone, n, m_eq))
+    for it in range(1, max_iters + 1):
+        res.iterations = it
+        s = blocks.project(v)
+        z_s = lu.solve(np.concatenate([gt_s @ (2 * s - v) - c_s, b_s]))[:n]
+        res.z = e_col * z_s
+        gz = g_s @ z_s
+        f = gz - s
+        res_f = float(np.linalg.norm(f))
+        rejected = accelerated and res_f > AA_SAFEGUARD * res_plain
 
-        # --- cached KKT factorization [[G'G + sigma I, A'], [A, -delta I]] --
-        sigma = delta = 1e-9
-        upper = sp.hstack([(gt_s @ g_s).tocsc() + sigma * sp.identity(n), a_s.T])
-        lower = sp.hstack([a_s, -delta * sp.identity(m_eq)])
-        try:
-            lu = spla.splu(sp.vstack([upper, lower]).tocsc())
-        except RuntimeError as exc:
-            raise _Failure(f"KKT factorization failed: {exc}") from exc
+        if it % CHECK_INTERVAL == 0 or it == max_iters:
+            r_prim = res.primal_residual = res_f
+            r_dual = res.dual_residual = float(np.linalg.norm(gt_s @ f))
+            eq_res = float(np.linalg.norm(a_s @ z_s - b_s)) if m_eq else 0.0
+            eps_pri = (EPS_ABS * sqrt_cone
+                       + EPS_REL * max(np.linalg.norm(gz), np.linalg.norm(s)))
+            eps_dual = EPS_ABS * sqrt_n + EPS_REL * np.linalg.norm(gt_s @ (v - s))
+            eps_eq = EPS_ABS * sqrt_eq + EPS_REL * np.linalg.norm(b_s)
+            res.residual_history.append((it, max(r_prim, r_dual)))
+            if not math.isfinite(r_prim + r_dual + eq_res):
+                raise _Failure("iterates diverged")
+            if (r_prim <= eps_pri and r_dual <= eps_dual and eq_res <= eps_eq
+                    and all(_least_eigenvalue(b.materialize(res.z)) >= -10 * EPS_ABS
+                            for b in program.blocks)):
+                res.status = "optimal"
+                break
 
-        n_cone = blocks.total
-        v = np.zeros(n_cone)           # the map's input
-        anderson = _Anderson(n_cone, AA_MEMORY)
-        accelerated = False            # v is an extrapolated point
-        fallback = v                   # the plain step an extrapolation replaced
-        res_plain = 0.0                # its fixed-point residual
-        sqrt_cone, sqrt_n, sqrt_eq = (math.sqrt(max(k, 1)) for k in (n_cone, n, m_eq))
-        for it in range(1, max_iters + 1):
-            s = blocks.project(v)
-            z_s = lu.solve(np.concatenate([gt_s @ (2 * s - v) - c_s, b_s]))[:n]
-            z = e_col * z_s
-            gz = g_s @ z_s
-            f = gz - s
-            res = float(np.linalg.norm(f))
-            rejected = accelerated and res > AA_SAFEGUARD * res_plain
+        # next point: safeguarded Anderson extrapolation of T(v) = v + f
+        tv = v + f
+        if rejected:
+            res.aa_rejected += 1
+            anderson.reset()
+            v = fallback
+        else:
+            v = anderson.step(tv, f)
+            fallback, res_plain = tv, res_f
+        accelerated = not rejected and v is not tv
+    if not np.isfinite(res.z).all():
+        raise _Failure("iterates diverged")
+    res.objective = float(c @ res.z)
 
-            if it % CHECK_INTERVAL == 0 or it == max_iters:
-                r_prim = res
-                r_dual = float(np.linalg.norm(gt_s @ f))
-                eq_res = float(np.linalg.norm(a_s @ z_s - b_s)) if m_eq else 0.0
-                eps_pri = (EPS_ABS * sqrt_cone
-                           + EPS_REL * max(np.linalg.norm(gz), np.linalg.norm(s)))
-                eps_dual = EPS_ABS * sqrt_n + EPS_REL * np.linalg.norm(gt_s @ (v - s))
-                eps_eq = EPS_ABS * sqrt_eq + EPS_REL * np.linalg.norm(b_s)
-                history.append((it, max(r_prim, r_dual)))
-                if not math.isfinite(r_prim + r_dual + eq_res):
-                    raise _Failure("iterates diverged")
-                if (r_prim <= eps_pri and r_dual <= eps_dual and eq_res <= eps_eq
-                        and all(_least_eigenvalue(b.materialize(z)) >= -10 * EPS_ABS
-                                for b in program.blocks[:2])):
-                    status = "optimal"
-                    break
 
-            # next point: safeguarded Anderson extrapolation of T(v) = v + f
-            tv = v + f
-            if rejected:
-                aa_rejected += 1
-                anderson.reset()
-                v = fallback
-            else:
-                v = anderson.step(tv, f)
-                fallback, res_plain = tv, res
-            accelerated = not rejected and v is not tv
-        if not np.isfinite(z).all():
-            raise _Failure("iterates diverged")
+def _run(name: str, method, program: ConicProgram, blocks: _SvecBlocks | None,
+         c: np.ndarray, max_iters: int, hand_over: bool = False) -> SolveResult:
+    """Run ``method`` on a fresh record named ``name``; a ``_Failure``, a
+    failed factorization or a floating-point error ends it
+    ``numerical_failure`` with a NaN objective.  With ``hand_over``, ADMM
+    runs in its place unless it ends ``optimal`` or by a ``_Refusal``."""
+    res = SolveResult(status="max_iters", objective=math.nan,
+                      primal_residual=math.inf, dual_residual=math.inf,
+                      iterations=0, z=np.zeros(program.num_vars), method=name)
+    try:
+        method(program, blocks, c, max_iters, res)
     except _Failure as exc:
-        status, message = "numerical_failure", str(exc)
+        res.message = str(exc)
+        hand_over = hand_over and not isinstance(exc, _Refusal)
     except np.linalg.LinAlgError as exc:
-        status, message = "numerical_failure", f"eigendecomposition failed: {exc}"
-
-    return SolveResult(
-        status=status,
-        objective=math.nan if message else float(program.objective @ z),
-        primal_residual=r_prim,
-        dual_residual=r_dual,
-        iterations=it,
-        z=z,
-        method="admm",
-        residual_history=history,
-        message=message,
-        aa_rejected=aa_rejected,
-    )
+        res.message = f"factorization failed: {exc}"
+    except FloatingPointError as exc:
+        res.message = f"floating-point error: {exc}"
+    if res.message:
+        res.status, res.objective = "numerical_failure", math.nan
+    if not hand_over or res.status == "optimal":
+        return res
+    after = _run("admm", _admm, program, blocks, c, max_iters)
+    reason = f"interior point stopped: {res.message or res.status}"
+    after.message = "; ".join(filter(None, [reason, after.message]))
+    return after
 
 
 def solve(program: ConicProgram, settings: SolverSettings | None = None) -> SolveResult:
     """Presolve the program, then run the interior-point method when it has
     at most ``IPM_MAX_FREE`` free moments, and ADMM otherwise or when the
-    interior-point method does not end ``optimal``; the returned objective
-    is the relaxation optimum estimate within the reported residual
-    tolerances.
+    interior-point method does not end ``optimal`` for a reason other than
+    the program; the returned objective is the relaxation optimum estimate
+    within the reported residual tolerances.
 
     Presolving replaces the original variant's pair of localizing blocks
     of q' and -q', the boundary equality q' = 0, by the equality rows it
     implies, and drops the repeated pairs; it leaves a reduced program as
-    it is.  ``solve`` fills ``psd_blocks`` and ``eq_rows``, the size of the
-    program actually solved, and ``solve_time``; the method that ran fills
-    the rest.  ``z`` stays in the assembled program's variable space, and
-    the objective is that program's: ADMM's is its value at ``z``, the
+    it is.  Each method minimizes c'z, c the objective signed by the sense
+    once; ``solve`` signs the objective back, builds ``_SvecBlocks`` once
+    for both methods and fills ``psd_blocks`` and ``eq_rows``, the size of
+    the program actually solved, and ``solve_time``, a refusal included.
+    ``z`` stays in the assembled program's variable space, and the
+    objective is that program's: ADMM's is its value at ``z``, the
     interior-point method's the end of the primal/dual pair on the side of
     a bound.
-    Non-finite program data, a program without PSD blocks, a failed KKT
-    factorization or eigendecomposition and diverged iterates end the
-    solve with status ``numerical_failure``.
+    Non-finite program data, a program without PSD blocks, inconsistent
+    equality rows, an objective that no PSD block bounds, a failed
+    factorization or eigendecomposition and diverged iterates end the solve
+    with status ``numerical_failure`` and a NaN objective.
     """
     settings = settings or SolverSettings()
     t0 = time.perf_counter()
     program = presolve(program)
     n, m_eq = program.num_vars, program.a_eq.shape[0]
+    sign = -1.0 if program.sense == "max" else 1.0
+    c = sign * program.objective.astype(float)
     data = [program.objective, program.rhs, program.a_eq.data,
             *(b.mat.data for b in program.blocks)]
-    if not all(np.isfinite(a).all() for a in data):
-        refused = "non-finite program data"
-    elif not program.blocks:
-        refused = "no PSD blocks: the solvers work on a block cone"
+    finite = all(np.isfinite(a).all() for a in data)
+    if not (finite and program.blocks):
+        def refuse(*_):
+            raise _Refusal("no PSD blocks: the solvers work on a block cone"
+                           if finite else "non-finite program data")
+        res = _run("", refuse, program, None, c, 0)
+    elif n - m_eq <= IPM_MAX_FREE:
+        res = _run("ipm", _interior_point, program, _SvecBlocks(program), c,
+                   settings.max_iters, hand_over=True)
     else:
-        refused = ""
-    if refused:
-        res = SolveResult(
-            status="numerical_failure", objective=math.nan,
-            primal_residual=math.inf, dual_residual=math.inf, iterations=0,
-            z=np.zeros(n), method="", message=refused)
-    else:
-        blocks = _SvecBlocks(program)
-        res = (_interior_point(program, blocks, settings.max_iters)
-               if n - m_eq <= IPM_MAX_FREE else None)
-        if res is None or res.status != "optimal":
-            reason = res and f"interior point stopped: {res.message or res.status}"
-            res = _admm(program, blocks, settings.max_iters)
-            res.message = "; ".join(filter(None, [reason, res.message]))
+        res = _run("admm", _admm, program, _SvecBlocks(program), c, settings.max_iters)
+    res.objective *= sign
     res.psd_blocks, res.eq_rows = len(program.blocks), m_eq
     res.solve_time = time.perf_counter() - t0
     return res

@@ -101,9 +101,6 @@ class McEstimate:
 
     moments: dict                        # order -> (mean, se, lo, hi)
     exit_fraction: float
-    paths: int
-    dt: float
-    horizon: float
     flagged: int = 0
 
     def mean(self, order: int) -> float:
@@ -512,9 +509,6 @@ def simulate_exit(model: SdeModel, cfg: McConfig,
     return McEstimate(
         moments=moments,
         exit_fraction=float(1.0 - capped.mean()),
-        paths=npaths,
-        dt=cfg.dt,
-        horizon=model.horizon,
         flagged=flagged,
     )
 

@@ -504,8 +504,50 @@ def test_a_failed_eigendecomposition_is_reported(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     res = solve(one_variable_program())
     assert res.status == "numerical_failure"
-    assert res.message.startswith("eigendecomposition failed")
+    assert res.message.startswith("factorization failed")
     assert res.iterations == 1
+
+
+def test_the_optimality_gate_reads_every_block(brownian, monkeypatch):
+    """ADMM stops ``optimal`` only once the least eigenvalue of every block
+    at z, not only the first two, is at least -10 ``EPS_ABS``."""
+    read, least_eigenvalue = [], conic._least_eigenvalue
+
+    def recorded(mat):
+        read.append(mat.shape[0])
+        return least_eigenvalue(mat)
+
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "_least_eigenvalue", recorded)
+    program = assemble(brownian, "reduced", 8, 1, "min")
+    res = solve(program)
+    assert (res.status, res.method, res.psd_blocks) == ("optimal", "admm", 6)
+    assert read == [b.dim for b in program.blocks]
+
+
+def test_inconsistent_equality_rows_end_the_solve():
+    """x = 1 and x = 2: the interior-point method refuses the program, and
+    no ADMM run follows."""
+    program = one_variable_program()
+    program.a_eq = sp.csr_matrix(np.array([[1.0], [1.0]]))
+    program.rhs = np.array([1.0, 2.0])
+    res = solve(program)
+    assert (res.status, res.method) == ("numerical_failure", "ipm")
+    assert res.message == "inconsistent equality rows"
+    assert res.iterations == 0 and math.isnan(res.objective)
+
+
+def test_an_objective_no_block_bounds_ends_the_solve():
+    """min z1 with z0 = 1 and the block [z0]: ADMM alone called this
+    optimal at about -1e9; the interior-point method refuses it."""
+    program = ConicProgram(
+        num_vars=2, objective=np.array([0.0, 1.0]), sense="min",
+        a_eq=sp.csr_matrix(np.array([[1.0, 0.0]])), rhs=np.array([1.0]),
+        blocks=[PsdBlock("M", 1, sp.csr_matrix(np.array([[1.0, 0.0]])))])
+    res = solve(program)
+    assert (res.status, res.method) == ("numerical_failure", "ipm")
+    assert res.message == "the objective moves along a direction no PSD block bounds"
+    assert res.iterations == 0 and math.isnan(res.objective)
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +658,14 @@ def test_an_interior_point_breakdown_returns_the_admm_result(brownian, monkeypat
                  "residual_history", "aa_rejected"):
         assert getattr(res, name) == getattr(admm, name), name
     assert np.array_equal(res.z, admm.z)
+
+
+def test_an_interior_point_stall_hands_over_to_admm(brownian):
+    """At Brownian K=22 the largest interior-point residual stops halving
+    before step 40, and ADMM runs with the same budget."""
+    res = solve(assemble(brownian, "reduced", 22, 1, "min"), SolverSettings(max_iters=40))
+    assert (res.method, res.status, res.iterations) == ("admm", "max_iters", 40)
+    assert res.message == "interior point stopped: no progress in 5 steps"
 
 
 def test_brownian_motion_in_a_box_is_solved_by_the_interior_point_method():

@@ -16,7 +16,8 @@ function assigns (other than ``_...``) and every module-level name a
 module assigns (other than ``__...__``): a module constant that no code
 reads is dead.  A method of a library dataclass assigns only the
 dataclass's declared fields on ``self``, so every attribute of an
-instance is one its constructor takes.
+instance is one its constructor takes.  The library builds every solve
+record through one ``SolveResult(...)`` call.
 """
 
 import ast
@@ -224,3 +225,11 @@ def test_dataclass_methods_assign_only_declared_fields():
                     hidden.append(f"{path.name}: {cls.name}.{node.attr}")
     assert "AugmentedModel" in checked
     assert not hidden, f"assigned on self but not a dataclass field: {hidden}"
+
+
+def test_one_call_builds_every_solve_record():
+    calls = [f"{path.name}:{node.lineno}" for path in LIBRARY
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SolveResult"]
+    assert len(calls) == 1, f"SolveResult built at {calls}"
