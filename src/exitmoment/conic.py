@@ -12,10 +12,12 @@ G_k as equality rows with right-hand side 0, and its repeats are dropped.
 Those pairs and their repeats are all that ``presolve`` ever changes:
 ``assemble`` lowers every other equality (the reduced variant's boundary,
 the trig circles of both variants) as rows already, so a reduced program
-comes back as it is.  The variables do not change, so the returned
-``z`` lives in the assembled program's variable space and needs no
-lift.  The presolve saves one eigendecomposition per dropped block on
-every iteration.
+comes back as it is, and a presolved original program is the reduced
+program with the block M(m) in front, which the reduced variant leaves
+out because the time box implies it.  The variables do not change, so
+the returned ``z`` lives in the assembled program's variable space and
+needs no lift.  The presolve saves one eigendecomposition per dropped
+block on every iteration.
 
 Dispatch.  After the presolve and the checks for non-finite data and
 for at least one PSD block, a program with
@@ -34,12 +36,15 @@ builds each method's record, which the method fills as it goes, and maps
 a numerical failure to ``numerical_failure`` with a NaN objective.
 
 The interior-point method eliminates A z = b through a null-space basis
-from the SVD of the dense A: z = z0 + N w.  Directions of N that move no
-PSD block (moments that only the equalities see) would make the Schur
-matrix singular; the eigendecomposition of the Gram matrix
-sum_k (G_k N)'(G_k N) keeps the others, scaled so that the stacked block
-images are orthonormal: z = z0 + W w, W = N Q diag(lambda)^-1/2.  What
-remains is the LMI  X_k = C_k + sum_i w_i F_k,i >= 0  with objective q'w
+N: z = z0 + N w.  N and z0 come from a QR factorization of the dense A'
+with column pivoting, whose falling |R_kk| give the rank, at a third of
+the cost of an SVD (5 ms against 14 ms at Brownian K=14, 240 x 307).
+Directions of N that move no PSD block (moments that only the
+equalities see) would make the Schur matrix singular; the
+eigendecomposition of the Gram matrix sum_k (G_k N)'(G_k N) keeps the
+others, scaled so that the stacked block images are orthonormal:
+z = z0 + W w, W = N Q diag(lambda)^-1/2.  What remains is the LMI
+X_k = C_k + sum_i w_i F_k,i >= 0  with objective q'w
 and the dual  Z_k >= 0,  sum_k <F_k,i, Z_k> = q_i.  Blocks of one
 dimension form a stacked group (an assembled program has one: its blocks
 share the moment basis of degree K/2) that keeps the F_k,i once, as an
@@ -78,14 +83,17 @@ SCS solver runs).  One evaluation is
 with the least-squares step solved through one cached sparse KKT
 factorization.  With s = P(v) and u = v - s this is classical ADMM with
 penalty 1 and no over-relaxation.  The KKT step gives
-c + A'y + G'(v - s) = -G'f - sigma z, so |G'f| is the dual residual of
-(z, y, lambda = s - v), with lambda PSD and orthogonal to s, as in SCS
-(O'Donoghue et al., JOTA 2016).  Every ``CHECK_INTERVAL`` iterations the
-primal residual |f|, this dual residual and the equality residual
-|A z - b| are compared with the ``EPS_ABS`` / ``EPS_REL`` tolerances; a
-point that meets them is optimal once the least eigenvalue of every PSD
-block at z is at least -10 ``EPS_ABS``.  ``SolverSettings`` holds the one
-setting callers vary, ``max_iters``, which counts map evaluations.
+c + A'y + G'(v - s) = -G'f - sigma z, so |G'f + sigma z| is the dual
+residual of (z, y, lambda = s - v), with lambda PSD and orthogonal to s,
+as in SCS (O'Donoghue et al., JOTA 2016).  Along a direction that no
+PSD block and no equality bounds, only sigma z holds z back, at about
+-c / sigma, where |G'f| alone reads 0.  Every ``CHECK_INTERVAL``
+iterations the primal residual |f|, this dual residual and the equality
+residual |A z - b| are compared with the ``EPS_ABS`` / ``EPS_REL``
+tolerances; a point that meets them is optimal once the least
+eigenvalue of every PSD block at z is at least -10 ``EPS_ABS``.
+``SolverSettings`` holds the one setting callers vary, ``max_iters``,
+which counts map evaluations.
 
 Type-II Anderson acceleration extrapolates the next v from the last
 ``AA_MEMORY`` evaluations of T (a Tikhonov-regularised least-squares fit
@@ -123,6 +131,8 @@ _SQRT2 = math.sqrt(2.0)
 # solves: 0 -> 117.4k, 5 -> 16.9k, 8 -> 14.1k, 10 -> 13.9k, 15 -> 14.2k.
 # Totals move by about this much with rounding alone (computing T(v) as
 # G z + (v - s) takes the 13 bounds from 5.98k to 5.9k at memory 10).
+# These counts, and those of AA_REGULARIZATION, were taken while the
+# reduced programs still held the block M(m).
 AA_MEMORY = 10
 # An accelerated point is rejected when its plain step's fixed-point
 # residual exceeds this multiple of the previous plain residual.
@@ -141,16 +151,17 @@ EPS_REL = 1e-7
 CHECK_INTERVAL = 25
 # Largest num_vars - eq_rows of a presolved program that goes to the
 # interior-point method first.  Measured on order-1 "min" reduced programs,
-# 1 BLAS thread, as (num_vars - eq_rows: interior point, ADMM alone):
-# Brownian K=14 (67: 0.29 s / 23 steps, 0.84 s / 425 iterations), 2-D
-# Brownian motion in the box [-1, 1]^2, K=8 (450: 1.3 s / 30, 9.3 s /
-# 3,775) and in the unit disc, K=8 (320: 0.6 s / 21, 1.1 s / 600); see
+# 1 BLAS thread, 2 shared vCPUs, as (num_vars - eq_rows: interior point,
+# ADMM alone): Brownian K=14 (67: 0.14 s / 22 steps, 0.41 s / 375
+# iterations), 2-D Brownian motion in the box [-1, 1]^2, K=8 (450: 0.77 s /
+# 28, 4.4 s / 2,825) and in the unit disc, K=8 (320: 0.45 s / 20, 0.79 s /
+# 550); see
 # ``test_brownian_motion_in_a_box_is_solved_by_the_interior_point_method``
 # and ``..._in_a_disc_...``.  The free-moment count alone does not predict
 # which method wins: at Brownian K=22 (99) the Z-side residual climbs from
-# 3.5e-9 to 1e-6 after step 22, and the stall test hands over to ADMM at
-# step 30, which adds 1.7 s to the 12 s of ADMM alone.  The benchmark sees
-# only the two ends, 67 free moments (Brownian) and 941 or more: the
+# 3.5e-9 at step 21 to 1e-6, and the stall test hands over to ADMM at
+# step 30, which adds 1.8 s to the 8.3 s of ADMM alone.  The benchmark
+# sees only the two ends, 67 free moments (Brownian) and 941 or more: the
 # pendulum stays above the cutoff, with 941 at reduced K=4 and 2,106 at K=6.
 IPM_MAX_FREE = 500
 # Least |primal| + |dual| objective against which the interior-point gap is
@@ -158,20 +169,20 @@ IPM_MAX_FREE = 500
 # IPM_GAP_FLOOR).  The reported bound is the end of the primal/dual pair on
 # the side of a bound, so its distance from the other end is this gap.  On
 # the 13 benchmark bounds, as (floor: steps, worst relative error against
-# the exact moments): 1 -> 295, 2.9e-5 (reduced K=14 order-6 "min", whose
-# objective is 0.002); 0.1 -> 308, 6.2e-6; 0.01 -> 318, 5.3e-6.  The floor
+# the exact moments): 1 -> 283, 2.1e-5 (reduced K=14 order-6 "min", whose
+# objective is 0.002); 0.1 -> 294, 8.1e-6; 0.01 -> 302, 5.2e-6.  The floor
 # is what ends a solve whose optimum is 0: at 0.001, reduced K=4 order-4
 # "min" keeps a gap as large as |primal| + |dual| for 5 steps and stalls.
 IPM_GAP_FLOOR = 0.1
 # Fraction of the way to the boundary of its cone that each side steps.
 # Interior-point steps on the 13 benchmark bounds / on 24 other Brownian
 # bounds (reduced K=4-10, orders 1, 2 and 4, both senses), all ending
-# optimal: 0.8 -> 333 / 543, 0.85 -> 320 / 500, 0.9 -> 308 / 461; at 0.95
-# only 10 of the 13 and 20 of the 24 do, at 0.98 only 1 and 8.
+# optimal: 0.8 -> 324 / 532, 0.85 -> 308 / 484, 0.9 -> 294 / 439; at 0.95
+# the 13 do but only 22 of the 24, at 0.98 only 1 and 13.
 IPM_STEP = 0.9
 # Steps within which the largest of the relative gap and residuals must
 # at least halve, or the interior-point solve has stalled.  On those 37
-# solves it shrank at least 3.6-fold over every 5 steps (at IPM_STEP 0.8
+# solves it shrank at least 4.1-fold over every 5 steps (at IPM_STEP 0.8
 # to 0.9).
 IPM_STALL = 5
 
@@ -395,14 +406,17 @@ def _free_moments(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray):
     @ W) have orthonormal columns."""
     a = program.a_eq.toarray()
     b = program.rhs.astype(float)
-    u, s, vt = np.linalg.svd(a)
+    # A[perm]' = Q R with |R_kk| falling: the first ``rank`` pivoted rows
+    # span the rows of A, and the last columns of Q its null space
+    q, tri, perm = sla.qr(a.T, pivoting=True)
+    diag = np.abs(np.diag(tri))
     eps = np.finfo(float).eps
-    rank = int(np.count_nonzero(s > s.max(initial=0.0) * max(a.shape) * eps))
-    z0 = vt[:rank].T @ (u[:, :rank].T @ b / s[:rank])
+    rank = int(np.count_nonzero(diag > diag.max(initial=0.0) * max(a.shape) * eps))
+    z0 = q[:, :rank] @ sla.solve_triangular(tri[:rank, :rank], b[perm[:rank]], trans="T")
     if (np.linalg.norm(a @ z0 - b)
             > EPS_ABS * math.sqrt(max(len(b), 1)) + EPS_REL * np.linalg.norm(b)):
         raise _Refusal("inconsistent equality rows")
-    null = vt[rank:].T
+    null = q[:, rank:]
     r = null.shape[1]
     gram = np.zeros((r, r))
     for start, length in zip(blocks.starts, blocks.lengths):
@@ -605,7 +619,7 @@ def _admm(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray,
 
         if it % CHECK_INTERVAL == 0 or it == max_iters:
             r_prim = res.primal_residual = res_f
-            r_dual = res.dual_residual = float(np.linalg.norm(gt_s @ f))
+            r_dual = res.dual_residual = float(np.linalg.norm(gt_s @ f + sigma * z_s))
             eq_res = float(np.linalg.norm(a_s @ z_s - b_s)) if m_eq else 0.0
             eps_pri = (EPS_ABS * sqrt_cone
                        + EPS_REL * max(np.linalg.norm(gz), np.linalg.norm(s)))

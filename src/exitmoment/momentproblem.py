@@ -4,13 +4,23 @@ The assembled program has one variable per occupation moment (degree up
 to K plus the overshoot needed by full-basis localizing blocks) followed
 by one per exit moment.  PSD blocks all share the moment-matrix basis of
 degree floor(K/2), so the block-diagonal cone has total side
-(2 + 3 N_q) d_K with original boundary constraints and (2 + N_q) d_K with
-the reduced scalar equalities, where N_q counts the inequality
-polynomials (``interior_polys``).  An equality polynomial g of
-``interior_eqs`` (the trig circles sin^2 + cos^2 - 1) gets no block in
-either variant: it enters as the equality rows M(g m) = 0.  The
-equality rows are the martingale rows, then (reduced variant) the
-boundary rows, then the rows of each g in ``interior_eqs`` in turn.
+(2 + 3 N_q) d_K with original boundary constraints (M(m), M(b), one
+M(q m) per inequality polynomial q and one (q', -q') pair per q) and
+(1 + N_q) d_K with the reduced scalar equalities (M(b) and the M(q m)),
+where N_q counts the inequality polynomials (``interior_polys``).  An
+equality polynomial g of ``interior_eqs`` (the trig circles
+sin^2 + cos^2 - 1) gets no block in either variant: it enters as the
+equality rows M(g m) = 0.  The equality rows are the martingale rows,
+then (reduced variant) the boundary rows, then the rows of each g in
+``interior_eqs`` in turn.
+
+The reduced variant leaves the occupation moment matrix M(m) out because
+the time box implies it.  Every model has t >= 0 and T - t >= 0 among
+its inequality polynomials (t and 1 - t / TIME_BOX once scaled), and
+t / T + (T - t) / T = 1, so M(m) = (M(t m) + M((T - t) m)) / T is a sum
+of PSD blocks at every feasible point: the feasible set, and each
+bound, stay as they are, and the solvers handle one block fewer.  The
+original variant, the paper's baseline, keeps M(m).
 
 Variables are numbered by graded lex rank: occupation moment alpha is
 variable rank(alpha) and exit moment alpha is num_m + rank(alpha), where
@@ -273,7 +283,10 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
     basis = np.array(mp.moment_basis, dtype=np.int64)
     m_range = (basis, 0, num_m, num_vars)
     b_range = (basis, num_m, num_b, num_vars)
-    blocks = [_psd_block("M(m)", one, *m_range), _psd_block("M(b)", one, *b_range)]
+    # the time box implies M(m) (see the module docstring): only the
+    # original variant states it
+    blocks = [_psd_block("M(m)", one, *m_range)] if mp.variant == "original" else []
+    blocks.append(_psd_block("M(b)", one, *b_range))
     for idx, q in enumerate(mp.model.interior_polys):
         blocks.append(_psd_block(f"M(q{idx} m)", q, *m_range))
     boundary = _psd_block("M(q' b)", mp.qprime, *b_range)

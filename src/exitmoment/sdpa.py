@@ -43,8 +43,8 @@ _ENTRY_DTYPE = [("matno", np.int32), ("blkno", np.int32),
                 ("i", np.int32), ("j", np.int32), ("value", np.float64)]
 # Entry lines per chunk of the export, and entries per slice of the
 # reader's checks.  A chunk's records and line strings take about 250 B a
-# line, so a chunk holds about 2 MB: the pendulum's files have 28,152
-# lines at K=6 and 448,688 at K=10.
+# line, so a chunk holds about 2 MB: the pendulum's files have 26,556
+# lines at K=6 and 416,810 at K=10.
 _LINES_PER_WRITE = 1 << 13
 
 

@@ -305,9 +305,9 @@ def equality_rows(program):
 
 
 @pytest.mark.parametrize("name, variant, K, before, after", [
-    ("brownian", "reduced", 14, (6, 240), (6, 240)),
+    ("brownian", "reduced", 14, (5, 240), (5, 240)),
     ("brownian", "original", 8, (14, 45), (6, 90)),
-    ("pendulum", "reduced", 6, (8, 1183), (8, 1183)),
+    ("pendulum", "reduced", 6, (7, 1183), (7, 1183)),
     ("pendulum", "original", 4, (20, 187), (8, 313)),
 ], ids=["brownian-reduced-K14", "brownian-original-K8", "pendulum-reduced-K6",
         "pendulum-original-K4"])
@@ -324,17 +324,29 @@ def test_presolve_sizes(name, variant, K, before, after, request):
     assert presolve(presolved) is presolved
 
 
+def with_occupation_block(reduced, original):
+    """The reduced program with the original variant's M(m), which the
+    time box implies, put back in front of its blocks."""
+    (occupation,) = [b for b in original.blocks if b.label == "M(m)"]
+    return dataclasses.replace(reduced, blocks=[occupation, *reduced.blocks])
+
+
 @pytest.mark.parametrize("order", [1, 3])
 def test_presolved_brownian_variants_are_one_program(brownian, order):
-    original = presolve(assemble(brownian, "original", 8, order, "min"))
+    """Up to M(m), which only the original variant states."""
+    original = assemble(brownian, "original", 8, order, "min")
     reduced = presolve(assemble(brownian, "reduced", 8, order, "min"))
-    assert same_arrays(program_arrays(original), program_arrays(reduced))
+    assert same_arrays(program_arrays(presolve(original)),
+                       program_arrays(with_occupation_block(reduced, original)))
 
 
 @pytest.mark.parametrize("K", [4, 6])
 def test_presolved_pendulum_variants_share_blocks_and_rows(pendulum, K):
-    original = presolve(assemble(pendulum, "original", K, 1, "min"))
-    reduced = presolve(assemble(pendulum, "reduced", K, 1, "min"))
+    """Up to M(m), which only the original variant states."""
+    assembled = assemble(pendulum, "original", K, 1, "min")
+    original = presolve(assembled)
+    reduced = with_occupation_block(
+        presolve(assemble(pendulum, "reduced", K, 1, "min")), assembled)
     assert same_arrays(block_arrays(original), block_arrays(reduced))
     rows = equality_rows(original)
     assert rows == equality_rows(reduced)
@@ -387,9 +399,10 @@ def test_brownian_reduced_k10_bounds_within_a_thousand_iterations(
 
 def test_brownian_reduced_k14_order6_max_within_a_thousand_iterations(
         brownian, monkeypatch):
-    """The dual residual |G'f| of one map step stops this solve at 625
-    iterations; a residual that measured the jump between consecutive
-    (Anderson-extrapolated) map inputs held it to 1,875."""
+    """The dual residual |G'f + sigma z| of one map step stops this solve
+    at 550 iterations; a residual that measured the jump between
+    consecutive (Anderson-extrapolated) map inputs held it to 1,875 on
+    the program with M(m)."""
     monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
     exact = 540553 / 8515584
     res = solve(assemble(brownian, "reduced", 14, 6, "max"))
@@ -408,8 +421,9 @@ def test_original_variant_solves_the_reduced_program(brownian, monkeypatch):
     # the dropped M(+q' b), M(-q' b) pair holds as equalities at z
     (pair,) = [b for b in original.blocks if b.label == "M(+q' b)#0"]
     assert np.abs(pair.mat @ res.z).max() <= conic.EPS_ABS
-    reduced = solve(assemble(brownian, "reduced", 8, 1, "min"))
-    assert res.objective == reduced.objective
+    # the presolved original is the reduced program with M(m) put back
+    reduced = assemble(brownian, "reduced", 8, 1, "min")
+    assert res.objective == solve(with_occupation_block(reduced, original)).objective
 
 
 def test_safeguard_rejections_are_counted(brownian, monkeypatch):
@@ -521,7 +535,7 @@ def test_the_optimality_gate_reads_every_block(brownian, monkeypatch):
     monkeypatch.setattr(conic, "_least_eigenvalue", recorded)
     program = assemble(brownian, "reduced", 8, 1, "min")
     res = solve(program)
-    assert (res.status, res.method, res.psd_blocks) == ("optimal", "admm", 6)
+    assert (res.status, res.method, res.psd_blocks) == ("optimal", "admm", 5)
     assert read == [b.dim for b in program.blocks]
 
 
@@ -537,17 +551,43 @@ def test_inconsistent_equality_rows_end_the_solve():
     assert res.iterations == 0 and math.isnan(res.objective)
 
 
-def test_an_objective_no_block_bounds_ends_the_solve():
-    """min z1 with z0 = 1 and the block [z0]: ADMM alone called this
-    optimal at about -1e9; the interior-point method refuses it."""
-    program = ConicProgram(
+def unbounded_program():
+    """min z1 with z0 = 1 and the block [z0]: nothing bounds z1."""
+    return ConicProgram(
         num_vars=2, objective=np.array([0.0, 1.0]), sense="min",
         a_eq=sp.csr_matrix(np.array([[1.0, 0.0]])), rhs=np.array([1.0]),
         blocks=[PsdBlock("M", 1, sp.csr_matrix(np.array([[1.0, 0.0]])))])
+
+
+def test_dependent_equality_rows_are_solved_by_the_interior_point_method():
+    """x = 1 and 2 x = 2: the rank of the equality rows is 1, and the
+    interior-point method solves the program without a refusal."""
+    program = one_variable_program()
+    program.a_eq = sp.csr_matrix(np.array([[1.0], [2.0]]))
+    program.rhs = np.array([1.0, 2.0])
     res = solve(program)
+    assert (res.status, res.method, res.message) == ("optimal", "ipm", "")
+    assert res.z == pytest.approx([1.0], abs=1e-12)
+
+
+def test_an_objective_no_block_bounds_ends_the_solve():
+    """The interior-point method refuses the program, and no ADMM run
+    follows."""
+    res = solve(unbounded_program())
     assert (res.status, res.method) == ("numerical_failure", "ipm")
     assert res.message == "the objective moves along a direction no PSD block bounds"
     assert res.iterations == 0 and math.isnan(res.objective)
+
+
+def test_admm_does_not_call_an_unbounded_objective_optimal(monkeypatch):
+    """ADMM alone: only the KKT step's sigma z holds z1 back, at about
+    -1 / sigma = -1e9, where |G'f| reads 0.  A dual residual of |G'f|
+    called that point optimal after 25 iterations; |G'f + sigma z| reads
+    1 there."""
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    res = solve(unbounded_program(), SolverSettings(max_iters=100))
+    assert (res.status, res.method, res.iterations) == ("max_iters", "admm", 100)
+    assert res.dual_residual == pytest.approx(1.0, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +637,11 @@ def test_original_variant_min_by_the_interior_point_method_is_below_a_quarter(br
     assert 0.25 - res.objective <= 1e-6
 
 
-# ADMM's own stopping point on K=6 order-2 "min" is 1.5e-6 (relative) below
-# the interior-point optimum; with EPS_ABS = EPS_REL = 1e-8 it ends within
-# 8e-7 of it.  The "max" bounds of K=6 orders 1-2 and K=8 order 2 are left
-# out: ADMM does not reach them in 20,000 iterations.
+# ADMM's own stopping point on K=6 order-2 "min" is 1.1e-6 (relative) below
+# the interior-point optimum; with EPS_ABS = EPS_REL = 1e-8 it is within
+# 4.3e-7 of it after 20,000 iterations.  The "max" bounds of K=6 orders 1-2
+# and K=8 order 2 are left out: ADMM does not reach them in 20,000
+# iterations.
 @pytest.mark.parametrize("K, order, sense, rel", [
     (6, 1, "min", 1e-6), (6, 2, "min", 2e-6), (8, 1, "min", 1e-6),
     (8, 1, "max", 1e-6), (8, 2, "min", 1e-6), (10, 1, "min", 1e-6),
@@ -670,7 +711,7 @@ def test_an_interior_point_stall_hands_over_to_admm(brownian):
 
 def test_brownian_motion_in_a_box_is_solved_by_the_interior_point_method():
     """The IPM_MAX_FREE regime point with the most free moments: ADMM
-    alone takes 3,775 iterations here."""
+    alone takes 2,825 iterations here."""
     model = scale_model(augment(SdeModel.from_strings(
         ["x", "y"], ["0", "0"], [["1", "0"], ["0", "1"]], [0.2, 0.1], 10.0,
         ["x + 1", "1 - x", "y + 1", "1 - y"])))
@@ -756,9 +797,9 @@ def test_blocks_of_two_dimensions_are_solved_by_the_interior_point_method(monkey
 
 
 def test_an_interior_point_solve_stays_within_its_memory(brownian):
-    """The numpy peak (tracemalloc) of reduced K=14 order 6 is 4.7 MB, of
-    which the (6, 61, 666) coefficient array is 1.95 MB: the Schur matrix
-    gathers one (36, 61, 36) block operand at a time, never a 4-D array."""
+    """The numpy peak (tracemalloc) of reduced K=14 order 6 is 4.3 MB, of
+    which the (5, 58, 666) coefficient array is 1.5 MB: the Schur matrix
+    gathers one (36, 58, 36) block operand at a time, never a 4-D array."""
     program = assemble(brownian, "reduced", 14, 6, "max")
     tracemalloc.start()
     try:
@@ -803,8 +844,8 @@ def test_cli_prints_one_bound_as_json(capsys):
     assert abs(out["bound"] - 0.25) <= 1e-6
     assert out["iterations"] > 0 and out["solve_time"] > 0
     assert out.keys() == CLI_KEYS
-    # M(m), M(b) and the four interior blocks; martingale and boundary rows
-    assert (out["psd_blocks"], out["eq_rows"]) == (6, 90)
+    # M(b) and the four interior blocks; martingale and boundary rows
+    assert (out["psd_blocks"], out["eq_rows"]) == (5, 90)
 
 
 def test_cli_reads_division_by_a_constant(capsys):

@@ -419,12 +419,14 @@ def test_distinct_rows_keeps_first_appearances_of_nonzero_rows():
 def test_psd_size_law(make_model, K, n_q, d_k):
     model = make_model()
     assert d_k == count_upto(model.total_dim, K // 2)
-    for variant, factor in (("original", 3), ("reduced", 1)):
+    # original: M(m), M(b), M(q m) and a (q', -q') pair per q; reduced:
+    # M(b) and M(q m) per q
+    for variant, sides in (("original", 2 + 3 * n_q), ("reduced", 1 + n_q)):
         mp = build_moment_problem(model, variant, K, 1, "max")
         program = lower_to_conic(mp)
         assert mp.n_q == n_q
         assert len(mp.moment_basis) == d_k
-        assert sum(b.dim for b in program.blocks) == (2 + factor * n_q) * d_k
+        assert sum(b.dim for b in program.blocks) == sides * d_k
         assert all(b.dim == d_k for b in program.blocks)
 
 
@@ -596,7 +598,9 @@ def test_lowering_matches_per_entry_reference(case, variant):
     program = lower_to_conic(mp)
     num_m = mp.num_m
     num_vars = program.num_vars
-    polys = [(Polynomial.constant(n, 1), 0), (Polynomial.constant(n, 1), num_m)]
+    # M(m) is implied by the time box, and only the original variant has it
+    polys = [(Polynomial.constant(n, 1), 0)] if variant == "original" else []
+    polys += [(Polynomial.constant(n, 1), num_m)]
     polys += [(q, 0) for q in mp.model.interior_polys]
     if variant == "original":
         polys += [(sign * mp.qprime, num_m)

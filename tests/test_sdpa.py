@@ -55,7 +55,8 @@ def test_trivial_export_matches_golden(tmp_path):
 
 
 def test_brownian_export_matches_golden(tmp_path):
-    # written by the per-entry exporter this file format started with
+    # written by the per-entry exporter this file format started with; the
+    # block M(m) (block 1) was then taken out and the later blocks renumbered
     out = tmp_path / "bm.dat-s"
     export_sdpa(brownian_program(4), out)
     golden = (GOLDEN / "brownian-reduced-K4.dat-s").read_bytes()
@@ -79,9 +80,10 @@ def test_chunk_size_changes_no_byte(tmp_path, monkeypatch, lines):
 
 def test_export_and_read_stay_within_their_memory(tmp_path):
     """The numpy peak (tracemalloc) of exporting pendulum reduced K=6
-    (28,152 entry lines) and reading it back is 3.1 MB, of which 2.5 MB is
-    the read's result.  An export that builds a record table of the whole
-    program and formats all its lines at once peaks at 5.4 MB."""
+    (26,556 entry lines) and reading it back is 3.1 MB, of which 2.3 MB is
+    the read's result.  With M(m) in the program (28,152 lines), an export
+    that built a record table of the whole program and formatted all its
+    lines at once peaked at 5.4 MB."""
     program = pendulum_program(6)
     out = tmp_path / "p.dat-s"
     tracemalloc.start()
@@ -91,7 +93,7 @@ def test_export_and_read_stay_within_their_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(len(view) for view in data.entries.values()) == 28_152
+    assert sum(len(view) for view in data.entries.values()) == 26_556
     assert peak <= 4_200_000
 
 
