@@ -35,11 +35,11 @@ reproduce one entry at a time:
   boundary localizing matrix M(q' b), and the rows of an equality
   polynomial g those of M(g m), each where it first appears in that same
   upper-triangle traversal, in traversal order, with right-hand side 0.
-  ``distinct_rows`` finds them; entry (i, j) depends only on
-  beta = basis[i] + basis[j], and distinct betas give distinct rows, so
-  there is one row per distinct beta.  ``conic.presolve`` uses the same
-  helper to turn the original variant's (q', -q') block pairs into the
-  reduced variant's boundary rows.
+  Entry (i, j) depends only on beta = basis[i] + basis[j], and distinct
+  betas give distinct rows, so there is one row per distinct beta, taken
+  where the graded lex rank of beta first appears.  ``conic.presolve``
+  finds the same rows of the original variant's (q', -q') block pairs by
+  comparing the rows themselves (``distinct_rows``).
 
 No two equality rows are proportional, so none is dropped: martingale
 row k is the only row on exit moment b_k; a boundary row holds only
@@ -301,9 +301,13 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
     else:
         vanishing = [boundary]
     # every distinct entry of M(q' b) (reduced) and of each M(g m), g in
-    # interior_eqs, vanishes
+    # interior_eqs, vanishes: one row per distinct beta = basis[i] +
+    # basis[j], where it first appears in the upper triangle
     vanishing += [_psd_block("M(g m)", g, *m_range) for g in mp.model.interior_eqs]
-    rows = [block.mat[distinct_rows(block.mat)] for block in vanishing]
+    iu, ju = np.triu_indices(len(basis))
+    first = np.sort(np.unique(graded_lex_ranks(basis[iu] + basis[ju]),
+                              return_index=True)[1])
+    rows = [block.mat[first] for block in vanishing]
     a_eq = sp.vstack([martingale, *rows], format="csr")
     rhs += [0.0] * sum(r.shape[0] for r in rows)
 
