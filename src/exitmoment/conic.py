@@ -14,7 +14,9 @@ Those pairs and their repeats are all that ``presolve`` ever changes:
 the trig circles of both variants) as rows already, so a reduced program
 comes back as it is, and a presolved original program is the reduced
 program with the block M(m) in front, which the reduced variant leaves
-out because the time box implies it.  The variables do not change, so
+out because the time box implies it, and, for a model with a reflection
+symmetry, with the mirrored M(q m) blocks and without the symmetry rows
+(see ``momentproblem``).  The variables do not change, so
 the returned ``z`` lives in the assembled program's variable space and
 needs no lift.  The presolve saves one eigendecomposition per dropped
 block on every iteration.
@@ -23,7 +25,9 @@ Dispatch.  After the presolve and the checks for non-finite data and
 for at least one PSD block, a program with
 ``num_vars - eq_rows <= IPM_MAX_FREE`` goes to the interior-point
 method.  That difference is a lower bound on the number of free
-moments, known without a factorization.  If the interior-point
+moments, known without a factorization; it is negative when dependent
+rows outnumber the variables, as the symmetry rows of a reduced program
+can.  If the interior-point
 method ends with any status other than ``optimal`` (``max_iters``, a
 matrix that is not positive definite, non-finite values, a stall), ADMM
 runs on the same presolved program, as it would have without the
@@ -38,7 +42,7 @@ a numerical failure to ``numerical_failure`` with a NaN objective.
 The interior-point method eliminates A z = b through a null-space basis
 N: z = z0 + N w.  N and z0 come from a QR factorization of the dense A'
 with column pivoting, whose falling |R_kk| give the rank, at a third of
-the cost of an SVD (5 ms against 14 ms at Brownian K=14, 240 x 307).
+the cost of an SVD (5 ms against 16 ms at Brownian K=14, 385 x 307).
 Directions of N that move no PSD block (moments that only the
 equalities see) would make the Schur matrix singular; the
 eigendecomposition of the Gram matrix sum_k (G_k N)'(G_k N) keeps the
@@ -151,17 +155,18 @@ EPS_REL = 1e-7
 CHECK_INTERVAL = 25
 # Largest num_vars - eq_rows of a presolved program that goes to the
 # interior-point method first.  Measured on order-1 "min" reduced programs,
-# 1 BLAS thread, 2 shared vCPUs, as (num_vars - eq_rows: interior point,
-# ADMM alone): Brownian K=14 (67: 0.14 s / 22 steps, 0.41 s / 375
-# iterations), 2-D Brownian motion in the box [-1, 1]^2, K=8 (450: 0.77 s /
-# 28, 4.4 s / 2,825) and in the unit disc, K=8 (320: 0.45 s / 20, 0.79 s /
-# 550); see
+# 1 BLAS thread, 2 shared vCPUs, as (free moments: interior point, ADMM
+# alone): Brownian K=14 (34: 0.06 s / 22 steps, 0.59 s / 750 iterations;
+# its num_vars - eq_rows is -78, since its symmetry rows depend on other
+# rows), 2-D Brownian motion from (0.2, 0.1) in the box [-1, 1]^2, K=8
+# (450: 0.77 s / 28, 4.4 s / 2,825) and in the unit disc, K=8 (320:
+# 0.45 s / 20, 0.79 s / 550); see
 # ``test_brownian_motion_in_a_box_is_solved_by_the_interior_point_method``
 # and ``..._in_a_disc_...``.  The free-moment count alone does not predict
-# which method wins: at Brownian K=22 (99) the Z-side residual climbs from
-# 3.5e-9 at step 21 to 1e-6, and the stall test hands over to ADMM at
-# step 30, which adds 1.8 s to the 8.3 s of ADMM alone.  The benchmark
-# sees only the two ends, 67 free moments (Brownian) and 941 or more: the
+# which method wins: at Brownian K=22 (50) the largest residual stops
+# shrinking at 7.6e-7 after step 24, and the stall test hands over to ADMM
+# at step 28, which adds 0.6 s to the 3.2 s of ADMM alone.  The benchmark
+# sees only the two ends, 34 free moments (Brownian) and 941 or more: the
 # pendulum stays above the cutoff, with 941 at reduced K=4 and 2,106 at K=6.
 IPM_MAX_FREE = 500
 # Least |primal| + |dual| objective against which the interior-point gap is
@@ -173,17 +178,22 @@ IPM_MAX_FREE = 500
 # objective is 0.002); 0.1 -> 294, 8.1e-6; 0.01 -> 302, 5.2e-6.  The floor
 # is what ends a solve whose optimum is 0: at 0.001, reduced K=4 order-4
 # "min" keeps a gap as large as |primal| + |dual| for 5 steps and stalls.
+# These counts, and those of IPM_STEP and IPM_STALL, were taken before the
+# reduced programs used the reflection y -> 1 - y; with it, 0.1 gives 294
+# steps and 9.2e-6.
 IPM_GAP_FLOOR = 0.1
 # Fraction of the way to the boundary of its cone that each side steps.
 # Interior-point steps on the 13 benchmark bounds / on 24 other Brownian
 # bounds (reduced K=4-10, orders 1, 2 and 4, both senses), all ending
 # optimal: 0.8 -> 324 / 532, 0.85 -> 308 / 484, 0.9 -> 294 / 439; at 0.95
-# the 13 do but only 22 of the 24, at 0.98 only 1 and 13.
+# the 13 do but only 22 of the 24, at 0.98 only 1 and 13.  With the
+# reflection, 0.9 takes 294 / 442 steps, every bound ending optimal on its
+# side of the exact moment.
 IPM_STEP = 0.9
 # Steps within which the largest of the relative gap and residuals must
 # at least halve, or the interior-point solve has stalled.  On those 37
 # solves it shrank at least 4.1-fold over every 5 steps (at IPM_STEP 0.8
-# to 0.9).
+# to 0.9), and at least 5.8-fold with the reflection at 0.9.
 IPM_STALL = 5
 
 

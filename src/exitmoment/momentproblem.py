@@ -6,13 +6,14 @@ by one per exit moment.  PSD blocks all share the moment-matrix basis of
 degree floor(K/2), so the block-diagonal cone has total side
 (2 + 3 N_q) d_K with original boundary constraints (M(m), M(b), one
 M(q m) per inequality polynomial q and one (q', -q') pair per q) and
-(1 + N_q) d_K with the reduced scalar equalities (M(b) and the M(q m)),
-where N_q counts the inequality polynomials (``interior_polys``).  An
-equality polynomial g of ``interior_eqs`` (the trig circles
-sin^2 + cos^2 - 1) gets no block in either variant: it enters as the
-equality rows M(g m) = 0.  The equality rows are the martingale rows,
-then (reduced variant) the boundary rows, then the rows of each g in
-``interior_eqs`` in turn.
+(1 + N_q - N_mirrored) d_K with the reduced scalar equalities (M(b) and
+the M(q m) but the mirrored ones, see below), where N_q counts the
+inequality polynomials (``interior_polys``).  An equality polynomial g
+of ``interior_eqs`` (the trig circles sin^2 + cos^2 - 1) gets no block
+in either variant: it enters as the equality rows M(g m) = 0.  The
+equality rows are the martingale rows, then (reduced variant) the
+boundary rows, then the rows of each g in ``interior_eqs`` in turn, and
+last (reduced variant) the symmetry rows.
 
 The reduced variant leaves the occupation moment matrix M(m) out because
 the time box implies it.  Every model has t >= 0 and T - t >= 0 among
@@ -21,6 +22,23 @@ t / T + (T - t) / T = 1, so M(m) = (M(t m) + M((T - t) m)) / T is a sum
 of PSD blocks at every feasible point: the feasible set, and each
 bound, stay as they are, and the solvers handle one block fewer.  The
 original variant, the paper's baseline, keeps M(m).
+
+The reduced variant also uses the reflections of the start state under
+which the model is invariant (``reflections``: x_i -> 2 c - x_i with
+c = x0_i, such as y -> 1 - y for Brownian motion on [0, 1] from 1/2).
+Averaging a feasible point with its mirror image gives a feasible point
+with the same objective, so restricting the program to invariant moment
+sequences keeps every bound (Gatermann & Parrilo, J. Pure Appl. Algebra
+2004; Riener, Theobald, Andren & Lasserre, Math. Oper. Res. 2013).  The
+symmetry rows state the invariance, m_alpha = the moment of x^alpha o
+sigma, for each occupation and then each exit moment alpha with odd
+alpha_i (the rows of even alpha_i follow from these).  On invariant
+moments M((q o sigma) m) = P' M(q m) P, with P the reflection of the
+degree floor(K/2) basis, which is invertible because that basis is
+closed under affine maps; so a block M(q_j m) with q_j a positive
+multiple of q_i o sigma, for an earlier q_i whose block is kept, is
+implied and left out (``MomentProblem.mirrored``: M((1 - y) m) for
+Brownian motion).
 
 Variables are numbered by graded lex rank: occupation moment alpha is
 variable rank(alpha) and exit moment alpha is num_m + rank(alpha), where
@@ -41,8 +59,8 @@ reproduce one entry at a time:
   finds the same rows of the original variant's (q', -q') block pairs by
   comparing the rows themselves (``distinct_rows``).
 
-No two equality rows are proportional, so none is dropped: martingale
-row k is the only row on exit moment b_k; a boundary row holds only
+No two martingale, boundary or circle rows are proportional, so none is
+dropped: martingale row k is the only row on exit moment b_k; a boundary row holds only
 exit moments, at least two of them (q' has the factor T - t, and the
 graded lex leading and trailing terms of a product cannot cancel), on
 the support of q' shifted by the row's own beta; a row of g holds only
@@ -51,11 +69,17 @@ one polynomial, distinct betas give distinct supports (the graded lex
 least target is beta plus the polynomial's least term), and rows of the
 boundary and of g lie on disjoint variables.  Rows of two circles differ
 too: equal supports would need equal betas (each circle's least term is
-its constant) and then the same sine and cosine.
+its constant) and then the same sine and cosine.  A symmetry row can
+depend on earlier rows, and with c = 0 it can repeat one (2 b_alpha = 0
+and the martingale row b_alpha = 0 of a test monomial that the generator
+maps to 0); the interior-point method takes the rank of the rows from a
+pivoted QR factorization, so nothing is dropped there either.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,7 +89,7 @@ import scipy.sparse as sp
 from .augment import AugmentedModel
 from .expr import (Polynomial, count_upto, enumerate_multi_indices,
                    graded_lex_ranks, is_int)
-from .generator import emit_all_rows
+from .generator import emit_all_rows, sigma_sigma_t
 
 
 def boundary_product(safe_polys) -> Polynomial:
@@ -135,11 +159,108 @@ class MomentProblem:
     num_b: int                     # exit moments, degree <= K_b
     moment_basis: list             # degree <= K // 2
     qprime: Polynomial
+    # reduced variant only: the coordinates whose reflection about the
+    # start state maps the program onto itself, and the indices of the
+    # inequality polynomials whose M(q m) mirrors an earlier block
+    reflections: list
+    mirrored: list
 
     @property
     def n_q(self) -> int:
-        """The number of inequality polynomials, one M(q m) block each."""
+        """The number of inequality polynomials, one M(q m) block each
+        but for the ``mirrored`` ones."""
         return len(self.model.interior_polys)
+
+
+def _reflection_weights(a: int, c: Fraction) -> list:
+    """(2c - x)^a = sum_k weights[k] x^k."""
+    return [math.comb(a, k) * (2 * c) ** (a - k) * (-1) ** k for k in range(a + 1)]
+
+
+def reflected(poly: Polynomial, i: int, c: Fraction) -> Polynomial:
+    """``poly`` with x_i replaced by 2c - x_i."""
+    terms: dict = {}
+    for alpha, coef in poly.terms.items():
+        for k, w in enumerate(_reflection_weights(alpha[i], c)):
+            beta = alpha[:i] + (k,) + alpha[i + 1:]
+            terms[beta] = terms.get(beta, 0) + coef * w
+    return Polynomial(poly.nvars, terms, poly.atoms)
+
+
+def _positive_multiple(p: Polynomial, q: Polynomial) -> bool:
+    """p = lambda q for some lambda > 0 (exactly); q is not zero."""
+    alpha = next(iter(q.terms))
+    ratio = p.coefficient(alpha) / q.coefficient(alpha)
+    return ratio > 0 and p == q * ratio
+
+
+def _permuted(polys: list, i: int, c: Fraction) -> bool:
+    """The reflection maps ``polys`` one to one onto its own members, each
+    up to a positive factor.  Positive multiples of one polynomial form a
+    class, and each image lands in a class, so a greedy match finds a one
+    to one map whenever there is one."""
+    free = list(range(len(polys)))
+    for p in polys:
+        image = reflected(p, i, c)
+        match = next((j for j in free if _positive_multiple(image, polys[j])), None)
+        if match is None:
+            return False
+        free.remove(match)
+    return True
+
+
+def reflections(model: AugmentedModel, sst: dict) -> list:
+    """The state coordinates i under whose reflection about the start
+    state, sigma: x_i -> 2 c - x_i with c = x0_i, the model is invariant.
+
+    Candidates are the coordinates that are neither time nor an atom and
+    that no atom reads.  With eps_j = -1 for j = i and +1 otherwise,
+    sigma is a symmetry when drift_j o sigma = eps_j drift_j, each entry of
+    the ``sigma_sigma_t`` table ``sst`` satisfies
+    (sigma sigma^T)_jk o sigma = eps_j eps_k (sigma sigma^T)_jk, and
+    sigma maps each of ``interior_polys``, ``exit_polys`` and
+    ``interior_eqs`` one to one onto its own members, up to positive
+    factors.  Every check is exact, on the ``Fraction`` coefficients.
+    """
+    nslots = model.total_dim - len(model.atoms)
+    read = {j for atom in model.atoms for j, e in enumerate(atom.arg) if e}
+    out = []
+    for i in range(nslots):
+        if i == model.time_index or i in read:
+            continue
+        c = Fraction(model.x0[i])
+        eps = [-1 if j == i else 1 for j in range(model.total_dim)]
+        if (all(reflected(b, i, c) == b * eps[j] for j, b in enumerate(model.drift))
+                and all(reflected(e, i, c) == e * (eps[j] * eps[k])
+                        for (j, k), e in sst.items())
+                and all(_permuted(polys, i, c) for polys in (
+                    model.interior_polys, model.exit_polys, model.interior_eqs))):
+            out.append(i)
+    return out
+
+
+def _closed_rows(rows: list, i: int) -> bool:
+    """Every test monomial x^k with a kept martingale row has the rows of
+    x^k[i -> j], j < k_i, kept too, so that the kept rows are closed under
+    the reflection of x_i (the generator drops rows whose image passes
+    degree K)."""
+    kept = {row.test_index for row in rows}
+    return all(k[:i] + (j,) + k[i + 1:] in kept
+               for k in kept for j in range(k[i]))
+
+
+def _mirrored(polys: list, coords: list, x0: list) -> list:
+    """Indices j of ``polys`` with q_j = lambda q_i o sigma, lambda > 0,
+    for a reflection sigma of ``coords`` and an earlier q_i that is not
+    itself mirrored."""
+    kept, out = [], []
+    for j, q in enumerate(polys):
+        if any(_positive_multiple(q, reflected(polys[k], i, Fraction(x0[i])))
+               for k in kept for i in coords):
+            out.append(j)
+        else:
+            kept.append(j)
+    return out
 
 
 def build_moment_problem(model: AugmentedModel, variant: str, K: int,
@@ -165,6 +286,11 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
             f"deg(q') = {qprime.degree()} exceeds K = {K}: moment sequence "
             "too short for the reduced boundary formulation")
 
+    coords = []
+    if variant == "reduced":
+        coords = [i for i in reflections(model, sigma_sigma_t(model.diffusion))
+                  if _closed_rows(rows, i)]
+
     half = K // 2
     max_int_deg = max((q.degree() for q in model.interior_polys + model.interior_eqs),
                       default=0)
@@ -175,6 +301,8 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
         num_b=count_upto(n, max(K, 2 * half + qprime.degree())),
         moment_basis=enumerate_multi_indices(n, half),
         qprime=qprime,
+        reflections=coords,
+        mirrored=_mirrored(model.interior_polys, coords, model.x0),
     )
 
 
@@ -220,6 +348,38 @@ def distinct_rows(mat: sp.csr_matrix) -> np.ndarray:
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     first = np.sort(order[first])
     return first[nonzero[first]]
+
+
+def _symmetry_rows(i: int, c: Fraction, n: int, offset: int, count: int,
+                   num_vars: int) -> sp.csr_matrix:
+    """The rows m_alpha - sum_k w_k m_alpha[i -> k] = 0, with w the
+    ``_reflection_weights`` of alpha_i and c, for every moment alpha of the
+    sequence on the variables offset .. offset + count - 1 that has an odd
+    alpha_i, in graded lex order of alpha: the sequence is invariant under
+    x_i -> 2c - x_i.  The rows of even alpha_i follow from these."""
+    degree = next(d for d in itertools.count() if count_upto(n, d) >= count)
+    alphas = np.array(enumerate_multi_indices(n, degree), dtype=np.int64).reshape(-1, n)
+    alphas = alphas[alphas[:, i] % 2 == 1]
+    top = alphas[:, i]
+    high = int(top.max(initial=0))
+    weights = np.zeros((high + 1, high + 1))
+    for a in range(1, high + 1, 2):
+        weights[a, :a + 1] = [float(w) for w in _reflection_weights(a, c)]
+    rows, cols = [np.arange(len(alphas))], [graded_lex_ranks(alphas)]
+    vals = [np.ones(len(alphas))]
+    for k in range(high + 1):
+        has = np.flatnonzero(top >= k)
+        targets = alphas[has]
+        targets[:, i] = k
+        rows.append(has)
+        cols.append(graded_lex_ranks(targets))
+        vals.append(-weights[top[has], k])
+    mat = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), offset + np.concatenate(cols))),
+        shape=(len(alphas), num_vars))
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    return mat
 
 
 def _psd_block(label: str, poly: Polynomial, basis: np.ndarray, offset: int,
@@ -288,7 +448,8 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
     blocks = [_psd_block("M(m)", one, *m_range)] if mp.variant == "original" else []
     blocks.append(_psd_block("M(b)", one, *b_range))
     for idx, q in enumerate(mp.model.interior_polys):
-        blocks.append(_psd_block(f"M(q{idx} m)", q, *m_range))
+        if idx not in mp.mirrored:
+            blocks.append(_psd_block(f"M(q{idx} m)", q, *m_range))
     boundary = _psd_block("M(q' b)", mp.qprime, *b_range)
     if mp.variant == "original":
         # one (q', -q') pair per inequality polynomial, mirroring the 2 N_q
@@ -308,6 +469,10 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
     first = np.sort(np.unique(graded_lex_ranks(basis[iu] + basis[ju]),
                               return_index=True)[1])
     rows = [block.mat[first] for block in vanishing]
+    # invariant occupation and exit moments under each reflection
+    rows += [_symmetry_rows(i, Fraction(mp.model.x0[i]), n, offset, count, num_vars)
+             for i in mp.reflections
+             for offset, count in ((0, num_m), (num_m, num_b))]
     a_eq = sp.vstack([martingale, *rows], format="csr")
     rhs += [0.0] * sum(r.shape[0] for r in rows)
 

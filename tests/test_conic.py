@@ -305,7 +305,7 @@ def equality_rows(program):
 
 
 @pytest.mark.parametrize("name, variant, K, before, after", [
-    ("brownian", "reduced", 14, (5, 240), (5, 240)),
+    ("brownian", "reduced", 14, (4, 385), (4, 385)),
     ("brownian", "original", 8, (14, 45), (6, 90)),
     ("pendulum", "reduced", 6, (7, 1183), (7, 1183)),
     ("pendulum", "original", 4, (20, 187), (8, 313)),
@@ -324,20 +324,34 @@ def test_presolve_sizes(name, variant, K, before, after, request):
     assert presolve(presolved) is presolved
 
 
-def with_occupation_block(reduced, original):
-    """The reduced program with the original variant's M(m), which the
-    time box implies, put back in front of its blocks."""
-    (occupation,) = [b for b in original.blocks if b.label == "M(m)"]
-    return dataclasses.replace(reduced, blocks=[occupation, *reduced.blocks])
+def with_left_out_parts(reduced, original):
+    """The reduced program with what only the original variant states put
+    back: the original's M(m), which the time box implies, and each
+    M(q m) that mirrors an earlier block under a reflection, in the
+    original's block order; and without the symmetry rows, which restrict
+    the reduced program to invariant moments after the rows the original
+    presolves to."""
+    kept = {b.label: b for b in reduced.blocks}
+    blocks = [kept.get(b.label, b) for b in original.blocks if "q' b" not in b.label]
+    rows = presolve(original).a_eq.shape[0]
+    return dataclasses.replace(reduced, blocks=blocks, a_eq=reduced.a_eq[:rows],
+                               rhs=reduced.rhs[:rows])
 
 
 @pytest.mark.parametrize("order", [1, 3])
 def test_presolved_brownian_variants_are_one_program(brownian, order):
-    """Up to M(m), which only the original variant states."""
+    """Up to M(m), which only the original variant states, and the
+    reflection y -> 1 - y, which only the reduced variant uses: it leaves
+    out M((1 - y) m) and adds one row per moment with an odd power of y."""
     original = assemble(brownian, "original", 8, order, "min")
     reduced = presolve(assemble(brownian, "reduced", 8, order, "min"))
+    kept = {b.label for b in reduced.blocks}
+    assert [b.label for b in with_left_out_parts(reduced, original).blocks
+            if b.label not in kept] == ["M(m)", "M(q1 m)"]
+    assert reduced.a_eq.shape[0] - presolve(original).a_eq.shape[0] == 61
+    assert not reduced.rhs[-61:].any()
     assert same_arrays(program_arrays(presolve(original)),
-                       program_arrays(with_occupation_block(reduced, original)))
+                       program_arrays(with_left_out_parts(reduced, original)))
 
 
 @pytest.mark.parametrize("K", [4, 6])
@@ -345,7 +359,7 @@ def test_presolved_pendulum_variants_share_blocks_and_rows(pendulum, K):
     """Up to M(m), which only the original variant states."""
     assembled = assemble(pendulum, "original", K, 1, "min")
     original = presolve(assembled)
-    reduced = with_occupation_block(
+    reduced = with_left_out_parts(
         presolve(assemble(pendulum, "reduced", K, 1, "min")), assembled)
     assert same_arrays(block_arrays(original), block_arrays(reduced))
     rows = equality_rows(original)
@@ -372,7 +386,7 @@ def test_presolve_merges_repeats_and_closes_each_pair_once():
 
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_brownian_reduced_k8_order1_reaches_a_quarter(brownian, sense, monkeypatch):
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     res = solve(assemble(brownian, "reduced", 8, 1, sense))
     assert res.status == "optimal"
     bound = res.objective * moment_unscale_factor(brownian, 1)
@@ -389,7 +403,7 @@ def test_brownian_reduced_k8_order1_reaches_a_quarter(brownian, sense, monkeypat
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_brownian_reduced_k10_bounds_within_a_thousand_iterations(
         brownian, order, exact, sense, monkeypatch):
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     res = solve(assemble(brownian, "reduced", 10, order, sense))
     assert res.status == "optimal"
     bound = res.objective * moment_unscale_factor(brownian, order)
@@ -400,10 +414,10 @@ def test_brownian_reduced_k10_bounds_within_a_thousand_iterations(
 def test_brownian_reduced_k14_order6_max_within_a_thousand_iterations(
         brownian, monkeypatch):
     """The dual residual |G'f + sigma z| of one map step stops this solve
-    at 550 iterations; a residual that measured the jump between
+    at 825 iterations; a residual that measured the jump between
     consecutive (Anderson-extrapolated) map inputs held it to 1,875 on
-    the program with M(m)."""
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    the program with M(m) and without the reflection y -> 1 - y."""
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     exact = 540553 / 8515584
     res = solve(assemble(brownian, "reduced", 14, 6, "max"))
     assert res.status == "optimal"
@@ -413,7 +427,7 @@ def test_brownian_reduced_k14_order6_max_within_a_thousand_iterations(
 
 
 def test_original_variant_solves_the_reduced_program(brownian, monkeypatch):
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     original = assemble(brownian, "original", 8, 1, "min")
     res = solve(original)
     assert res.status == "optimal"
@@ -421,9 +435,10 @@ def test_original_variant_solves_the_reduced_program(brownian, monkeypatch):
     # the dropped M(+q' b), M(-q' b) pair holds as equalities at z
     (pair,) = [b for b in original.blocks if b.label == "M(+q' b)#0"]
     assert np.abs(pair.mat @ res.z).max() <= conic.EPS_ABS
-    # the presolved original is the reduced program with M(m) put back
+    # the presolved original is the reduced program with M(m) and
+    # M((1 - y) m) put back and the symmetry rows taken off
     reduced = assemble(brownian, "reduced", 8, 1, "min")
-    assert res.objective == solve(with_occupation_block(reduced, original)).objective
+    assert res.objective == solve(with_left_out_parts(reduced, original)).objective
 
 
 def test_safeguard_rejections_are_counted(brownian, monkeypatch):
@@ -437,7 +452,7 @@ def test_safeguard_rejections_are_counted(brownian, monkeypatch):
             resets.append(self.count)
             super().reset()
 
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     monkeypatch.setattr(conic, "_Anderson", CountingAnderson)
     monkeypatch.setattr(conic, "AA_SAFEGUARD", 0.0)
     res = solve(assemble(brownian, "reduced", 8, 1, "min"))
@@ -448,7 +463,7 @@ def test_safeguard_rejections_are_counted(brownian, monkeypatch):
 
 
 def test_the_plain_map_converges_without_acceleration(brownian, monkeypatch):
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     monkeypatch.setattr(conic, "AA_MEMORY", 0)
     res = solve(assemble(brownian, "reduced", 8, 1, "min"))
     assert res.status == "optimal" and res.aa_rejected == 0
@@ -492,7 +507,7 @@ def failing_splu(kkt):
 
 
 def test_a_failed_kkt_factorization_is_reported(monkeypatch):
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     monkeypatch.setattr(conic.spla, "splu", failing_splu)
     res = solve(one_variable_program())
     assert res.status == "numerical_failure"
@@ -501,7 +516,7 @@ def test_a_failed_kkt_factorization_is_reported(monkeypatch):
 
 
 def test_non_finite_iterates_stop_at_the_first_check(monkeypatch):
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     monkeypatch.setattr(conic._SvecBlocks, "project",
                         lambda self, vec: np.full_like(vec, math.nan))
     res = solve(one_variable_program(), SolverSettings(max_iters=200))
@@ -514,7 +529,7 @@ def test_a_failed_eigendecomposition_is_reported(monkeypatch):
     def failing_eigh(mats):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     res = solve(one_variable_program())
     assert res.status == "numerical_failure"
@@ -531,11 +546,11 @@ def test_the_optimality_gate_reads_every_block(brownian, monkeypatch):
         read.append(mat.shape[0])
         return least_eigenvalue(mat)
 
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     monkeypatch.setattr(conic, "_least_eigenvalue", recorded)
     program = assemble(brownian, "reduced", 8, 1, "min")
     res = solve(program)
-    assert (res.status, res.method, res.psd_blocks) == ("optimal", "admm", 5)
+    assert (res.status, res.method, res.psd_blocks) == ("optimal", "admm", 4)
     assert read == [b.dim for b in program.blocks]
 
 
@@ -584,7 +599,7 @@ def test_admm_does_not_call_an_unbounded_objective_optimal(monkeypatch):
     -1 / sigma = -1e9, where |G'f| reads 0.  A dual residual of |G'f|
     called that point optimal after 25 iterations; |G'f + sigma z| reads
     1 there."""
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     res = solve(unbounded_program(), SolverSettings(max_iters=100))
     assert (res.status, res.method, res.iterations) == ("max_iters", "admm", 100)
     assert res.dual_residual == pytest.approx(1.0, rel=1e-6)
@@ -618,6 +633,19 @@ def test_brownian_reduced_k14_bounds_by_the_interior_point_method(
     assert max(res.primal_residual, res.dual_residual) <= conic.EPS_REL
 
 
+@pytest.mark.parametrize("K", [4, 6, 8, 10])
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_held_out_brownian_bounds_end_on_their_side_by_the_interior_point_method(
+        brownian, K, order, sense):
+    """The 24 bounds off the benchmark that ``IPM_STEP`` was tuned on."""
+    res = solve(assemble(brownian, "reduced", K, order, sense))
+    assert (res.status, res.method) == ("optimal", "ipm")
+    bound = Fraction(res.objective * moment_unscale_factor(brownian, order))
+    exact = BROWNIAN_MOMENTS[order]
+    assert bound <= exact if sense == "min" else bound >= exact
+
+
 @pytest.mark.parametrize("K, order", [(6, 1), (6, 2), (6, 4), (10, 4)])
 def test_interior_point_brackets_the_bounds_admm_leaves_unconverged(
         brownian, K, order):
@@ -637,11 +665,11 @@ def test_original_variant_min_by_the_interior_point_method_is_below_a_quarter(br
     assert 0.25 - res.objective <= 1e-6
 
 
-# ADMM's own stopping point on K=6 order-2 "min" is 1.1e-6 (relative) below
-# the interior-point optimum; with EPS_ABS = EPS_REL = 1e-8 it is within
-# 4.3e-7 of it after 20,000 iterations.  The "max" bounds of K=6 orders 1-2
-# and K=8 order 2 are left out: ADMM does not reach them in 20,000
-# iterations.
+# ADMM's own stopping point on K=6 order-2 "min" is 1.5e-6 (relative) below
+# the interior-point optimum; with EPS_ABS = EPS_REL = 1e-8 it stops within
+# 2.9e-7 of it after 16,000 iterations.  The "max" bounds of K=6 orders 1-2
+# are left out: ADMM does not reach them in 20,000 iterations (K=8 order 2
+# takes 18,500).
 @pytest.mark.parametrize("K, order, sense, rel", [
     (6, 1, "min", 1e-6), (6, 2, "min", 2e-6), (8, 1, "min", 1e-6),
     (8, 1, "max", 1e-6), (8, 2, "min", 1e-6), (10, 1, "min", 1e-6),
@@ -649,7 +677,7 @@ def test_original_variant_min_by_the_interior_point_method_is_below_a_quarter(br
 def test_interior_point_agrees_with_admm(brownian, monkeypatch, K, order, sense, rel):
     program = assemble(brownian, "reduced", K, order, sense)
     ipm = solve(program)
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     admm = solve(program)
     assert (ipm.method, admm.method) == ("ipm", "admm")
     assert ipm.status == admm.status == "optimal"
@@ -689,7 +717,7 @@ def test_an_interior_point_breakdown_returns_the_admm_result(brownian, monkeypat
     res = solve(program)
     # both methods work from the one svec bookkeeping solve builds
     assert len(built) == 1
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     admm = solve(program)
     assert res.message == ("interior point stopped: "
                            "factorization failed: Schur matrix is singular")
@@ -789,7 +817,7 @@ def test_blocks_of_two_dimensions_are_solved_by_the_interior_point_method(monkey
     program = two_dimension_program()
     assert [g[0] for g in _SvecBlocks(program).groups] == [2, 3]
     ipm = solve(program)
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     admm = solve(program)
     assert (ipm.method, admm.method) == ("ipm", "admm")
     assert ipm.status == admm.status == "optimal"
@@ -797,9 +825,9 @@ def test_blocks_of_two_dimensions_are_solved_by_the_interior_point_method(monkey
 
 
 def test_an_interior_point_solve_stays_within_its_memory(brownian):
-    """The numpy peak (tracemalloc) of reduced K=14 order 6 is 4.3 MB, of
-    which the (5, 58, 666) coefficient array is 1.5 MB: the Schur matrix
-    gathers one (36, 58, 36) block operand at a time, never a 4-D array."""
+    """The numpy peak (tracemalloc) of reduced K=14 order 6 is 3.6 MB, of
+    which the (4, 30, 666) coefficient array is 0.6 MB: the Schur matrix
+    gathers one (36, 30, 36) block operand at a time, never a 4-D array."""
     program = assemble(brownian, "reduced", 14, 6, "max")
     tracemalloc.start()
     try:
@@ -844,8 +872,9 @@ def test_cli_prints_one_bound_as_json(capsys):
     assert abs(out["bound"] - 0.25) <= 1e-6
     assert out["iterations"] > 0 and out["solve_time"] > 0
     assert out.keys() == CLI_KEYS
-    # M(b) and the four interior blocks; martingale and boundary rows
-    assert (out["psd_blocks"], out["eq_rows"]) == (5, 90)
+    # M(b) and the interior blocks but M((1 - y) m), the mirror of M(y m);
+    # 90 martingale and boundary rows, and 61 symmetry rows
+    assert (out["psd_blocks"], out["eq_rows"]) == (4, 151)
 
 
 def test_cli_reads_division_by_a_constant(capsys):
@@ -873,7 +902,7 @@ def test_cli_prints_no_bound_for_an_unconverged_solve(capsys):
 def test_cli_prints_a_non_finite_residual_as_null(capsys, monkeypatch):
     """A failed KKT factorization leaves both residuals infinite; the output
     stays strict JSON."""
-    monkeypatch.setattr(conic, "IPM_MAX_FREE", -1)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     monkeypatch.setattr(conic.spla, "splu", failing_splu)
     code = main(["--names", "y", "--drift", "0", "--diffusion", "1",
                  "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y",

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from exitmoment.augment import SdeModel, augment, scale_model
-from exitmoment.generator import MartingaleRow
+from exitmoment.generator import MartingaleRow, sigma_sigma_t
 from exitmoment.expr import (
     Polynomial,
     count_upto,
@@ -18,12 +19,15 @@ from exitmoment.expr import (
     parse_polynomial,
 )
 from exitmoment.momentproblem import (
+    _closed_rows,
     _psd_block,
     assemble,
     boundary_product,
     build_moment_problem,
     distinct_rows,
     lower_to_conic,
+    reflected,
+    reflections,
 )
 
 
@@ -249,6 +253,38 @@ def as_terms(row: dict, offset: int = 0):
     return sorted((offset + graded_lex_rank(a), float(c)) for a, c in row.items())
 
 
+def moment_indices(n, count):
+    """The first ``count`` multi-indices of the graded lex enumeration."""
+    degree = 0
+    while count_upto(n, degree) < count:
+        degree += 1
+    return enumerate_multi_indices(n, degree)[:count]
+
+
+def symmetry_rows(mp):
+    """Reference symmetry rows as {variable: Fraction}: for each reflected
+    coordinate i, and each occupation and then each exit moment alpha with
+    odd alpha_i, m_alpha minus the moment of x^alpha o sigma, with
+    (2 c - x_i)^alpha_i expanded by ``Polynomial`` arithmetic."""
+    n = mp.model.total_dim
+    rows = []
+    for i in mp.reflections:
+        mirror = (Polynomial.constant(n, 2 * Fraction(mp.model.x0[i]))
+                  - Polynomial.variable(n, i))
+        for offset, count in ((0, mp.num_m), (mp.num_m, mp.num_b)):
+            for alpha in moment_indices(n, count):
+                if alpha[i] % 2 == 0:
+                    continue
+                rest = alpha[:i] + (0,) + alpha[i + 1:]
+                image = mirror ** alpha[i] * Polynomial.monomial(n, rest)
+                row = {offset + graded_lex_rank(alpha): Fraction(1)}
+                for beta, coef in image.terms.items():
+                    v = offset + graded_lex_rank(beta)
+                    row[v] = row.get(v, 0) - coef
+                rows.append({v: c for v, c in row.items() if c})
+    return rows
+
+
 def test_reduced_equalities_frozen_interval_example():
     qprime = Polynomial(1, {(1,): 1, (2,): -1})  # x - x^2
     assert boundary_rows(qprime, 1, 2) == [
@@ -294,12 +330,14 @@ def test_reduced_equalities_match_pair_loop(case):
     assert boundary_rows(mp.qprime, model.total_dim, K) == [
         as_terms(row) for row in expected]
     # the program's equalities follow the martingale rows with them, on the
-    # exit moments, and then with the circle rows, on the occupation moments
+    # exit moments, then with the circle rows, on the occupation moments,
+    # and then with the symmetry rows
     circles = [as_terms(row) for g in model.interior_eqs
                for row in pair_loop_equalities(g, model.total_dim, K // 2)]
     a_eq = lower_to_conic(mp).a_eq
     assert matrix_rows(a_eq[len(mp.rows):]) == [
-        as_terms(row, mp.num_m) for row in expected] + circles
+        as_terms(row, mp.num_m) for row in expected] + circles + [
+        sorted((v, float(c)) for v, c in row.items()) for row in symmetry_rows(mp)]
 
 
 @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
@@ -313,12 +351,14 @@ def test_reduced_rows_are_the_distinct_rows_of_the_boundary_block(case):
     for row in matrix_rows(block.mat):
         if row not in distinct:
             distinct.append(row)
-    # both variants end with the same circle rows, if any
+    # both variants end with the same circle rows, if any, and then the
+    # reduced variant with its symmetry rows
     circles = matrix_rows(original.a_eq[len(reduced.rows):])
     assert len(circles) == (count_upto(model.total_dim, 2 * (K // 2))
                             * len(model.interior_eqs))
-    assert matrix_rows(lower_to_conic(reduced).a_eq[len(reduced.rows):]) == (
-        distinct + circles)
+    a_eq = lower_to_conic(reduced).a_eq
+    plain = a_eq.shape[0] - len(symmetry_rows(reduced))
+    assert matrix_rows(a_eq[len(reduced.rows):plain]) == distinct + circles
 
 
 @pytest.mark.parametrize("variant", ["original", "reduced"])
@@ -402,29 +442,151 @@ def test_distinct_rows_keeps_first_appearances_of_nonzero_rows():
 
 
 # ---------------------------------------------------------------------------
+# reflection symmetry
+# ---------------------------------------------------------------------------
+
+
+def scaled(names, x0, safe, drift=None, diffusion=None):
+    """Scaled model of driftless Brownian motion with unit noise per state,
+    horizon 10, unless drift and diffusion are given."""
+    n = len(names)
+    drift = drift or ["0"] * n
+    diffusion = diffusion or [["1" if j == k else "0" for k in range(n)]
+                              for j in range(n)]
+    return scale_model(augment(SdeModel.from_strings(
+        names, drift, diffusion, x0, 10.0, safe)))
+
+
+BOX = ["x + 1", "1 - x", "y + 1", "1 - y"]
+DISC = ["1 - x^2 - y^2"]
+
+# model, reflected coordinates, mirrored inequality polynomials (the
+# scaled box's x + 1 and 1 - x, ..., then t and 1 - t / 5)
+REFLECTION_CASES = {
+    "brownian-from-half": (scaled_brownian, [0], [1]),
+    "brownian-from-0.3": (lambda: scaled(["y"], [0.3], ["y", "1 - y"]), [], []),
+    "box-from-origin": (lambda: scaled(["x", "y"], [0.0, 0.0], BOX), [0, 1], [1, 3]),
+    "disc-from-origin": (lambda: scaled(["x", "y"], [0.0, 0.0], DISC), [0, 1], []),
+    "box-from-(0.2,0.1)": (lambda: scaled(["x", "y"], [0.2, 0.1], BOX), [], []),
+    "disc-from-(0.2,0.1)": (lambda: scaled(["x", "y"], [0.2, 0.1], DISC), [], []),
+    "pendulum": (scaled_pendulum, [], []),
+    "trig2d": (lambda: scaled(
+        ["x", "y"], [0.1, -0.2], ["1 - x^2 - y^2"],
+        drift=["sin(x*y) - x", "cos(t) + 0.5*sin(2*x)"],
+        diffusion=[["0.3 + 0.1*y", "0.2*x"], ["0.1*x*y", "0.4"]]), [], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFLECTION_CASES))
+def test_reflections_of_the_start_state_are_detected(case):
+    make_model, coords, mirrored = REFLECTION_CASES[case]
+    model = make_model()
+    assert reflections(model, sigma_sigma_t(model.diffusion)) == coords
+    reduced = build_moment_problem(model, "reduced", 6, 1, "min")
+    assert (reduced.reflections, reduced.mirrored) == (coords, mirrored)
+    labels = [b.label for b in lower_to_conic(reduced).blocks]
+    assert labels == ["M(b)"] + [f"M(q{k} m)" for k in range(reduced.n_q)
+                                 if k not in mirrored]
+    # the original variant, the paper's baseline, uses no symmetry
+    original = build_moment_problem(model, "original", 6, 1, "min")
+    assert (original.reflections, original.mirrored) == ([], [])
+
+
+def test_a_reflection_needs_every_term_to_match():
+    """Brownian motion from 1/2 with drift 1/2 - y is symmetric; with drift
+    y - y^3 (odd about 0, not about 1/2), a noise y, or the safe set
+    [0, 1] on the wrong side of the start it is not."""
+    def coords(**kw):
+        model = scaled(["y"], [kw.get("x0", 0.5)], kw.get("safe", ["y", "1 - y"]),
+                       drift=[kw.get("drift", "0")], diffusion=[[kw.get("noise", "1")]])
+        return reflections(model, sigma_sigma_t(model.diffusion))
+
+    assert coords(drift="1/2 - y") == [0]
+    assert coords(drift="y - y^3") == []
+    assert coords(noise="y") == []
+    assert coords(noise="2*y - 1") == [0]
+    assert coords(x0=0.0, safe=["y + 1", "1 - y"], drift="y - y^3") == [0]
+    assert coords(x0=0.0, safe=["y + 1", "2 - y"]) == []
+
+
+def test_a_reflection_needs_the_kept_rows_closed_under_it():
+    """The kept martingale rows must hold x^k[i -> j] for each kept x^k and
+    j < k_i; here x^(3, 0) is kept without x^(2, 0)."""
+    rows = [MartingaleRow(k, {}, 0.0) for k in [(0, 0), (1, 0), (3, 0), (0, 1)]]
+    assert _closed_rows(rows, 1) and not _closed_rows(rows, 0)
+
+
+@pytest.mark.parametrize("make_model, K", [
+    pytest.param(scaled_brownian, 8, id="brownian-K8"),
+    pytest.param(lambda: scaled(["x", "y"], [0.0, 0.0], BOX), 6, id="box-K6"),
+])
+def test_a_mirrored_block_is_congruent_to_its_mirror_on_invariant_moments(
+        make_model, K):
+    """On moments that satisfy the symmetry rows, M(q_j m) = lambda P'
+    M(q_i m) P when q_j = lambda q_i o sigma, where column u of P holds the
+    coefficients of (x o sigma)^u over the basis of degree K // 2."""
+    model = make_model()
+    mp = build_moment_problem(model, "reduced", K, 1, "min")
+    program = lower_to_conic(mp)
+    plain = lower_to_conic(dataclasses.replace(mp, reflections=[], mirrored=[]))
+    rows = program.a_eq[plain.a_eq.shape[0]:].toarray()
+    assert len(rows) == len(symmetry_rows(mp))
+    null = sla.null_space(rows)
+    z = null @ np.random.default_rng(7).standard_normal(null.shape[1])
+    assert np.abs(rows @ z).max() <= 1e-12
+    blocks = {b.label: b for b in plain.blocks}
+    basis, polys = mp.moment_basis, model.interior_polys
+    position = {u: k for k, u in enumerate(basis)}
+    alpha = (0,) * model.total_dim  # every polynomial here has a constant
+    for j in mp.mirrored:
+        # a kept q_i whose reflection is a positive multiple of q_j
+        (i, coord, lam), *_ = [
+            (i, coord, polys[j].coefficient(alpha) / image.coefficient(alpha))
+            for i in range(j) if i not in mp.mirrored for coord in mp.reflections
+            for image in [reflected(polys[i], coord, Fraction(model.x0[coord]))]
+            if image.coefficient(alpha)
+            and polys[j] == image * (polys[j].coefficient(alpha)
+                                     / image.coefficient(alpha))]
+        assert lam > 0
+        c = Fraction(model.x0[coord])
+        P = np.zeros((len(basis), len(basis)))
+        for u in basis:
+            for w, coef in reflected(Polynomial.monomial(model.total_dim, u),
+                                     coord, c).terms.items():
+                P[position[w], position[u]] = float(coef)
+        mirrored = blocks[f"M(q{j} m)"].materialize(z)
+        congruent = float(lam) * P.T @ blocks[f"M(q{i} m)"].materialize(z) @ P
+        assert np.abs(mirrored - congruent).max() <= 1e-12
+        assert np.abs(mirrored - blocks[f"M(q{i} m)"].materialize(z)).max() > 0.1
+
+
+# ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
 
 
-# (model, K, N_q, d_K): K = 6 is large enough that deg(q') <= K for every
-# box; the coupled pendulum is the paper's higher-dimensional case, with
-# N_q = its safe polynomial, t, T - t and 1 - a^2 for each of its four
-# atoms, and d_K = count_upto(9, 2)
-@pytest.mark.parametrize("make_model, K, n_q, d_k", [
-    pytest.param(lambda: box_model(0), 6, 2, 10, id="0"),
-    pytest.param(lambda: box_model(2), 6, 4, 10, id="2"),
-    pytest.param(lambda: box_model(4), 6, 6, 20, id="4"),
-    pytest.param(coupled_pendulum, 4, 7, 55, id="coupled-pendulum-K4"),
+# (model, K, N_q, N_mirrored, d_K): K = 6 is large enough that
+# deg(q') <= K for every box; the coupled pendulum is the paper's
+# higher-dimensional case, with N_q = its safe polynomial, t, T - t and
+# 1 - a^2 for each of its four atoms, and d_K = count_upto(9, 2).  The
+# boxes start at their centres: 1 - y mirrors y, and 1 - z mirrors z.
+@pytest.mark.parametrize("make_model, K, n_q, n_mirrored, d_k", [
+    pytest.param(lambda: box_model(0), 6, 2, 0, 10, id="0"),
+    pytest.param(lambda: box_model(2), 6, 4, 1, 10, id="2"),
+    pytest.param(lambda: box_model(4), 6, 6, 2, 20, id="4"),
+    pytest.param(coupled_pendulum, 4, 7, 0, 55, id="coupled-pendulum-K4"),
 ])
-def test_psd_size_law(make_model, K, n_q, d_k):
+def test_psd_size_law(make_model, K, n_q, n_mirrored, d_k):
     model = make_model()
     assert d_k == count_upto(model.total_dim, K // 2)
     # original: M(m), M(b), M(q m) and a (q', -q') pair per q; reduced:
-    # M(b) and M(q m) per q
-    for variant, sides in (("original", 2 + 3 * n_q), ("reduced", 1 + n_q)):
+    # M(b) and M(q m) per q that mirrors no earlier one
+    for variant, sides in (("original", 2 + 3 * n_q),
+                           ("reduced", 1 + n_q - n_mirrored)):
         mp = build_moment_problem(model, variant, K, 1, "max")
         program = lower_to_conic(mp)
         assert mp.n_q == n_q
+        assert len(mp.mirrored) == (n_mirrored if variant == "reduced" else 0)
         assert len(mp.moment_basis) == d_k
         assert sum(b.dim for b in program.blocks) == sides * d_k
         assert all(b.dim == d_k for b in program.blocks)
@@ -543,8 +705,8 @@ def per_entry_block(q, basis, offset: int, num_vars: int):
 def dict_lowering(mp):
     """Reference lowering of the equalities: moments mapped to variables
     through dicts over the enumerated multi-indices, the pair-loop boundary
-    rows (reduced) and circle rows, and every row dropped whose exact
-    normalized pattern came before."""
+    rows (reduced) and circle rows, every row dropped whose exact
+    normalized pattern came before, and then the symmetry rows."""
     n, half = mp.model.total_dim, mp.K // 2
     max_int_deg = max((q.degree() for q in mp.model.interior_polys
                        + mp.model.interior_eqs), default=0)
@@ -574,6 +736,10 @@ def dict_lowering(mp):
     for g in mp.model.interior_eqs:
         for eq in pair_loop_equalities(g, n, half):
             push({m_of[j]: c for j, c in eq.items()}, Fraction(0))
+    # the symmetry rows may repeat an earlier row: none is dropped
+    for eq in symmetry_rows(mp):
+        eq_rows.append(sorted(eq.items()))
+        eq_rhs.append(0.0)
     triplets = [(r, v, float(c)) for r, items in enumerate(eq_rows) for v, c in items]
     rows, cols, vals = zip(*triplets)
     a_eq = sp.csr_matrix((vals, (rows, cols)),
@@ -601,7 +767,8 @@ def test_lowering_matches_per_entry_reference(case, variant):
     # M(m) is implied by the time box, and only the original variant has it
     polys = [(Polynomial.constant(n, 1), 0)] if variant == "original" else []
     polys += [(Polynomial.constant(n, 1), num_m)]
-    polys += [(q, 0) for q in mp.model.interior_polys]
+    polys += [(q, 0) for idx, q in enumerate(mp.model.interior_polys)
+              if idx not in mp.mirrored]
     if variant == "original":
         polys += [(sign * mp.qprime, num_m)
                   for _ in mp.model.interior_polys for sign in (1, -1)]

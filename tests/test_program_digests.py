@@ -38,14 +38,17 @@ MODELS = {
 # program is "min".  No reduced program has anything to presolve (its
 # boundary and circle equalities are lowered as rows, never as a pair of
 # blocks of g and -g), so both digests agree.  Only the original variant
-# has the block M(m), which the time box implies (see the last test).
+# has the block M(m), which the time box implies (see the last test).  The
+# reduced Brownian programs, started at the middle of the interval, also
+# restrict the moments to those invariant under y -> 1 - y and leave out
+# M((1 - y) m), the mirror of M(y m); no other model here is symmetric.
 DIGESTS = [
-    ("brownian", "reduced", 14, 1, "b267d95cc2593b43", "b267d95cc2593b43"),
-    ("brownian", "reduced", 14, 2, "6012a47c7037ea61", "6012a47c7037ea61"),
-    ("brownian", "reduced", 14, 3, "37b4cfef26b6bac5", "37b4cfef26b6bac5"),
-    ("brownian", "reduced", 14, 4, "a603fd22bf4ab89f", "a603fd22bf4ab89f"),
-    ("brownian", "reduced", 14, 5, "72dff479dffeecb4", "72dff479dffeecb4"),
-    ("brownian", "reduced", 14, 6, "aa29d5a362ae1728", "aa29d5a362ae1728"),
+    ("brownian", "reduced", 14, 1, "899ee840d19a3598", "899ee840d19a3598"),
+    ("brownian", "reduced", 14, 2, "e1e3c4a19ec52434", "e1e3c4a19ec52434"),
+    ("brownian", "reduced", 14, 3, "90ce3597e329cea8", "90ce3597e329cea8"),
+    ("brownian", "reduced", 14, 4, "6b7ce5f31e5b1a57", "6b7ce5f31e5b1a57"),
+    ("brownian", "reduced", 14, 5, "2fa55ac040c51062", "2fa55ac040c51062"),
+    ("brownian", "reduced", 14, 6, "79c14de08324bffc", "79c14de08324bffc"),
     ("brownian", "original", 8, 1, "d55678d259d0174f", "e48230802e2af15f"),
     ("pendulum", "reduced", 10, 1, "2dbd267857cc1ccd", "2dbd267857cc1ccd"),
     ("pendulum", "reduced", 6, 1, "73390ca99d64ea40", "73390ca99d64ea40"),
@@ -113,17 +116,20 @@ def unit_pair(polys, nvars):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_the_time_box_implies_the_occupation_moment_matrix(name):
     """The reduced program leaves M(m) out because it is implied: two
-    inequality polynomials have nonnegative weights with
-    w_i q_i + w_j q_j = 1, so M(m) = w_i M(q_i m) + w_j M(q_j m), a sum of
-    PSD blocks.  The time box t, 1 - t / TIME_BOX is such a pair in every
-    model; the search may find another first, such as y, 1 - y."""
+    inequality polynomials whose blocks it keeps have nonnegative weights
+    with w_i q_i + w_j q_j = 1, so M(m) = w_i M(q_i m) + w_j M(q_j m), a
+    sum of PSD blocks.  The time box t, 1 - t / TIME_BOX is such a pair in
+    every model; the search may find another first."""
     model = scale_model(augment(SdeModel.from_strings(**MODELS[name])))
-    i, j, w_i, w_j = unit_pair(model.interior_polys, model.total_dim)
-    assert isinstance(w_i, Fraction) and isinstance(w_j, Fraction)
     original = assemble(model, "original", 4, 1, "min")
     reduced = assemble(model, "reduced", 4, 1, "min")
     labels = [b.label for b in reduced.blocks]
     assert "M(m)" not in labels
+    kept = [k for k in range(len(model.interior_polys)) if f"M(q{k} m)" in labels]
+    i, j, w_i, w_j = unit_pair([model.interior_polys[k] for k in kept],
+                               model.total_dim)
+    i, j = kept[i], kept[j]
+    assert isinstance(w_i, Fraction) and isinstance(w_j, Fraction)
     (occupation,) = [b for b in original.blocks if b.label == "M(m)"]
     q_i, q_j = (reduced.blocks[labels.index(f"M(q{k} m)")] for k in (i, j))
     implied = float(w_i) * q_i.mat + float(w_j) * q_j.mat

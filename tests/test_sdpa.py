@@ -56,7 +56,12 @@ def test_trivial_export_matches_golden(tmp_path):
 
 def test_brownian_export_matches_golden(tmp_path):
     # written by the per-entry exporter this file format started with; the
-    # block M(m) (block 1) was then taken out and the later blocks renumbered
+    # block M(m) (block 1) was then taken out and the later blocks
+    # renumbered.  Then block 3, M((1 - y) m), the mirror of M(y m), went
+    # the same way, and the entries of the 25 symmetry rows, their
+    # coefficients expanded by Polynomial arithmetic, joined the equality
+    # block as its rows 31-55 and 86-110, after the 30 rows it had in
+    # each half
     out = tmp_path / "bm.dat-s"
     export_sdpa(brownian_program(4), out)
     golden = (GOLDEN / "brownian-reduced-K4.dat-s").read_bytes()
