@@ -79,7 +79,6 @@ pivoted QR factorization, so nothing is dropped there either.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,16 +171,25 @@ class MomentProblem:
         return len(self.model.interior_polys)
 
 
-def _reflection_weights(a: int, c: Fraction) -> list:
-    """(2c - x)^a = sum_k weights[k] x^k."""
-    return [math.comb(a, k) * (2 * c) ** (a - k) * (-1) ** k for k in range(a + 1)]
+def _reflection_weights(high: int, c: Fraction) -> list:
+    """weights[a][k] for a <= high: (2c - x)^a = sum_k weights[a][k] x^k,
+    each row the previous one times 2c - x."""
+    two_c = 2 * c
+    weights = [[Fraction(1)]]
+    for _ in range(high):
+        prev = weights[-1]
+        weights.append([two_c * prev[0]]
+                       + [two_c * a - b for a, b in zip(prev[1:], prev)]
+                       + [-prev[-1]])
+    return weights
 
 
 def reflected(poly: Polynomial, i: int, c: Fraction) -> Polynomial:
     """``poly`` with x_i replaced by 2c - x_i."""
+    weights = _reflection_weights(poly.degree(), c)
     terms: dict = {}
     for alpha, coef in poly.terms.items():
-        for k, w in enumerate(_reflection_weights(alpha[i], c)):
+        for k, w in enumerate(weights[alpha[i]]):
             beta = alpha[:i] + (k,) + alpha[i + 1:]
             terms[beta] = terms.get(beta, 0) + coef * w
     return Polynomial(poly.nvars, terms, poly.atoms)
@@ -356,28 +364,27 @@ def _symmetry_rows(i: int, c: Fraction, n: int, offset: int, count: int,
     ``_reflection_weights`` of alpha_i and c, for every moment alpha of the
     sequence on the variables offset .. offset + count - 1 that has an odd
     alpha_i, in graded lex order of alpha: the sequence is invariant under
-    x_i -> 2c - x_i.  The rows of even alpha_i follow from these."""
+    x_i -> 2c - x_i.  The rows of even alpha_i follow from these.
+
+    Row r holds alpha_r[i -> k] for k = 0 .. alpha_i, whose ranks rise
+    with k, and k = alpha_i is alpha_r itself, with coefficient
+    1 - (-1)^alpha_i = 2."""
     degree = next(d for d in itertools.count() if count_upto(n, d) >= count)
     alphas = np.array(enumerate_multi_indices(n, degree), dtype=np.int64).reshape(-1, n)
     alphas = alphas[alphas[:, i] % 2 == 1]
     top = alphas[:, i]
-    high = int(top.max(initial=0))
-    weights = np.zeros((high + 1, high + 1))
-    for a in range(1, high + 1, 2):
-        weights[a, :a + 1] = [float(w) for w in _reflection_weights(a, c)]
-    rows, cols = [np.arange(len(alphas))], [graded_lex_ranks(alphas)]
-    vals = [np.ones(len(alphas))]
-    for k in range(high + 1):
-        has = np.flatnonzero(top >= k)
-        targets = alphas[has]
-        targets[:, i] = k
-        rows.append(has)
-        cols.append(graded_lex_ranks(targets))
-        vals.append(-weights[top[has], k])
-    mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), offset + np.concatenate(cols))),
-        shape=(len(alphas), num_vars))
-    mat.sum_duplicates()
+    weights = _reflection_weights(int(top.max(initial=0)), c)
+    table = np.zeros((len(weights), len(weights)))
+    for a, row in enumerate(weights):
+        table[a, :a + 1] = [float(-w) for w in row[:-1]] + [float(1 - row[-1])]
+    # one entry per (row, k <= alpha_i)
+    indptr = np.concatenate([[0], np.cumsum(top + 1)])
+    row_of = np.repeat(np.arange(len(alphas)), top + 1)
+    k = np.arange(indptr[-1]) - indptr[row_of]
+    targets = alphas[row_of]
+    targets[:, i] = k
+    mat = sp.csr_matrix((table[top[row_of], k], offset + graded_lex_ranks(targets), indptr),
+                        shape=(len(alphas), num_vars))
     mat.eliminate_zeros()
     return mat
 
