@@ -60,20 +60,21 @@ reproduce one entry at a time:
   comparing the rows themselves (``distinct_rows``).
 
 No two martingale, boundary or circle rows are proportional, so none is
-dropped: martingale row k is the only row on exit moment b_k; a boundary row holds only
-exit moments, at least two of them (q' has the factor T - t, and the
-graded lex leading and trailing terms of a product cannot cancel), on
-the support of q' shifted by the row's own beta; a row of g holds only
-occupation moments, on the support of g shifted by its beta.  Within
-one polynomial, distinct betas give distinct supports (the graded lex
-least target is beta plus the polynomial's least term), and rows of the
-boundary and of g lie on disjoint variables.  Rows of two circles differ
-too: equal supports would need equal betas (each circle's least term is
-its constant) and then the same sine and cosine.  A symmetry row can
-depend on earlier rows, and with c = 0 it can repeat one (2 b_alpha = 0
-and the martingale row b_alpha = 0 of a test monomial that the generator
-maps to 0); the interior-point method takes the rank of the rows from a
-pivoted QR factorization, so nothing is dropped there either.
+dropped: martingale row k is the only row on exit moment b_k; a
+boundary row holds only exit moments, at least two of them (q' has the
+factor T - t, and the graded lex leading and trailing terms of a product
+cannot cancel), on the support of q' shifted by the row's own beta; a
+row of g holds only occupation moments, on the support of g shifted by
+its beta.  Within one polynomial, distinct betas give distinct supports
+(the graded lex least target is beta plus the polynomial's least term),
+and rows of the boundary and of g lie on disjoint variables.  Rows of
+two circles differ too: equal supports would need equal betas (each
+circle's least term is its constant) and then the same sine and
+cosine.  A symmetry row can depend on earlier rows, and with c = 0 it
+can repeat one (2 b_alpha = 0 and the martingale row b_alpha = 0 of a
+test monomial that the generator maps to 0); the interior-point method
+takes the rank of the rows from a pivoted QR factorization, so nothing
+is dropped there either.
 """
 
 from __future__ import annotations
