@@ -9,17 +9,19 @@ q' = 0 on the exit measure, as the two localizing constraints q' >= 0
 and -q' >= 0, once per inequality polynomial; both blocks force
 G_k z = 0, so the first pair is replaced by the distinct nonzero rows of
 G_k as equality rows with right-hand side 0, and its repeats are dropped.
-Those pairs and their repeats are all that ``presolve`` ever changes:
-``assemble`` lowers every other equality (the reduced variant's boundary,
-the trig circles of both variants) as rows already, so a reduced program
-comes back as it is, and a presolved original program is the reduced
-program with the block M(m) in front, which the reduced variant leaves
-out because the time box implies it, and, for a model with a reflection
-symmetry, with the mirrored M(q m) blocks and without the symmetry rows
-(see ``momentproblem``).  The variables do not change, so
-the returned ``z`` lives in the assembled program's variable space and
-needs no lift.  The presolve saves one eigendecomposition per dropped
-block on every iteration.
+``distinct_rows`` finds those rows by comparing the rows themselves;
+they are the rows that ``assemble`` lowers one per distinct beta for the
+reduced variant.  Those pairs and their repeats are all that
+``presolve`` ever changes: ``assemble`` lowers every other equality
+(the reduced variant's boundary, the trig circles of both variants) as
+rows already, so a reduced program comes back as it is, and a presolved
+original program is the reduced program with the block M(m) in front,
+which the reduced variant leaves out because the time box implies it,
+and, for a model with a reflection symmetry, with the mirrored M(q m)
+blocks and without the symmetry rows (see ``momentproblem``).  The
+variables do not change, so the returned ``z`` lives in the assembled
+program's variable space and needs no lift.  The presolve saves one
+eigendecomposition per dropped block on every iteration.
 
 Dispatch.  After the presolve and the checks for non-finite data and
 for at least one PSD block, a program with
@@ -123,7 +125,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .expr import is_int
-from .momentproblem import ConicProgram, distinct_rows
+from .momentproblem import ConicProgram
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -369,6 +371,29 @@ class _Anderson:
 def _block_key(dim: int, mat: sp.csr_matrix) -> tuple:
     mat = mat.sorted_indices()
     return dim, mat.indptr.tobytes(), mat.indices.tobytes(), mat.data.tobytes()
+
+
+def distinct_rows(mat: sp.csr_matrix) -> np.ndarray:
+    """Sorted positions at which each distinct nonzero row of ``mat`` first
+    appears.  Rows compare bit for bit by their sorted (column, value)
+    entries, padded to the longest row; a row without a nonzero value is
+    left out."""
+    if not mat.has_sorted_indices:
+        mat = mat.sorted_indices()
+    counts = np.diff(mat.indptr)
+    rows = np.repeat(np.arange(mat.shape[0]), counts)
+    slot = np.arange(mat.nnz) - mat.indptr[rows]
+    width = int(counts.max(initial=0))
+    keys = np.full((mat.shape[0], 2 * width), -1, dtype=np.int64)
+    keys[rows, slot] = mat.indices
+    keys[rows, width + slot] = mat.data.astype(np.float64).view(np.int64)
+    nonzero = np.zeros(mat.shape[0], dtype=bool)
+    nonzero[rows[mat.data != 0]] = True
+    if not width:
+        return np.flatnonzero(nonzero)
+    # the sort is stable, so each index is a row's first appearance
+    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    return first[nonzero[first]]
 
 
 def presolve(program: ConicProgram) -> ConicProgram:

@@ -42,22 +42,22 @@ Brownian motion).
 
 Variables are numbered by graded lex rank: occupation moment alpha is
 variable rank(alpha) and exit moment alpha is num_m + rank(alpha), where
-rank is the closed form of ``expr.graded_lex_ranks``.  The array
+rank is the closed form of ``expr.graded_lex_ranks``.  Entry (i, j) of
+a localizing matrix depends only on beta = basis[i] + basis[j], so the
+lowering ranks the betas of the upper triangle once (``_betas``) and
+lowers one row per distinct beta (``_localizing_rows``).  The array
 assembly relies on two orders, which the tests' per-entry loops
 reproduce one entry at a time:
 
-* PSD block triplets run row-major over the upper triangle
-  (``np.triu_indices(d)``: i <= j, svec position p), and within one entry
-  over the polynomial's terms in graded lex order (``Polynomial.items``).
-* The reduced variant's boundary equalities are the distinct rows of the
-  boundary localizing matrix M(q' b), and the rows of an equality
-  polynomial g those of M(g m), each where it first appears in that same
-  upper-triangle traversal, in traversal order, with right-hand side 0.
-  Entry (i, j) depends only on beta = basis[i] + basis[j], and distinct
-  betas give distinct rows, so there is one row per distinct beta, taken
-  where the graded lex rank of beta first appears.  ``conic.presolve``
-  finds the same rows of the original variant's (q', -q') block pairs by
-  comparing the rows themselves (``distinct_rows``).
+* The distinct betas come in the order each first appears in the
+  upper-triangle traversal (``np.triu_indices(d)``: i <= j, svec
+  position p), and within one row the terms follow the polynomial's
+  graded lex order (``Polynomial.items``).  Svec row p of a PSD block is
+  the row of its beta.
+* The reduced variant's boundary equalities, the rows of M(q' b) = 0,
+  and the rows M(g m) = 0 of each equality polynomial g are the beta
+  rows themselves, in that first-appearance order, with right-hand
+  side 0.  Distinct betas give distinct rows (see below).
 
 No two martingale, boundary or circle rows are proportional, so none is
 dropped: martingale row k is the only row on exit moment b_k; a
@@ -196,26 +196,13 @@ def reflected(poly: Polynomial, i: int, c: Fraction) -> Polynomial:
     return Polynomial(poly.nvars, terms, poly.atoms)
 
 
-def _positive_multiple(p: Polynomial, q: Polynomial) -> bool:
-    """p = lambda q for some lambda > 0 (exactly); q is not zero."""
-    alpha = next(iter(q.terms))
-    ratio = p.coefficient(alpha) / q.coefficient(alpha)
-    return ratio > 0 and p == q * ratio
-
-
-def _permuted(polys: list, i: int, c: Fraction) -> bool:
-    """The reflection maps ``polys`` one to one onto its own members, each
-    up to a positive factor.  Positive multiples of one polynomial form a
-    class, and each image lands in a class, so a greedy match finds a one
-    to one map whenever there is one."""
-    free = list(range(len(polys)))
-    for p in polys:
-        image = reflected(p, i, c)
-        match = next((j for j in free if _positive_multiple(image, polys[j])), None)
-        if match is None:
-            return False
-        free.remove(match)
-    return True
+def _ray(p: Polynomial) -> tuple:
+    """The terms of ``p``, sorted, divided by the magnitude of the
+    coefficient of the least exponent tuple: two polynomials have one ray
+    exactly when each is a positive multiple of the other."""
+    terms = sorted(p.terms.items())
+    scale = abs(terms[0][1])
+    return tuple((alpha, coef / scale) for alpha, coef in terms)
 
 
 def reflections(model: AugmentedModel, sst: dict) -> list:
@@ -242,8 +229,10 @@ def reflections(model: AugmentedModel, sst: dict) -> list:
         if (all(reflected(b, i, c) == b * eps[j] for j, b in enumerate(model.drift))
                 and all(reflected(e, i, c) == e * (eps[j] * eps[k])
                         for (j, k), e in sst.items())
-                and all(_permuted(polys, i, c) for polys in (
-                    model.interior_polys, model.exit_polys, model.interior_eqs))):
+                and all(sorted(map(_ray, polys))
+                        == sorted(_ray(reflected(p, i, c)) for p in polys)
+                        for polys in (model.interior_polys, model.exit_polys,
+                                      model.interior_eqs))):
             out.append(i)
     return out
 
@@ -262,13 +251,12 @@ def _mirrored(polys: list, coords: list, x0: list) -> list:
     """Indices j of ``polys`` with q_j = lambda q_i o sigma, lambda > 0,
     for a reflection sigma of ``coords`` and an earlier q_i that is not
     itself mirrored."""
-    kept, out = [], []
+    images, out = set(), []
     for j, q in enumerate(polys):
-        if any(_positive_multiple(q, reflected(polys[k], i, Fraction(x0[i])))
-               for k in kept for i in coords):
+        if _ray(q) in images:
             out.append(j)
         else:
-            kept.append(j)
+            images.update(_ray(reflected(q, i, Fraction(x0[i]))) for i in coords)
     return out
 
 
@@ -315,12 +303,6 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
     )
 
 
-# Targets ranked at a time by ``_psd_block``: a 16k x n int64 chunk and its
-# rank tables take a few MB, where the 127,512 targets of the pendulum's
-# K=10 boundary block took 18 MB at once.
-_RANKS_PER_CHUNK = 1 << 14
-
-
 def _ranks(targets: np.ndarray, count) -> np.ndarray:
     """Graded lex ranks of the rows of ``targets``; a target ranked at or
     beyond its ``count`` (a scalar or one per row) has no variable and
@@ -330,33 +312,6 @@ def _ranks(targets: np.ndarray, count) -> np.ndarray:
     if outside.any():
         raise KeyError(tuple(targets[np.argmax(outside)].tolist()))
     return ranks
-
-
-def distinct_rows(mat: sp.csr_matrix) -> np.ndarray:
-    """Sorted positions at which each distinct nonzero row of ``mat`` first
-    appears.  Rows compare bit for bit by their sorted (column, value)
-    entries, padded to the longest row; a row without a nonzero value is
-    left out."""
-    if not mat.has_sorted_indices:
-        mat = mat.sorted_indices()
-    counts = np.diff(mat.indptr)
-    rows = np.repeat(np.arange(mat.shape[0]), counts)
-    slot = np.arange(mat.nnz) - mat.indptr[rows]
-    width = int(counts.max(initial=0))
-    keys = np.full((mat.shape[0], 2 * width), -1, dtype=np.int64)
-    keys[rows, slot] = mat.indices
-    keys[rows, width + slot] = mat.data.astype(np.float64).view(np.int64)
-    nonzero = np.zeros(mat.shape[0], dtype=bool)
-    nonzero[rows[mat.data != 0]] = True
-    if not width:
-        return np.flatnonzero(nonzero)
-    # a stable sort puts each row's first appearance first among its equals
-    order = np.lexsort(keys.T)
-    ranked = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    first = np.sort(order[first])
-    return first[nonzero[first]]
 
 
 def _symmetry_rows(i: int, c: Fraction, n: int, offset: int, count: int,
@@ -390,39 +345,36 @@ def _symmetry_rows(i: int, c: Fraction, n: int, offset: int, count: int,
     return mat
 
 
-def _psd_block(label: str, poly: Polynomial, basis: np.ndarray, offset: int,
-               count: int, num_vars: int) -> PsdBlock:
-    """Lower the localizing matrix of ``poly`` over ``basis`` (an int64
-    array of multi-indices, one per row) onto the variables
-    offset .. offset + count - 1.
-
-    Triplets follow the module's order: svec position p of
-    ``np.triu_indices``, then the terms of ``poly`` in graded lex order;
-    term alpha of entry (i, j) lands on variable
-    offset + rank(basis[i] + basis[j] + alpha).  A target ranked at or
-    beyond ``count`` has no variable and raises KeyError.  The targets
-    are ranked ``_RANKS_PER_CHUNK`` at a time (whole svec rows), so the
-    temporaries stay that size whatever the block's.
-    """
+def _betas(basis: np.ndarray) -> tuple:
+    """The distinct beta = basis[i] + basis[j] of the upper triangle, in
+    the order each first appears in ``np.triu_indices(len(basis))``, and
+    for each svec position the index of its beta.  ``basis`` is an int64
+    array of distinct multi-indices, one per row."""
     iu, ju = np.triu_indices(len(basis))
+    sums = basis[iu] + basis[ju]
+    _, first, inverse = np.unique(graded_lex_ranks(sums), return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    return sums[first[order]], np.argsort(order)[inverse]
+
+
+def _localizing_rows(poly: Polynomial, betas: np.ndarray, offset: int,
+                     count: int, num_vars: int) -> sp.csr_matrix:
+    """One row per beta of ``betas``: the entry x^beta of the localizing
+    matrix of ``poly`` on the variables offset .. offset + count - 1.
+    Term alpha lands on variable offset + rank(beta + alpha); a target
+    ranked at or beyond ``count`` has no variable and raises KeyError."""
     terms = poly.items()
     alphas = np.array([alpha for alpha, _ in terms], dtype=np.int64)
     width = len(terms)
-    cols = np.empty(len(iu) * width, dtype=np.int64)
-    step = max(1, _RANKS_PER_CHUNK // width)
-    for start in range(0, len(iu), step):
-        pairs = slice(start, start + step)
-        targets = ((basis[iu[pairs]] + basis[ju[pairs]])[:, None, :]
-                   + alphas[None, :, :]).reshape(-1, basis.shape[1])
-        cols[start * width:(start + step) * width] = (
-            offset + _ranks(targets, count))
+    targets = (betas[:, None, :] + alphas[None, :, :]).reshape(-1, betas.shape[1])
     mat = sp.csr_matrix(
-        (np.tile([float(coef) for _, coef in terms], len(iu)), cols,
-         np.arange(0, len(cols) + 1, width)),
-        shape=(len(iu), num_vars),
+        (np.tile([float(coef) for _, coef in terms], len(betas)),
+         offset + _ranks(targets, count), np.arange(0, len(targets) + 1, width)),
+        shape=(len(betas), num_vars),
     )
     mat.sum_duplicates()
-    return PsdBlock(label, len(basis), mat)
+    return mat
 
 
 def lower_to_conic(mp: MomentProblem) -> ConicProgram:
@@ -448,35 +400,33 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
 
     # -- PSD blocks -------------------------------------------------------
     one = Polynomial.constant(n, 1)
-    basis = np.array(mp.moment_basis, dtype=np.int64)
-    m_range = (basis, 0, num_m, num_vars)
-    b_range = (basis, num_m, num_b, num_vars)
+    dim = len(mp.moment_basis)
+    betas, where = _betas(np.array(mp.moment_basis, dtype=np.int64))
+    m_vars, b_vars = (0, num_m, num_vars), (num_m, num_b, num_vars)
     # the time box implies M(m) (see the module docstring): only the
     # original variant states it
-    blocks = [_psd_block("M(m)", one, *m_range)] if mp.variant == "original" else []
-    blocks.append(_psd_block("M(b)", one, *b_range))
-    for idx, q in enumerate(mp.model.interior_polys):
-        if idx not in mp.mirrored:
-            blocks.append(_psd_block(f"M(q{idx} m)", q, *m_range))
-    boundary = _psd_block("M(q' b)", mp.qprime, *b_range)
+    localizers = [("M(m)", one, m_vars)] if mp.variant == "original" else []
+    localizers.append(("M(b)", one, b_vars))
+    localizers += [(f"M(q{idx} m)", q, m_vars)
+                   for idx, q in enumerate(mp.model.interior_polys)
+                   if idx not in mp.mirrored]
+    blocks = [PsdBlock(label, dim, _localizing_rows(poly, betas, *span)[where])
+              for label, poly, span in localizers]
+    boundary = _localizing_rows(mp.qprime, betas, *b_vars)
     if mp.variant == "original":
         # one (q', -q') pair per inequality polynomial, mirroring the 2 N_q
         # boundary accounting
-        negated = -boundary.mat
+        mat = boundary[where]
+        negated = -mat
         for idx in range(mp.n_q):
-            blocks += [PsdBlock(f"M(+q' b)#{idx}", boundary.dim, boundary.mat),
-                       PsdBlock(f"M(-q' b)#{idx}", boundary.dim, negated)]
-        vanishing = []
+            blocks += [PsdBlock(f"M(+q' b)#{idx}", dim, mat),
+                       PsdBlock(f"M(-q' b)#{idx}", dim, negated)]
+        rows = []
     else:
-        vanishing = [boundary]
-    # every distinct entry of M(q' b) (reduced) and of each M(g m), g in
-    # interior_eqs, vanishes: one row per distinct beta = basis[i] +
-    # basis[j], where it first appears in the upper triangle
-    vanishing += [_psd_block("M(g m)", g, *m_range) for g in mp.model.interior_eqs]
-    iu, ju = np.triu_indices(len(basis))
-    first = np.sort(np.unique(graded_lex_ranks(basis[iu] + basis[ju]),
-                              return_index=True)[1])
-    rows = [block.mat[first] for block in vanishing]
+        rows = [boundary]
+    # every entry of M(q' b) (reduced) and of each M(g m), g in
+    # interior_eqs, vanishes: one row per distinct beta
+    rows += [_localizing_rows(g, betas, *m_vars) for g in mp.model.interior_eqs]
     # invariant occupation and exit moments under each reflection
     rows += [_symmetry_rows(i, Fraction(mp.model.x0[i]), n, offset, count, num_vars)
              for i in mp.reflections

@@ -18,13 +18,16 @@ from exitmoment.expr import (
     mi_add,
     parse_polynomial,
 )
+from exitmoment.conic import distinct_rows
 from exitmoment.momentproblem import (
+    PsdBlock,
+    _betas,
     _closed_rows,
-    _psd_block,
+    _localizing_rows,
+    _mirrored,
     assemble,
     boundary_product,
     build_moment_problem,
-    distinct_rows,
     lower_to_conic,
     reflected,
     reflections,
@@ -108,11 +111,13 @@ def entries(q, basis, i, j):
 
 
 def localizing_block(q, nvars, basis_degree):
-    """``_psd_block`` of q over the basis of the given degree, on as many
-    variables as its targets need, and that basis as a list."""
+    """The localizing block of q over the basis of the given degree, as
+    ``lower_to_conic`` builds it from ``_betas`` and ``_localizing_rows``,
+    on as many variables as its targets need, and that basis as a list."""
     basis = enumerate_multi_indices(nvars, basis_degree)
     count = count_upto(nvars, 2 * basis_degree + max(q.degree(), 0))
-    block = _psd_block("q", q, np.array(basis, dtype=np.int64), 0, count, count)
+    betas, where = _betas(np.array(basis, dtype=np.int64))
+    block = PsdBlock("q", len(basis), _localizing_rows(q, betas, 0, count, count)[where])
     return block, basis
 
 
@@ -242,8 +247,9 @@ def test_boundary_product_empty_rejected():
 
 
 def boundary_rows(qprime, nvars, K):
-    """The reduced boundary rows: the ``distinct_rows`` of ``_psd_block``
-    of q' over the basis of degree K // 2, as ``row_terms``."""
+    """The reduced boundary rows: the ``distinct_rows`` of the
+    ``localizing_block`` of q' over the basis of degree K // 2, as
+    ``row_terms``."""
     block, _ = localizing_block(qprime, nvars, K // 2)
     return matrix_rows(block.mat[distinct_rows(block.mat)])
 
@@ -514,6 +520,16 @@ def test_a_reflection_needs_the_kept_rows_closed_under_it():
     j < k_i; here x^(3, 0) is kept without x^(2, 0)."""
     rows = [MartingaleRow(k, {}, 0.0) for k in [(0, 0), (1, 0), (3, 0), (0, 1)]]
     assert _closed_rows(rows, 1) and not _closed_rows(rows, 0)
+
+
+def test_mirrored_matches_positive_multiples_only():
+    """About c = 1/2, y mirrors to 1 - y: 2 - 2y, written with its terms in
+    the other order, is a positive multiple of it, y - 1 a negative one."""
+    def mirrored(texts):
+        return _mirrored([parse_polynomial(t, ["y"]) for t in texts], [0], [0.5])
+
+    assert mirrored(["y", "-2*y + 2"]) == [1]
+    assert mirrored(["y", "y - 1"]) == []
 
 
 @pytest.mark.parametrize("make_model, K", [
@@ -790,10 +806,35 @@ def test_lowering_matches_per_entry_reference(case, variant):
 def test_block_target_outside_the_variables_raises():
     basis = np.array(enumerate_multi_indices(1, 1), dtype=np.int64)
     q = Polynomial(1, {(1,): 1})
+    betas, where = _betas(basis)
     # targets reach degree 3: four variables hold them, three do not
-    assert _psd_block("q", q, basis, 0, 4, 4).mat.shape == (3, 4)
+    assert _localizing_rows(q, betas, 0, 4, 4)[where].shape == (3, 4)
     with pytest.raises(KeyError):
-        _psd_block("q", q, basis, 0, 3, 4)
+        _localizing_rows(q, betas, 0, 3, 4)
+
+
+def test_lowering_over_a_basis_that_is_not_full():
+    """The pendulum K=4 basis without s^2 (20 of its 21 monomials): each
+    beta appears once, in the order it first appears in the upper
+    triangle, and every block entry matches the per-entry ``entries``."""
+    model = scaled_pendulum()
+    n = model.total_dim
+    basis = [u for u in enumerate_multi_indices(n, 2) if u != (0, 0, 0, 2, 0)]
+    assert len(basis) == 20
+    betas, where = _betas(np.array(basis, dtype=np.int64))
+    pairs = list(zip(*np.triu_indices(len(basis))))
+    first = {}
+    for i, j in pairs:
+        first.setdefault(mi_add(basis[i], basis[j]), len(first))
+    assert [tuple(beta) for beta in betas.tolist()] == list(first)
+    assert where.tolist() == [first[mi_add(basis[i], basis[j])] for i, j in pairs]
+    for q in [boundary_product(model.exit_polys), *model.interior_polys,
+              *model.interior_eqs]:
+        count = count_upto(n, 4 + q.degree())
+        block = PsdBlock("q", len(basis), _localizing_rows(q, betas, 0, count, count)[where])
+        for p, (i, j) in enumerate(pairs):
+            assert row_terms(block, p) == sorted(
+                (rank, float(coef)) for coef, rank in entries(q, basis, i, j))
 
 
 @pytest.mark.parametrize("row, key", [

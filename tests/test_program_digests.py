@@ -19,7 +19,7 @@ import pytest
 from exitmoment.augment import SdeModel, augment, scale_model
 from exitmoment.conic import presolve
 from exitmoment.expr import Polynomial
-from exitmoment.momentproblem import assemble
+from exitmoment.momentproblem import assemble, boundary_product
 
 MODELS = {
     "brownian": dict(names=["y"], drift=["0"], diffusion=[["1"]], x0=[0.5],
@@ -32,6 +32,10 @@ MODELS = {
                    drift=["sin(x*y) - x", "cos(t) + 0.5*sin(2*x)"],
                    diffusion=[["0.3 + 0.1*y", "0.2*x"], ["0.1*x*y", "0.4"]],
                    x0=[0.1, -0.2], horizon=2.0, safe_polys=["1 - x^2 - y^2"]),
+    # driftless in the box [-1, 1]^2 from its centre: two reflections
+    "box": dict(names=["x", "y"], drift=["0", "0"],
+                diffusion=[["1", "0"], ["0", "1"]], x0=[0.0, 0.0], horizon=10.0,
+                safe_polys=["x + 1", "1 - x", "y + 1", "1 - y"]),
 }
 
 # (model, variant, K, moment order, digest, presolved digest); every
@@ -41,7 +45,9 @@ MODELS = {
 # has the block M(m), which the time box implies (see the last test).  The
 # reduced Brownian programs, started at the middle of the interval, also
 # restrict the moments to those invariant under y -> 1 - y and leave out
-# M((1 - y) m), the mirror of M(y m); no other model here is symmetric.
+# M((1 - y) m), the mirror of M(y m); the box from its centre does the
+# same under x -> -x and y -> -y and leaves out M((1 - x) m) and
+# M((1 - y) m).  The pendulum and trig2d have no symmetry.
 DIGESTS = [
     ("brownian", "reduced", 14, 1, "899ee840d19a3598", "899ee840d19a3598"),
     ("brownian", "reduced", 14, 2, "e1e3c4a19ec52434", "e1e3c4a19ec52434"),
@@ -55,6 +61,7 @@ DIGESTS = [
     ("pendulum", "original", 4, 1, "585ec38c482d2ec2", "02715f6f9c0e44ba"),
     ("trig2d", "reduced", 4, 1, "5b676d7f04aaa5f3", "5b676d7f04aaa5f3"),
     ("trig2d", "original", 4, 1, "458534fde8d54f88", "5070d6d79e387e01"),
+    ("box", "reduced", 6, 1, "f005ee7a57a290ab", "f005ee7a57a290ab"),
 ]
 IDS = [f"{name}-{variant}-K{K}-o{order}" for name, variant, K, order, *_ in DIGESTS]
 
@@ -119,10 +126,12 @@ def test_the_time_box_implies_the_occupation_moment_matrix(name):
     inequality polynomials whose blocks it keeps have nonnegative weights
     with w_i q_i + w_j q_j = 1, so M(m) = w_i M(q_i m) + w_j M(q_j m), a
     sum of PSD blocks.  The time box t, 1 - t / TIME_BOX is such a pair in
-    every model; the search may find another first."""
+    every model; the search may find another first.  K is the least K >= 4
+    at which the reduced program exists (deg q' <= K)."""
     model = scale_model(augment(SdeModel.from_strings(**MODELS[name])))
-    original = assemble(model, "original", 4, 1, "min")
-    reduced = assemble(model, "reduced", 4, 1, "min")
+    K = max(4, boundary_product(model.exit_polys).degree())
+    original = assemble(model, "original", K, 1, "min")
+    reduced = assemble(model, "reduced", K, 1, "min")
     labels = [b.label for b in reduced.blocks]
     assert "M(m)" not in labels
     kept = [k for k in range(len(model.interior_polys)) if f"M(q{k} m)" in labels]
