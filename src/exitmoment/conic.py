@@ -158,44 +158,48 @@ CHECK_INTERVAL = 25
 # Largest num_vars - eq_rows of a presolved program that goes to the
 # interior-point method first.  Measured on order-1 "min" reduced programs,
 # 1 BLAS thread, 2 shared vCPUs, as (free moments: interior point, ADMM
-# alone): Brownian K=14 (34: 0.06 s / 22 steps, 0.59 s / 750 iterations;
+# alone): Brownian K=14 (34: 0.11 s / 18 steps, 0.25 s / 225 iterations;
 # its num_vars - eq_rows is -78, since its symmetry rows depend on other
 # rows), 2-D Brownian motion from (0.2, 0.1) in the box [-1, 1]^2, K=8
-# (450: 0.77 s / 28, 4.4 s / 2,825) and in the unit disc, K=8 (320:
-# 0.45 s / 20, 0.79 s / 550); see
+# (450: 1.05 s / 20, 11.6 s / 5,200) and in the unit disc, K=8 (320:
+# 0.38 s / 20, 0.75 s / 550); see
 # ``test_brownian_motion_in_a_box_is_solved_by_the_interior_point_method``
-# and ``..._in_a_disc_...``.  The free-moment count alone does not predict
-# which method wins: at Brownian K=22 (50) the largest residual stops
-# shrinking at 7.6e-7 after step 24, and the stall test hands over to ADMM
-# at step 28, which adds 0.6 s to the 3.2 s of ADMM alone.  The benchmark
-# sees only the two ends, 34 free moments (Brownian) and 941 or more: the
-# pendulum stays above the cutoff, with 941 at reduced K=4 and 2,106 at K=6.
+# and ``..._in_a_disc_...``; Brownian K=22 (50: 0.43 s / 20, 5.5 s /
+# 1,400).  The free-moment count alone does not predict which method
+# wins: at Brownian K=26 (59) the largest residual stops shrinking at
+# 6.7e-6 after step 18, and the stall test hands over to ADMM at step 22
+# (1.2 s), which does not converge in 20,000 iterations either (97 s
+# alone).  The benchmark sees only the two ends, 34 free moments
+# (Brownian) and 815 or more: the pendulum stays above the cutoff, with
+# num_vars - eq_rows 815 at reduced K=4 and 1,644 at K=6 (827 and 1,756
+# free moments).
 IPM_MAX_FREE = 500
 # Least |primal| + |dual| objective against which the interior-point gap is
 # measured: the solve stops when <X, Z> <= EPS_REL max(|primal| + |dual|,
 # IPM_GAP_FLOOR).  The reported bound is the end of the primal/dual pair on
 # the side of a bound, so its distance from the other end is this gap.  On
 # the 13 benchmark bounds, as (floor: steps, worst relative error against
-# the exact moments): 1 -> 283, 2.1e-5 (reduced K=14 order-6 "min", whose
-# objective is 0.002); 0.1 -> 294, 8.1e-6; 0.01 -> 302, 5.2e-6.  The floor
-# is what ends a solve whose optimum is 0: at 0.001, reduced K=4 order-4
-# "min" keeps a gap as large as |primal| + |dual| for 5 steps and stalls.
-# These counts, and those of IPM_STEP and IPM_STALL, were taken before the
-# reduced programs used the reflection y -> 1 - y; with it, 0.1 gives 294
-# steps and 9.2e-6.
+# the exact moments): 1 -> 223, 2.6e-5 (above the 1e-5 that the tests of
+# the reduced K=14 bounds ask for); 0.1 -> 235, 4.7e-6; 0.01 and 0.001 ->
+# 249, 1.9e-7, and the 24 held-out bounds of IPM_STEP end optimal at each.
+# The floor is what ends a solve whose optimum is 0: before the reduced
+# programs localized the exit measure, reduced K=4 order-4 "min" had that
+# optimum, and at 0.001 it kept a gap as large as |primal| + |dual| for 5
+# steps and stalled.  These counts, and those of IPM_STEP and IPM_STALL,
+# are of the programs with the reflection y -> 1 - y and the exit-measure
+# localizer M(y b).
 IPM_GAP_FLOOR = 0.1
 # Fraction of the way to the boundary of its cone that each side steps.
 # Interior-point steps on the 13 benchmark bounds / on 24 other Brownian
 # bounds (reduced K=4-10, orders 1, 2 and 4, both senses), all ending
-# optimal: 0.8 -> 324 / 532, 0.85 -> 308 / 484, 0.9 -> 294 / 439; at 0.95
-# the 13 do but only 22 of the 24, at 0.98 only 1 and 13.  With the
-# reflection, 0.9 takes 294 / 442 steps, every bound ending optimal on its
-# side of the exact moment.
+# optimal on their side of the exact moment: 0.8 -> 284 / 477,
+# 0.85 -> 259 / 427, 0.9 -> 235 / 385, 0.95 -> 256 / 366; at 0.98 only 1
+# and 9 end optimal.
 IPM_STEP = 0.9
 # Steps within which the largest of the relative gap and residuals must
 # at least halve, or the interior-point solve has stalled.  On those 37
-# solves it shrank at least 4.1-fold over every 5 steps (at IPM_STEP 0.8
-# to 0.9), and at least 5.8-fold with the reflection at 0.9.
+# solves it shrank at least 6.3-fold over every 5 steps at IPM_STEP 0.8 to
+# 0.9, and at least 13.5-fold at 0.9.
 IPM_STALL = 5
 
 

@@ -14,7 +14,8 @@ shortest string that reads back to the same double.  PSD block entry
 one-based indices.  In memory the entries are records of
 ``_ENTRY_DTYPE`` (int32 indices, 24 bytes an entry) in that order, zero
 values dropped once, and each ``SdpaData.entries`` value is an
-(i, j, value) record view of one (matno, blkno) run of a single table.
+(i, j, value) record view of one (matno, blkno) run of a single table,
+sliced when its key is looked up (``_Runs``).
 
 What each stage holds.  Neither holds the file's text at once.
 ``export_sdpa`` holds a by-column copy of every block and of [b | A]
@@ -22,16 +23,21 @@ What each stage holds.  Neither holds the file's text at once.
 of about ``_LINES_PER_WRITE`` lines: its records, its distinct values
 formatted once, and its lines; no table of the whole program.
 ``program_sdpa_image`` joins the same chunks into its one table.
-``read_sdpa`` reads the entry lines into one table in one ``np.loadtxt``
-pass, checks ranges and order a slice of ``_LINES_PER_WRITE`` entries
-at a time, and sorts only a file written out of order, so past the
-table and its record views it holds slice-sized temporaries.
+``read_sdpa`` counts the file's lines in 64 KB blocks, reads the entry
+lines into one table, allocated once for at most that many entries, in
+one ``np.loadtxt`` pass, checks ranges and order a slice of
+``_LINES_PER_WRITE`` entries at a time, and sorts only a file written
+out of order, so past the table and two int64 arrays of its runs it
+holds slice-sized temporaries.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
+from collections.abc import ItemsView, MutableMapping, ValuesView
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -53,22 +59,102 @@ class SdpaData:
     num_vars: int
     block_sizes: list            # negative entries are diagonal blocks
     c: list
-    entries: dict                # (matno, blkno) -> (i, j, value) records
+    entries: MutableMapping      # (matno, blkno) -> (i, j, value) records
 
 
-def _grouped(table: np.ndarray) -> dict:
-    """Sorted, zero-free entry table -> ``SdpaData.entries``: a slice of
-    the table's one (i, j, value) record view per (matno, blkno)."""
-    matno, blkno = table["matno"], table["blkno"]
-    new = np.ones(len(table), dtype=bool)
-    np.not_equal(matno[1:], matno[:-1], out=new[1:])
-    new[1:] |= blkno[1:] != blkno[:-1]
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], len(table)).tolist()
-    keys = table[["matno", "blkno"]][starts].tolist()
-    records = table[["i", "j", "value"]]
-    return {key: records[s:e]
-            for key, s, e in zip(keys, starts.tolist(), ends)}
+_GONE = object()   # a deleted run's entry in ``_Runs``' changes
+
+
+class _Runs(MutableMapping):
+    """``SdpaData.entries`` of a sorted, zero-free entry table: (matno,
+    blkno) -> the slice of the table's one (i, j, value) record view that
+    holds that run.  The run keys (as one int64 code each) and start
+    offsets are arrays; a view is sliced only when its key is looked up
+    or its run comes up in an iteration.  An assigned or deleted key goes
+    to a dict on top.  Keys iterate in table order, then the assigned keys
+    the table lacks."""
+
+    def __init__(self, table: np.ndarray):
+        matno, blkno = table["matno"], table["blkno"]
+        new = np.ones(len(table), dtype=bool)
+        np.not_equal(matno[1:], matno[:-1], out=new[1:])
+        new[1:] |= blkno[1:] != blkno[:-1]
+        starts = np.flatnonzero(new)
+        # sorted by (matno, blkno), both in [0, 2^31): so are the codes
+        self._codes = (matno[starts].astype(np.int64) << 32) | blkno[starts]
+        self._starts = np.append(starts, len(table))
+        self._records = table[["i", "j", "value"]]
+        self._changed = {}
+
+    def _run(self, key):
+        """The index of ``key``'s run in the table, or None."""
+        try:
+            matno, blkno = map(operator.index, key)
+        except (TypeError, ValueError):
+            return None
+        if not (0 <= matno < 1 << 31 and 0 <= blkno < 1 << 31):
+            return None
+        code = matno << 32 | blkno
+        k = int(self._codes.searchsorted(code))
+        return k if k < len(self._codes) and self._codes[k] == code else None
+
+    def __getitem__(self, key):
+        if key in self._changed:
+            value = self._changed[key]
+        elif (k := self._run(key)) is not None:
+            value = self._records[self._starts[k]:self._starts[k + 1]]
+        else:
+            value = _GONE
+        if value is _GONE:
+            raise KeyError(key)
+        return value
+
+    def __setitem__(self, key, value):
+        self._changed[key] = value
+
+    def __delitem__(self, key):
+        self[key]                    # a KeyError if it is absent
+        if self._run(key) is None:
+            del self._changed[key]
+        else:
+            self._changed[key] = _GONE
+
+    def _pairs(self):
+        """(key, value) in iteration order, without a lookup per key."""
+        starts = self._starts
+        for k, code in enumerate(self._codes.tolist()):
+            key = (code >> 32, code & 0xFFFFFFFF)
+            if key not in self._changed:
+                yield key, self._records[starts[k]:starts[k + 1]]
+            elif (value := self._changed[key]) is not _GONE:
+                yield key, value
+        for key, value in self._changed.items():
+            if value is not _GONE and self._run(key) is None:
+                yield key, value
+
+    def __iter__(self):
+        return (key for key, _ in self._pairs())
+
+    def items(self):
+        return _RunItems(self)
+
+    def values(self):
+        return _RunValues(self)
+
+    def __len__(self):
+        added = sum(1 if self._run(key) is None else -(value is _GONE)
+                    for key, value in self._changed.items())
+        return len(self._codes) + added
+
+
+class _RunItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._pairs()
+
+
+class _RunValues(ValuesView):
+    def __iter__(self):
+        return (value for _, value in self._mapping._pairs())
 
 
 def _by_column(mat: sp.spmatrix) -> sp.csc_matrix:
@@ -154,7 +240,7 @@ def program_sdpa_image(program: ConicProgram) -> SdpaData:
     sizes, c = _sizes_and_c(program)
     table = np.concatenate([np.zeros(0, dtype=_ENTRY_DTYPE),
                             *_entry_chunks(program)])
-    return SdpaData(program.num_vars, sizes, c, _grouped(table))
+    return SdpaData(program.num_vars, sizes, c, _Runs(table))
 
 
 def export_sdpa(program: ConicProgram, path) -> None:
@@ -193,16 +279,21 @@ def _is_data(line: str) -> bool:
     return bool(stripped) and stripped[0] not in "*\""
 
 
-def _load_entries(source, skiprows=0):
+def _load_entries(source, skiprows=0, max_rows=None):
     """Entry lines -> structured array; np.loadtxt rejects a line of other
-    than 5 fields or a non-integer index, and skips blank lines."""
+    than 5 fields or a non-integer index, and skips blank lines.  Given at
+    least as many ``max_rows`` as there are entries, it allocates the
+    array once instead of growing it."""
     with warnings.catch_warnings():
         # numpy releases that truncate a float-looking string read into an
         # integer field only warn about it; reject such an index there too
         warnings.simplefilter("error", DeprecationWarning)
+        # a blank line counts toward no max_rows, which is only a bound
+        warnings.filterwarnings("ignore", "Input line .* contained no data",
+                                UserWarning)
         try:
             return np.loadtxt(source, dtype=_ENTRY_DTYPE, comments=None,
-                              skiprows=skiprows, ndmin=1)
+                              skiprows=skiprows, max_rows=max_rows, ndmin=1)
         except DeprecationWarning as exc:
             raise ValueError(
                 f"non-integer index in an entry line: {exc}") from exc
@@ -262,10 +353,15 @@ def read_sdpa(path) -> SdpaData:
     if first is None:
         table = np.zeros(0, dtype=_ENTRY_DTYPE)
     else:
+        with open(path, "rb") as fh:
+            lines = sum(block.count(b"\n")
+                        for block in iter(partial(fh.read, 1 << 16), b""))
         try:
             # numpy reads the path in C, without a Python call per line;
-            # a comment line among the entries fails to parse here
-            table = _load_entries(path, skiprows=first)
+            # a comment line among the entries fails to parse here.  No
+            # more entries follow the first than lines do.
+            table = _load_entries(path, skiprows=first,
+                                  max_rows=lines + 1 - first)
         except ValueError:
             with open(path) as fh:
                 table = _load_entries(filter(_is_data,
@@ -277,4 +373,4 @@ def read_sdpa(path) -> SdpaData:
         table.sort(kind="stable")
     if not (keep := table["value"] != 0.0).all():
         table = table[keep]
-    return SdpaData(num_vars, block_sizes, c, _grouped(table))
+    return SdpaData(num_vars, block_sizes, c, _Runs(table))

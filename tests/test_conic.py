@@ -307,7 +307,7 @@ def equality_rows(program):
 @pytest.mark.parametrize("name, variant, K, before, after", [
     ("brownian", "reduced", 14, (4, 385), (4, 385)),
     ("brownian", "original", 8, (14, 45), (6, 90)),
-    ("pendulum", "reduced", 6, (7, 1183), (7, 1183)),
+    ("pendulum", "reduced", 6, (8, 1645), (8, 1645)),
     ("pendulum", "original", 4, (20, 187), (8, 313)),
 ], ids=["brownian-reduced-K14", "brownian-original-K8", "pendulum-reduced-K6",
         "pendulum-original-K4"])
@@ -326,11 +326,14 @@ def test_presolve_sizes(name, variant, K, before, after, request):
 
 def with_left_out_parts(reduced, original):
     """The reduced program with what only the original variant states put
-    back: the original's M(m), which the time box implies, and each
+    back: the original's M(m), which the time box implies, its M(b), which
+    two safe polynomials that sum to a positive constant imply, and each
     M(q m) that mirrors an earlier block under a reflection, in the
-    original's block order; and without the symmetry rows, which restrict
-    the reduced program to invariant moments after the rows the original
-    presolves to."""
+    original's block order; and without what only the reduced variant
+    states: the M(q b) blocks, which the original lacks, and the rows
+    after those the original presolves to (the symmetry rows, which
+    restrict the reduced program to invariant moments, and the rows
+    M(g b) = 0 of each circle g)."""
     kept = {b.label: b for b in reduced.blocks}
     blocks = [kept.get(b.label, b) for b in original.blocks if "q' b" not in b.label]
     rows = presolve(original).a_eq.shape[0]
@@ -340,14 +343,17 @@ def with_left_out_parts(reduced, original):
 
 @pytest.mark.parametrize("order", [1, 3])
 def test_presolved_brownian_variants_are_one_program(brownian, order):
-    """Up to M(m), which only the original variant states, and the
-    reflection y -> 1 - y, which only the reduced variant uses: it leaves
-    out M((1 - y) m) and adds one row per moment with an odd power of y."""
+    """Up to M(m) and M(b), which only the original variant states, M(y b),
+    which only the reduced variant states, and the reflection y -> 1 - y,
+    which only the reduced variant uses: it leaves out M((1 - y) m) and
+    adds one row per moment with an odd power of y."""
     original = assemble(brownian, "original", 8, order, "min")
     reduced = presolve(assemble(brownian, "reduced", 8, order, "min"))
     kept = {b.label for b in reduced.blocks}
     assert [b.label for b in with_left_out_parts(reduced, original).blocks
-            if b.label not in kept] == ["M(m)", "M(q1 m)"]
+            if b.label not in kept] == ["M(m)", "M(b)", "M(q1 m)"]
+    assert [b.label for b in reduced.blocks
+            if b.label not in {b.label for b in original.blocks}] == ["M(q0 b)"]
     assert reduced.a_eq.shape[0] - presolve(original).a_eq.shape[0] == 61
     assert not reduced.rhs[-61:].any()
     assert same_arrays(program_arrays(presolve(original)),
@@ -414,9 +420,10 @@ def test_brownian_reduced_k10_bounds_within_a_thousand_iterations(
 def test_brownian_reduced_k14_order6_max_within_a_thousand_iterations(
         brownian, monkeypatch):
     """The dual residual |G'f + sigma z| of one map step stops this solve
-    at 825 iterations; a residual that measured the jump between
+    at 225 iterations; a residual that measured the jump between
     consecutive (Anderson-extrapolated) map inputs held it to 1,875 on
-    the program with M(m) and without the reflection y -> 1 - y."""
+    the program with M(m) and M(b) and without the reflection
+    y -> 1 - y."""
     monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     exact = 540553 / 8515584
     res = solve(assemble(brownian, "reduced", 14, 6, "max"))
@@ -435,8 +442,8 @@ def test_original_variant_solves_the_reduced_program(brownian, monkeypatch):
     # the dropped M(+q' b), M(-q' b) pair holds as equalities at z
     (pair,) = [b for b in original.blocks if b.label == "M(+q' b)#0"]
     assert np.abs(pair.mat @ res.z).max() <= conic.EPS_ABS
-    # the presolved original is the reduced program with M(m) and
-    # M((1 - y) m) put back and the symmetry rows taken off
+    # the presolved original is the reduced program with M(m), M(b) and
+    # M((1 - y) m) put back and M(y b) and the symmetry rows taken off
     reduced = assemble(brownian, "reduced", 8, 1, "min")
     assert res.objective == solve(with_left_out_parts(reduced, original)).objective
 
@@ -649,13 +656,42 @@ def test_held_out_brownian_bounds_end_on_their_side_by_the_interior_point_method
 @pytest.mark.parametrize("K, order", [(6, 1), (6, 2), (6, 4), (10, 4)])
 def test_interior_point_brackets_the_bounds_admm_leaves_unconverged(
         brownian, K, order):
-    """ADMM stops at 20,000 iterations on each "max" here."""
+    """ADMM stopped at 20,000 iterations on each "max" here while the
+    exit measure had only M(b); with M(y b) it still does on K=6 order 4,
+    and ends optimal after 675, 2,775 and 400 iterations on the others."""
     bound = {}
     for sense in ("min", "max"):
         res = solve(assemble(brownian, "reduced", K, order, sense))
         assert (res.status, res.method) == ("optimal", "ipm")
         bound[sense] = Fraction(res.objective * moment_unscale_factor(brownian, order))
     assert bound["min"] <= BROWNIAN_MOMENTS[order] <= bound["max"]
+
+
+@pytest.mark.parametrize("K, order, bracket_without", [
+    (4, 2, 1.76e-1), (8, 4, 2.20e-4), (10, 6, 3.34e-4)])
+def test_exit_measure_localizers_narrow_the_brackets_a_hundredfold(
+        brownian, K, order, bracket_without):
+    """M(y b), the exit-measure localizer of the safe polynomial y (its
+    mirror M((1 - y) b) is implied), narrows max - min to 2.5e-4, 8.1e-7
+    and 1.8e-6 here; ``bracket_without`` is the bracket of the program with
+    M(b) in its place, which states only that b is a measure."""
+    bound = {}
+    for sense in ("min", "max"):
+        res = solve(assemble(brownian, "reduced", K, order, sense))
+        assert (res.status, res.method) == ("optimal", "ipm")
+        bound[sense] = Fraction(res.objective * moment_unscale_factor(brownian, order))
+    assert bound["min"] <= BROWNIAN_MOMENTS[order] <= bound["max"]
+    assert 100 * (bound["max"] - bound["min"]) <= bracket_without
+
+
+def test_brownian_reduced_k22_order1_by_the_interior_point_method(brownian):
+    """Without the exit-measure localizer the largest residual stopped
+    halving after step 24, and the stall test handed this solve to ADMM;
+    with it the interior-point method ends in 20 steps."""
+    res = solve(assemble(brownian, "reduced", 22, 1, "min"))
+    assert (res.status, res.method, res.message) == ("optimal", "ipm", "")
+    bound = Fraction(res.objective * moment_unscale_factor(brownian, 1))
+    assert bound <= BROWNIAN_MOMENTS[1]
 
 
 def test_original_variant_min_by_the_interior_point_method_is_below_a_quarter(brownian):
@@ -665,14 +701,17 @@ def test_original_variant_min_by_the_interior_point_method_is_below_a_quarter(br
     assert 0.25 - res.objective <= 1e-6
 
 
-# ADMM's own stopping point on K=6 order-2 "min" is 1.5e-6 (relative) below
+# ADMM's own stopping point on K=6 order-2 "min" is 9.9e-7 (relative) below
 # the interior-point optimum; with EPS_ABS = EPS_REL = 1e-8 it stops within
-# 2.9e-7 of it after 16,000 iterations.  The "max" bounds of K=6 orders 1-2
-# are left out: ADMM does not reach them in 20,000 iterations (K=8 order 2
-# takes 18,500).
+# 1.7e-7 of it after 13,000 iterations, and on K=6 order-2 "max" it stops
+# 1.1e-6 from it.  ADMM reaches the "max" bounds of K=6 orders 1-2 and K=8
+# order 2 in 675, 2,775 and 500 iterations since the exit measure carries
+# M(y b); with M(b) alone it did not reach the K=6 ones in 20,000, and K=8
+# order 2 took 18,500.
 @pytest.mark.parametrize("K, order, sense, rel", [
-    (6, 1, "min", 1e-6), (6, 2, "min", 2e-6), (8, 1, "min", 1e-6),
-    (8, 1, "max", 1e-6), (8, 2, "min", 1e-6), (10, 1, "min", 1e-6),
+    (6, 1, "min", 1e-6), (6, 1, "max", 1e-6), (6, 2, "min", 2e-6),
+    (6, 2, "max", 2e-6), (8, 1, "min", 1e-6), (8, 1, "max", 1e-6),
+    (8, 2, "min", 1e-6), (8, 2, "max", 1e-6), (10, 1, "min", 1e-6),
     (10, 1, "max", 1e-6), (10, 2, "min", 1e-6), (10, 2, "max", 1e-6)])
 def test_interior_point_agrees_with_admm(brownian, monkeypatch, K, order, sense, rel):
     program = assemble(brownian, "reduced", K, order, sense)
@@ -730,16 +769,18 @@ def test_an_interior_point_breakdown_returns_the_admm_result(brownian, monkeypat
 
 
 def test_an_interior_point_stall_hands_over_to_admm(brownian):
-    """At Brownian K=22 the largest interior-point residual stops halving
-    before step 40, and ADMM runs with the same budget."""
-    res = solve(assemble(brownian, "reduced", 22, 1, "min"), SolverSettings(max_iters=40))
-    assert (res.method, res.status, res.iterations) == ("admm", "max_iters", 40)
+    """At Brownian K=26 the largest interior-point residual stops shrinking
+    at 6.7e-6 after step 18, the stall test stops the method at step 22,
+    and ADMM runs with the same budget.  (K=22 stalled the same way until
+    the exit-measure localizer M(y b) took the place of M(b).)"""
+    res = solve(assemble(brownian, "reduced", 26, 1, "min"), SolverSettings(max_iters=60))
+    assert (res.method, res.status, res.iterations) == ("admm", "max_iters", 60)
     assert res.message == "interior point stopped: no progress in 5 steps"
 
 
 def test_brownian_motion_in_a_box_is_solved_by_the_interior_point_method():
     """The IPM_MAX_FREE regime point with the most free moments: ADMM
-    alone takes 2,825 iterations here."""
+    alone takes 5,200 iterations here, the interior-point method 20 steps."""
     model = scale_model(augment(SdeModel.from_strings(
         ["x", "y"], ["0", "0"], [["1", "0"], ["0", "1"]], [0.2, 0.1], 10.0,
         ["x + 1", "1 - x", "y + 1", "1 - y"])))

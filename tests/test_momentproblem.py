@@ -336,13 +336,15 @@ def test_reduced_equalities_match_pair_loop(case):
     assert boundary_rows(mp.qprime, model.total_dim, K) == [
         as_terms(row) for row in expected]
     # the program's equalities follow the martingale rows with them, on the
-    # exit moments, then with the circle rows, on the occupation moments,
-    # and then with the symmetry rows
-    circles = [as_terms(row) for g in model.interior_eqs
+    # exit moments, then with the circle rows, first on the occupation and
+    # then on the exit moments, and then with the symmetry rows
+    circles = [row for g in model.interior_eqs
                for row in pair_loop_equalities(g, model.total_dim, K // 2)]
     a_eq = lower_to_conic(mp).a_eq
     assert matrix_rows(a_eq[len(mp.rows):]) == [
-        as_terms(row, mp.num_m) for row in expected] + circles + [
+        as_terms(row, mp.num_m) for row in expected] + [
+        as_terms(row) for row in circles] + [
+        as_terms(row, mp.num_m) for row in circles] + [
         sorted((v, float(c)) for v, c in row.items()) for row in symmetry_rows(mp)]
 
 
@@ -357,45 +359,52 @@ def test_reduced_rows_are_the_distinct_rows_of_the_boundary_block(case):
     for row in matrix_rows(block.mat):
         if row not in distinct:
             distinct.append(row)
-    # both variants end with the same circle rows, if any, and then the
-    # reduced variant with its symmetry rows
+    # both variants end with the same circle rows on the occupation
+    # moments, if any, and then the reduced variant with as many on the
+    # exit moments and its symmetry rows
     circles = matrix_rows(original.a_eq[len(reduced.rows):])
     assert len(circles) == (count_upto(model.total_dim, 2 * (K // 2))
                             * len(model.interior_eqs))
     a_eq = lower_to_conic(reduced).a_eq
-    plain = a_eq.shape[0] - len(symmetry_rows(reduced))
+    plain = a_eq.shape[0] - len(symmetry_rows(reduced)) - len(circles)
     assert matrix_rows(a_eq[len(reduced.rows):plain]) == distinct + circles
 
 
 @pytest.mark.parametrize("variant", ["original", "reduced"])
 def test_circle_rows_vanish_on_the_unit_circle(variant):
     """The last rows are those of sin^2 + cos^2 - 1 = 0, one per distinct
-    beta = basis[i] + basis[j]; on the moments of a point mass at an
-    augmented state they read (s^2 + c^2 - 1) times that state's x^beta."""
+    beta = basis[i] + basis[j], on the occupation moments and (reduced
+    variant) then on the exit moments; on the moments of a point mass at
+    an augmented state they read (s^2 + c^2 - 1) times that state's
+    x^beta."""
     model = scaled_pendulum()
     K, n = 4, model.total_dim
     mp = build_moment_problem(model, variant, K, 1, "min")
     program = lower_to_conic(mp)
     count = count_upto(n, K)
-    rows = program.a_eq[-count:]
-    assert np.array_equal(program.rhs[-count:], np.zeros(count))
-    if variant == "original":  # right after the martingale rows
-        assert rows.shape[0] == program.a_eq.shape[0] - len(mp.rows)
-    indices = np.array(enumerate_multi_indices(n, K + 2))
-    assert len(indices) == mp.num_m
+    spans = [(0, mp.num_m)] + ([(mp.num_m, mp.num_b)] if variant == "reduced" else [])
+    total = count * len(spans)
+    assert np.array_equal(program.rhs[-total:], np.zeros(total))
+    # right after the martingale and (reduced variant) boundary rows
+    assert total == program.a_eq.shape[0] - len(mp.rows) - (
+        len(boundary_rows(mp.qprime, n, K)) if variant == "reduced" else 0)
+    assert mp.num_m == len(enumerate_multi_indices(n, K + 2))
+    for k, (offset, num) in enumerate(spans):
+        rows = program.a_eq[program.a_eq.shape[0] - total + k * count:][:count]
+        indices = np.array(moment_indices(n, num))
 
-    def point_mass(s, c):
-        state = np.array([-0.3, 0.4, 0.2, s, c])  # x, v, t, sin, cos
-        z = np.zeros(program.num_vars)
-        z[:mp.num_m] = np.prod(state ** indices, axis=1)
-        return rows @ z
+        def point_mass(s, c):
+            state = np.array([-0.3, 0.4, 0.2, s, c])  # x, v, t, sin, cos
+            z = np.zeros(program.num_vars)
+            z[offset:offset + num] = np.prod(state ** indices, axis=1)
+            return rows @ z
 
-    theta = 0.7
-    assert np.abs(point_mass(math.sin(theta), math.cos(theta))).max() <= 1e-12
-    off = point_mass(0.5, 0.5)
-    # beta = 0 comes first and reads s^2 + c^2 - 1 itself
-    assert off[0] == pytest.approx(-0.5, abs=1e-12)
-    assert np.abs(off).min() > 0
+        theta = 0.7
+        assert np.abs(point_mass(math.sin(theta), math.cos(theta))).max() <= 1e-12
+        off = point_mass(0.5, 0.5)
+        # beta = 0 comes first and reads s^2 + c^2 - 1 itself
+        assert off[0] == pytest.approx(-0.5, abs=1e-12)
+        assert np.abs(off).min() > 0
 
 
 def test_reduced_equalities_zero_polynomial_rejected():
@@ -467,32 +476,43 @@ BOX = ["x + 1", "1 - x", "y + 1", "1 - y"]
 DISC = ["1 - x^2 - y^2"]
 
 # model, reflected coordinates, mirrored inequality polynomials (the
-# scaled box's x + 1 and 1 - x, ..., then t and 1 - t / 5)
+# scaled box's x + 1 and 1 - x, ..., then t and 1 - t / 5), and the exit
+# measure's blocks: M(b) with fewer than two safe polynomials, else one
+# M(q b) per safe polynomial that mirrors no earlier one (in every case
+# here two safe polynomials then sum to a positive constant, which leaves
+# M(b) out)
 REFLECTION_CASES = {
-    "brownian-from-half": (scaled_brownian, [0], [1]),
-    "brownian-from-0.3": (lambda: scaled(["y"], [0.3], ["y", "1 - y"]), [], []),
-    "box-from-origin": (lambda: scaled(["x", "y"], [0.0, 0.0], BOX), [0, 1], [1, 3]),
-    "disc-from-origin": (lambda: scaled(["x", "y"], [0.0, 0.0], DISC), [0, 1], []),
-    "box-from-(0.2,0.1)": (lambda: scaled(["x", "y"], [0.2, 0.1], BOX), [], []),
-    "disc-from-(0.2,0.1)": (lambda: scaled(["x", "y"], [0.2, 0.1], DISC), [], []),
-    "pendulum": (scaled_pendulum, [], []),
+    "brownian-from-half": (scaled_brownian, [0], [1], ["M(q0 b)"]),
+    "brownian-from-0.3": (lambda: scaled(["y"], [0.3], ["y", "1 - y"]), [], [],
+                          ["M(q0 b)", "M(q1 b)"]),
+    "box-from-origin": (lambda: scaled(["x", "y"], [0.0, 0.0], BOX), [0, 1], [1, 3],
+                        ["M(q0 b)", "M(q2 b)"]),
+    "disc-from-origin": (lambda: scaled(["x", "y"], [0.0, 0.0], DISC), [0, 1], [],
+                         ["M(b)"]),
+    "box-from-(0.2,0.1)": (lambda: scaled(["x", "y"], [0.2, 0.1], BOX), [], [],
+                           ["M(q0 b)", "M(q1 b)", "M(q2 b)", "M(q3 b)"]),
+    "disc-from-(0.2,0.1)": (lambda: scaled(["x", "y"], [0.2, 0.1], DISC), [], [],
+                            ["M(b)"]),
+    "pendulum": (scaled_pendulum, [], [], ["M(q0 b)", "M(q1 b)"]),
     "trig2d": (lambda: scaled(
         ["x", "y"], [0.1, -0.2], ["1 - x^2 - y^2"],
         drift=["sin(x*y) - x", "cos(t) + 0.5*sin(2*x)"],
-        diffusion=[["0.3 + 0.1*y", "0.2*x"], ["0.1*x*y", "0.4"]]), [], []),
+        diffusion=[["0.3 + 0.1*y", "0.2*x"], ["0.1*x*y", "0.4"]]), [], [], ["M(b)"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFLECTION_CASES))
 def test_reflections_of_the_start_state_are_detected(case):
-    make_model, coords, mirrored = REFLECTION_CASES[case]
+    make_model, coords, mirrored, exit_blocks = REFLECTION_CASES[case]
     model = make_model()
     assert reflections(model, sigma_sigma_t(model.diffusion)) == coords
     reduced = build_moment_problem(model, "reduced", 6, 1, "min")
     assert (reduced.reflections, reduced.mirrored) == (coords, mirrored)
     labels = [b.label for b in lower_to_conic(reduced).blocks]
-    assert labels == ["M(b)"] + [f"M(q{k} m)" for k in range(reduced.n_q)
-                                 if k not in mirrored]
+    # M(b) leads, and the M(q b) follow the M(q m)
+    assert labels == ([label for label in exit_blocks if label == "M(b)"]
+                      + [f"M(q{k} m)" for k in range(reduced.n_q) if k not in mirrored]
+                      + [label for label in exit_blocks if label != "M(b)"])
     # the original variant, the paper's baseline, uses no symmetry
     original = build_moment_problem(model, "original", 6, 1, "min")
     assert (original.reflections, original.mirrored) == ([], [])
@@ -540,7 +560,9 @@ def test_a_mirrored_block_is_congruent_to_its_mirror_on_invariant_moments(
         make_model, K):
     """On moments that satisfy the symmetry rows, M(q_j m) = lambda P'
     M(q_i m) P when q_j = lambda q_i o sigma, where column u of P holds the
-    coefficients of (x o sigma)^u over the basis of degree K // 2."""
+    coefficients of (x o sigma)^u over the basis of degree K // 2; and so
+    M(q_j b) = lambda P' M(q_i b) P for a safe q_j, such as M((1 - y) b)
+    against M(y b)."""
     model = make_model()
     mp = build_moment_problem(model, "reduced", K, 1, "min")
     program = lower_to_conic(mp)
@@ -570,10 +592,13 @@ def test_a_mirrored_block_is_congruent_to_its_mirror_on_invariant_moments(
             for w, coef in reflected(Polynomial.monomial(model.total_dim, u),
                                      coord, c).terms.items():
                 P[position[w], position[u]] = float(coef)
-        mirrored = blocks[f"M(q{j} m)"].materialize(z)
-        congruent = float(lam) * P.T @ blocks[f"M(q{i} m)"].materialize(z) @ P
-        assert np.abs(mirrored - congruent).max() <= 1e-12
-        assert np.abs(mirrored - blocks[f"M(q{i} m)"].materialize(z)).max() > 0.1
+        # every mirrored polynomial of these models is a safe one
+        for measure in ("m", "b"):
+            kept = blocks[f"M(q{i} {measure})"].materialize(z)
+            mirrored = blocks[f"M(q{j} {measure})"].materialize(z)
+            congruent = float(lam) * P.T @ kept @ P
+            assert np.abs(mirrored - congruent).max() <= 1e-12
+            assert np.abs(mirrored - kept).max() > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -581,24 +606,28 @@ def test_a_mirrored_block_is_congruent_to_its_mirror_on_invariant_moments(
 # ---------------------------------------------------------------------------
 
 
-# (model, K, N_q, N_mirrored, d_K): K = 6 is large enough that
+# (model, K, N_q, N_mirrored, N_b, d_K): K = 6 is large enough that
 # deg(q') <= K for every box; the coupled pendulum is the paper's
 # higher-dimensional case, with N_q = its safe polynomial, t, T - t and
 # 1 - a^2 for each of its four atoms, and d_K = count_upto(9, 2).  The
 # boxes start at their centres: 1 - y mirrors y, and 1 - z mirrors z.
-@pytest.mark.parametrize("make_model, K, n_q, n_mirrored, d_k", [
-    pytest.param(lambda: box_model(0), 6, 2, 0, 10, id="0"),
-    pytest.param(lambda: box_model(2), 6, 4, 1, 10, id="2"),
-    pytest.param(lambda: box_model(4), 6, 6, 2, 20, id="4"),
-    pytest.param(coupled_pendulum, 4, 7, 0, 55, id="coupled-pendulum-K4"),
+# N_b counts the reduced exit-measure blocks: M(b) with fewer than two
+# safe polynomials, else M(q b) per safe q that mirrors no earlier one
+# (M(y b) and M(z b) for box 4; M(b) is implied there, and for box 2).
+@pytest.mark.parametrize("make_model, K, n_q, n_mirrored, n_b, d_k", [
+    pytest.param(lambda: box_model(0), 6, 2, 0, 1, 10, id="0"),
+    pytest.param(lambda: box_model(2), 6, 4, 1, 1, 10, id="2"),
+    pytest.param(lambda: box_model(4), 6, 6, 2, 2, 20, id="4"),
+    pytest.param(coupled_pendulum, 4, 7, 0, 1, 55, id="coupled-pendulum-K4"),
 ])
-def test_psd_size_law(make_model, K, n_q, n_mirrored, d_k):
+def test_psd_size_law(make_model, K, n_q, n_mirrored, n_b, d_k):
     model = make_model()
     assert d_k == count_upto(model.total_dim, K // 2)
     # original: M(m), M(b), M(q m) and a (q', -q') pair per q; reduced:
-    # M(b) and M(q m) per q that mirrors no earlier one
+    # the N_b exit-measure blocks and M(q m) per q that mirrors no earlier
+    # one
     for variant, sides in (("original", 2 + 3 * n_q),
-                           ("reduced", 1 + n_q - n_mirrored)):
+                           ("reduced", n_b + n_q - n_mirrored)):
         mp = build_moment_problem(model, variant, K, 1, "max")
         program = lower_to_conic(mp)
         assert mp.n_q == n_q
@@ -721,13 +750,17 @@ def per_entry_block(q, basis, offset: int, num_vars: int):
 def dict_lowering(mp):
     """Reference lowering of the equalities: moments mapped to variables
     through dicts over the enumerated multi-indices, the pair-loop boundary
-    rows (reduced) and circle rows, every row dropped whose exact
-    normalized pattern came before, and then the symmetry rows."""
+    rows (reduced) and circle rows, on the occupation and (reduced) then on
+    the exit moments, every row dropped whose exact normalized pattern came
+    before, and then the symmetry rows."""
     n, half = mp.model.total_dim, mp.K // 2
     max_int_deg = max((q.degree() for q in mp.model.interior_polys
                        + mp.model.interior_eqs), default=0)
+    b_deg = mp.qprime.degree()
+    if mp.variant == "reduced":  # M(q b) and M(g b) reach 2 half + deg q
+        b_deg = max(b_deg, max_int_deg)
     m_indices = enumerate_multi_indices(n, max(mp.K, 2 * half + max_int_deg))
-    b_indices = enumerate_multi_indices(n, max(mp.K, 2 * half + mp.qprime.degree()))
+    b_indices = enumerate_multi_indices(n, max(mp.K, 2 * half + b_deg))
     assert (len(m_indices), len(b_indices)) == (mp.num_m, mp.num_b)
     m_of = {alpha: i for i, alpha in enumerate(m_indices)}
     b_of = {alpha: mp.num_m + i for i, alpha in enumerate(b_indices)}
@@ -749,9 +782,10 @@ def dict_lowering(mp):
     if mp.variant == "reduced":
         for eq in pair_loop_equalities(mp.qprime, n, half):
             push({b_of[j]: c for j, c in eq.items()}, Fraction(0))
-    for g in mp.model.interior_eqs:
-        for eq in pair_loop_equalities(g, n, half):
-            push({m_of[j]: c for j, c in eq.items()}, Fraction(0))
+    for of in [m_of] + ([b_of] if mp.variant == "reduced" else []):
+        for g in mp.model.interior_eqs:
+            for eq in pair_loop_equalities(g, n, half):
+                push({of[j]: c for j, c in eq.items()}, Fraction(0))
     # the symmetry rows may repeat an earlier row: none is dropped
     for eq in symmetry_rows(mp):
         eq_rows.append(sorted(eq.items()))
@@ -780,11 +814,19 @@ def test_lowering_matches_per_entry_reference(case, variant):
     program = lower_to_conic(mp)
     num_m = mp.num_m
     num_vars = program.num_vars
-    # M(m) is implied by the time box, and only the original variant has it
+    # M(m) is implied by the time box, and only the original variant has
+    # it; in every case here with two safe polynomials, two of them sum to
+    # a positive constant, which implies M(b), and the reduced variant
+    # states M(q b) for each safe q that mirrors no earlier one instead
+    safe = mp.model.interior_polys[:len(mp.model.exit_polys) - 1]
+    exit_localized = variant == "reduced" and len(safe) >= 2
     polys = [(Polynomial.constant(n, 1), 0)] if variant == "original" else []
-    polys += [(Polynomial.constant(n, 1), num_m)]
+    if not exit_localized:
+        polys += [(Polynomial.constant(n, 1), num_m)]
     polys += [(q, 0) for idx, q in enumerate(mp.model.interior_polys)
               if idx not in mp.mirrored]
+    if exit_localized:
+        polys += [(q, num_m) for idx, q in enumerate(safe) if idx not in mp.mirrored]
     if variant == "original":
         polys += [(sign * mp.qprime, num_m)
                   for _ in mp.model.interior_polys for sign in (1, -1)]

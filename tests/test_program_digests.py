@@ -10,6 +10,7 @@ digest of the same program after ``conic.presolve``, over the same
 arrays, so that a change to the presolve is pinned the same way.
 """
 
+import dataclasses
 import hashlib
 import itertools
 from fractions import Fraction
@@ -19,7 +20,8 @@ import pytest
 from exitmoment.augment import SdeModel, augment, scale_model
 from exitmoment.conic import presolve
 from exitmoment.expr import Polynomial
-from exitmoment.momentproblem import assemble, boundary_product
+from exitmoment.momentproblem import (assemble, boundary_product,
+                                      build_moment_problem, lower_to_conic)
 
 MODELS = {
     "brownian": dict(names=["y"], drift=["0"], diffusion=[["1"]], x0=[0.5],
@@ -47,21 +49,28 @@ MODELS = {
 # restrict the moments to those invariant under y -> 1 - y and leave out
 # M((1 - y) m), the mirror of M(y m); the box from its centre does the
 # same under x -> -x and y -> -y and leaves out M((1 - x) m) and
-# M((1 - y) m).  The pendulum and trig2d have no symmetry.
+# M((1 - y) m).  The pendulum and trig2d have no symmetry.  A reduced
+# program with two or more safe polynomials has one block M(q b) per safe
+# polynomial q that mirrors no earlier one (M(y b) for Brownian motion;
+# M(-x b) and M((x + 2) b) for the pendulum; M((x + 1) b) and M((y + 1) b)
+# for the box) and leaves out M(b), which two safe polynomials that sum to
+# a positive constant imply (see the last test).  A reduced program with a
+# circle g (the pendulum, trig2d) has the rows M(g b) = 0 after its rows
+# M(g m) = 0.
 DIGESTS = [
-    ("brownian", "reduced", 14, 1, "899ee840d19a3598", "899ee840d19a3598"),
-    ("brownian", "reduced", 14, 2, "e1e3c4a19ec52434", "e1e3c4a19ec52434"),
-    ("brownian", "reduced", 14, 3, "90ce3597e329cea8", "90ce3597e329cea8"),
-    ("brownian", "reduced", 14, 4, "6b7ce5f31e5b1a57", "6b7ce5f31e5b1a57"),
-    ("brownian", "reduced", 14, 5, "2fa55ac040c51062", "2fa55ac040c51062"),
-    ("brownian", "reduced", 14, 6, "79c14de08324bffc", "79c14de08324bffc"),
+    ("brownian", "reduced", 14, 1, "93e8c58b3309a7f4", "93e8c58b3309a7f4"),
+    ("brownian", "reduced", 14, 2, "c792290c7635475a", "c792290c7635475a"),
+    ("brownian", "reduced", 14, 3, "386a31e864505c4b", "386a31e864505c4b"),
+    ("brownian", "reduced", 14, 4, "309ad4261491df4a", "309ad4261491df4a"),
+    ("brownian", "reduced", 14, 5, "537cd3cb7f75ad79", "537cd3cb7f75ad79"),
+    ("brownian", "reduced", 14, 6, "c56d131a82fda6a6", "c56d131a82fda6a6"),
     ("brownian", "original", 8, 1, "d55678d259d0174f", "e48230802e2af15f"),
-    ("pendulum", "reduced", 10, 1, "2dbd267857cc1ccd", "2dbd267857cc1ccd"),
-    ("pendulum", "reduced", 6, 1, "73390ca99d64ea40", "73390ca99d64ea40"),
+    ("pendulum", "reduced", 10, 1, "6cce7d98ac527047", "6cce7d98ac527047"),
+    ("pendulum", "reduced", 6, 1, "337b05c253485be2", "337b05c253485be2"),
     ("pendulum", "original", 4, 1, "585ec38c482d2ec2", "02715f6f9c0e44ba"),
-    ("trig2d", "reduced", 4, 1, "5b676d7f04aaa5f3", "5b676d7f04aaa5f3"),
+    ("trig2d", "reduced", 4, 1, "1afce1d3db4016f6", "1afce1d3db4016f6"),
     ("trig2d", "original", 4, 1, "458534fde8d54f88", "5070d6d79e387e01"),
-    ("box", "reduced", 6, 1, "f005ee7a57a290ab", "f005ee7a57a290ab"),
+    ("box", "reduced", 6, 1, "cabd36503437a36c", "cabd36503437a36c"),
 ]
 IDS = [f"{name}-{variant}-K{K}-o{order}" for name, variant, K, order, *_ in DIGESTS]
 
@@ -144,3 +153,32 @@ def test_the_time_box_implies_the_occupation_moment_matrix(name):
     implied = float(w_i) * q_i.mat + float(w_j) * q_j.mat
     implied.eliminate_zeros()
     assert (implied != occupation.mat).nnz == 0
+
+
+@pytest.mark.parametrize("spec", [MODELS["brownian"], dict(MODELS["box"], x0=[0.2, 0.1])],
+                         ids=["brownian", "box-from-(0.2,0.1)"])
+def test_two_safe_polynomials_imply_the_exit_moment_matrix(spec):
+    """The reduced program leaves M(b) out because it is implied: two safe
+    polynomials sum to a positive constant c (y + (1 - y) = 1 on the
+    interval, (x + 1) + (1 - x) = 2 in the box), so
+    M(b) = (M(q_i b) + M(q_j b)) / c, a sum of PSD blocks.  For Brownian
+    motion M((1 - y) b) is itself left out as the mirror of M(y b), so
+    both blocks are lowered here without the reflection."""
+    model = scale_model(augment(SdeModel.from_strings(**spec)))
+    K = max(4, boundary_product(model.exit_polys).degree())
+    original = assemble(model, "original", K, 1, "min")
+    mp = build_moment_problem(model, "reduced", K, 1, "min")
+    assert "M(b)" not in [b.label for b in lower_to_conic(mp).blocks]
+    plain = lower_to_conic(dataclasses.replace(mp, reflections=[], mirrored=[]))
+    assert plain.num_vars == original.num_vars
+    safe = model.interior_polys[:len(model.exit_polys) - 1]
+    zero = (0,) * model.total_dim
+    (i, j, c), *_ = [(i, j, (safe[i] + safe[j]).coefficient(zero))
+                     for i, j in itertools.combinations(range(len(safe)), 2)
+                     if (safe[i] + safe[j]).degree() == 0]
+    assert isinstance(c, Fraction) and c > 0
+    (exit_block,) = [b for b in original.blocks if b.label == "M(b)"]
+    q_i, q_j = ({b.label: b for b in plain.blocks}[f"M(q{k} b)"] for k in (i, j))
+    implied = (q_i.mat + q_j.mat) / float(c)
+    implied.eliminate_zeros()
+    assert (implied != exit_block.mat).nnz == 0

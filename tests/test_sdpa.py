@@ -61,7 +61,9 @@ def test_brownian_export_matches_golden(tmp_path):
     # the same way, and the entries of the 25 symmetry rows, their
     # coefficients expanded by Polynomial arithmetic, joined the equality
     # block as its rows 31-55 and 86-110, after the 30 rows it had in
-    # each half
+    # each half.  Then block 1, M(b), which y + (1 - y) = 1 implies, went
+    # too, and M(y b) joined as block 4, its entries from the per-entry
+    # reference lowering of the tests of momentproblem
     out = tmp_path / "bm.dat-s"
     export_sdpa(brownian_program(4), out)
     golden = (GOLDEN / "brownian-reduced-K4.dat-s").read_bytes()
@@ -85,10 +87,12 @@ def test_chunk_size_changes_no_byte(tmp_path, monkeypatch, lines):
 
 def test_export_and_read_stay_within_their_memory(tmp_path):
     """The numpy peak (tracemalloc) of exporting pendulum reduced K=6
-    (26,556 entry lines) and reading it back is 3.1 MB, of which 2.3 MB is
-    the read's result.  With M(m) in the program (28,152 lines), an export
-    that built a record table of the whole program and formatted all its
-    lines at once peaked at 5.4 MB."""
+    (32,520 entry lines) and reading it back is 2.7 MB, set by the export;
+    the read's result holds 1.1 MB, where a dict of 7,461 record views and
+    tuple keys held 2.7 MB.  With M(m) in the program and without the
+    exit-measure localizers (28,152 lines), an export that built a record
+    table of the whole program and formatted all its lines at once peaked
+    at 5.4 MB."""
     program = pendulum_program(6)
     out = tmp_path / "p.dat-s"
     tracemalloc.start()
@@ -98,7 +102,7 @@ def test_export_and_read_stay_within_their_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(len(view) for view in data.entries.values()) == 26_556
+    assert sum(len(view) for view in data.entries.values()) == 32_520
     assert peak <= 4_200_000
 
 
@@ -177,6 +181,35 @@ def test_entries_are_record_views_of_one_table(tmp_path):
         for view in views:
             assert view.base is table
             assert view.dtype.names == ("i", "j", "value")
+
+
+def test_entries_are_a_dict_of_their_runs():
+    """Looked up, assigned, deleted and iterated as the dict of record
+    views they stand for; keys keep the table's order, and a new key comes
+    last."""
+    data = program_sdpa_image(brownian_program())
+    entries = data.entries
+    keys = list(records(data))
+    assert len(entries) == len(keys) and keys[0] in entries
+    assert (0, 99) not in entries and "a key" not in entries
+    entries[keys[0]] = entries[keys[0]][1:]
+    del entries[keys[1]]
+    entries[(0, 99)] = "a value"
+    with pytest.raises(KeyError):
+        entries[keys[1]]
+    with pytest.raises(KeyError):
+        del entries[keys[1]]
+    assert list(entries) == [keys[0]] + keys[2:] + [(0, 99)]
+    assert len(entries) == len(keys)
+    # items and values walk the same keys, in the same order
+    assert [key for key, _ in entries.items()] == list(entries)
+    assert [len(v) for v in entries.values()] == [len(entries[k]) for k in entries]
+    assert entries[(0, 99)] == "a value"
+    assert entries[keys[0]].tolist() == records(program_sdpa_image(
+        brownian_program()))[keys[0]][1:]
+    del entries[(0, 99)]
+    entries[keys[1]] = "back"
+    assert len(entries) == len(keys) and entries[keys[1]] == "back"
 
 
 @pytest.mark.parametrize("comment", ["", "* a comment line\n"])
