@@ -14,11 +14,13 @@ they are the rows that ``assemble`` lowers one per distinct beta for the
 reduced variant.  Those pairs and their repeats are all that
 ``presolve`` ever changes: ``assemble`` lowers every other equality
 (the reduced variant's boundary, the trig circles of both variants) as
-rows already, so a reduced program comes back as it is, and a presolved
-original program is the reduced program with the block M(m) in front,
-which the reduced variant leaves out because the time box implies it,
-and, for a model with a reflection symmetry, with the mirrored M(q m)
-blocks and without the symmetry rows (see ``momentproblem``).  The
+rows already, so a reduced program comes back as it is.  A presolved
+original program holds the reduced program's equality rows, less the
+rows M(g b) = 0 and the symmetry rows that only the reduced variant
+states.  Its blocks add M(m) (and M(b) where the reduced variant leaves
+it out), both implied, and the mirrored M(q m); they lack the M(q b);
+and for a trig model they span the full basis, of which the reduced
+blocks are principal submatrices (see ``momentproblem``).  The
 variables do not change, so the returned ``z`` lives in the assembled
 program's variable space and needs no lift.  The presolve saves one
 eigendecomposition per dropped block on every iteration.
@@ -53,7 +55,8 @@ z = z0 + W w, W = N Q diag(lambda)^-1/2.  What remains is the LMI
 X_k = C_k + sum_i w_i F_k,i >= 0  with objective q'w
 and the dual  Z_k >= 0,  sum_k <F_k,i, Z_k> = q_i.  Blocks of one
 dimension form a stacked group (an assembled program has one: its blocks
-share the moment basis of degree K/2) that keeps the F_k,i once, as an
+share one basis, of degree K/2, without the multiples of a circle's s^2
+in a reduced trig program) that keeps the F_k,i once, as an
 (n_blocks, p, svec) array of upper-triangle entries, and X, Z, their
 factors and the directions as (n_blocks, d, d) arrays, so a Cholesky
 factorization or step-length congruence is one call per group; a step

@@ -2,17 +2,19 @@
 
 The assembled program has one variable per occupation moment (degree up
 to K plus the overshoot needed by full-basis localizing blocks) followed
-by one per exit moment.  PSD blocks all share the moment-matrix basis of
-degree floor(K/2), so the block-diagonal cone has total side
-(2 + 3 N_q) d_K with original boundary constraints (M(m), M(b), one
-M(q m) per inequality polynomial q and one (q', -q') pair per q) and
-(N_b + N_q - N_mirrored) d_K with the reduced scalar equalities (the N_b
-exit-measure blocks and the M(q m) but the mirrored ones, see below),
-where N_q counts the inequality polynomials (``interior_polys``).  An
-equality polynomial g of ``interior_eqs`` (the trig circles
-sin^2 + cos^2 - 1) gets no block in either variant: it enters as the
-equality rows M(g m) = 0, and in the reduced variant M(g b) = 0 too.
-The equality rows are the martingale rows, then (reduced variant) the
+by one per exit moment.  PSD blocks all share one basis: in the original
+variant the moment-matrix basis of degree floor(K/2), of d_K monomials,
+and in the reduced variant its circle quotient, of d'_K monomials (see
+below; d'_K = d_K without a circle).  So the block-diagonal cone has
+total side (2 + 3 N_q) d_K with original boundary constraints (M(m),
+M(b), one M(q m) per inequality polynomial q and one (q', -q') pair per
+q) and (N_b + N_q - N_mirrored) d'_K with the reduced scalar equalities
+(the N_b exit-measure blocks and the M(q m) but the mirrored ones, see
+below), where N_q counts the inequality polynomials
+(``interior_polys``).  An equality polynomial g of ``interior_eqs`` (the
+trig circles sin^2 + cos^2 - 1) gets no block in either variant: it
+enters as the equality rows M(g m) = 0, and in the reduced variant
+M(g b) = 0 too.  The equality rows are the martingale rows, then (reduced variant) the
 boundary rows, then the rows M(g m) of each g in ``interior_eqs`` in
 turn, then (reduced variant) the rows M(g b) of each g in turn, and last
 (reduced variant) the symmetry rows.  The occupation moments reach
@@ -56,19 +58,47 @@ symmetry rows state the invariance, m_alpha = the moment of x^alpha o
 sigma, for each occupation and then each exit moment alpha with odd
 alpha_i (the rows of even alpha_i follow from these).  On invariant
 moments M((q o sigma) m) = P' M(q m) P, with P the reflection of the
-degree floor(K/2) basis, which is invertible because that basis is
-closed under affine maps; so a block M(q_j m) with q_j a positive
+blocks' basis, which is invertible because that basis is closed under
+affine maps of x_i (the circle quotient too: x_i is no atom); so a block M(q_j m) with q_j a positive
 multiple of q_i o sigma, for an earlier q_i whose block is kept, is
 implied and left out (``MomentProblem.mirrored``: M((1 - y) m) for
 Brownian motion), and so is M(q_j b) for a safe q_j (M((1 - y) b)).
+
+The reduced variant takes its blocks over the circle quotient basis:
+the monomials of degree <= floor(K/2) that no leading term s_j^2 of a
+circle s_j^2 + c_j^2 - 1 divides, the standard monomials of the ideal
+of the circles (Parrilo, LNCIS 312, 2005; Permenter & Parrilo, Math.
+Program. 2018, on reducing faces by structure).  Over the full basis no
+trig program has an interior: with u_g the coefficients of g in that
+basis, u_g' M(q m) u_g = L(q g^2) is a combination of the rows
+M(g m) = 0, so every block is singular on the whole feasible set.  The
+quotient is exact.  The rows M(g m) = 0 hold for every beta of degree
+<= 2 floor(K/2), so, when deg q <= deg g = 2, the row of s^2 x^gamma in
+M(q m) is the row of (1 - c^2) x^gamma modulo them.  Reducing
+recursively gives M(q m) = T' M'(q m) T on the feasible set, with T the
+reduction of the full basis to the quotient one and M'(q m) the block
+over the quotient basis, which is a principal submatrix of M(q m): one
+is PSD exactly when the other is, and every bound stays as it is.  The
+exit-measure blocks M(b) and M(q b) fold the same way only because b
+carries the rows M(g b) = 0.  Those rows, the rows M(g m) and the
+boundary rows M(q' b) = 0 therefore stay lowered over the betas of the
+full basis: the betas of the quotient basis miss every multiple of s^3,
+and rows over those alone have rank 410 against 427 at pendulum K=4, a
+larger feasible set.  A circle is used only when no inequality
+polynomial has a higher degree, as the argument needs.  With N_g
+circles, inclusion-exclusion gives d'_K = sum_k (-1)^k C(N_g, k)
+count_upto(n, floor(K/2) - 2 k): 20 of 21 monomials at pendulum K=4,
+50 of 56 at K=6 and 196 of 252 at K=10.
 
 Variables are numbered by graded lex rank: occupation moment alpha is
 variable rank(alpha) and exit moment alpha is num_m + rank(alpha), where
 rank is the closed form of ``expr.graded_lex_ranks``.  Entry (i, j) of
 a localizing matrix depends only on beta = basis[i] + basis[j], so the
-lowering ranks the betas of the upper triangle once (``_betas``) and
-lowers one row per distinct beta (``_localizing_rows``).  The array
-assembly relies on two orders, which the tests' per-entry loops
+lowering ranks the betas of an upper triangle once (``_betas``) and
+lowers one row per distinct beta (``_localizing_rows``): the triangle of
+``moment_basis`` for the blocks and, only when the circle quotient makes
+that basis smaller, the triangle of the full basis for the rows.  The
+array assembly relies on two orders, which the tests' per-entry loops
 reproduce one entry at a time:
 
 * The distinct betas come in the order each first appears in the
@@ -78,9 +108,9 @@ reproduce one entry at a time:
   the row of its beta.
 * The reduced variant's boundary equalities, the rows of M(q' b) = 0,
   and the rows M(g m) = 0 (and, reduced, M(g b) = 0) of each equality
-  polynomial g are the beta rows themselves, in that first-appearance
-  order, with right-hand side 0.  Distinct betas give distinct rows (see
-  below).
+  polynomial g are the beta rows of the full basis, in that
+  first-appearance order, with right-hand side 0.  Distinct betas give
+  distinct rows (see below).
 
 No two martingale, boundary or circle rows are proportional, so none is
 dropped: martingale row k is the only row on exit moment b_k; a
@@ -184,7 +214,9 @@ class MomentProblem:
     dropped_rows: list
     num_m: int                     # occupation moments, degree <= K_m
     num_b: int                     # exit moments, degree <= K_b
-    moment_basis: list             # degree <= K // 2
+    # the blocks' basis: degree <= K // 2, less (reduced variant) the
+    # multiples of each circle's s^2; the rows take the full basis
+    moment_basis: list
     qprime: Polynomial
     # reduced variant only: the coordinates whose reflection about the
     # start state maps the program onto itself, and the indices of the
@@ -297,6 +329,20 @@ def _sums_to_a_positive_constant(polys: list) -> bool:
     return False
 
 
+def _quotient_basis(basis: list, eqs: list, polys: list) -> list:
+    """The multi-indices of ``basis`` that no leading term of ``eqs``
+    divides (for each circle s^2 + c^2 - 1, every multiple of s^2 goes).
+    The leading term of g is the first of its top degree in graded lex
+    order, and g is used only when no polynomial of ``polys`` has a
+    higher degree, for which the quotient is exact (see the module
+    docstring)."""
+    top = max((q.degree() for q in polys), default=0)
+    leads = [max(g.terms, key=lambda alpha: (sum(alpha), alpha))
+             for g in eqs if g.degree() >= top]
+    return [alpha for alpha in basis
+            if not any(all(a >= e for a, e in zip(alpha, lead)) for lead in leads)]
+
+
 def build_moment_problem(model: AugmentedModel, variant: str, K: int,
                          moment_order: int, sense: str) -> MomentProblem:
     if variant not in ("original", "reduced"):
@@ -326,6 +372,9 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
                   if _closed_rows(rows, i)]
 
     half = K // 2
+    basis = enumerate_multi_indices(n, half)
+    if variant == "reduced":
+        basis = _quotient_basis(basis, model.interior_eqs, model.interior_polys)
     max_int_deg = max((q.degree() for q in model.interior_polys + model.interior_eqs),
                       default=0)
     b_deg = qprime.degree()
@@ -336,7 +385,7 @@ def build_moment_problem(model: AugmentedModel, variant: str, K: int,
         sense=sense, rows=rows, dropped_rows=dropped,
         num_m=count_upto(n, max(K, 2 * half + max_int_deg)),
         num_b=count_upto(n, max(K, 2 * half + b_deg)),
-        moment_basis=enumerate_multi_indices(n, half),
+        moment_basis=basis,
         qprime=qprime,
         reflections=coords,
         mirrored=_mirrored(model.interior_polys, coords, model.x0),
@@ -442,6 +491,12 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
     one = Polynomial.constant(n, 1)
     dim = len(mp.moment_basis)
     betas, where = _betas(np.array(mp.moment_basis, dtype=np.int64))
+    row_betas = betas
+    if dim < count_upto(n, mp.K // 2):
+        # under a circle the rows keep the betas of the full basis (see the
+        # module docstring)
+        full = enumerate_multi_indices(n, mp.K // 2)
+        row_betas, _ = _betas(np.array(full, dtype=np.int64))
     m_vars, b_vars = (0, num_m, num_vars), (num_m, num_b, num_vars)
     reduced = mp.variant == "reduced"
     # the reduced variant localizes b by each safe polynomial, given two
@@ -462,7 +517,7 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
                    for idx, q in enumerate(localized) if idx not in mp.mirrored]
     blocks = [PsdBlock(label, dim, _localizing_rows(poly, betas, *span)[where])
               for label, poly, span in localizers]
-    boundary = _localizing_rows(mp.qprime, betas, *b_vars)
+    boundary = _localizing_rows(mp.qprime, row_betas, *b_vars)
     if not reduced:
         # one (q', -q') pair per inequality polynomial, mirroring the 2 N_q
         # boundary accounting
@@ -476,7 +531,7 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
         rows = [boundary]
     # every entry of M(q' b) (reduced) and of each M(g m) and (reduced)
     # M(g b), g in interior_eqs, vanishes: one row per distinct beta
-    rows += [_localizing_rows(g, betas, *span)
+    rows += [_localizing_rows(g, row_betas, *span)
              for span in ([m_vars, b_vars] if reduced else [m_vars])
              for g in mp.model.interior_eqs]
     # invariant occupation and exit moments under each reflection

@@ -22,6 +22,7 @@ from exitmoment.conic import (
     presolve,
     solve,
 )
+from exitmoment.expr import enumerate_multi_indices
 from exitmoment.momentproblem import ConicProgram, PsdBlock, assemble
 
 BROWNIAN = (["y"], ["0"], [["1"]], [0.5], 10.0, ["y", "1 - y"])
@@ -360,14 +361,36 @@ def test_presolved_brownian_variants_are_one_program(brownian, order):
                        program_arrays(with_left_out_parts(reduced, original)))
 
 
-@pytest.mark.parametrize("K", [4, 6])
-def test_presolved_pendulum_variants_share_blocks_and_rows(pendulum, K):
-    """Up to M(m), which only the original variant states."""
+def quotient_svec(model, K):
+    """The svec rows, over the basis of degree K // 2, of the principal
+    submatrix at the monomials that no sine square divides."""
+    first, half = model.total_dim - len(model.atoms), len(model.atoms) // 2
+    basis = enumerate_multi_indices(model.total_dim, K // 2)
+    kept = [k for k, u in enumerate(basis) if all(u[first + j] < 2 for j in range(half))]
+    svec = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    svec[np.triu_indices(len(basis))] = np.arange(len(basis) * (len(basis) + 1) // 2)
+    return svec[np.ix_(kept, kept)][np.triu_indices(len(kept))]
+
+
+@pytest.mark.parametrize("K, side", [pytest.param(4, 20, id="4"), pytest.param(6, 50, id="6")])
+def test_presolved_pendulum_variants_share_blocks_and_rows(pendulum, K, side):
+    """Up to M(m), which only the original variant states, and the circle
+    quotient basis of the reduced blocks: each is the principal submatrix
+    of its original twin at the monomials that s^2 does not divide."""
     assembled = assemble(pendulum, "original", K, 1, "min")
     original = presolve(assembled)
-    reduced = with_left_out_parts(
-        presolve(assemble(pendulum, "reduced", K, 1, "min")), assembled)
-    assert same_arrays(block_arrays(original), block_arrays(reduced))
+    own = presolve(assemble(pendulum, "reduced", K, 1, "min"))
+    assert all(b.dim == side for b in own.blocks)
+    reduced = with_left_out_parts(own, assembled)
+    svec = quotient_svec(pendulum, K)
+    assert len(svec) == side * (side + 1) // 2
+
+    def principal(program):
+        return dataclasses.replace(program, blocks=[
+            b if b.dim == side else PsdBlock(b.label, side, b.mat[svec])
+            for b in program.blocks])
+
+    assert same_arrays(block_arrays(principal(original)), block_arrays(principal(reduced)))
     rows = equality_rows(original)
     assert rows == equality_rows(reduced)
     assert len(rows) == original.a_eq.shape[0]  # no row repeats

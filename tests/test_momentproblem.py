@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from exitmoment.augment import SdeModel, augment, scale_model
 from exitmoment.generator import MartingaleRow, sigma_sigma_t
@@ -69,6 +70,48 @@ def coupled_pendulum():
         ["u", "w", "-sin(x) + 0.5*(y - x) - 0.1*u", "-sin(y) + 0.5*(x - y) - 0.1*w"],
         [["0", "0"], ["0", "0"], ["1", "0"], ["0", "1"]],
         [0.2, -0.1, 0.0, 0.0], 10.0, ["1 - x^2 - y^2"]))
+
+
+def scaled_trig2d():
+    """Two states, two noise columns, time inside a sinusoid: three circles."""
+    return scale_model(augment(SdeModel.from_strings(
+        ["x", "y"], ["sin(x*y) - x", "cos(t) + 0.5*sin(2*x)"],
+        [["0.3 + 0.1*y", "0.2*x"], ["0.1*x*y", "0.4"]], [0.1, -0.2], 2.0,
+        ["1 - x^2 - y^2"])))
+
+
+def circle_slots(model):
+    """The (sine, cosine) slots of each circle s^2 + c^2 - 1 of
+    ``interior_eqs``: sine j and cosine half + j of the atom states."""
+    n, first, half = model.total_dim, model.total_dim - len(model.atoms), len(model.atoms) // 2
+    pairs = [(first + j, first + half + j) for j in range(half)]
+    var = [Polynomial.variable(n, i) for i in range(n)]
+    assert model.interior_eqs == [var[s] * var[s] + var[c] * var[c] - 1 for s, c in pairs]
+    return pairs
+
+
+def quotient_reference(model, K):
+    """The monomials of degree <= K // 2 that no sine square divides."""
+    return [u for u in enumerate_multi_indices(model.total_dim, K // 2)
+            if all(u[s] < 2 for s, _ in circle_slots(model))]
+
+
+def circle_reduction(model, basis, kept):
+    """T with x^u = sum_k T[k, u] x^kept[k] modulo the circles, for each u
+    of ``basis``: s_j^2 x^gamma reduces to (1 - c_j^2) x^gamma, recursively."""
+    position = {w: k for k, w in enumerate(kept)}
+    pairs = circle_slots(model)
+
+    def column(u):
+        for s, c in pairs:
+            if u[s] >= 2:
+                gamma = u[:s] + (u[s] - 2,) + u[s + 1:]
+                return column(gamma) - column(gamma[:c] + (gamma[c] + 2,) + gamma[c + 1:])
+        out = np.zeros(len(kept))
+        out[position[u]] = 1.0
+        return out
+
+    return np.column_stack([column(u) for u in basis])
 
 
 # (model, K) pairs whose assembly the array code must reproduce exactly
@@ -606,7 +649,7 @@ def test_a_mirrored_block_is_congruent_to_its_mirror_on_invariant_moments(
 # ---------------------------------------------------------------------------
 
 
-# (model, K, N_q, N_mirrored, N_b, d_K): K = 6 is large enough that
+# (model, K, N_q, N_mirrored, N_b, d_K, d'_K): K = 6 is large enough that
 # deg(q') <= K for every box; the coupled pendulum is the paper's
 # higher-dimensional case, with N_q = its safe polynomial, t, T - t and
 # 1 - a^2 for each of its four atoms, and d_K = count_upto(9, 2).  The
@@ -614,27 +657,36 @@ def test_a_mirrored_block_is_congruent_to_its_mirror_on_invariant_moments(
 # N_b counts the reduced exit-measure blocks: M(b) with fewer than two
 # safe polynomials, else M(q b) per safe q that mirrors no earlier one
 # (M(y b) and M(z b) for box 4; M(b) is implied there, and for box 2).
-@pytest.mark.parametrize("make_model, K, n_q, n_mirrored, n_b, d_k", [
-    pytest.param(lambda: box_model(0), 6, 2, 0, 1, 10, id="0"),
-    pytest.param(lambda: box_model(2), 6, 4, 1, 1, 10, id="2"),
-    pytest.param(lambda: box_model(4), 6, 6, 2, 2, 20, id="4"),
-    pytest.param(coupled_pendulum, 4, 7, 0, 1, 55, id="coupled-pendulum-K4"),
+# d'_K is the side of the reduced blocks, the monomials of degree <= K // 2
+# that no sine square divides: d_K for the boxes, which have no circle, and
+# 55 - 2 for the coupled pendulum's two circles.
+@pytest.mark.parametrize("make_model, K, n_q, n_mirrored, n_b, d_k, d_quotient", [
+    pytest.param(lambda: box_model(0), 6, 2, 0, 1, 10, 10, id="0"),
+    pytest.param(lambda: box_model(2), 6, 4, 1, 1, 10, 10, id="2"),
+    pytest.param(lambda: box_model(4), 6, 6, 2, 2, 20, 20, id="4"),
+    pytest.param(coupled_pendulum, 4, 7, 0, 1, 55, 53, id="coupled-pendulum-K4"),
 ])
-def test_psd_size_law(make_model, K, n_q, n_mirrored, n_b, d_k):
+def test_psd_size_law(make_model, K, n_q, n_mirrored, n_b, d_k, d_quotient):
     model = make_model()
-    assert d_k == count_upto(model.total_dim, K // 2)
-    # original: M(m), M(b), M(q m) and a (q', -q') pair per q; reduced:
-    # the N_b exit-measure blocks and M(q m) per q that mirrors no earlier
-    # one
-    for variant, sides in (("original", 2 + 3 * n_q),
-                           ("reduced", n_b + n_q - n_mirrored)):
+    n, half = model.total_dim, K // 2
+    assert d_k == count_upto(n, half)
+    # inclusion-exclusion over the circles: s_j^2 ... s_l^2 (k of them)
+    # divides count_upto(n, half - 2 k) monomials of degree <= half
+    circles = len(model.interior_eqs)
+    assert d_quotient == sum((-1) ** k * math.comb(circles, k) * count_upto(n, half - 2 * k)
+                             for k in range(circles + 1) if 2 * k <= half)
+    # original: M(m), M(b), M(q m) and a (q', -q') pair per q, over the
+    # full basis; reduced: the N_b exit-measure blocks and M(q m) per q
+    # that mirrors no earlier one, over the circle quotient basis
+    for variant, sides, d in (("original", 2 + 3 * n_q, d_k),
+                              ("reduced", n_b + n_q - n_mirrored, d_quotient)):
         mp = build_moment_problem(model, variant, K, 1, "max")
         program = lower_to_conic(mp)
         assert mp.n_q == n_q
         assert len(mp.mirrored) == (n_mirrored if variant == "reduced" else 0)
-        assert len(mp.moment_basis) == d_k
-        assert sum(b.dim for b in program.blocks) == sides * d_k
-        assert all(b.dim == d_k for b in program.blocks)
+        assert len(mp.moment_basis) == d
+        assert sum(b.dim for b in program.blocks) == sides * d
+        assert all(b.dim == d for b in program.blocks)
 
 
 def test_reduced_variant_has_no_boundary_blocks():
@@ -752,7 +804,8 @@ def dict_lowering(mp):
     through dicts over the enumerated multi-indices, the pair-loop boundary
     rows (reduced) and circle rows, on the occupation and (reduced) then on
     the exit moments, every row dropped whose exact normalized pattern came
-    before, and then the symmetry rows."""
+    before, and then the symmetry rows.  The pair loops run over the full
+    basis of degree K // 2 in both variants, whatever the blocks' basis."""
     n, half = mp.model.total_dim, mp.K // 2
     max_int_deg = max((q.degree() for q in mp.model.interior_polys
                        + mp.model.interior_eqs), default=0)
@@ -830,10 +883,14 @@ def test_lowering_matches_per_entry_reference(case, variant):
     if variant == "original":
         polys += [(sign * mp.qprime, num_m)
                   for _ in mp.model.interior_polys for sign in (1, -1)]
+    # the reduced blocks take the circle quotient basis, and every
+    # equality row the full basis (``dict_lowering``)
+    basis = (quotient_reference(model, K) if variant == "reduced"
+             else enumerate_multi_indices(n, K // 2))
+    assert mp.moment_basis == basis
     assert len(program.blocks) == len(polys)
     for block, (q, offset) in zip(program.blocks, polys):
-        assert_same_csr(block.mat,
-                        per_entry_block(q, mp.moment_basis, offset, num_vars))
+        assert_same_csr(block.mat, per_entry_block(q, basis, offset, num_vars))
 
     a_eq, rhs = dict_lowering(mp)
     assert_same_csr(program.a_eq, a_eq)
@@ -877,6 +934,63 @@ def test_lowering_over_a_basis_that_is_not_full():
         for p, (i, j) in enumerate(pairs):
             assert row_terms(block, p) == sorted(
                 (rank, float(coef)) for coef, rank in entries(q, basis, i, j))
+
+
+@pytest.mark.parametrize("make_model, K, rank", [
+    pytest.param(scaled_pendulum, 4, 427, id="pendulum-K4"),
+    pytest.param(scaled_pendulum, 6, None, id="pendulum-K6"),
+    pytest.param(scaled_trig2d, 4, None, id="trig2d-K4"),
+    pytest.param(coupled_pendulum, 4, None, id="coupled-pendulum-K4"),
+])
+def test_dropped_basis_rows_are_kept_rows_modulo_the_circles(make_model, K, rank):
+    """The premise of the circle quotient basis.  Modulo the circle rows,
+    which hold over every beta of degree <= 2 (K // 2), the row of
+    s_j^2 x^gamma in a localizing block is the row of (1 - c_j^2) x^gamma.
+    So at any point with A z = b each block over the full basis equals
+    T' M'_k(z) T, with M'_k the program's block over the quotient basis and
+    T the ``circle_reduction``.  The point is the least-squares solution
+    plus a random vector of the null space of A.  Circle rows lowered over
+    the betas of the quotient basis alone would lose rank (410 of 427 at
+    pendulum K=4) and break the identity."""
+    model = make_model()
+    n = model.total_dim
+    mp = build_moment_problem(model, "reduced", K, 1, "min")
+    program = lower_to_conic(mp)
+    a_eq, rhs = program.a_eq, program.rhs
+    if rank is not None:
+        assert np.linalg.matrix_rank(a_eq.toarray()) == rank
+    r = np.random.default_rng(3).standard_normal(program.num_vars)
+    z = r - spla.lsmr(a_eq, a_eq @ r - rhs, atol=1e-16, btol=1e-16, maxiter=20_000)[0]
+    assert np.abs(a_eq @ z - rhs).max() <= 1e-11
+    full = enumerate_multi_indices(n, K // 2)
+    kept = quotient_reference(model, K)
+    assert mp.moment_basis == kept and len(kept) < len(full)
+    T = circle_reduction(model, full, kept)
+    safe = model.interior_polys[:len(model.exit_polys) - 1]
+    localizers = {"M(b)": (Polynomial.constant(n, 1), mp.num_m)}
+    localizers.update({f"M(q{k} m)": (q, 0) for k, q in enumerate(model.interior_polys)})
+    localizers.update({f"M(q{k} b)": (q, mp.num_m) for k, q in enumerate(safe)})
+    for block in program.blocks:
+        q, offset = localizers[block.label]
+        whole = PsdBlock(block.label, len(full),
+                         per_entry_block(q, full, offset, program.num_vars)).materialize(z)
+        assert block.dim == len(kept)
+        folded = T.T @ block.materialize(z) @ T
+        assert np.abs(whole - folded).max() <= 1e-9 * np.abs(whole).max()
+
+
+def test_a_localizer_above_the_degree_of_the_circles_keeps_the_full_basis():
+    """The quotient folds M(q m) only when deg q <= 2: for a cubic q the
+    rows M(g m) = 0 do not reach the betas that folding its block needs
+    (forced anyway, the block of the cubic safe polynomial -x (x^2 + 1)
+    below misses T' M' T by 1.3 times its largest entry at pendulum K=6).
+    So a model with such a q keeps the full basis."""
+    model = scale_model(augment(SdeModel.from_strings(
+        ["x", "v"], ["v", "-5*x - 9.81 + v*sin(x)"], [["0"], ["1"]],
+        [-1.0, 0.0], 10.0, ["-x*(x^2 + 1)", "x + 2"])))
+    assert model.interior_polys[0].degree() == 3
+    mp = build_moment_problem(model, "reduced", 6, 1, "min")
+    assert mp.moment_basis == enumerate_multi_indices(model.total_dim, 3)
 
 
 @pytest.mark.parametrize("row, key", [

@@ -87,12 +87,13 @@ def test_chunk_size_changes_no_byte(tmp_path, monkeypatch, lines):
 
 def test_export_and_read_stay_within_their_memory(tmp_path):
     """The numpy peak (tracemalloc) of exporting pendulum reduced K=6
-    (32,520 entry lines) and reading it back is 2.7 MB, set by the export;
-    the read's result holds 1.1 MB, where a dict of 7,461 record views and
-    tuple keys held 2.7 MB.  With M(m) in the program and without the
-    exit-measure localizers (28,152 lines), an export that built a record
-    table of the whole program and formatted all its lines at once peaked
-    at 5.4 MB."""
+    (28,347 entry lines, its blocks over the circle quotient basis) and
+    reading it back is 2.7 MB, set by the export; the read's result holds
+    1.0 MB, where a dict of 7,461 record views and tuple keys held 2.7 MB.
+    With M(m) in the program, without the exit-measure localizers and over
+    the full basis (28,152 lines), an export that built a record table of
+    the whole program and formatted all its lines at once peaked at
+    5.4 MB."""
     program = pendulum_program(6)
     out = tmp_path / "p.dat-s"
     tracemalloc.start()
@@ -102,7 +103,7 @@ def test_export_and_read_stay_within_their_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(len(view) for view in data.entries.values()) == 32_520
+    assert sum(len(view) for view in data.entries.values()) == 28_347
     assert peak <= 4_200_000
 
 
