@@ -94,12 +94,11 @@ Variables are numbered by graded lex rank: occupation moment alpha is
 variable rank(alpha) and exit moment alpha is num_m + rank(alpha), where
 rank is the closed form of ``expr.graded_lex_ranks``.  Entry (i, j) of
 a localizing matrix depends only on beta = basis[i] + basis[j], so the
-lowering ranks the betas of an upper triangle once (``_betas``) and
-lowers one row per distinct beta (``_localizing_rows``): the triangle of
-``moment_basis`` for the blocks and, only when the circle quotient makes
-that basis smaller, the triangle of the full basis for the rows.  The
-array assembly relies on two orders, which the tests' per-entry loops
-reproduce one entry at a time:
+lowering ranks the betas of an upper triangle (``_betas``) and lowers
+one row per distinct beta (``_localizing_rows``): the triangle of
+``moment_basis`` for the blocks and the triangle of the full basis for
+the rows.  The array assembly relies on two orders, which the tests'
+per-entry loops reproduce one entry at a time:
 
 * The distinct betas come in the order each first appears in the
   upper-triangle traversal (``np.triu_indices(d)``: i <= j, svec
@@ -491,12 +490,10 @@ def lower_to_conic(mp: MomentProblem) -> ConicProgram:
     one = Polynomial.constant(n, 1)
     dim = len(mp.moment_basis)
     betas, where = _betas(np.array(mp.moment_basis, dtype=np.int64))
-    row_betas = betas
-    if dim < count_upto(n, mp.K // 2):
-        # under a circle the rows keep the betas of the full basis (see the
-        # module docstring)
-        full = enumerate_multi_indices(n, mp.K // 2)
-        row_betas, _ = _betas(np.array(full, dtype=np.int64))
+    # the rows take the betas of the full basis, also under a circle (see
+    # the module docstring)
+    full = enumerate_multi_indices(n, mp.K // 2)
+    row_betas, _ = _betas(np.array(full, dtype=np.int64))
     m_vars, b_vars = (0, num_m, num_vars), (num_m, num_b, num_vars)
     reduced = mp.variant == "reduced"
     # the reduced variant localizes b by each safe polynomial, given two

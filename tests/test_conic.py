@@ -22,8 +22,9 @@ from exitmoment.conic import (
     presolve,
     solve,
 )
-from exitmoment.expr import enumerate_multi_indices
 from exitmoment.momentproblem import ConicProgram, PsdBlock, assemble
+
+from circle_quotient import quotient_svec
 
 BROWNIAN = (["y"], ["0"], [["1"]], [0.5], 10.0, ["y", "1 - y"])
 
@@ -359,17 +360,6 @@ def test_presolved_brownian_variants_are_one_program(brownian, order):
     assert not reduced.rhs[-61:].any()
     assert same_arrays(program_arrays(presolve(original)),
                        program_arrays(with_left_out_parts(reduced, original)))
-
-
-def quotient_svec(model, K):
-    """The svec rows, over the basis of degree K // 2, of the principal
-    submatrix at the monomials that no sine square divides."""
-    first, half = model.total_dim - len(model.atoms), len(model.atoms) // 2
-    basis = enumerate_multi_indices(model.total_dim, K // 2)
-    kept = [k for k, u in enumerate(basis) if all(u[first + j] < 2 for j in range(half))]
-    svec = np.zeros((len(basis), len(basis)), dtype=np.int64)
-    svec[np.triu_indices(len(basis))] = np.arange(len(basis) * (len(basis) + 1) // 2)
-    return svec[np.ix_(kept, kept)][np.triu_indices(len(kept))]
 
 
 @pytest.mark.parametrize("K, side", [pytest.param(4, 20, id="4"), pytest.param(6, 50, id="6")])

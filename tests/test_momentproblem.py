@@ -34,6 +34,8 @@ from exitmoment.momentproblem import (
     reflections,
 )
 
+from circle_quotient import circle_slots, quotient_reference
+
 
 def box_model(n_user_polys: int, T: float = 1.0):
     """Polynomial diffusion in a box with the requested number of user
@@ -78,22 +80,6 @@ def scaled_trig2d():
         ["x", "y"], ["sin(x*y) - x", "cos(t) + 0.5*sin(2*x)"],
         [["0.3 + 0.1*y", "0.2*x"], ["0.1*x*y", "0.4"]], [0.1, -0.2], 2.0,
         ["1 - x^2 - y^2"])))
-
-
-def circle_slots(model):
-    """The (sine, cosine) slots of each circle s^2 + c^2 - 1 of
-    ``interior_eqs``: sine j and cosine half + j of the atom states."""
-    n, first, half = model.total_dim, model.total_dim - len(model.atoms), len(model.atoms) // 2
-    pairs = [(first + j, first + half + j) for j in range(half)]
-    var = [Polynomial.variable(n, i) for i in range(n)]
-    assert model.interior_eqs == [var[s] * var[s] + var[c] * var[c] - 1 for s, c in pairs]
-    return pairs
-
-
-def quotient_reference(model, K):
-    """The monomials of degree <= K // 2 that no sine square divides."""
-    return [u for u in enumerate_multi_indices(model.total_dim, K // 2)
-            if all(u[s] < 2 for s, _ in circle_slots(model))]
 
 
 def circle_reduction(model, basis, kept):

@@ -15,14 +15,15 @@ import hashlib
 import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from exitmoment.augment import SdeModel, augment, scale_model
 from exitmoment.conic import presolve
-from exitmoment.expr import Polynomial, enumerate_multi_indices
+from exitmoment.expr import Polynomial
 from exitmoment.momentproblem import (assemble, boundary_product,
                                       build_moment_problem, lower_to_conic)
+
+from circle_quotient import quotient_svec
 
 MODELS = {
     "brownian": dict(names=["y"], drift=["0"], diffusion=[["1"]], x0=[0.5],
@@ -131,18 +132,6 @@ def unit_pair(polys, nvars):
                 if w_i >= 0 and w_j >= 0 and p * w_i + q * w_j == one:
                     return i, j, w_i, w_j
     return None
-
-
-def quotient_svec(model, K):
-    """The svec rows, over the basis of degree K // 2, of the principal
-    submatrix at the monomials that no sine square divides (every row
-    for a model without a circle)."""
-    first, half = model.total_dim - len(model.atoms), len(model.atoms) // 2
-    basis = enumerate_multi_indices(model.total_dim, K // 2)
-    kept = [k for k, u in enumerate(basis) if all(u[first + j] < 2 for j in range(half))]
-    svec = np.zeros((len(basis), len(basis)), dtype=np.int64)
-    svec[np.triu_indices(len(basis))] = np.arange(len(basis) * (len(basis) + 1) // 2)
-    return svec[np.ix_(kept, kept)][np.triu_indices(len(kept))]
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
