@@ -31,7 +31,10 @@ for at least one PSD block, a program with
 method.  That difference is a lower bound on the number of free
 moments, known without a factorization; it is negative when dependent
 rows outnumber the variables, as the symmetry rows of a reduced program
-can.  If the interior-point
+can.  The interior-point method's QR factorization of the equality rows
+then gives their rank, and a program with more than ``IPM_MAX_FREE``
+free moments ``num_vars - rank`` goes on to ADMM, after the consistency
+check of those rows.  If the interior-point
 method ends with any status other than ``optimal`` (``max_iters``, a
 matrix that is not positive definite, non-finite values, a stall), ADMM
 runs on the same presolved program, as it would have without the
@@ -44,9 +47,17 @@ builds each method's record, which the method fills as it goes, and maps
 a numerical failure to ``numerical_failure`` with a NaN objective.
 
 The interior-point method eliminates A z = b through a null-space basis
-N: z = z0 + N w.  N and z0 come from a QR factorization of the dense A'
-with column pivoting, whose falling |R_kk| give the rank, at a third of
-the cost of an SVD (5 ms against 16 ms at Brownian K=14, 385 x 307).
+N: z = z0 + N w.  N and z0 come from a QR factorization of A' with
+column pivoting (LAPACK dgeqp3), whose falling |R_kk| give the rank; it
+takes a fifth of the time of a full SVD (3.9 ms against 19 ms at
+Brownian K=14, 385 rows and 307 variables, one BLAS thread).  It runs in
+place in the one dense copy of A, read as the Fortran-order A', and
+leaves Q as Householder reflectors below R.  Neither Q nor R is formed:
+z0 is Q [y; 0] with R_11' y the pivoted right-hand side, solved on the
+leading rank x rank block, and N = Q [0; I] is the reflectors applied
+to [0; I] (dormqr).  The dense arrays at once are the factor and N, then
+N, the Gram matrix below and its eigenvectors; the consistency check
+|A z0 - b| reads the sparse A.
 Directions of N that move no PSD block (moments that only the
 equalities see) would make the Schur matrix singular; the
 eigendecomposition of the Gram matrix sum_k (G_k N)'(G_k N) keeps the
@@ -158,8 +169,11 @@ EPS_ABS = 1e-7
 EPS_REL = 1e-7
 # Iterations between residual checks (and ``residual_history`` entries).
 CHECK_INTERVAL = 25
-# Largest num_vars - eq_rows of a presolved program that goes to the
-# interior-point method first.  Measured on order-1 "min" reduced programs,
+# Most free moments of a presolved program that the interior-point method
+# solves.  ``solve`` screens with num_vars - eq_rows, a lower bound on the
+# free moments that needs no factorization, and ``_free_moments`` hands a
+# program whose num_vars - rank exceeds it to ADMM after its QR
+# factorization.  Measured on order-1 "min" reduced programs,
 # 1 BLAS thread, 2 shared vCPUs, as (free moments: interior point, ADMM
 # alone): Brownian K=14 (34: 0.11 s / 18 steps, 0.25 s / 225 iterations;
 # its num_vars - eq_rows is -78, since its symmetry rows depend on other
@@ -172,10 +186,10 @@ CHECK_INTERVAL = 25
 # wins: at Brownian K=26 (59) the largest residual stops shrinking at
 # 6.7e-6 after step 18, and the stall test hands over to ADMM at step 22
 # (1.2 s), which does not converge in 20,000 iterations either (97 s
-# alone).  The benchmark sees only the two ends, 34 free moments
-# (Brownian) and 815 or more: the pendulum stays above the cutoff, with
-# num_vars - eq_rows 815 at reduced K=4 and 1,644 at K=6 (827 and 1,756
-# free moments).
+# alone).  The benchmark sees only the two ends: Brownian reduced K=14
+# and original K=8, with 34 and 43 free moments, and the pendulum, which
+# the screen sends to ADMM without a factorization (num_vars - eq_rows
+# 815 and 1,644 at reduced K=4 and K=6, 941 at original K=4).
 IPM_MAX_FREE = 500
 # Least |primal| + |dual| objective against which the interior-point gap is
 # measured: the solve stops when <X, Z> <= EPS_REL max(|primal| + |dual|,
@@ -441,25 +455,57 @@ class _Refusal(_Failure):
     """A stop that the program itself causes, which no other method mends."""
 
 
+def _lapack(name: str, *args, **kwargs) -> list:
+    """Call the LAPACK routine ``name`` with the workspace its own query
+    asks for; return its outputs before ``work`` and ``info``."""
+    routine = getattr(sla.lapack, name)
+    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    *out, _, info = routine(*args, lwork=lwork, **kwargs)
+    if info:
+        raise np.linalg.LinAlgError(f"{name} failed (info {info})")
+    return out
+
+
+def _times_q(factor: np.ndarray, tau: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Q mat, in place in the Fortran-order ``mat``, for the Q that dgeqp3
+    left as reflectors in ``factor`` and ``tau``."""
+    if not tau.size:
+        return mat
+    return _lapack("dormqr", "L", "N", factor[:, :tau.size], tau, mat, overwrite_c=1)[0]
+
+
 def _free_moments(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray):
     """z0 and W with z = z0 + W w over the solutions of A z = b that the
     PSD blocks see.  W spans the null space of A less the directions that
     move no block, scaled so that the stacked block images (blocks.stacked
-    @ W) have orthonormal columns."""
-    a = program.a_eq.toarray()
+    @ W) have orthonormal columns.  More than ``IPM_MAX_FREE`` free
+    moments, counted by the rank of A, hand the program to ADMM."""
+    n = program.num_vars
     b = program.rhs.astype(float)
-    # A[perm]' = Q R with |R_kk| falling: the first ``rank`` pivoted rows
+    # A[perm]' = Q R with |R_kk| falling, factored in place in A's dense
+    # copy, read as the Fortran-order A': R on and above the diagonal, Q as
+    # the Householder reflectors below it.  The first ``rank`` pivoted rows
     # span the rows of A, and the last columns of Q its null space
-    q, tri, perm = sla.qr(a.T, pivoting=True)
-    diag = np.abs(np.diag(tri))
+    factor = program.a_eq.toarray().T
+    factor, perm, tau = _lapack("dgeqp3", factor, overwrite_a=1)
+    diag = np.abs(np.diag(factor))
     eps = np.finfo(float).eps
-    rank = int(np.count_nonzero(diag > diag.max(initial=0.0) * max(a.shape) * eps))
-    z0 = q[:, :rank] @ sla.solve_triangular(tri[:rank, :rank], b[perm[:rank]], trans="T")
-    if (np.linalg.norm(a @ z0 - b)
+    rank = int(np.count_nonzero(diag > diag.max(initial=0.0) * max(factor.shape) * eps))
+    # z0 = Q [y; 0] with R_11' y = b[perm[:rank]], R_11 read in place
+    z0 = np.zeros((n, 1), order="F")
+    z0[:rank, 0] = b[perm[:rank] - 1]
+    z0 = sla.lapack.dtrtrs(factor[:, :rank], z0, trans=1, overwrite_b=1)[0]
+    z0 = _times_q(factor, tau, z0)[:, 0]
+    if (np.linalg.norm(program.a_eq @ z0 - b)
             > EPS_ABS * math.sqrt(max(len(b), 1)) + EPS_REL * np.linalg.norm(b)):
         raise _Refusal("inconsistent equality rows")
-    null = q[:, rank:]
-    r = null.shape[1]
+    r = n - rank
+    if r > IPM_MAX_FREE:
+        raise _Failure(f"{r} free moments, above IPM_MAX_FREE = {IPM_MAX_FREE}")
+    null = np.zeros((n, r), order="F")
+    np.fill_diagonal(null[rank:], 1.0)
+    null = _times_q(factor, tau, null)
+    del factor
     gram = np.zeros((r, r))
     for start, length in zip(blocks.starts, blocks.lengths):
         moved = blocks.stacked[start:start + length] @ null
@@ -720,8 +766,10 @@ def _run(name: str, method, program: ConicProgram, blocks: _SvecBlocks | None,
 
 
 def solve(program: ConicProgram, settings: SolverSettings | None = None) -> SolveResult:
-    """Presolve the program, then run the interior-point method when it has
-    at most ``IPM_MAX_FREE`` free moments, and ADMM otherwise or when the
+    """Presolve the program, then run the interior-point method when
+    ``num_vars - eq_rows``, a lower bound on its free moments, is at most
+    ``IPM_MAX_FREE``, and ADMM otherwise, when the rank of the equality
+    rows shows more than ``IPM_MAX_FREE`` free moments, or when the
     interior-point method does not end ``optimal`` for a reason other than
     the program; the returned objective is the relaxation optimum estimate
     within the reported residual tolerances.

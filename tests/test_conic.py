@@ -2,12 +2,12 @@ import collections
 import dataclasses
 import json
 import math
-import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import exitmoment.conic as conic
@@ -25,6 +25,7 @@ from exitmoment.conic import (
 from exitmoment.momentproblem import ConicProgram, PsdBlock, assemble
 
 from circle_quotient import quotient_svec
+from traced import traced_peak
 
 BROWNIAN = (["y"], ["0"], [["1"]], [0.5], 10.0, ["y", "1 - y"])
 
@@ -879,18 +880,41 @@ def test_blocks_of_two_dimensions_are_solved_by_the_interior_point_method(monkey
 
 
 def test_an_interior_point_solve_stays_within_its_memory(brownian):
-    """The numpy peak (tracemalloc) of reduced K=14 order 6 is 3.6 MB, of
+    """The numpy peak (tracemalloc) of reduced K=14 order 6 is 2.2 MB, of
     which the (4, 30, 666) coefficient array is 0.6 MB: the Schur matrix
-    gathers one (36, 30, 36) block operand at a time, never a 4-D array."""
+    gathers one (36, 30, 36) block operand at a time, never a 4-D array.
+    A free-moment step that formed the full Q and R of A' next to A and
+    its copy peaked at 3.6 MB."""
     program = assemble(brownian, "reduced", 14, 6, "max")
-    tracemalloc.start()
-    try:
-        res = solve(program)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(solve, program)
     assert (res.status, res.method) == ("optimal", "ipm")
-    assert peak <= 5_800_000
+    assert peak <= 3_000_000
+
+
+def test_free_moments_of_the_pendulum_stay_within_their_memory(pendulum, monkeypatch):
+    """Pendulum reduced K=4: n = 1,254 variables, m = 439 equality rows of
+    rank 427, so r = 827 free moments.  The bound is 8 bytes times
+    n m + n r + 3 r^2 = 29.1 MB: the one n x m factor of A', the null-space
+    columns, and the Gram matrix with two arrays of its size (its
+    eigenvectors, then the products that scale them into W).  The numpy
+    peak (tracemalloc) is 26.2 MB; forming the full Q and R next to A and
+    its copy peaked at 51.3 MB."""
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", math.inf)
+    program = presolve(assemble(pendulum, "reduced", 4, 1, "min"))
+    n, m, r = program.num_vars, program.a_eq.shape[0], 827
+    blocks = _SvecBlocks(program)
+    (z0, basis), peak = traced_peak(conic._free_moments, program, blocks, program.objective)
+    assert (n, m, basis.shape[1]) == (1254, 439, 332)
+    assert peak <= 8 * (n * m + n * r + 3 * r * r)
+
+
+def test_more_free_moments_by_rank_than_the_cutoff_hand_over_to_admm(brownian, monkeypatch):
+    """Brownian reduced K=14 passes the screen at any cutoff of at least
+    num_vars - eq_rows = -78, and its equality rows leave 34 free moments."""
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", 0)
+    res = solve(assemble(brownian, "reduced", 14, 1, "min"))
+    assert (res.status, res.method) == ("optimal", "admm")
+    assert res.message == "interior point stopped: 34 free moments, above IPM_MAX_FREE = 0"
 
 
 def test_the_pendulum_stays_on_admm(pendulum):
@@ -899,6 +923,57 @@ def test_the_pendulum_stays_on_admm(pendulum):
     assert presolved.num_vars - presolved.a_eq.shape[0] > conic.IPM_MAX_FREE
     res = solve(program, SolverSettings(max_iters=1))
     assert (res.method, res.iterations, res.message) == ("admm", 1, "")
+
+
+def pivoted_qr_free_moments(program, blocks, c):
+    """The rank of A, z0 and W from the full Q and R of scipy's pivoted
+    QR of A', kept as the reference for ``conic._free_moments``."""
+    a = program.a_eq.toarray()
+    q, tri, perm = sla.qr(a.T, pivoting=True)
+    diag = np.abs(np.diag(tri))
+    rank = int(np.count_nonzero(diag > diag.max(initial=0.0) * max(a.shape)
+                                * np.finfo(float).eps))
+    z0 = q[:, :rank] @ sla.solve_triangular(tri[:rank, :rank],
+                                            program.rhs[perm[:rank]], trans="T")
+    null = q[:, rank:]
+    images = blocks.stacked @ null
+    lam, vec = np.linalg.eigh(images.T @ images)
+    keep = lam > lam.max() * null.shape[1] * np.finfo(float).eps
+    return rank, z0, null @ (vec[:, keep] / np.sqrt(lam[keep]))
+
+
+def two_dimensional_brownian(domain):
+    return scale_model(augment(SdeModel.from_strings(
+        ["x", "y"], ["0", "0"], [["1", "0"], ["0", "1"]], [0.2, 0.1], 10.0, domain)))
+
+
+@pytest.mark.parametrize("case", ["brownian K=14", "box K=8", "disc K=8", "pendulum K=4"])
+def test_free_moments_span_what_a_pivoted_qr_spans(case, brownian, pendulum, monkeypatch):
+    model, K = {
+        "brownian K=14": (brownian, 14),
+        "box K=8": (two_dimensional_brownian(["x + 1", "1 - x", "y + 1", "1 - y"]), 8),
+        "disc K=8": (two_dimensional_brownian(["1 - x^2 - y^2"]), 8),
+        "pendulum K=4": (pendulum, 4),
+    }[case]
+    program = presolve(assemble(model, "reduced", K, 1, "min"))
+    a, b, c = program.a_eq, program.rhs, program.objective
+    blocks = _SvecBlocks(program)
+    rank, _, reference = pivoted_qr_free_moments(program, blocks, c)
+    free = program.num_vars - rank
+    # the rank is the reference's: one free moment over the cutoff hands over
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", free - 1)
+    with pytest.raises(conic._Failure, match=f"^{free} free moments, above"):
+        conic._free_moments(program, blocks, c)
+    monkeypatch.setattr(conic, "IPM_MAX_FREE", free)
+    z0, basis = conic._free_moments(program, blocks, c)
+    assert np.linalg.norm(a @ z0 - b) <= (conic.EPS_ABS * math.sqrt(len(b))
+                                          + conic.EPS_REL * np.linalg.norm(b))
+    assert np.abs(a @ basis).max() <= 1e-12 * np.abs(basis).max()
+    # the reference's own images are orthonormal to 1.9e-10 in the box
+    images = blocks.stacked @ basis
+    assert np.abs(images.T @ images - np.eye(basis.shape[1])).max() <= 1e-9
+    assert basis.shape == reference.shape
+    assert sla.subspace_angles(basis, reference).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------

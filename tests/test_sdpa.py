@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +10,8 @@ from exitmoment.momentproblem import ConicProgram, PsdBlock, assemble
 from exitmoment import sdpa
 from exitmoment.sdpa import (SdpaData, export_sdpa, program_sdpa_image,
                              read_sdpa)
+
+from traced import traced_peak
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -96,13 +97,12 @@ def test_export_and_read_stay_within_their_memory(tmp_path):
     5.4 MB."""
     program = pendulum_program(6)
     out = tmp_path / "p.dat-s"
-    tracemalloc.start()
-    try:
+
+    def round_trip():
         export_sdpa(program, out)
-        data = read_sdpa(out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return read_sdpa(out)
+
+    data, peak = traced_peak(round_trip)
     assert sum(len(view) for view in data.entries.values()) == 28_347
     assert peak <= 4_200_000
 
