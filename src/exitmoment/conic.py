@@ -55,9 +55,9 @@ place in the one dense copy of A, read as the Fortran-order A', and
 leaves Q as Householder reflectors below R.  Neither Q nor R is formed:
 z0 is Q [y; 0] with R_11' y the pivoted right-hand side, solved on the
 leading rank x rank block, and N = Q [0; I] is the reflectors applied
-to [0; I] (dormqr).  The dense arrays at once are the factor and N, then
-N, the Gram matrix below and its eigenvectors; the consistency check
-|A z0 - b| reads the sparse A.
+to [0; I] (dormqr).  The large dense arrays alive at once are the factor
+and N, then, once the factor is freed, N with the Gram matrix below and
+its eigenvectors; the consistency check |A z0 - b| reads the sparse A.
 Directions of N that move no PSD block (moments that only the
 equalities see) would make the Schur matrix singular; the
 eigendecomposition of the Gram matrix sum_k (G_k N)'(G_k N) keeps the
@@ -482,9 +482,8 @@ def _free_moments(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray):
     moments, counted by the rank of A, hand the program to ADMM."""
     n = program.num_vars
     b = program.rhs.astype(float)
-    # A[perm]' = Q R with |R_kk| falling, factored in place in A's dense
-    # copy, read as the Fortran-order A': R on and above the diagonal, Q as
-    # the Householder reflectors below it.  The first ``rank`` pivoted rows
+    # A[perm]' = Q R with |R_kk| falling, in place: R on and above the
+    # diagonal, Q as reflectors below it.  The first ``rank`` pivoted rows
     # span the rows of A, and the last columns of Q its null space
     factor = program.a_eq.toarray().T
     factor, perm, tau = _lapack("dgeqp3", factor, overwrite_a=1)

@@ -753,6 +753,18 @@ def test_a_program_without_free_moments_is_solved_by_the_interior_point_method()
     assert 1.0 - 2 * conic.EPS_REL <= res.objective <= 1.0
 
 
+def test_a_program_without_equality_rows_is_solved_by_the_interior_point_method():
+    """min z0 over [[z0, z1], [z1, z0]] >= 0: no reflector to apply, and
+    the null space is every direction."""
+    program = ConicProgram(
+        num_vars=2, objective=np.array([1.0, 0.0]), sense="min",
+        a_eq=sp.csr_matrix((0, 2)), rhs=np.zeros(0),
+        blocks=[PsdBlock("M", 2, sp.csr_matrix(np.eye(2)[[0, 1, 0]]))])
+    res = solve(program)
+    assert (res.status, res.method, res.message) == ("optimal", "ipm", "")
+    assert abs(res.objective) <= 1e-6
+
+
 def test_an_interior_point_breakdown_returns_the_admm_result(brownian, monkeypatch):
     program = assemble(brownian, "reduced", 8, 1, "min")
 
@@ -903,7 +915,7 @@ def test_free_moments_of_the_pendulum_stay_within_their_memory(pendulum, monkeyp
     program = presolve(assemble(pendulum, "reduced", 4, 1, "min"))
     n, m, r = program.num_vars, program.a_eq.shape[0], 827
     blocks = _SvecBlocks(program)
-    (z0, basis), peak = traced_peak(conic._free_moments, program, blocks, program.objective)
+    (_, basis), peak = traced_peak(conic._free_moments, program, blocks, program.objective)
     assert (n, m, basis.shape[1]) == (1254, 439, 332)
     assert peak <= 8 * (n * m + n * r + 3 * r * r)
 
@@ -925,21 +937,19 @@ def test_the_pendulum_stays_on_admm(pendulum):
     assert (res.method, res.iterations, res.message) == ("admm", 1, "")
 
 
-def pivoted_qr_free_moments(program, blocks, c):
-    """The rank of A, z0 and W from the full Q and R of scipy's pivoted
-    QR of A', kept as the reference for ``conic._free_moments``."""
+def pivoted_qr_free_moments(program, blocks):
+    """The rank of A and W from the full Q and R of scipy's pivoted QR of
+    A', kept as the reference for ``conic._free_moments``."""
     a = program.a_eq.toarray()
-    q, tri, perm = sla.qr(a.T, pivoting=True)
+    q, tri, _ = sla.qr(a.T, pivoting=True)
     diag = np.abs(np.diag(tri))
     rank = int(np.count_nonzero(diag > diag.max(initial=0.0) * max(a.shape)
                                 * np.finfo(float).eps))
-    z0 = q[:, :rank] @ sla.solve_triangular(tri[:rank, :rank],
-                                            program.rhs[perm[:rank]], trans="T")
     null = q[:, rank:]
     images = blocks.stacked @ null
     lam, vec = np.linalg.eigh(images.T @ images)
     keep = lam > lam.max() * null.shape[1] * np.finfo(float).eps
-    return rank, z0, null @ (vec[:, keep] / np.sqrt(lam[keep]))
+    return rank, null @ (vec[:, keep] / np.sqrt(lam[keep]))
 
 
 def two_dimensional_brownian(domain):
@@ -958,7 +968,7 @@ def test_free_moments_span_what_a_pivoted_qr_spans(case, brownian, pendulum, mon
     program = presolve(assemble(model, "reduced", K, 1, "min"))
     a, b, c = program.a_eq, program.rhs, program.objective
     blocks = _SvecBlocks(program)
-    rank, _, reference = pivoted_qr_free_moments(program, blocks, c)
+    rank, reference = pivoted_qr_free_moments(program, blocks)
     free = program.num_vars - rank
     # the rank is the reference's: one free moment over the cutoff hands over
     monkeypatch.setattr(conic, "IPM_MAX_FREE", free - 1)
