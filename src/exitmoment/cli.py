@@ -44,7 +44,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True, help="relaxation degree")
     p.add_argument("--order", type=int, default=1, help="moment order n")
     p.add_argument("--sense", choices=("min", "max"), default="min")
-    p.add_argument("--max-iters", type=int, default=SolverSettings.max_iters)
+    p.add_argument("--max-iters", type=int, default=SolverSettings.max_iters,
+                   help="most interior-point steps, or ADMM iterations, of the "
+                        "method that runs (default %(default)s)")
     return p
 
 

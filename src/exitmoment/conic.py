@@ -35,16 +35,19 @@ can.  The interior-point method's QR factorization of the equality rows
 then gives their rank, and a program with more than ``IPM_MAX_FREE``
 free moments ``num_vars - rank`` goes on to ADMM, after the consistency
 check of those rows.  If the interior-point
-method ends with any status other than ``optimal`` (``max_iters``, a
-matrix that is not positive definite, non-finite values, a stall), ADMM
-runs on the same presolved program, as it would have without the
-interior-point attempt, and its result is returned with the
-interior-point stop reason in ``message``; inconsistent equality rows
-and an objective that no PSD block bounds describe the program and end
-the solve instead.  ``SolveResult.method`` names the method whose result
-it is, and ``max_iters`` caps the iterations of each method.  One runner
-builds each method's record, which the method fills as it goes, and maps
-a numerical failure to ``numerical_failure`` with a NaN objective.
+method fails (too many free moments, a matrix that is not positive
+definite, non-finite values, a stall), ADMM runs on the same presolved
+program, as it would have without the interior-point attempt, and its
+result is returned with the interior-point stop reason in ``message``;
+inconsistent equality rows and an objective that no PSD block bounds
+describe the program and end the solve instead.  An interior-point
+method that spends its ``max_iters`` steps returns its own record, with
+status ``max_iters``: ADMM takes far more iterations than the
+interior-point method takes steps on every program measured, so it
+cannot finish within the same budget.  ``SolveResult.method`` names the
+method whose result it is.  One runner builds each method's record,
+which the method fills as it goes, and maps a numerical failure to
+``numerical_failure`` with a NaN objective.
 
 The interior-point method eliminates A z = b through a null-space basis
 N: z = z0 + N w.  N and z0 come from a QR factorization of A' with
@@ -56,8 +59,9 @@ leaves Q as Householder reflectors below R.  Neither Q nor R is formed:
 z0 is Q [y; 0] with R_11' y the pivoted right-hand side, solved on the
 leading rank x rank block, and N = Q [0; I] is the reflectors applied
 to [0; I] (dormqr).  The large dense arrays alive at once are the factor
-and N, then, once the factor is freed, N with the Gram matrix below and
-its eigenvectors; the consistency check |A z0 - b| reads the sparse A.
+and N, then, once the factor is freed, N with the Gram matrix below and,
+until the Gram matrix is freed, its eigenvectors; the consistency check
+|A z0 - b| reads the sparse A.
 Directions of N that move no PSD block (moments that only the
 equalities see) would make the Schur matrix singular; the
 eigendecomposition of the Gram matrix sum_k (G_k N)'(G_k N) keeps the
@@ -113,7 +117,8 @@ residual |A z - b| are compared with the ``EPS_ABS`` / ``EPS_REL``
 tolerances; a point that meets them is optimal once the least
 eigenvalue of every PSD block at z is at least -10 ``EPS_ABS``.
 ``SolverSettings`` holds the one setting callers vary, ``max_iters``,
-which counts map evaluations.
+which caps the steps of the interior-point method or the iterations (map
+evaluations) of ADMM, whichever runs.
 
 Type-II Anderson acceleration extrapolates the next v from the last
 ``AA_MEMORY`` evaluations of T (a Tikhonov-regularised least-squares fit
@@ -185,8 +190,10 @@ CHECK_INTERVAL = 25
 # 1,400).  The free-moment count alone does not predict which method
 # wins: at Brownian K=26 (59) the largest residual stops shrinking at
 # 6.7e-6 after step 18, and the stall test hands over to ADMM at step 22
-# (1.2 s), which does not converge in 20,000 iterations either (97 s
-# alone).  The benchmark sees only the two ends: Brownian reduced K=14
+# (0.94 s).  ADMM then ends ``max_iters`` at 20,000 iterations (97 s
+# alone) but ``optimal`` at the command line's 200,000 budget: after 23,200
+# iterations for "min" and 23,275 for "max" (87-110 s each), bracketing 1/4.
+# The benchmark sees only the two ends: Brownian reduced K=14
 # and original K=8, with 34 and 43 free moments, and the pendulum, which
 # the screen sends to ADMM without a factorization (num_vars - eq_rows
 # 815 and 1,644 at reduced K=4 and K=6, 941 at original K=4).
@@ -512,6 +519,7 @@ def _free_moments(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray):
     # eigenvalues below r eps of the largest are rounding: on Brownian
     # K = 4-22 they sit under 5e-17 of it, the smallest kept one above 3e-7
     lam, vec = np.linalg.eigh(gram)
+    del gram
     keep = lam > lam.max(initial=0.0) * r * eps
     if np.abs(c @ null @ vec[:, ~keep]).max(initial=0.0) > EPS_REL * np.linalg.norm(c):
         raise _Refusal("the objective moves along a direction no PSD block bounds")
@@ -741,7 +749,8 @@ def _run(name: str, method, program: ConicProgram, blocks: _SvecBlocks | None,
     """Run ``method`` on a fresh record named ``name``; a ``_Failure``, a
     failed factorization or a floating-point error ends it
     ``numerical_failure`` with a NaN objective.  With ``hand_over``, ADMM
-    runs in its place unless it ends ``optimal`` or by a ``_Refusal``."""
+    runs in its place after such a failure, unless it is a ``_Refusal``;
+    a spent budget returns the method's own record."""
     res = SolveResult(status="max_iters", objective=math.nan,
                       primal_residual=math.inf, dual_residual=math.inf,
                       iterations=0, z=np.zeros(program.num_vars), method=name)
@@ -754,12 +763,13 @@ def _run(name: str, method, program: ConicProgram, blocks: _SvecBlocks | None,
         res.message = f"factorization failed: {exc}"
     except FloatingPointError as exc:
         res.message = f"floating-point error: {exc}"
-    if res.message:
-        res.status, res.objective = "numerical_failure", math.nan
-    if not hand_over or res.status == "optimal":
+    if not res.message:
+        return res
+    res.status, res.objective = "numerical_failure", math.nan
+    if not hand_over:
         return res
     after = _run("admm", _admm, program, blocks, c, max_iters)
-    reason = f"interior point stopped: {res.message or res.status}"
+    reason = f"interior point stopped: {res.message}"
     after.message = "; ".join(filter(None, [reason, after.message]))
     return after
 
@@ -769,9 +779,10 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     ``num_vars - eq_rows``, a lower bound on its free moments, is at most
     ``IPM_MAX_FREE``, and ADMM otherwise, when the rank of the equality
     rows shows more than ``IPM_MAX_FREE`` free moments, or when the
-    interior-point method does not end ``optimal`` for a reason other than
-    the program; the returned objective is the relaxation optimum estimate
-    within the reported residual tolerances.
+    interior-point method fails for a reason other than the program; an
+    interior-point method that spends ``settings.max_iters`` steps returns
+    its own ``max_iters`` record.  The returned objective is the relaxation
+    optimum estimate within the reported residual tolerances.
 
     Presolving replaces the original variant's pair of localizing blocks
     of q' and -q', the boundary equality q' = 0, by the equality rows it

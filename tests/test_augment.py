@@ -14,40 +14,11 @@ from exitmoment.augment import (
 )
 from exitmoment.expr import Polynomial, TrigAtom
 
-
-def brownian_model(T=10.0):
-    return SdeModel.from_strings(
-        names=["y"], drift=["0"], diffusion=[["1"]],
-        x0=[0.5], horizon=T, safe_polys=["y", "1 - y"],
-    )
+from models import BROWNIAN, PENDULUM, SINE, TRIG2D, sde
 
 
-def trig_model():
-    # dX = sin(x) dt + cos(x) dB, started inside (0, 1)
-    return SdeModel.from_strings(
-        names=["x"], drift=["sin(x)"], diffusion=[["cos(x)"]],
-        x0=[0.5], horizon=1.0, safe_polys=["x", "1 - x"],
-    )
-
-
-def spring_model(lower=-2.0, T=10.0):
-    return SdeModel.from_strings(
-        names=["x", "v"],
-        drift=["v", "-5*x - 9.81 + v*sin(x)"],
-        diffusion=[["0"], ["1"]],
-        x0=[-9.81 / 5.0, 0.0],
-        horizon=T,
-        safe_polys=[f"-x", f"x - {lower}"],
-    )
-
-
-def two_noise_model():
-    return SdeModel.from_strings(
-        names=["x", "y"],
-        drift=["y - x*cos(x*y)", "sin(t) - 0.5*y"],
-        diffusion=[["0.3 + 0.1*y", "0.2*x"], ["0.1*x*y", "0.4"]],
-        x0=[0.1, -0.2], horizon=2.0, safe_polys=["1 - x^2 - y^2"],
-    )
+# two noise columns, and an atom of two noisy coordinates
+TWO_NOISE = dict(TRIG2D, drift=["y - x*cos(x*y)", "sin(t) - 0.5*y"])
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +27,7 @@ def two_noise_model():
 
 
 def test_time_augmentation_brownian():
-    m = augment(brownian_model())
+    m = augment(sde(BROWNIAN))
     assert len(m.drift) == 2
     assert m.drift[1] == Polynomial.constant(2, 1)
     assert m.diffusion[1][0].is_zero()
@@ -77,7 +48,7 @@ def test_time_augmentation_deterministic_model():
 
 
 def test_spring_time_slot_is_third():
-    m = augment(spring_model())
+    m = augment(sde(PENDULUM))
     assert m.time_index == 2
     assert m.drift[2] == Polynomial.constant(5, 1)
 
@@ -88,18 +59,18 @@ def test_spring_time_slot_is_third():
 
 
 def test_collect_empty_for_polynomial_model():
-    assert collect_trig_atoms(brownian_model()) == []
+    assert collect_trig_atoms(sde(BROWNIAN)) == []
 
 
 def test_collect_sin_and_cos_from_mixed_dynamics():
-    atoms = collect_trig_atoms(trig_model())
+    atoms = collect_trig_atoms(sde(SINE))
     arg = (1, 0)  # x slot, time slot
     assert atoms == [TrigAtom("sin", Fraction(1), arg),
                      TrigAtom("cos", Fraction(1), arg)]
 
 
 def test_collect_adds_derivative_partner():
-    atoms = collect_trig_atoms(spring_model())
+    atoms = collect_trig_atoms(sde(PENDULUM))
     arg = (1, 0, 0)
     assert atoms == [TrigAtom("sin", Fraction(1), arg),
                      TrigAtom("cos", Fraction(1), arg)]
@@ -111,7 +82,7 @@ def test_collect_adds_derivative_partner():
 
 
 def test_sin_cos_system_augments_to_reference_dynamics():
-    am = augment(trig_model())
+    am = augment(sde(SINE))
     # variable order [x, t, sin(x), cos(x)]
     assert am.total_dim == 4
     S, C = 2, 3
@@ -137,7 +108,7 @@ def test_sin_cos_system_augments_to_reference_dynamics():
 
 
 def test_polynomial_model_unchanged_besides_time():
-    am = augment(brownian_model())
+    am = augment(sde(BROWNIAN))
     assert am.total_dim == 2
     assert am.atoms == []
     assert am.drift[0].is_zero()
@@ -146,7 +117,7 @@ def test_polynomial_model_unchanged_besides_time():
 
 
 def test_spring_mass_damper_augmentation():
-    am = augment(spring_model())
+    am = augment(sde(PENDULUM))
     assert am.total_dim == 5
     X, V, T, S, C = range(5)
 
@@ -172,8 +143,8 @@ def test_spring_mass_damper_augmentation():
 
 
 def test_augmented_dimension_counts_unique_pairs():
-    for model, pairs in [(brownian_model(), 0), (trig_model(), 1),
-                         (spring_model(), 1), (two_noise_model(), 2)]:
+    for model, pairs in [(sde(BROWNIAN), 0), (sde(SINE), 1),
+                         (sde(PENDULUM), 1), (sde(TWO_NOISE), 2)]:
         am = augment(model)
         n = len(model.names) - 1
         assert am.total_dim == n + 1 + 2 * pairs
@@ -188,7 +159,7 @@ def test_augmented_dimension_counts_unique_pairs():
 def test_atom_dynamics_match_finite_difference_ito():
     # two noise columns and an atom of two noisy coordinates exercise the
     # off-diagonal sigma sigma^T terms; sin(t) has time inside its argument
-    model = two_noise_model()
+    model = sde(TWO_NOISE)
     am = augment(model)
     n_slots = model.nslots
     h = 1e-4
@@ -229,7 +200,7 @@ def test_atom_dynamics_match_finite_difference_ito():
 
 
 def test_sinusoidal_augmentation_idempotent_on_closed_model():
-    m = brownian_model()
+    m = sde(BROWNIAN)
     am = augment(m)
     am2 = augment(m)
     assert am.drift == am2.drift
@@ -237,7 +208,7 @@ def test_sinusoidal_augmentation_idempotent_on_closed_model():
 
 
 def test_trig_box_polynomials_present():
-    am = augment(trig_model())
+    am = augment(sde(SINE))
     total = am.total_dim
     S, C = 2, 3
     one = Polynomial.constant(total, 1)
@@ -251,15 +222,14 @@ def test_trig_box_polynomials_present():
     assert -circle not in am.interior_polys
 
 
-@pytest.mark.parametrize("make_model", [trig_model, two_noise_model],
-                         ids=["trig", "two_noise"])
-def test_exit_polynomials_are_interior_polynomials(make_model):
+@pytest.mark.parametrize("spec", [SINE, TWO_NOISE], ids=["trig", "two_noise"])
+def test_exit_polynomials_are_interior_polynomials(spec):
     """The safe set and the horizon facet sit in both lists, before and
     after scaling, so both lists must be normalized alike."""
-    sde = make_model()
-    am = augment(sde)
+    user = sde(spec)
+    am = augment(user)
     for model in (am, scale_model(am)):
-        assert len(model.exit_polys) == len(sde.safe_polys) + 1
+        assert len(model.exit_polys) == len(user.safe_polys) + 1
         assert all(q in model.interior_polys for q in model.exit_polys)
 
 
@@ -270,15 +240,13 @@ def test_exit_polynomials_are_interior_polynomials(make_model):
 
 def test_x0_on_boundary_rejected_by_default():
     with pytest.raises(ValueError):
-        SdeModel.from_strings(["y"], ["0"], [["1"]], [0.0], 1.0,
-                              ["y", "1 - y"])
+        sde(BROWNIAN, x0=[0.0], horizon=1.0)
 
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf"), True])
 def test_horizon_must_be_positive_and_finite(horizon):
     with pytest.raises(ValueError, match="horizon"):
-        SdeModel.from_strings(["y"], ["0"], [["1"]], [0.5], horizon,
-                              ["y", "1 - y"])
+        sde(BROWNIAN, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +255,13 @@ def test_horizon_must_be_positive_and_finite(horizon):
 
 
 def test_unit_scales_brownian():
-    am = augment(brownian_model(T=10.0))
+    am = augment(sde(BROWNIAN))
     scales = unit_scales(am)
     assert scales == [Fraction(1), Fraction(2)]  # time box becomes [0, 5]
 
 
 def test_scaled_spring_dynamics():
-    am = augment(spring_model(T=10.0))
+    am = augment(sde(PENDULUM))
     scaled = scale_model(am)
     assert scaled.scales[0] == 2          # x in [-2, 0]
     assert scaled.scales[1] == 1          # v unbounded
@@ -312,7 +280,7 @@ def test_scaled_spring_dynamics():
 
 
 def test_unscale_factor_powers_of_time_scale():
-    am = augment(brownian_model(T=10.0))
+    am = augment(sde(BROWNIAN))
     scaled = scale_model(am)
     assert moment_unscale_factor(scaled, 1) == pytest.approx(1.0)
     assert moment_unscale_factor(scaled, 3) == pytest.approx(4.0)

@@ -11,7 +11,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import exitmoment.conic as conic
-from exitmoment.augment import SdeModel, augment, moment_unscale_factor, scale_model
+from exitmoment.augment import moment_unscale_factor
 from exitmoment.cli import main
 from exitmoment.conic import (
     SolverSettings,
@@ -25,21 +25,18 @@ from exitmoment.conic import (
 from exitmoment.momentproblem import ConicProgram, PsdBlock, assemble
 
 from circle_quotient import quotient_svec
+from models import BROWNIAN, BROWNIAN_2D, BROWNIAN_MOMENTS, DISC, PENDULUM, scaled
 from traced import traced_peak
-
-BROWNIAN = (["y"], ["0"], [["1"]], [0.5], 10.0, ["y", "1 - y"])
 
 
 @pytest.fixture(scope="module")
 def brownian():
-    return scale_model(augment(SdeModel.from_strings(*BROWNIAN)))
+    return scaled(BROWNIAN)
 
 
 @pytest.fixture(scope="module")
 def pendulum():
-    return scale_model(augment(SdeModel.from_strings(
-        ["x", "v"], ["v", "-5*x - 9.81 + v*sin(x)"], [["0"], ["1"]],
-        [-9.81 / 5, 0.0], 10.0, ["-x", "x + 2"])))
+    return scaled(PENDULUM)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +415,12 @@ def test_brownian_reduced_k8_order1_reaches_a_quarter(brownian, sense, monkeypat
     assert isinstance(res.aa_rejected, int) and res.aa_rejected >= 0
 
 
-@pytest.mark.parametrize("order, exact", [(1, 1 / 4), (2, 5 / 48)],
-                         ids=["order1", "order2"])
+@pytest.mark.parametrize("order", [1, 2], ids=["order1", "order2"])
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_brownian_reduced_k10_bounds_within_a_thousand_iterations(
-        brownian, order, exact, sense, monkeypatch):
+        brownian, order, sense, monkeypatch):
     monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
+    exact = float(BROWNIAN_MOMENTS[order])
     res = solve(assemble(brownian, "reduced", 10, order, sense))
     assert res.status == "optimal"
     bound = res.objective * moment_unscale_factor(brownian, order)
@@ -439,7 +436,7 @@ def test_brownian_reduced_k14_order6_max_within_a_thousand_iterations(
     the program with M(m) and M(b) and without the reflection
     y -> 1 - y."""
     monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
-    exact = 540553 / 8515584
+    exact = float(BROWNIAN_MOMENTS[6])
     res = solve(assemble(brownian, "reduced", 14, 6, "max"))
     assert res.status == "optimal"
     bound = res.objective * moment_unscale_factor(brownian, 6)
@@ -630,12 +627,6 @@ def test_admm_does_not_call_an_unbounded_objective_optimal(monkeypatch):
 # interior-point method
 # ---------------------------------------------------------------------------
 
-# E[tau^n] of Brownian motion from 1/2 on [0, 1], exact
-BROWNIAN_MOMENTS = {1: Fraction(1, 4), 2: Fraction(5, 48), 3: Fraction(61, 960),
-                    4: Fraction(277, 5376), 5: Fraction(50521, 967680),
-                    6: Fraction(540553, 8515584)}
-
-
 @pytest.mark.parametrize("order", range(1, 7))
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_brownian_reduced_k14_bounds_by_the_interior_point_method(
@@ -665,20 +656,6 @@ def test_held_out_brownian_bounds_end_on_their_side_by_the_interior_point_method
     bound = Fraction(res.objective * moment_unscale_factor(brownian, order))
     exact = BROWNIAN_MOMENTS[order]
     assert bound <= exact if sense == "min" else bound >= exact
-
-
-@pytest.mark.parametrize("K, order", [(6, 1), (6, 2), (6, 4), (10, 4)])
-def test_interior_point_brackets_the_bounds_admm_leaves_unconverged(
-        brownian, K, order):
-    """ADMM stopped at 20,000 iterations on each "max" here while the
-    exit measure had only M(b); with M(y b) it still does on K=6 order 4,
-    and ends optimal after 675, 2,775 and 400 iterations on the others."""
-    bound = {}
-    for sense in ("min", "max"):
-        res = solve(assemble(brownian, "reduced", K, order, sense))
-        assert (res.status, res.method) == ("optimal", "ipm")
-        bound[sense] = Fraction(res.objective * moment_unscale_factor(brownian, order))
-    assert bound["min"] <= BROWNIAN_MOMENTS[order] <= bound["max"]
 
 
 @pytest.mark.parametrize("K, order, bracket_without", [
@@ -797,7 +774,9 @@ def test_an_interior_point_breakdown_returns_the_admm_result(brownian, monkeypat
 def test_an_interior_point_stall_hands_over_to_admm(brownian):
     """At Brownian K=26 the largest interior-point residual stops shrinking
     at 6.7e-6 after step 18, the stall test stops the method at step 22,
-    and ADMM runs with the same budget.  (K=22 stalled the same way until
+    and ADMM runs with the same budget.  At the command line's 200,000
+    iterations ADMM ends optimal there, after 23,200 for "min" and 23,275
+    for "max", on either side of 1/4.  (K=22 stalled the same way until
     the exit-measure localizer M(y b) took the place of M(b).)"""
     res = solve(assemble(brownian, "reduced", 26, 1, "min"), SolverSettings(max_iters=60))
     assert (res.method, res.status, res.iterations) == ("admm", "max_iters", 60)
@@ -807,10 +786,7 @@ def test_an_interior_point_stall_hands_over_to_admm(brownian):
 def test_brownian_motion_in_a_box_is_solved_by_the_interior_point_method():
     """The IPM_MAX_FREE regime point with the most free moments: ADMM
     alone takes 5,200 iterations here, the interior-point method 20 steps."""
-    model = scale_model(augment(SdeModel.from_strings(
-        ["x", "y"], ["0", "0"], [["1", "0"], ["0", "1"]], [0.2, 0.1], 10.0,
-        ["x + 1", "1 - x", "y + 1", "1 - y"])))
-    program = assemble(model, "reduced", 8, 1, "min")
+    program = assemble(scaled(BROWNIAN_2D), "reduced", 8, 1, "min")
     assert program.num_vars - program.a_eq.shape[0] == 450
     res = solve(program)
     assert (res.status, res.method) == ("optimal", "ipm")
@@ -819,9 +795,7 @@ def test_brownian_motion_in_a_box_is_solved_by_the_interior_point_method():
 
 def test_brownian_motion_in_a_disc_is_solved_by_the_interior_point_method():
     """320 free moments; E[tau] from (0.2, 0.1) is (1 - 0.2^2 - 0.1^2) / 2."""
-    model = scale_model(augment(SdeModel.from_strings(
-        ["x", "y"], ["0", "0"], [["1", "0"], ["0", "1"]], [0.2, 0.1], 10.0,
-        ["1 - x^2 - y^2"])))
+    model = scaled(BROWNIAN_2D, safe_polys=DISC)
     bound = {}
     for sense in ("min", "max"):
         res = solve(assemble(model, "reduced", 8, 1, sense))
@@ -905,19 +879,21 @@ def test_an_interior_point_solve_stays_within_its_memory(brownian):
 
 def test_free_moments_of_the_pendulum_stay_within_their_memory(pendulum, monkeypatch):
     """Pendulum reduced K=4: n = 1,254 variables, m = 439 equality rows of
-    rank 427, so r = 827 free moments.  The bound is 8 bytes times
-    n m + n r + 3 r^2 = 29.1 MB: the one n x m factor of A', the null-space
-    columns, and the Gram matrix with two arrays of its size (its
-    eigenvectors, then the products that scale them into W).  The numpy
-    peak (tracemalloc) is 26.2 MB; forming the full Q and R next to A and
-    its copy peaked at 51.3 MB."""
+    rank 427, so r = 827 free moments, and eight blocks of l = 210 svec
+    rows.  The numpy peak (tracemalloc) is 24.9 MB, set in the Gram loop:
+    the n x r null-space columns, the C-order copy of them that each
+    sparse block product makes, the r x r Gram matrix and two l x r block
+    images.  The bound is 8 bytes times 2 n r + r^2 + 2 l r = 24.8 MB, plus
+    256 KiB for the vectors of length n and m and the block rows.  With the
+    Gram matrix kept until W was formed, the peak was 26.2 MB; forming the
+    full Q and R next to A and its copy peaked at 51.3 MB."""
     monkeypatch.setattr(conic, "IPM_MAX_FREE", math.inf)
     program = presolve(assemble(pendulum, "reduced", 4, 1, "min"))
-    n, m, r = program.num_vars, program.a_eq.shape[0], 827
     blocks = _SvecBlocks(program)
+    n, m, r, l = program.num_vars, program.a_eq.shape[0], 827, max(blocks.lengths)
     (_, basis), peak = traced_peak(conic._free_moments, program, blocks, program.objective)
-    assert (n, m, basis.shape[1]) == (1254, 439, 332)
-    assert peak <= 8 * (n * m + n * r + 3 * r * r)
+    assert (n, m, basis.shape[1], l) == (1254, 439, 332, 210)
+    assert peak <= 8 * (2 * n * r + r * r + 2 * l * r) + 2 ** 18
 
 
 def test_more_free_moments_by_rank_than_the_cutoff_hand_over_to_admm(brownian, monkeypatch):
@@ -952,17 +928,12 @@ def pivoted_qr_free_moments(program, blocks):
     return rank, null @ (vec[:, keep] / np.sqrt(lam[keep]))
 
 
-def two_dimensional_brownian(domain):
-    return scale_model(augment(SdeModel.from_strings(
-        ["x", "y"], ["0", "0"], [["1", "0"], ["0", "1"]], [0.2, 0.1], 10.0, domain)))
-
-
 @pytest.mark.parametrize("case", ["brownian K=14", "box K=8", "disc K=8", "pendulum K=4"])
 def test_free_moments_span_what_a_pivoted_qr_spans(case, brownian, pendulum, monkeypatch):
     model, K = {
         "brownian K=14": (brownian, 14),
-        "box K=8": (two_dimensional_brownian(["x + 1", "1 - x", "y + 1", "1 - y"]), 8),
-        "disc K=8": (two_dimensional_brownian(["1 - x^2 - y^2"]), 8),
+        "box K=8": (scaled(BROWNIAN_2D), 8),
+        "disc K=8": (scaled(BROWNIAN_2D, safe_polys=DISC), 8),
         "pendulum K=4": (pendulum, 4),
     }[case]
     program = presolve(assemble(model, "reduced", K, 1, "min"))
@@ -1001,10 +972,17 @@ def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def cli(spec, *options):
+    """The arguments of ``main`` that state the model ``spec``, then ``options``."""
+    args = ["--names", *spec["names"], "--drift", *spec["drift"]]
+    for row in spec["diffusion"]:
+        args += ["--diffusion", *row]
+    return [*args, "--x0", *map(str, spec["x0"]), "--horizon", str(spec["horizon"]),
+            "--safe", *spec["safe_polys"], *options]
+
+
 def test_cli_prints_one_bound_as_json(capsys):
-    code = main(["--names", "y", "--drift", "0", "--diffusion", "1",
-                 "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y",
-                 "--K", "8", "--order", "1", "--sense", "min"])
+    code = main(cli(BROWNIAN, "--K", "8", "--order", "1", "--sense", "min"))
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["status"] == "optimal"
@@ -1017,23 +995,21 @@ def test_cli_prints_one_bound_as_json(capsys):
 
 
 def test_cli_reads_division_by_a_constant(capsys):
-    code = main(["--names", "y", "--drift", "0/2", "--diffusion", "1/1",
-                 "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y",
-                 "--K", "8", "--sense", "min"])
+    code = main(cli(dict(BROWNIAN, drift=["0/2"], diffusion=[["1/1"]]),
+                    "--K", "8", "--sense", "min"))
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and abs(out["bound"] - 0.25) <= 1e-6
 
 
 def test_cli_prints_no_bound_for_an_unconverged_solve(capsys):
-    # 5 iterations stop the interior-point method and then ADMM short of
-    # optimal, with status max_iters; the objective is no upper bound, so
-    # none is printed
-    code = main(["--names", "y", "--drift", "0", "--diffusion", "1",
-                 "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y",
-                 "--K", "8", "--sense", "max", "--max-iters", "5"])
+    # 5 steps stop the interior-point method short of optimal, with status
+    # max_iters, and no ADMM run follows; the objective is no upper bound,
+    # so none is printed
+    code = main(cli(BROWNIAN, "--K", "8", "--sense", "max", "--max-iters", "5"))
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["status"] == "max_iters" and out["iterations"] == 5
+    assert (out["method"], out["message"]) == ("ipm", "")
     assert out["bound"] is None
     assert out.keys() == CLI_KEYS
 
@@ -1043,9 +1019,7 @@ def test_cli_prints_a_non_finite_residual_as_null(capsys, monkeypatch):
     stays strict JSON."""
     monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     monkeypatch.setattr(conic.spla, "splu", failing_splu)
-    code = main(["--names", "y", "--drift", "0", "--diffusion", "1",
-                 "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y",
-                 "--K", "4"])
+    code = main(cli(BROWNIAN, "--K", "4"))
     out = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert code == 1 and out["status"] == "numerical_failure"
     assert (out["primal_residual"], out["dual_residual"]) == (None, None)
@@ -1067,20 +1041,17 @@ def test_cli_reads_expressions_that_start_with_a_minus(capsys):
 
 
 def test_a_coefficient_too_large_for_a_float_is_a_usage_error(capsys):
-    model = scale_model(augment(SdeModel.from_strings(
-        ["y"], ["1e308*y*y"], [["1"]], [0.5], 10.0, ["y", "1 - y"])))
+    huge = dict(BROWNIAN, drift=["1e308*y*y"])
     with pytest.raises(ValueError, match="too large for a float"):
-        assemble(model, "reduced", 4, 1, "min")
+        assemble(scaled(huge), "reduced", 4, 1, "min")
     with pytest.raises(SystemExit) as exc:
-        main(["--names", "y", "--drift", "1e308*y*y", "--diffusion", "1",
-              "--x0", "0.5", "--horizon", "10", "--safe", "y", "1 - y", "--K", "4"])
+        main(cli(huge, "--K", "4"))
     assert exc.value.code == 2
     assert "too large for a float" in capsys.readouterr().err
 
 
 def test_cli_prints_the_method(capsys):
-    main(["--names", "y", "--drift", "0", "--diffusion", "1", "--x0", "0.5",
-          "--horizon", "10", "--safe", "y", "1 - y", "--K", "8"])
+    main(cli(BROWNIAN, "--K", "8"))
     assert json.loads(capsys.readouterr().out)["method"] == "ipm"
 
 

@@ -1,10 +1,9 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from exitmoment.augment import SdeModel, augment
+from exitmoment.augment import augment
 from exitmoment.expr import Polynomial, count_upto, enumerate_multi_indices
 from exitmoment.generator import (
     emit_all_rows,
@@ -13,21 +12,9 @@ from exitmoment.generator import (
     sigma_sigma_t,
 )
 
+from models import BROWNIAN, PENDULUM, SINE, sde
 
-def brownian():
-    return augment(SdeModel.from_strings(
-        ["y"], ["0"], [["1"]], [0.5], 10.0, ["y", "1 - y"]))
-
-
-def spring():
-    return augment(SdeModel.from_strings(
-        ["x", "v"], ["v", "-5*x - 9.81 + v*sin(x)"], [["0"], ["1"]],
-        [-9.81 / 5, 0.0], 10.0, ["-x", "x + 2"]))
-
-
-def trig():
-    return augment(SdeModel.from_strings(
-        ["x"], ["sin(x)"], [["cos(x)"]], [0.5], 1.0, ["x", "1 - x"]))
+BROWNIAN_MODEL, SPRING, TRIG = (augment(sde(spec)) for spec in (BROWNIAN, PENDULUM, SINE))
 
 
 # ---------------------------------------------------------------------------
@@ -73,23 +60,23 @@ def closed_form_image(model, k):
 
 
 def test_generator_of_time_is_one():
-    m = brownian()
+    m = BROWNIAN_MODEL
     assert image(m, (0, 1)) == Polynomial.constant(2, 1)
 
 
 def test_generator_of_y_squared_is_one():
-    m = brownian()
+    m = BROWNIAN_MODEL
     assert image(m, (2, 0)) == Polynomial.constant(2, 1)
 
 
 def test_generator_of_constant_is_zero():
-    for m in (brownian(), spring(), trig()):
+    for m in (BROWNIAN_MODEL, SPRING, TRIG):
         assert image(m, (0,) * m.total_dim).is_zero()
 
 
 def test_brownian_generator_structure_up_to_degree_four():
     # Af must equal df/dt + (1/2) d2f/dy2 for every monomial
-    m = brownian()
+    m = BROWNIAN_MODEL
     for k in enumerate_multi_indices(2, 4):
         f = Polynomial.monomial(2, k)
         expected = f.diff(1) + f.diff(0).diff(0) * Fraction(1, 2)
@@ -98,7 +85,7 @@ def test_brownian_generator_structure_up_to_degree_four():
 
 def test_generator_linearity_against_polynomial_path():
     rng = random.Random(3)
-    for m in (brownian(), spring()):
+    for m in (BROWNIAN_MODEL, SPRING):
         idx = enumerate_multi_indices(m.total_dim, 3)
         for _ in range(10):
             a, b = rng.sample(idx, 2)
@@ -111,7 +98,7 @@ def test_generator_linearity_against_polynomial_path():
                      + closed_form_image(m, b) * cb)
             assert direct == split
     # every row image equals the closed form, monomial by monomial
-    for m in (brownian(), spring(), trig()):
+    for m in (BROWNIAN_MODEL, SPRING, TRIG):
         for k in enumerate_multi_indices(m.total_dim, 4):
             assert image(m, k) == closed_form_image(m, k), k
 
@@ -159,9 +146,9 @@ def finite_difference_generator(model, k, point, h=1e-4):
     return total
 
 
-@pytest.mark.parametrize("factory", [brownian, spring, trig])
-def test_generator_matches_finite_difference_oracle(factory):
-    model = factory()
+@pytest.mark.parametrize("model", [BROWNIAN_MODEL, SPRING, TRIG],
+                         ids=["brownian", "spring", "trig"])
+def test_generator_matches_finite_difference_oracle(model):
     rng = random.Random(17)
     idx = [k for k in enumerate_multi_indices(model.total_dim, 3) if sum(k) > 0]
     for _ in range(20):
@@ -178,7 +165,7 @@ def test_generator_matches_finite_difference_oracle(factory):
 
 
 def brownian_row(k):
-    model = brownian()
+    model = BROWNIAN_MODEL
     return martingale_row(model, k, sigma_sigma_t(model.diffusion))
 
 
@@ -203,18 +190,18 @@ def test_y_squared_row_carries_initial_constant():
 
 
 def test_emit_rows_low_degree_brownian():
-    rows = emit_all_rows(brownian(), 1)
+    rows = emit_all_rows(BROWNIAN_MODEL, 1)
     assert [r.test_index for r in rows] == [(0, 0), (1, 0), (0, 1)]
 
 
 def test_emit_rows_degree_zero():
-    rows = emit_all_rows(brownian(), 0)
+    rows = emit_all_rows(BROWNIAN_MODEL, 0)
     assert len(rows) == 1
     assert rows[0].test_index == (0, 0)
 
 
 def test_emit_rows_drop_overflowing_images():
-    model = spring()
+    model = SPRING
     K = 4
     dropped = []
     rows = emit_all_rows(model, K, dropped=dropped)
@@ -230,6 +217,6 @@ def test_emit_rows_drop_overflowing_images():
 def test_rows_sorted_by_graded_lex():
     from exitmoment.expr import grlex_key
 
-    rows = emit_all_rows(spring(), 3)
+    rows = emit_all_rows(SPRING, 3)
     keys = [grlex_key(r.test_index) for r in rows]
     assert keys == sorted(keys)

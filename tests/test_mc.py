@@ -17,28 +17,13 @@ from exitmoment.mc import (
 from exitmoment.expr import enumerate_multi_indices
 from exitmoment.generator import emit_all_rows
 
-
-def brownian(T=10.0):
-    return SdeModel.from_strings(
-        ["y"], ["0"], [["1"]], [0.5], T, ["y", "1 - y"])
-
-
-def trig_system():
-    return SdeModel.from_strings(
-        ["x"], ["sin(x)"], [["cos(x)"]], [0.5], 1.0, ["x + 4", "4 - x"])
-
-
-def spring(lower=-2.0, T=10.0):
-    return SdeModel.from_strings(
-        ["x", "v"], ["v", "-5*x - 9.81 + v*sin(x)"], [["0"], ["1"]],
-        [-9.81 / 5, 0.0], T, ["-x", f"x + {-lower}"])
+from models import BROWNIAN, PENDULUM, SINE, scaled, sde
 
 
 def cos_diffusion():
     # state-dependent crossing variance cos(x)^2, narrow enough that paths
     # leave through the grid and through the bridge test
-    return SdeModel.from_strings(
-        ["x"], ["sin(x)"], [["cos(x)"]], [0.5], 5.0, ["x + 1", "1 - x"])
+    return sde(SINE, horizon=5.0, safe_polys=["x + 1", "1 - x"])
 
 
 def coupled_2d(noisy_x=True):
@@ -63,7 +48,7 @@ def test_config_rejects_out_of_range_field(field, value):
 
 
 def test_brownian_first_moment_brackets_quarter():
-    est = simulate_exit(brownian(), McConfig(dt=2e-4, paths=50_000, seed=7))
+    est = simulate_exit(sde(BROWNIAN), McConfig(dt=2e-4, paths=50_000, seed=7))
     mean, se = est.mean(1), est.se(1)
     assert abs(mean - 0.25) < 3 * se + 1e-3
     lo, hi = est.moments[1][2:]
@@ -72,11 +57,11 @@ def test_brownian_first_moment_brackets_quarter():
 
 def test_bridge_correction_removes_monitoring_bias(monkeypatch):
     with_bridge = simulate_exit(
-        brownian(), McConfig(dt=1e-3, paths=60_000, seed=3))
+        sde(BROWNIAN), McConfig(dt=1e-3, paths=60_000, seed=3))
     # no bridge exponent exceeds an infinite threshold: grid crossings only
     monkeypatch.setattr(mc, "NEAR_BOUNDARY", math.inf)
     without = simulate_exit(
-        brownian(), McConfig(dt=1e-3, paths=60_000, seed=3))
+        sde(BROWNIAN), McConfig(dt=1e-3, paths=60_000, seed=3))
     # discrete monitoring alone overshoots by ~0.58 sqrt(dt) of barrier width
     assert without.mean(1) - 0.25 > 0.01
     assert abs(with_bridge.mean(1) - 0.25) < 3 * with_bridge.se(1) + 1e-3
@@ -84,16 +69,16 @@ def test_bridge_correction_removes_monitoring_bias(monkeypatch):
 
 def test_determinism_bit_identical():
     cfg = McConfig(dt=1e-3, paths=20_000, seed=123)
-    a = simulate_exit(brownian(), cfg)
-    b = simulate_exit(brownian(), cfg)
+    a = simulate_exit(sde(BROWNIAN), cfg)
+    b = simulate_exit(sde(BROWNIAN), cfg)
     assert a.moments == b.moments
     assert a.exit_fraction == b.exit_fraction
-    c = simulate_exit(brownian(), McConfig(dt=1e-3, paths=20_000, seed=124))
+    c = simulate_exit(sde(BROWNIAN), McConfig(dt=1e-3, paths=20_000, seed=124))
     assert c.moments[1] != a.moments[1]
 
 
 def test_jensen_moment_ordering():
-    est = simulate_exit(brownian(), McConfig(dt=1e-3, paths=20_000, seed=5))
+    est = simulate_exit(sde(BROWNIAN), McConfig(dt=1e-3, paths=20_000, seed=5))
     for order in range(2, 5):
         assert est.mean(1) ** order <= est.mean(order) + 1e-12
 
@@ -101,7 +86,7 @@ def test_jensen_moment_ordering():
 def test_ci_width_shrinks_like_root_paths():
     widths = []
     for paths in (10_000, 40_000, 160_000):
-        est = simulate_exit(brownian(), McConfig(dt=1e-3, paths=paths, seed=2))
+        est = simulate_exit(sde(BROWNIAN), McConfig(dt=1e-3, paths=paths, seed=2))
         lo, hi = est.moments[1][2:]
         widths.append(hi - lo)
     assert widths[0] / widths[1] == pytest.approx(2.0, rel=0.25)
@@ -109,8 +94,8 @@ def test_ci_width_shrinks_like_root_paths():
 
 
 def test_dt_refinement_consistency():
-    est_a = simulate_exit(brownian(), McConfig(dt=2e-3, paths=40_000, seed=11))
-    est_b = simulate_exit(brownian(), McConfig(dt=1e-3, paths=40_000, seed=12))
+    est_a = simulate_exit(sde(BROWNIAN), McConfig(dt=2e-3, paths=40_000, seed=11))
+    est_b = simulate_exit(sde(BROWNIAN), McConfig(dt=1e-3, paths=40_000, seed=12))
     width = sum(hi - lo for lo, hi in (est.moments[1][2:] for est in (est_a, est_b)))
     assert abs(est_a.mean(1) - est_b.mean(1)) < width + 2e-2 * 2e-3 / 1e-3
 
@@ -120,8 +105,7 @@ def test_dt_refinement_consistency():
     (3 * 0.1, 0.1, 0.2),     # T / dt rounds to 3.0000000000000004
 ], ids=["half-step", "rounded-multiple"])
 def test_the_last_step_ends_at_the_horizon(T, dt, last_start, monkeypatch):
-    model = SdeModel.from_strings(
-        ["y"], ["0"], [["1"]], [0.08], T, ["y", "1 - y"])
+    model = sde(BROWNIAN, x0=[0.08], horizon=T)
     steps, vdts = [], []
     advance, survival = mc.SdeKernel.advance, mc._bridge_survival
 
@@ -154,7 +138,7 @@ def test_the_last_step_ends_at_the_horizon(T, dt, last_start, monkeypatch):
 
 
 def test_exit_fraction_near_one_for_small_box():
-    est = simulate_exit(brownian(), McConfig(dt=1e-3, paths=5_000, seed=1))
+    est = simulate_exit(sde(BROWNIAN), McConfig(dt=1e-3, paths=5_000, seed=1))
     assert est.exit_fraction > 0.99
 
 
@@ -177,7 +161,7 @@ def test_time_inside_a_sinusoid_is_the_current_time():
 
 
 def test_a_model_without_safe_polynomials_runs_to_the_horizon():
-    model = SdeModel.from_strings(["y"], ["0"], [["1"]], [0.5], 0.1)
+    model = sde(BROWNIAN, horizon=0.1, safe_polys=[])
     est = simulate_exit(model, McConfig(dt=1e-3, paths=100, seed=0))
     assert est.exit_fraction == 0.0
     assert est.mean(1) == pytest.approx(0.1, rel=1e-12)
@@ -202,19 +186,18 @@ def uniform_draws(monkeypatch):
 def test_no_uniforms_are_drawn_without_a_bridged_polynomial(uniform_draws):
     # the spring's safe polynomials involve only x, which has no noise, so
     # no step has a bridge test to draw for
-    assert mc.SdeKernel(spring()).bridged == []
-    simulate_exit(spring(), McConfig(dt=1e-3, paths=200, seed=1))
+    assert mc.SdeKernel(sde(PENDULUM)).bridged == []
+    simulate_exit(sde(PENDULUM), McConfig(dt=1e-3, paths=200, seed=1))
     assert uniform_draws == []
     # the Brownian bounds are bridged: the count sees its draws
-    simulate_exit(brownian(), McConfig(dt=1e-3, paths=200, seed=1))
+    simulate_exit(sde(BROWNIAN), McConfig(dt=1e-3, paths=200, seed=1))
     assert sum(uniform_draws)
 
 
 def test_no_uniforms_are_drawn_out_of_reach_of_a_boundary(uniform_draws):
     # both bounds are bridged, but within T = 1 no path comes within
     # sqrt(20 dt) = 0.14 of them, so no bridge exponent is near
-    model = SdeModel.from_strings(
-        ["y"], ["0"], [["1"]], [0.0], 1.0, ["y + 100", "100 - y"])
+    model = sde(BROWNIAN, x0=[0.0], horizon=1.0, safe_polys=["y + 100", "100 - y"])
     assert mc.SdeKernel(model).bridged == [0, 1]
     est = simulate_exit(model, McConfig(dt=1e-3, paths=200, seed=1))
     assert est.exit_fraction == 0.0
@@ -224,8 +207,7 @@ def test_no_uniforms_are_drawn_out_of_reach_of_a_boundary(uniform_draws):
 def test_safe_polynomial_in_time_alone_is_kept():
     # "0.05 - t" is a user facet, not the time box: every path leaves by
     # t = 0.05 at the latest
-    model = SdeModel.from_strings(["y"], ["0"], [["1"]], [0.5], 10.0,
-                                  ["y", "1 - y", "0.05 - t"])
+    model = sde(BROWNIAN, safe_polys=BROWNIAN["safe_polys"] + ["0.05 - t"])
     est = simulate_exit(model, McConfig(dt=1e-3, paths=2_000, seed=1))
     assert est.exit_fraction == 1.0
     assert est.mean(1) <= 0.05 + 1e-12
@@ -237,7 +219,7 @@ def test_safe_polynomial_in_time_alone_is_kept():
 
 
 def test_martingale_rows_hold_within_monte_carlo_error():
-    model = brownian()
+    model = sde(BROWNIAN)
     am = augment(model)
     rows = emit_all_rows(am, 2)
     indices = sorted({j for r in rows for j in r.interior_coeffs}
@@ -260,7 +242,7 @@ def test_martingale_rows_hold_within_monte_carlo_error():
 def test_occupation_of_one_is_the_capped_exit_time():
     # the exit step is charged theta h, not h, so the occupation integral
     # of 1 is tau ^ T path by path
-    model = spring()
+    model = sde(PENDULUM)
     cfg = McConfig(dt=1e-3, paths=500, seed=1)
     taus = []
     simulate_exit(model, cfg, tau_out=taus)
@@ -275,8 +257,7 @@ def test_occupation_of_one_is_the_capped_exit_time():
 def test_exit_state_lands_on_a_moving_facet_at_the_exit_time():
     # "1 - y + t" moves with time: the Newton step onto it is taken at the
     # path's exit time, not at the end of its exit step
-    model = SdeModel.from_strings(["y"], ["0"], [["1"]], [0.5], 1.0,
-                                  ["y", "1 - y + t"])
+    model = sde(BROWNIAN, horizon=1.0, safe_polys=["y", "1 - y + t"])
     am = augment(model)
     mm = measure_moments(model, am, [(0, 0)], [(1, 0), (0, 1)],
                          McConfig(dt=1e-3, paths=2_000, seed=1))
@@ -297,9 +278,9 @@ def test_spring_bridge_correction_raises_no_warning_and_keeps_samples():
     # exponent must skip them rather than evaluate 0 / 0.  No polynomial
     # is bridged, so the paths draw normals only.  The paths run to T = 2
     # in the coordinates of the T = 10 model.
-    model = spring(T=2.0)
+    model = sde(PENDULUM, horizon=2.0)
     cfg = McConfig(dt=1e-3, paths=64, seed=3)
-    am = scale_model(augment(spring()))
+    am = scaled(PENDULUM)
     indices = enumerate_multi_indices(am.total_dim, 2)
     taus = []
     with warnings.catch_warnings():
@@ -320,9 +301,9 @@ def test_spring_bridge_correction_raises_no_warning_and_keeps_samples():
 
 
 @pytest.mark.parametrize("model, cfg, chunk, capped, digest", [
-    (brownian(), McConfig(dt=1e-3, paths=5_000, seed=1), 2_000, 0,
+    (sde(BROWNIAN), McConfig(dt=1e-3, paths=5_000, seed=1), 2_000, 0,
      "f027d1d78bc7738c4e81c8711c009f9dd976315443b2562924885c4a9e16082f"),
-    (spring(), McConfig(dt=1e-3, paths=2_000, seed=1), mc.CHUNK, 0,
+    (sde(PENDULUM), McConfig(dt=1e-3, paths=2_000, seed=1), mc.CHUNK, 0,
      "db275446eeca5c1120d318b0a859158da9eeb0deed120a02cc3450169a60464d"),
     (cos_diffusion(), McConfig(dt=1e-3, paths=3_000, seed=4), mc.CHUNK, 0,
      "c73b617e085c671edb797611436acbd36ed6c0cfec4eed8bcd7fa6aed5386a38"),

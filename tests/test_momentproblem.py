@@ -9,7 +9,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from exitmoment.augment import SdeModel, augment, scale_model
+from exitmoment.augment import augment
 from exitmoment.generator import MartingaleRow, sigma_sigma_t
 from exitmoment.expr import (
     Polynomial,
@@ -35,51 +35,17 @@ from exitmoment.momentproblem import (
 )
 
 from circle_quotient import circle_slots, quotient_reference
+from models import (BOX, BROWNIAN, BROWNIAN_2D, COUPLED_PENDULUM, DISC, PENDULUM,
+                    TRIG2D, scaled, sde)
 
 
-def box_model(n_user_polys: int, T: float = 1.0):
-    """Polynomial diffusion in a box with the requested number of user
-    safe polynomials (0, 2 or 4)."""
-    if n_user_polys == 0:
-        return augment(SdeModel.from_strings(
-            ["y"], ["0"], [["1"]], [0.0], T, []))
-    if n_user_polys == 2:
-        return augment(SdeModel.from_strings(
-            ["y"], ["0"], [["1"]], [0.5], T, ["y", "1 - y"]))
-    if n_user_polys == 4:
-        return augment(SdeModel.from_strings(
-            ["y", "z"], ["0", "0"], [["1", "0"], ["0", "1"]], [0.5, 0.5], T,
-            ["y", "1 - y", "z", "1 - z"]))
-    raise ValueError(n_user_polys)
-
-
-def scaled_brownian():
-    return scale_model(augment(SdeModel.from_strings(
-        ["y"], ["0"], [["1"]], [0.5], 10.0, ["y", "1 - y"])))
-
-
-def scaled_pendulum():
-    return scale_model(augment(SdeModel.from_strings(
-        ["x", "v"], ["v", "-5*x - 9.81 + v*sin(x)"], [["0"], ["1"]],
-        [-9.81 / 5, 0.0], 10.0, ["-x", "x + 2"])))
-
-
-def coupled_pendulum():
-    """Two damped pendulums joined by a spring, noise on both velocities:
-    4 states, 9 augmented variables (t and a sin/cos pair per angle)."""
-    return augment(SdeModel.from_strings(
-        ["x", "y", "u", "w"],
-        ["u", "w", "-sin(x) + 0.5*(y - x) - 0.1*u", "-sin(y) + 0.5*(x - y) - 0.1*w"],
-        [["0", "0"], ["0", "0"], ["1", "0"], ["0", "1"]],
-        [0.2, -0.1, 0.0, 0.0], 10.0, ["1 - x^2 - y^2"]))
-
-
-def scaled_trig2d():
-    """Two states, two noise columns, time inside a sinusoid: three circles."""
-    return scale_model(augment(SdeModel.from_strings(
-        ["x", "y"], ["sin(x*y) - x", "cos(t) + 0.5*sin(2*x)"],
-        [["0.3 + 0.1*y", "0.2*x"], ["0.1*x*y", "0.4"]], [0.1, -0.2], 2.0,
-        ["1 - x^2 - y^2"])))
+def box_model(n_user_polys: int):
+    """Driftless unit noise in a box with the requested number of user
+    safe polynomials (0, 2 or 4), horizon 1, unscaled."""
+    spec = {0: dict(BROWNIAN, x0=[0.0], safe_polys=[]), 2: BROWNIAN,
+            4: dict(BOX, names=["y", "z"], x0=[0.5, 0.5],
+                    safe_polys=BROWNIAN["safe_polys"] + ["z", "1 - z"])}[n_user_polys]
+    return augment(sde(spec, horizon=1.0))
 
 
 def circle_reduction(model, basis, kept):
@@ -104,9 +70,9 @@ def circle_reduction(model, basis, kept):
 ASSEMBLY_CASES = {
     "box0-K4": (lambda: box_model(0), 4),
     "box2-K4": (lambda: box_model(2), 4),
-    "brownian-K4": (scaled_brownian, 4),
-    "brownian-K8": (scaled_brownian, 8),
-    "pendulum-K4": (scaled_pendulum, 4),
+    "brownian-K4": (lambda: scaled(BROWNIAN), 4),
+    "brownian-K8": (lambda: scaled(BROWNIAN), 8),
+    "pendulum-K4": (lambda: scaled(PENDULUM), 4),
 }
 
 
@@ -406,7 +372,7 @@ def test_circle_rows_vanish_on_the_unit_circle(variant):
     variant) then on the exit moments; on the moments of a point mass at
     an augmented state they read (s^2 + c^2 - 1) times that state's
     x^beta."""
-    model = scaled_pendulum()
+    model = scaled(PENDULUM)
     K, n = 4, model.total_dim
     mp = build_moment_problem(model, variant, K, 1, "min")
     program = lower_to_conic(mp)
@@ -490,20 +456,6 @@ def test_distinct_rows_keeps_first_appearances_of_nonzero_rows():
 # ---------------------------------------------------------------------------
 
 
-def scaled(names, x0, safe, drift=None, diffusion=None):
-    """Scaled model of driftless Brownian motion with unit noise per state,
-    horizon 10, unless drift and diffusion are given."""
-    n = len(names)
-    drift = drift or ["0"] * n
-    diffusion = diffusion or [["1" if j == k else "0" for k in range(n)]
-                              for j in range(n)]
-    return scale_model(augment(SdeModel.from_strings(
-        names, drift, diffusion, x0, 10.0, safe)))
-
-
-BOX = ["x + 1", "1 - x", "y + 1", "1 - y"]
-DISC = ["1 - x^2 - y^2"]
-
 # model, reflected coordinates, mirrored inequality polynomials (the
 # scaled box's x + 1 and 1 - x, ..., then t and 1 - t / 5), and the exit
 # measure's blocks: M(b) with fewer than two safe polynomials, else one
@@ -511,29 +463,21 @@ DISC = ["1 - x^2 - y^2"]
 # here two safe polynomials then sum to a positive constant, which leaves
 # M(b) out)
 REFLECTION_CASES = {
-    "brownian-from-half": (scaled_brownian, [0], [1], ["M(q0 b)"]),
-    "brownian-from-0.3": (lambda: scaled(["y"], [0.3], ["y", "1 - y"]), [], [],
-                          ["M(q0 b)", "M(q1 b)"]),
-    "box-from-origin": (lambda: scaled(["x", "y"], [0.0, 0.0], BOX), [0, 1], [1, 3],
-                        ["M(q0 b)", "M(q2 b)"]),
-    "disc-from-origin": (lambda: scaled(["x", "y"], [0.0, 0.0], DISC), [0, 1], [],
-                         ["M(b)"]),
-    "box-from-(0.2,0.1)": (lambda: scaled(["x", "y"], [0.2, 0.1], BOX), [], [],
-                           ["M(q0 b)", "M(q1 b)", "M(q2 b)", "M(q3 b)"]),
-    "disc-from-(0.2,0.1)": (lambda: scaled(["x", "y"], [0.2, 0.1], DISC), [], [],
-                            ["M(b)"]),
-    "pendulum": (scaled_pendulum, [], [], ["M(q0 b)", "M(q1 b)"]),
-    "trig2d": (lambda: scaled(
-        ["x", "y"], [0.1, -0.2], ["1 - x^2 - y^2"],
-        drift=["sin(x*y) - x", "cos(t) + 0.5*sin(2*x)"],
-        diffusion=[["0.3 + 0.1*y", "0.2*x"], ["0.1*x*y", "0.4"]]), [], [], ["M(b)"]),
+    "brownian-from-half": (BROWNIAN, [0], [1], ["M(q0 b)"]),
+    "brownian-from-0.3": (dict(BROWNIAN, x0=[0.3]), [], [], ["M(q0 b)", "M(q1 b)"]),
+    "box-from-origin": (BOX, [0, 1], [1, 3], ["M(q0 b)", "M(q2 b)"]),
+    "disc-from-origin": (dict(BOX, safe_polys=DISC), [0, 1], [], ["M(b)"]),
+    "box-from-(0.2,0.1)": (BROWNIAN_2D, [], [], ["M(q0 b)", "M(q1 b)", "M(q2 b)", "M(q3 b)"]),
+    "disc-from-(0.2,0.1)": (dict(BROWNIAN_2D, safe_polys=DISC), [], [], ["M(b)"]),
+    "pendulum": (PENDULUM, [], [], ["M(q0 b)", "M(q1 b)"]),
+    "trig2d": (TRIG2D, [], [], ["M(b)"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFLECTION_CASES))
 def test_reflections_of_the_start_state_are_detected(case):
-    make_model, coords, mirrored, exit_blocks = REFLECTION_CASES[case]
-    model = make_model()
+    spec, coords, mirrored, exit_blocks = REFLECTION_CASES[case]
+    model = scaled(spec)
     assert reflections(model, sigma_sigma_t(model.diffusion)) == coords
     reduced = build_moment_problem(model, "reduced", 6, 1, "min")
     assert (reduced.reflections, reduced.mirrored) == (coords, mirrored)
@@ -551,17 +495,16 @@ def test_a_reflection_needs_every_term_to_match():
     """Brownian motion from 1/2 with drift 1/2 - y is symmetric; with drift
     y - y^3 (odd about 0, not about 1/2), a noise y, or the safe set
     [0, 1] on the wrong side of the start it is not."""
-    def coords(**kw):
-        model = scaled(["y"], [kw.get("x0", 0.5)], kw.get("safe", ["y", "1 - y"]),
-                       drift=[kw.get("drift", "0")], diffusion=[[kw.get("noise", "1")]])
+    def coords(**overrides):
+        model = scaled(BROWNIAN, **overrides)
         return reflections(model, sigma_sigma_t(model.diffusion))
 
-    assert coords(drift="1/2 - y") == [0]
-    assert coords(drift="y - y^3") == []
-    assert coords(noise="y") == []
-    assert coords(noise="2*y - 1") == [0]
-    assert coords(x0=0.0, safe=["y + 1", "1 - y"], drift="y - y^3") == [0]
-    assert coords(x0=0.0, safe=["y + 1", "2 - y"]) == []
+    assert coords(drift=["1/2 - y"]) == [0]
+    assert coords(drift=["y - y^3"]) == []
+    assert coords(diffusion=[["y"]]) == []
+    assert coords(diffusion=[["2*y - 1"]]) == [0]
+    assert coords(x0=[0.0], safe_polys=["y + 1", "1 - y"], drift=["y - y^3"]) == [0]
+    assert coords(x0=[0.0], safe_polys=["y + 1", "2 - y"]) == []
 
 
 def test_a_reflection_needs_the_kept_rows_closed_under_it():
@@ -581,18 +524,17 @@ def test_mirrored_matches_positive_multiples_only():
     assert mirrored(["y", "y - 1"]) == []
 
 
-@pytest.mark.parametrize("make_model, K", [
-    pytest.param(scaled_brownian, 8, id="brownian-K8"),
-    pytest.param(lambda: scaled(["x", "y"], [0.0, 0.0], BOX), 6, id="box-K6"),
+@pytest.mark.parametrize("spec, K", [
+    pytest.param(BROWNIAN, 8, id="brownian-K8"),
+    pytest.param(BOX, 6, id="box-K6"),
 ])
-def test_a_mirrored_block_is_congruent_to_its_mirror_on_invariant_moments(
-        make_model, K):
+def test_a_mirrored_block_is_congruent_to_its_mirror_on_invariant_moments(spec, K):
     """On moments that satisfy the symmetry rows, M(q_j m) = lambda P'
     M(q_i m) P when q_j = lambda q_i o sigma, where column u of P holds the
     coefficients of (x o sigma)^u over the basis of degree K // 2; and so
     M(q_j b) = lambda P' M(q_i b) P for a safe q_j, such as M((1 - y) b)
     against M(y b)."""
-    model = make_model()
+    model = scaled(spec)
     mp = build_moment_problem(model, "reduced", K, 1, "min")
     program = lower_to_conic(mp)
     plain = lower_to_conic(dataclasses.replace(mp, reflections=[], mirrored=[]))
@@ -650,7 +592,8 @@ def test_a_mirrored_block_is_congruent_to_its_mirror_on_invariant_moments(
     pytest.param(lambda: box_model(0), 6, 2, 0, 1, 10, 10, id="0"),
     pytest.param(lambda: box_model(2), 6, 4, 1, 1, 10, 10, id="2"),
     pytest.param(lambda: box_model(4), 6, 6, 2, 2, 20, 20, id="4"),
-    pytest.param(coupled_pendulum, 4, 7, 0, 1, 55, 53, id="coupled-pendulum-K4"),
+    pytest.param(lambda: augment(sde(COUPLED_PENDULUM)), 4, 7, 0, 1, 55, 53,
+                 id="coupled-pendulum-K4"),
 ])
 def test_psd_size_law(make_model, K, n_q, n_mirrored, n_b, d_k, d_quotient):
     model = make_model()
@@ -877,6 +820,20 @@ def test_lowering_matches_per_entry_reference(case, variant):
     assert len(program.blocks) == len(polys)
     for block, (q, offset) in zip(program.blocks, polys):
         assert_same_csr(block.mat, per_entry_block(q, basis, offset, num_vars))
+    # each beta once, in the order it first appears in the upper triangle;
+    # q' and the circles, which the program lowers as rows over the full
+    # basis, lower over the blocks' basis as the per-entry reference does
+    betas, where = _betas(np.array(basis, dtype=np.int64))
+    pairs = list(zip(*np.triu_indices(len(basis))))
+    first = {}
+    for i, j in pairs:
+        first.setdefault(mi_add(basis[i], basis[j]), len(first))
+    assert [tuple(beta) for beta in betas.tolist()] == list(first)
+    assert where.tolist() == [first[mi_add(basis[i], basis[j])] for i, j in pairs]
+    for q in [mp.qprime, *model.interior_eqs]:
+        count = count_upto(n, 2 * (K // 2) + q.degree())
+        assert_same_csr(_localizing_rows(q, betas, 0, count, count)[where],
+                        per_entry_block(q, basis, 0, count))
 
     a_eq, rhs = dict_lowering(mp)
     assert_same_csr(program.a_eq, a_eq)
@@ -898,35 +855,11 @@ def test_block_target_outside_the_variables_raises():
         _localizing_rows(q, betas, 0, 3, 4)
 
 
-def test_lowering_over_a_basis_that_is_not_full():
-    """The pendulum K=4 basis without s^2 (20 of its 21 monomials): each
-    beta appears once, in the order it first appears in the upper
-    triangle, and every block entry matches the per-entry ``entries``."""
-    model = scaled_pendulum()
-    n = model.total_dim
-    basis = [u for u in enumerate_multi_indices(n, 2) if u != (0, 0, 0, 2, 0)]
-    assert len(basis) == 20
-    betas, where = _betas(np.array(basis, dtype=np.int64))
-    pairs = list(zip(*np.triu_indices(len(basis))))
-    first = {}
-    for i, j in pairs:
-        first.setdefault(mi_add(basis[i], basis[j]), len(first))
-    assert [tuple(beta) for beta in betas.tolist()] == list(first)
-    assert where.tolist() == [first[mi_add(basis[i], basis[j])] for i, j in pairs]
-    for q in [boundary_product(model.exit_polys), *model.interior_polys,
-              *model.interior_eqs]:
-        count = count_upto(n, 4 + q.degree())
-        block = PsdBlock("q", len(basis), _localizing_rows(q, betas, 0, count, count)[where])
-        for p, (i, j) in enumerate(pairs):
-            assert row_terms(block, p) == sorted(
-                (rank, float(coef)) for coef, rank in entries(q, basis, i, j))
-
-
 @pytest.mark.parametrize("make_model, K, rank", [
-    pytest.param(scaled_pendulum, 4, 427, id="pendulum-K4"),
-    pytest.param(scaled_pendulum, 6, None, id="pendulum-K6"),
-    pytest.param(scaled_trig2d, 4, None, id="trig2d-K4"),
-    pytest.param(coupled_pendulum, 4, None, id="coupled-pendulum-K4"),
+    pytest.param(lambda: scaled(PENDULUM), 4, 427, id="pendulum-K4"),
+    pytest.param(lambda: scaled(PENDULUM), 6, None, id="pendulum-K6"),
+    pytest.param(lambda: scaled(TRIG2D), 4, None, id="trig2d-K4"),
+    pytest.param(lambda: augment(sde(COUPLED_PENDULUM)), 4, None, id="coupled-pendulum-K4"),
 ])
 def test_dropped_basis_rows_are_kept_rows_modulo_the_circles(make_model, K, rank):
     """The premise of the circle quotient basis.  Modulo the circle rows,
@@ -971,9 +904,7 @@ def test_a_localizer_above_the_degree_of_the_circles_keeps_the_full_basis():
     (forced anyway, the block of the cubic safe polynomial -x (x^2 + 1)
     below misses T' M' T by 1.3 times its largest entry at pendulum K=6).
     So a model with such a q keeps the full basis."""
-    model = scale_model(augment(SdeModel.from_strings(
-        ["x", "v"], ["v", "-5*x - 9.81 + v*sin(x)"], [["0"], ["1"]],
-        [-1.0, 0.0], 10.0, ["-x*(x^2 + 1)", "x + 2"])))
+    model = scaled(PENDULUM, x0=[-1.0, 0.0], safe_polys=["-x*(x^2 + 1)", "x + 2"])
     assert model.interior_polys[0].degree() == 3
     mp = build_moment_problem(model, "reduced", 6, 1, "min")
     assert mp.moment_basis == enumerate_multi_indices(model.total_dim, 3)
@@ -995,10 +926,7 @@ def test_row_target_outside_the_variables_raises(row, key):
 
 
 def test_moment_problem_records_dropped_rows():
-    spring = augment(SdeModel.from_strings(
-        ["x", "v"], ["v", "-5*x - 9.81 + v*sin(x)"], [["0"], ["1"]],
-        [-9.81 / 5, 0.0], 10.0, ["-x", "x + 2"]))
-    mp = build_moment_problem(spring, "reduced", 4, 1, "max")
+    mp = build_moment_problem(augment(sde(PENDULUM)), "reduced", 4, 1, "max")
     assert mp.dropped_rows
     kept = {r.test_index for r in mp.rows}
     assert not kept.intersection(set(mp.dropped_rows))

@@ -17,30 +17,15 @@ from fractions import Fraction
 
 import pytest
 
-from exitmoment.augment import SdeModel, augment, scale_model
 from exitmoment.conic import presolve
 from exitmoment.expr import Polynomial
 from exitmoment.momentproblem import (assemble, boundary_product,
                                       build_moment_problem, lower_to_conic)
 
 from circle_quotient import quotient_svec
+from models import BOX, BROWNIAN, BROWNIAN_2D, PENDULUM, TRIG2D, scaled
 
-MODELS = {
-    "brownian": dict(names=["y"], drift=["0"], diffusion=[["1"]], x0=[0.5],
-                     horizon=10.0, safe_polys=["y", "1 - y"]),
-    "pendulum": dict(names=["x", "v"], drift=["v", "-5*x - 9.81 + v*sin(x)"],
-                     diffusion=[["0"], ["1"]], x0=[-9.81 / 5, 0.0],
-                     horizon=10.0, safe_polys=["-x", "x + 2"]),
-    # two states, two noise columns, time inside a sinusoid
-    "trig2d": dict(names=["x", "y"],
-                   drift=["sin(x*y) - x", "cos(t) + 0.5*sin(2*x)"],
-                   diffusion=[["0.3 + 0.1*y", "0.2*x"], ["0.1*x*y", "0.4"]],
-                   x0=[0.1, -0.2], horizon=2.0, safe_polys=["1 - x^2 - y^2"]),
-    # driftless in the box [-1, 1]^2 from its centre: two reflections
-    "box": dict(names=["x", "y"], drift=["0", "0"],
-                diffusion=[["1", "0"], ["0", "1"]], x0=[0.0, 0.0], horizon=10.0,
-                safe_polys=["x + 1", "1 - x", "y + 1", "1 - y"]),
-}
+MODELS = {"brownian": BROWNIAN, "pendulum": PENDULUM, "trig2d": TRIG2D, "box": BOX}
 
 # (model, variant, K, moment order, digest, presolved digest); every
 # program is "min".  No reduced program has anything to presolve (its
@@ -92,7 +77,7 @@ def digest(program) -> str:
 
 
 def program(name, variant, K, order):
-    model = scale_model(augment(SdeModel.from_strings(**MODELS[name])))
+    model = scaled(MODELS[name])
     return assemble(model, variant, K, order, "min")
 
 
@@ -144,7 +129,7 @@ def test_the_time_box_implies_the_occupation_moment_matrix(name):
     at which the reduced program exists (deg q' <= K).  The reduced blocks
     of a trig model take the circle quotient basis, so the sum is the
     original's M(m) at the monomials that no sine square divides."""
-    model = scale_model(augment(SdeModel.from_strings(**MODELS[name])))
+    model = scaled(MODELS[name])
     K = max(4, boundary_product(model.exit_polys).degree())
     original = assemble(model, "original", K, 1, "min")
     reduced = assemble(model, "reduced", K, 1, "min")
@@ -162,7 +147,7 @@ def test_the_time_box_implies_the_occupation_moment_matrix(name):
     assert (implied != occupation.mat[quotient_svec(model, K)]).nnz == 0
 
 
-@pytest.mark.parametrize("spec", [MODELS["brownian"], dict(MODELS["box"], x0=[0.2, 0.1])],
+@pytest.mark.parametrize("spec", [BROWNIAN, BROWNIAN_2D],
                          ids=["brownian", "box-from-(0.2,0.1)"])
 def test_two_safe_polynomials_imply_the_exit_moment_matrix(spec):
     """The reduced program leaves M(b) out because it is implied: two safe
@@ -171,7 +156,7 @@ def test_two_safe_polynomials_imply_the_exit_moment_matrix(spec):
     M(b) = (M(q_i b) + M(q_j b)) / c, a sum of PSD blocks.  For Brownian
     motion M((1 - y) b) is itself left out as the mirror of M(y b), so
     both blocks are lowered here without the reflection."""
-    model = scale_model(augment(SdeModel.from_strings(**spec)))
+    model = scaled(spec)
     K = max(4, boundary_product(model.exit_polys).degree())
     original = assemble(model, "original", K, 1, "min")
     mp = build_moment_problem(model, "reduced", K, 1, "min")

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from exitmoment.augment import SdeModel, augment, scale_model
 from exitmoment.momentproblem import ConicProgram, PsdBlock, assemble
 from exitmoment import sdpa
 from exitmoment.sdpa import (SdpaData, export_sdpa, program_sdpa_image,
                              read_sdpa)
 
+from models import BROWNIAN, PENDULUM, scaled
 from traced import traced_peak
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,17 +36,10 @@ def trivial_program():
     )
 
 
-def brownian_program(K=4):
-    model = scale_model(augment(SdeModel.from_strings(
-        ["y"], ["0"], [["1"]], [0.5], 10.0, ["y", "1 - y"])))
-    return assemble(model, "reduced", K, 1, "max")
-
-
-def pendulum_program(K):
-    model = scale_model(augment(SdeModel.from_strings(
-        ["x", "v"], ["v", "-5*x - 9.81 + v*sin(x)"], [["0"], ["1"]],
-        [-9.81 / 5, 0.0], 10.0, ["-x", "x + 2"])))
-    return assemble(model, "reduced", K, 1, "min")
+@pytest.fixture(scope="module")
+def brownian_k4():
+    """Brownian reduced K=4 order 1 "max", the program of the golden file."""
+    return assemble(scaled(BROWNIAN), "reduced", 4, 1, "max")
 
 
 def test_trivial_export_matches_golden(tmp_path):
@@ -55,7 +48,7 @@ def test_trivial_export_matches_golden(tmp_path):
     assert out.read_bytes() == (GOLDEN / "trivial.dat-s").read_bytes()
 
 
-def test_brownian_export_matches_golden(tmp_path):
+def test_brownian_export_matches_golden(brownian_k4, tmp_path):
     # written by the per-entry exporter this file format started with; the
     # block M(m) (block 1) was then taken out and the later blocks
     # renumbered.  Then block 3, M((1 - y) m), the mirror of M(y m), went
@@ -66,23 +59,23 @@ def test_brownian_export_matches_golden(tmp_path):
     # too, and M(y b) joined as block 4, its entries from the per-entry
     # reference lowering of the tests of momentproblem
     out = tmp_path / "bm.dat-s"
-    export_sdpa(brownian_program(4), out)
+    export_sdpa(brownian_k4, out)
     golden = (GOLDEN / "brownian-reduced-K4.dat-s").read_bytes()
     assert out.read_bytes() == golden
-    image = program_sdpa_image(brownian_program(4))
+    image = program_sdpa_image(brownian_k4)
     assert fields(read_sdpa(out)) == fields(image)
 
 
 @pytest.mark.parametrize("lines", [3, 7])
-def test_chunk_size_changes_no_byte(tmp_path, monkeypatch, lines):
+def test_chunk_size_changes_no_byte(brownian_k4, tmp_path, monkeypatch, lines):
     # chunks hold whole columns, so these cut the file at many places,
     # and the reader checks ranges and order as many slices
     monkeypatch.setattr(sdpa, "_LINES_PER_WRITE", lines)
     out = tmp_path / "bm.dat-s"
-    export_sdpa(brownian_program(4), out)
+    export_sdpa(brownian_k4, out)
     golden = (GOLDEN / "brownian-reduced-K4.dat-s").read_bytes()
     assert out.read_bytes() == golden
-    image = program_sdpa_image(brownian_program(4))
+    image = program_sdpa_image(brownian_k4)
     assert fields(read_sdpa(out)) == fields(image)
 
 
@@ -95,7 +88,7 @@ def test_export_and_read_stay_within_their_memory(tmp_path):
     the full basis (28,152 lines), an export that built a record table of
     the whole program and formatted all its lines at once peaked at
     5.4 MB."""
-    program = pendulum_program(6)
+    program = assemble(scaled(PENDULUM), "reduced", 6, 1, "min")
     out = tmp_path / "p.dat-s"
 
     def round_trip():
@@ -107,24 +100,22 @@ def test_export_and_read_stay_within_their_memory(tmp_path):
     assert peak <= 4_200_000
 
 
-def test_block_sizes_match_assembled_dimensions(tmp_path):
-    program = brownian_program()
+def test_block_sizes_match_assembled_dimensions(brownian_k4, tmp_path):
     out = tmp_path / "bm.dat-s"
-    export_sdpa(program, out)
+    export_sdpa(brownian_k4, out)
     data = read_sdpa(out)
     psd = [s for s in data.block_sizes if s > 0]
-    assert psd == [b.dim for b in program.blocks]
+    assert psd == [b.dim for b in brownian_k4.blocks]
     (diag,) = [s for s in data.block_sizes if s < 0]
-    assert diag == -2 * program.a_eq.shape[0]
-    assert data.num_vars == program.num_vars
+    assert diag == -2 * brownian_k4.a_eq.shape[0]
+    assert data.num_vars == brownian_k4.num_vars
 
 
-def test_round_trip_exact(tmp_path):
-    program = brownian_program()
+def test_round_trip_exact(brownian_k4, tmp_path):
     out = tmp_path / "bm.dat-s"
-    export_sdpa(program, out)
+    export_sdpa(brownian_k4, out)
     parsed = read_sdpa(out)
-    image = program_sdpa_image(program)
+    image = program_sdpa_image(brownian_k4)
     assert parsed.num_vars == image.num_vars
     assert parsed.block_sizes == image.block_sizes
     assert parsed.c == image.c
@@ -170,11 +161,10 @@ def test_reader_accepts_lower_triangle_entries(tmp_path):
                                         (2, 2): [(2, 2, 1.0)]}
 
 
-def test_entries_are_record_views_of_one_table(tmp_path):
-    program = brownian_program()
+def test_entries_are_record_views_of_one_table(brownian_k4, tmp_path):
     out = tmp_path / "bm.dat-s"
-    export_sdpa(program, out)
-    for data in (read_sdpa(out), program_sdpa_image(program)):
+    export_sdpa(brownian_k4, out)
+    for data in (read_sdpa(out), program_sdpa_image(brownian_k4)):
         views = list(data.entries.values())
         table = views[0].base
         assert table.dtype == np.dtype(sdpa._ENTRY_DTYPE)
@@ -184,11 +174,11 @@ def test_entries_are_record_views_of_one_table(tmp_path):
             assert view.dtype.names == ("i", "j", "value")
 
 
-def test_entries_are_a_dict_of_their_runs():
+def test_entries_are_a_dict_of_their_runs(brownian_k4):
     """Looked up, assigned, deleted and iterated as the dict of record
     views they stand for; keys keep the table's order, and a new key comes
     last."""
-    data = program_sdpa_image(brownian_program())
+    data = program_sdpa_image(brownian_k4)
     entries = data.entries
     keys = list(records(data))
     assert len(entries) == len(keys) and keys[0] in entries
@@ -207,7 +197,7 @@ def test_entries_are_a_dict_of_their_runs():
     assert [len(v) for v in entries.values()] == [len(entries[k]) for k in entries]
     assert entries[(0, 99)] == "a value"
     assert entries[keys[0]].tolist() == records(program_sdpa_image(
-        brownian_program()))[keys[0]][1:]
+        brownian_k4))[keys[0]][1:]
     del entries[(0, 99)]
     entries[keys[1]] = "back"
     assert len(entries) == len(keys) and entries[keys[1]] == "back"
@@ -255,7 +245,7 @@ def test_reader_skips_header_comments_and_blank_lines(tmp_path):
     assert records(read_sdpa(path)) == {(1, 1): [(1, 1, 2.0), (2, 2, 3.0)]}
 
 
-def test_reader_parses_exported_entries_in_one_pass(tmp_path, monkeypatch):
+def test_reader_parses_exported_entries_in_one_pass(brownian_k4, tmp_path, monkeypatch):
     # without comment lines among the entries, numpy reads them from the
     # path; the per-line comment filter is the fallback for other files
     calls = []
@@ -267,8 +257,8 @@ def test_reader_parses_exported_entries_in_one_pass(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sdpa, "_load_entries", counted)
     out = tmp_path / "bm.dat-s"
-    export_sdpa(brownian_program(4), out)
-    image = program_sdpa_image(brownian_program(4))
+    export_sdpa(brownian_k4, out)
+    image = program_sdpa_image(brownian_k4)
     assert fields(read_sdpa(out)) == fields(image)
     assert len(calls) == 1
 
