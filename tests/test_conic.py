@@ -658,6 +658,20 @@ def test_held_out_brownian_bounds_end_on_their_side_by_the_interior_point_method
     assert bound <= exact if sense == "min" else bound >= exact
 
 
+@pytest.mark.parametrize("K, order", [(6, 1), (6, 2), (6, 4), (10, 4)])
+def test_interior_point_brackets_the_bounds_admm_leaves_unconverged(
+        brownian, K, order):
+    """ADMM stopped at 20,000 iterations on each "max" here while the
+    exit measure had only M(b); with M(y b) it still does on K=6 order 4,
+    and ends optimal after 675, 2,775 and 400 iterations on the others."""
+    bound = {}
+    for sense in ("min", "max"):
+        res = solve(assemble(brownian, "reduced", K, order, sense))
+        assert (res.status, res.method) == ("optimal", "ipm")
+        bound[sense] = Fraction(res.objective * moment_unscale_factor(brownian, order))
+    assert bound["min"] <= BROWNIAN_MOMENTS[order] <= bound["max"]
+
+
 @pytest.mark.parametrize("K, order, bracket_without", [
     (4, 2, 1.76e-1), (8, 4, 2.20e-4), (10, 6, 3.34e-4)])
 def test_exit_measure_localizers_narrow_the_brackets_a_hundredfold(
