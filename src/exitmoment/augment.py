@@ -51,6 +51,12 @@ class SdeModel:
     def nslots(self) -> int:
         return len(self.names)
 
+    def used_atoms(self) -> list:
+        """The atoms the drift and diffusion entries use, each once, in the
+        order of first use: the drift entries, then the diffusion rows."""
+        entries = [*self.drift, *(g for row in self.diffusion for g in row)]
+        return list(dict.fromkeys(a for e in entries for a in e.used_atoms()))
+
     @staticmethod
     def from_strings(
         names: Sequence[str],
@@ -128,33 +134,13 @@ class AugmentedModel:
 
 
 def collect_trig_atoms(model: SdeModel) -> list:
-    """All atoms needed to close the dynamics: the sines, then their
-    cosines in the same (frequency, argument) order.
-
-    Every (frequency, argument) pair appearing in drift or diffusion
-    contributes BOTH its sine and cosine atom: differentiation swaps the
-    two, so the partner is required for closure.
-    """
-    sin_pairs: list = []
-    cos_pairs: list = []
-
-    def visit(expr: Polynomial):
-        for atom in expr.used_atoms():
-            pair = (atom.freq, atom.arg)
-            bucket = sin_pairs if atom.kind == "sin" else cos_pairs
-            if pair not in bucket:
-                bucket.append(pair)
-
-    for entry in model.drift:
-        visit(entry)
-    for row in model.diffusion:
-        for entry in row:
-            visit(entry)
-
-    ordered = list(sin_pairs) + [p for p in cos_pairs if p not in sin_pairs]
-    sines = [TrigAtom("sin", f, a) for f, a in ordered]
-    cosines = [TrigAtom("cos", f, a) for f, a in ordered]
-    return sines + cosines
+    """All atoms needed to close the dynamics (differentiation swaps sine
+    and cosine): the sines, then the cosines, of the (frequency, argument)
+    pairs of ``model.used_atoms()``, those of its sines first."""
+    used = model.used_atoms()
+    pairs = dict.fromkeys((a.freq, a.arg) for kind in ("sin", "cos")
+                          for a in used if a.kind == kind)
+    return [TrigAtom(kind, f, a) for kind in ("sin", "cos") for f, a in pairs]
 
 
 def augment(model: SdeModel) -> AugmentedModel:

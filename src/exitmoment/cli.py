@@ -7,6 +7,8 @@ Example (Brownian motion on [0, 1] from 1/2, lower bound on E[tau ^ T]):
 
 The exit code is 0 when the solve ends ``optimal`` and 1 otherwise; the
 objective of an unconverged iterate is no bound, so "bound" is then null.
+Unreadable input (a bad option, model, number or setting) exits 2, as
+argparse's usage error, with the message on stderr.
 The ``SolveResult`` fields but ``objective``, ``z`` and
 ``residual_history`` follow "bound"; a non-finite number prints as null.
 """

@@ -68,14 +68,14 @@ eigendecomposition of the Gram matrix sum_k (G_k N)'(G_k N) keeps the
 others, scaled so that the stacked block images are orthonormal:
 z = z0 + W w, W = N Q diag(lambda)^-1/2.  What remains is the LMI
 X_k = C_k + sum_i w_i F_k,i >= 0  with objective q'w
-and the dual  Z_k >= 0,  sum_k <F_k,i, Z_k> = q_i.  Blocks of one
-dimension form a stacked group (an assembled program has one: its blocks
-share one basis, of degree K/2, without the multiples of a circle's s^2
-in a reduced trig program) that keeps the F_k,i once, as an
-(n_blocks, p, svec) array of upper-triangle entries, and X, Z, their
-factors and the directions as (n_blocks, d, d) arrays, so a Cholesky
-factorization or step-length congruence is one call per group; a step
-length then takes only the least eigenvalue of each block's congruence.
+and the dual  Z_k >= 0,  sum_k <F_k,i, Z_k> = q_i.  Each group of
+``_SvecBlocks`` (an assembled program has one: its blocks share one
+basis, of degree K/2, without the multiples of a circle's s^2 in a
+reduced trig program) keeps the F_k,i once, as an (n_blocks, p, svec)
+array of their svecs, and X, Z, their factors and the directions as
+(n_blocks, d, d) arrays, so a Cholesky factorization or step-length
+congruence is one call per group; a step length then takes only the
+least eigenvalue of each block's congruence.
 The iteration is the infeasible-start primal-dual path following method
 with the HKM direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J.
 Optim. 1996) and Mehrotra's predictor-corrector (SIAM J. Optim. 1992).
@@ -127,9 +127,11 @@ whose own |f| exceeds ``AA_SAFEGUARD`` times the |f| of the plain step
 it replaced: the iteration restarts from that plain step T(v) and the
 memory is cleared.
 
-The PSD projection groups the blocks by dimension and runs one stacked
-``np.linalg.eigh`` per dimension, rebuilding ``V max(w, 0) V'`` for the
-whole group in one batched product.
+The PSD projection runs one stacked ``np.linalg.eigh`` per group,
+rebuilding ``V max(w, 0) V'`` for the whole group in one batched product.
+``_SvecBlocks`` groups the blocks by dimension once, for both methods,
+and each group converts between svec rows and matrices through
+``momentproblem.svec_layout``, the one layout of ``PsdBlock``.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .expr import is_int
-from .momentproblem import ConicProgram
+from .momentproblem import ConicProgram, svec_layout
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -257,49 +259,55 @@ class SolveResult:
     solve_time: float = 0.0
 
 
-class _SvecBlocks:
-    """Bookkeeping for stacking PSD blocks into scaled svec space.
+class _SvecGroup:
+    """The ``blocks`` of one dimension d in program order, their ``pos`` in
+    the stacked svec vector (one row per block), the ``svec_layout`` of d
+    and the svec ``scale``: 1 on the diagonal, whose ``upper`` positions
+    i (d + 1) are the multiples of d + 1, and sqrt 2 off it."""
 
-    Blocks of equal dimension form one group, holding the svec positions of
-    its blocks (one row per block), the svec scale, the gather index from
-    svec to the row-major full matrix and the svec positions of the upper
-    triangle in that matrix.
-    """
+    def __init__(self, dim: int, blocks: list, starts: np.ndarray):
+        self.dim, self.blocks = dim, blocks
+        self.full, self.upper = svec_layout(dim)
+        self.scale = np.where(self.upper % (dim + 1) == 0, 1.0, _SQRT2)
+        self.pos = starts[:, None] + np.arange(self.upper.size)
+
+    def matrices(self, rows: np.ndarray) -> np.ndarray:
+        """The symmetric d x d matrices whose svecs are these rows."""
+        return np.take(rows, self.full, axis=1).reshape(-1, self.dim, self.dim)
+
+    def svecs(self, mats: np.ndarray) -> np.ndarray:
+        """The upper triangles of stacked d x d matrices, one svec row each."""
+        return mats.reshape(len(mats), -1)[:, self.upper]
+
+
+class _SvecBlocks:
+    """The PSD blocks in scaled svec space: their svec ``lengths`` and
+    ``starts``, the ``stacked`` scaled svec rows, and ``groups``, the one
+    grouping by dimension, a ``_SvecGroup`` per dimension in rising order."""
 
     def __init__(self, program: ConicProgram):
-        dims = np.array([b.dim for b in program.blocks])
-        self.lengths = dims * (dims + 1) // 2
+        self.lengths = np.array([b.svec_len() for b in program.blocks])
         self.starts = np.concatenate([[0], np.cumsum(self.lengths)[:-1]])
         self.total = int(self.lengths.sum())
-        self.groups = []
-        scales = {}
-        for d in np.unique(dims):
-            d = int(d)
-            iu, ju = np.triu_indices(d)
-            scale = np.where(iu == ju, 1.0, _SQRT2)
-            scales[d] = scale
-            upper = iu * d + ju
-            full = np.empty(d * d, dtype=np.intp)
-            full[upper] = np.arange(iu.size)
-            full[ju * d + iu] = np.arange(iu.size)
-            pos = self.starts[dims == d][:, None] + np.arange(iu.size)
-            self.groups.append((d, pos, scale, full, upper))
-        self.stacked = sp.vstack(
-            [sp.diags(scales[b.dim]) @ b.mat for b in program.blocks],
-            format="csr")
+        dims = np.array([b.dim for b in program.blocks])
+        self.groups = [_SvecGroup(int(d), [b for b in program.blocks if b.dim == d],
+                                  self.starts[dims == d])
+                       for d in np.unique(dims)]
+        scales = {g.dim: g.scale for g in self.groups}
+        self.stacked = sp.vstack([sp.diags(scales[b.dim]) @ b.mat for b in program.blocks],
+                                 format="csr")
 
     def project(self, vec: np.ndarray) -> np.ndarray:
         out = np.empty_like(vec)
-        for d, pos, scale, full, upper in self.groups:
-            svec = vec[pos]
-            mats = (svec / scale)[:, full].reshape(-1, d, d)
-            w, v = np.linalg.eigh(mats)
+        for g in self.groups:
+            svec = vec[g.pos]
+            w, v = np.linalg.eigh(g.matrices(svec / g.scale))
             neg = w[:, 0] < 0
             if neg.any():
                 v = v[neg]
                 proj = (v * np.maximum(w[neg], 0.0)[:, None, :]) @ v.transpose(0, 2, 1)
-                svec[neg] = proj.reshape(-1, d * d)[:, upper] * scale
-            out[pos] = svec
+                svec[neg] = g.svecs(proj) * g.scale
+            out[g.pos] = svec
         return out
 
 
@@ -552,36 +560,31 @@ def _factors(mats: np.ndarray) -> tuple:
 
 
 class _LmiGroup:
-    """The blocks X_k = C_k + sum_i w_i F_k,i of one dimension d, stacked:
-    ``coef`` holds the F_k,i once, as the (n_blocks, p, svec) array of their
-    upper-triangle entries (unscaled, in ``np.triu_indices`` order), and
-    ``const`` the C_k as an (n_blocks, d, d) array."""
+    """The blocks X_k = C_k + sum_i w_i F_k,i of one ``_SvecGroup``
+    ``svec``, stacked: ``coef`` holds the F_k,i once, as the (n_blocks, p,
+    svec) array of their unscaled svecs, and ``const`` the C_k as an
+    (n_blocks, d, d) array."""
 
-    def __init__(self, blocks: list, z0: np.ndarray, basis: np.ndarray,
-                 full: np.ndarray, upper: np.ndarray, scale: np.ndarray):
-        d, p, s = blocks[0].dim, basis.shape[1], upper.size
-        self.dim, self.full, self.upper, self.half = d, full, upper, scale ** 2 / 2
-        self.coef = np.empty((len(blocks), p, s))
-        for coef, block in zip(self.coef, blocks):
+    def __init__(self, svec: _SvecGroup, z0: np.ndarray, basis: np.ndarray):
+        d, p, s = svec.dim, basis.shape[1], svec.upper.size
+        self.svec, self.half = svec, svec.scale ** 2 / 2
+        self.coef = np.empty((len(svec.blocks), p, s))
+        for coef, block in zip(self.coef, svec.blocks):
             coef[...] = (block.mat @ basis).T
-        self.const = self.matrix(np.stack([block.mat @ z0 for block in blocks]))
+        self.const = svec.matrices(np.stack([block.mat @ z0 for block in svec.blocks]))
         # gather[y, i, x] is where one block's flat coef holds F_i[x, y]: x is
         # the fastest axis and y the slowest, the two that ``schur`` acts on
-        self.gather = full.reshape(d, 1, d) + s * np.arange(p)[:, None]
-
-    def matrix(self, entries: np.ndarray) -> np.ndarray:
-        """The symmetric matrices with these rows of upper-triangle entries."""
-        return np.take(entries, self.full, axis=1).reshape(-1, self.dim, self.dim)
+        self.gather = svec.full.reshape(d, 1, d) + s * np.arange(p)[:, None]
 
     def adjoint(self, mats: np.ndarray) -> np.ndarray:
         """sum_k <F_k,i, mats[k]> for every i; mats need not be symmetric."""
-        both = (mats + mats.transpose(0, 2, 1)).reshape(len(mats), -1)[:, self.upper]
+        both = self.svec.svecs(mats + mats.transpose(0, 2, 1))
         return np.matmul(self.coef, (both * self.half)[..., None]).sum(axis=0)[:, 0]
 
     def schur(self, x_inv_factors: np.ndarray, z_lows: np.ndarray) -> np.ndarray:
         """sum_k tr(F_k,i Z_k F_k,j X_k^-1) for every i, j: the Gram matrix of
         G_k,i = L_k^-1 F_k,i R_k (X_k = L_k L_k', Z_k = R_k R_k')."""
-        d, p = self.dim, self.coef.shape[1]
+        d, p = self.svec.dim, self.coef.shape[1]
         gram = np.zeros((p, p))
         for coef, left, right in zip(self.coef, x_inv_factors, z_lows):
             image = np.take(coef, self.gather)
@@ -602,21 +605,19 @@ def _interior_point(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray,
         q = basis.T @ c
         offset = float(c @ z0)
         # X, Z, their factors and the directions: one array per group
-        groups = [_LmiGroup([b for b in program.blocks if b.dim == d],
-                            z0, basis, full, upper, scale)
-                  for d, _, scale, full, upper in blocks.groups]
+        groups = [_LmiGroup(group, z0, basis) for group in blocks.groups]
         nu = sum(b.dim for b in program.blocks)
         norm_c = math.sqrt(sum(float(np.vdot(g.const, g.const)) for g in groups))
         norm_q = float(np.linalg.norm(q))
-        xs = [max(10.0, norm_c) * np.ones_like(g.const) * np.eye(g.dim) for g in groups]
-        zs = [max(10.0, norm_q) * np.ones_like(g.const) * np.eye(g.dim) for g in groups]
+        xs = [max(10.0, norm_c) * np.ones_like(g.const) * np.eye(g.svec.dim) for g in groups]
+        zs = [max(10.0, norm_q) * np.ones_like(g.const) * np.eye(g.svec.dim) for g in groups]
         w = np.zeros(q.size)
         history = res.residual_history
 
         while True:
             # moment-side residual C + F(w) - X, Z-side residual
             # q - F'(Z), gap <X, Z>
-            r_p = [g.const + g.matrix(w @ g.coef) - x for g, x in zip(groups, xs)]
+            r_p = [g.const + g.svec.matrices(w @ g.coef) - x for g, x in zip(groups, xs)]
             r_d = q - sum(g.adjoint(zk) for g, zk in zip(groups, zs))
             gap = sum(float(np.vdot(x, zk)) for x, zk in zip(xs, zs))
             primal = offset + float(q @ w)
@@ -651,7 +652,7 @@ def _interior_point(program: ConicProgram, blocks: _SvecBlocks, c: np.ndarray,
                 for g, zk, x_inv, r, rck in zip(groups, zs, x_invs, r_p, rc):
                     rhs = rhs + g.adjoint(rck - zk @ r @ x_inv)
                 dw = sla.cho_solve(factor, rhs)
-                dxs = [g.matrix(dw @ g.coef) + r for g, r in zip(groups, r_p)]
+                dxs = [g.svec.matrices(dw @ g.coef) + r for g, r in zip(groups, r_p)]
                 dzs = [rck - zk @ dx @ x_inv for rck, zk, dx, x_inv in zip(rc, zs, dxs, x_invs)]
                 return dw, dxs, [(dz + dz.transpose(0, 2, 1)) / 2 for dz in dzs]
 

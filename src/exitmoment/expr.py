@@ -333,12 +333,15 @@ class Polynomial:
         if self.atoms:
             point = list(point) + [a.value(point) for a in self.atoms]
         total = 0.0
-        for alpha, coef in self.terms.items():
-            val = float(coef)
-            for x, e in zip(point, alpha):
-                if e:
-                    val *= x**e
-            total += val
+        try:
+            for alpha, coef in self.terms.items():
+                val = float(coef)
+                for x, e in zip(point, alpha):
+                    if e:
+                        val *= x**e
+                total += val
+        except OverflowError as exc:
+            raise ValueError("a polynomial term is too large for a float") from exc
         return total
 
     def scale_vars(self, factors: Sequence[Fraction]) -> "Polynomial":
@@ -404,10 +407,13 @@ class TrigAtom:
         return TrigAtom("cos" if self.kind == "sin" else "sin", self.freq, self.arg)
 
     def value(self, point: Sequence[float]) -> float:
-        u = float(self.freq)
-        for x, e in zip(point, self.arg):
-            if e:
-                u *= x**e
+        try:
+            u = float(self.freq)
+            for x, e in zip(point, self.arg):
+                if e:
+                    u *= x**e
+        except OverflowError as exc:
+            raise ValueError(f"the argument of a {self.kind} is too large for a float") from exc
         return math.sin(u) if self.kind == "sin" else math.cos(u)
 
 

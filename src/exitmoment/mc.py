@@ -190,12 +190,7 @@ class SdeKernel:
         self.model = model
         self.n = model.n
         self.d = model.d
-        atoms: list = []
-        exprs = list(model.drift) + [g for row in model.diffusion for g in row]
-        for e in exprs:
-            for a in e.used_atoms():
-                if a not in atoms:
-                    atoms.append(a)
+        atoms = model.used_atoms()
         self.atoms = _compile_atoms(atoms)
 
         def compile_expr(e: Polynomial) -> _Kernel:

@@ -101,10 +101,10 @@ the rows.  The array assembly relies on two orders, which the tests'
 per-entry loops reproduce one entry at a time:
 
 * The distinct betas come in the order each first appears in the
-  upper-triangle traversal (``np.triu_indices(d)``: i <= j, svec
-  position p), and within one row the terms follow the polynomial's
-  graded lex order (``Polynomial.items``).  Svec row p of a PSD block is
-  the row of its beta.
+  upper-triangle traversal (``svec_layout``: i <= j, svec position p),
+  and within one row the terms follow the polynomial's graded lex order
+  (``Polynomial.items``).  Svec row p of a PSD block is the row of its
+  beta.
 * The reduced variant's boundary equalities, the rows of M(q' b) = 0,
   and the rows M(g m) = 0 (and, reduced, M(g b) = 0) of each equality
   polynomial g are the beta rows of the full basis, in that
@@ -166,10 +166,22 @@ def boundary_product(safe_polys) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def svec_layout(dim: int) -> tuple:
+    """The one svec layout of a dim x dim block: svec position p holds
+    upper-triangle entry (i, j), i <= j, row by row (``np.triu_indices``).
+    Returns ``full``, the svec position of every entry of the row-major
+    matrix, both triangles, and ``upper``, the row-major position i dim + j
+    of every svec entry."""
+    iu, ju = np.triu_indices(dim)
+    full = np.empty((dim, dim), dtype=np.intp)
+    full[iu, ju] = full[ju, iu] = np.arange(iu.size)
+    return full.ravel(), iu * dim + ju
+
+
 @dataclass
 class PsdBlock:
-    """dim x dim PSD constraint; ``mat @ z`` fills the upper triangle row
-    by row, in the order of ``np.triu_indices(dim)``."""
+    """dim x dim PSD constraint; ``mat @ z`` is its svec, the upper
+    triangle in the ``svec_layout`` order, unscaled."""
 
     label: str
     dim: int
@@ -179,12 +191,8 @@ class PsdBlock:
         return self.dim * (self.dim + 1) // 2
 
     def materialize(self, z: np.ndarray) -> np.ndarray:
-        vals = self.mat @ z
-        iu, ju = np.triu_indices(self.dim)
-        out = np.zeros((self.dim, self.dim))
-        out[iu, ju] = vals
-        out[ju, iu] = vals
-        return out
+        full, _ = svec_layout(self.dim)
+        return (self.mat @ z)[full].reshape(self.dim, self.dim)
 
 
 @dataclass

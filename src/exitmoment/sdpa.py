@@ -10,8 +10,8 @@ objective and flagged in a comment line.
 Entry lines ``matno blkno i j value`` are sorted by (matno, blkno, i, j,
 value), and the value is written with ``{!r}`` of the Python float, the
 shortest string that reads back to the same double.  PSD block entry
-(i, j) comes from svec position p of ``np.triu_indices(dim)``, shifted to
-one-based indices.  In memory the entries are records of
+(i, j) is the pair at svec position p of ``momentproblem.svec_layout``,
+shifted to one-based indices.  In memory the entries are records of
 ``_ENTRY_DTYPE`` (int32 indices, 24 bytes an entry) in that order, zero
 values dropped once, and each ``SdpaData.entries`` value is an
 (i, j, value) record view of one (matno, blkno) run of a single table,

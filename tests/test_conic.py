@@ -827,9 +827,9 @@ def random_group(dim, n_blocks, num_vars, free, seed):
         rng.standard_normal((dim * (dim + 1) // 2, num_vars)))) for k in range(n_blocks)]
     program = ConicProgram(num_vars, np.zeros(num_vars), "min",
                            sp.csr_matrix((0, num_vars)), np.zeros(0), blocks)
-    (_, _, scale, full, upper), = _SvecBlocks(program).groups
+    svec, = _SvecBlocks(program).groups
     z0, basis = rng.standard_normal(num_vars), rng.standard_normal((num_vars, free))
-    group = conic._LmiGroup(blocks, z0, basis, full, upper, scale)
+    group = conic._LmiGroup(svec, z0, basis)
     x, z = (a @ a.transpose(0, 2, 1) + np.eye(dim)
             for a in rng.standard_normal((2, n_blocks, dim, dim)))
     return group, blocks, z0, basis, x, z
@@ -849,7 +849,8 @@ def test_a_group_maps_moments_to_its_blocks_and_back():
     group, blocks, z0, basis, x, _ = random_group(5, 4, 30, 9, seed=4)
     w = np.random.default_rng(5).standard_normal(basis.shape[1])
     moved = np.array([b.materialize(z0 + basis @ w) for b in blocks])
-    assert np.allclose(group.const + group.matrix(w @ group.coef), moved, rtol=1e-13, atol=1e-13)
+    assert np.allclose(group.const + group.svec.matrices(w @ group.coef), moved,
+                       rtol=1e-13, atol=1e-13)
     # <F_k,i, Y_k> for a Y that is not symmetric
     y = x @ np.triu(x)
     direct = [sum(np.vdot(b.materialize(basis[:, i]), yk) for b, yk in zip(blocks, y))
@@ -870,7 +871,7 @@ def two_dimension_program():
 
 def test_blocks_of_two_dimensions_are_solved_by_the_interior_point_method(monkeypatch):
     program = two_dimension_program()
-    assert [g[0] for g in _SvecBlocks(program).groups] == [2, 3]
+    assert [g.dim for g in _SvecBlocks(program).groups] == [2, 3]
     ipm = solve(program)
     monkeypatch.setattr(conic, "IPM_MAX_FREE", -math.inf)
     admm = solve(program)
@@ -1072,14 +1073,21 @@ def test_cli_prints_the_method(capsys):
 # messages pinned for some of the bad inputs below
 USAGE_MESSAGES = {("--K", "-2"): "K must be non-negative",
                   ("--x0", "inf"): "x0 must be finite",
-                  ("--x0", "nan"): "x0 must be finite"}
+                  ("--x0", "nan"): "x0 must be finite",
+                  # a number too large for a float: in the start-state check
+                  # of a safe polynomial, in a sine's start value, and in
+                  # x0^k of a martingale row
+                  ("--safe", "1e400*y"): "a polynomial term is too large for a float",
+                  ("--drift", "sin(1e400*y)"): "the argument of a sin is too large for a float",
+                  ("--x0", "1e200"): "a polynomial term is too large for a float"}
 
 
 @pytest.mark.parametrize("bad", [["--drift", "0 +"], ["--max-iters", "0"],
                                  ["--horizon", "-1"], ["--order", "0"],
                                  ["--order", "9"], ["--K", "0"],
                                  ["--K", "-2"], ["--x0", "inf"],
-                                 ["--x0", "nan"]])
+                                 ["--x0", "nan"], ["--safe", "1e400*y"],
+                                 ["--drift", "sin(1e400*y)"], ["--x0", "1e200"]])
 def test_cli_reports_bad_input_as_a_usage_error(bad, capsys):
     args = {"--names": "y", "--drift": "0", "--diffusion": "1", "--x0": "0.5",
             "--horizon": "10", "--K": "4"}

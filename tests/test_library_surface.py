@@ -233,3 +233,17 @@ def test_one_call_builds_every_solve_record():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SolveResult"]
     assert len(calls) == 1, f"SolveResult built at {calls}"
+
+
+# the svec layout's owner (``svec_layout``) and ``_betas``, which ranks the
+# betas of the upper triangle; ``sdpa`` writes the (i, j) of each entry
+TRIU_CALLERS = {"momentproblem.py", "sdpa.py"}
+
+
+def test_only_the_svec_layout_owner_and_the_sdpa_writer_call_triu_indices():
+    calls = {f"{path.name}:{node.lineno}" for path in LIBRARY
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "triu_indices"}
+    stray = sorted(c for c in calls if c.split(":")[0] not in TRIU_CALLERS)
+    assert not stray, f"np.triu_indices called outside the svec layout's owner: {stray}"

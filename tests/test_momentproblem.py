@@ -702,14 +702,30 @@ def test_assemble_precondition_checks():
             assemble(model, "reduced", 4, order, "max")
 
 
+def scatter_svec(vals, d):
+    """The symmetric d x d matrix whose upper triangle, in the order of
+    ``np.triu_indices(d)``, is ``vals``: the reference for the one svec
+    layout."""
+    iu, ju = np.triu_indices(d)
+    out = np.zeros((d, d))
+    out[iu, ju] = vals
+    out[ju, iu] = vals
+    return out
+
+
 def test_psd_block_materialization_is_symmetric():
     model = box_model(2)
     program = assemble(model, "reduced", 4, 2, "max")
     rng = np.random.default_rng(0)
     z = rng.normal(size=program.num_vars)
-    for block in program.blocks:
+    # a 1 x 1 block and two blocks of other sizes next to the assembled ones
+    extra = [PsdBlock(f"b{d}", d, sp.random(d * (d + 1) // 2, program.num_vars,
+                                             density=0.5, format="csr", random_state=d))
+             for d in (1, 2, 5)]
+    for block in program.blocks + extra:
         mat = block.materialize(z)
         assert np.array_equal(mat, mat.T)
+        assert np.array_equal(mat, scatter_svec(block.mat @ z, block.dim))
 
 
 def per_entry_block(q, basis, offset: int, num_vars: int):
